@@ -106,7 +106,6 @@ from .terms import (
     TTerm,
     Term,
     atoms_of,
-    contains,
     pair_of,
     render_signed,
     render_term,

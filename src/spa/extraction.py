@@ -8,6 +8,22 @@ keys), generate (nonces and keys only), otherwise fail.  Every operation
 emits one classifier strand over type-erased terms, and every term built,
 received, or recovered joins the knowledge set, so nothing is ever built
 twice.
+
+Recovery takes the path from the first knowledge entry (in insertion
+order) that exposes the target, descending leftmost through pairs and
+symmetric ciphers whose key is held, and fixes that path when it starts.
+Rather than scan the knowledge for every target, the extractor keeps an
+exposure index up to date as it learns.  Each exposed occurrence gets a
+rank: entries are numbered in insertion order and their positions in
+preorder over pairs and `sk` bodies (held key or not), and ranks compare
+by entry first, then by position.  The index keeps, for each exposed term,
+its lowest rank and the container it sits in there, which is exactly the
+occurrence the scan would find first.  A cipher whose key is not held
+waits under that key and is opened, at its original positions, when the
+key atom is learned.  Only terms that arrive from outside (initial
+knowledge, receptions, generated atoms) are walked: split halves,
+decrypted bodies and constructed terms are reachable, at a lower rank,
+from entries already walked.
 """
 
 from __future__ import annotations
@@ -25,7 +41,8 @@ from .terms import (
     Pair,
     SignedTTerm,
     Term,
-    contains,
+    TTerm,
+    atoms_of,
     type_erase,
 )
 
@@ -55,19 +72,97 @@ class Extraction:
 
 
 class _State:
-    """Private per-extraction state: ordered knowledge and emitted strands."""
+    """Private per-extraction state: ordered knowledge, what it exposes, and
+    emitted strands."""
 
     def __init__(self, strand: KStrand):
         self.participant = strand.participant
-        # dict as ordered set: recovery scans in insertion order
-        self.knowledge: dict[Term, None] = dict.fromkeys(strand.working_knowledge())
+        # dict as ordered set: insertion order is recovery's entry order
+        self.knowledge: dict[Term, None] = {}
+        # every atom occurring in knowledge, key positions included
+        self.atoms: set[Atom] = set()
+        # exposed term -> (lowest rank, container there or None for an entry)
+        self.exposed: dict[Term, tuple[int, Term | None]] = {}
+        # key atom -> [(sk cipher exposed but for that key, rank of its body)]
+        self.sealed: dict[Atom, list[tuple[Enc, int]]] = {}
+        # ranks are one preorder count over all walked entries, so comparing
+        # two ranks compares entry order first, then position in the entry
+        self.next_rank = 0
+        self.erased: dict[Term, TTerm] = {}
         self.ops: list[TStrand] = []
+        for t in strand.working_knowledge():
+            self.learn(t)
 
-    def learn(self, t: Term) -> None:
-        self.knowledge.setdefault(t)
+    def learn(self, t: Term, walk: bool = True) -> None:
+        """Add t to knowledge.  `walk=False` is for terms reachable from
+        entries already walked: split halves, decrypted bodies, and terms
+        constructed from known parts."""
+        if t in self.knowledge:
+            return
+        self.knowledge[t] = None
+        if walk:
+            self.atoms.update(atoms_of(t))
+            self.next_rank = self._expose(t, None, self.next_rank)
+        if isinstance(t, Atom):
+            for cipher, rank in self.sealed.pop(t, ()):
+                self._expose(cipher.body, cipher, rank)
 
-    def emit(self, classifier: Classifier, *events: SignedTTerm) -> None:
-        self.ops.append(TStrand(classifier, self.participant, events))
+    def _expose(self, root: Term, container: Term | None, rank: int) -> int:
+        """Index the occurrences under root, root ranked `rank`; return the
+        rank that follows root's subtree."""
+        stack = [(root, container)]
+        while stack:
+            t, container = stack.pop()
+            best = self.exposed.get(t)
+            if best is None or rank < best[0]:
+                self.exposed[t] = (rank, container)
+            rank += 1
+            if isinstance(t, Pair):
+                stack.append((t.right, t))
+                stack.append((t.left, t))
+            elif isinstance(t, Enc) and t.func is FuncName.SK:
+                if t.key in self.knowledge:
+                    stack.append((t.body, t))
+                else:
+                    self.sealed.setdefault(t.key, []).append((t, rank))
+                    rank += _span(t.body)
+        return rank
+
+    def path_to(self, target: Term) -> list[Term] | None:
+        """Containers from the target's first exposing entry down to the
+        target inclusive; None when nothing exposes it."""
+        if target not in self.exposed:
+            return None
+        path = [target]
+        container = self.exposed[target][1]
+        while container is not None:
+            path.append(container)
+            container = self.exposed[container][1]
+        path.reverse()
+        return path
+
+    def erase(self, t: Term) -> TTerm:
+        return type_erase(t, self.erased)
+
+    def emit(self, classifier: Classifier, *events: tuple[int, Term]) -> None:
+        seq = tuple(SignedTTerm(sign, self.erase(t)) for sign, t in events)
+        self.ops.append(TStrand(classifier, self.participant, seq))
+
+
+def _span(t: Term) -> int:
+    """Number of rank positions t occupies: itself, and below it every pair
+    component and `sk` body."""
+    n = 0
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        n += 1
+        if isinstance(t, Pair):
+            stack.append(t.right)
+            stack.append(t.left)
+        elif isinstance(t, Enc) and t.func is FuncName.SK:
+            stack.append(t.body)
+    return n
 
 
 def extract(s: KStrand) -> Extraction:
@@ -79,7 +174,7 @@ def extract(s: KStrand) -> Extraction:
             state.learn(event.payload)
         else:
             _construct(event.payload, state)
-        process_seq.append(SignedTTerm(event.sign, type_erase(event.payload)))
+        process_seq.append(SignedTTerm(event.sign, state.erase(event.payload)))
     process = TStrand(Classifier.C_P, s.participant, tuple(process_seq))
     return Extraction(process, tuple(state.ops))
 
@@ -91,12 +186,12 @@ def _construct(t: Term, state: _State) -> None:
         return
     if isinstance(t, Atom):
         if t.kind in _GEN_CLASSIFIER:
-            if any(contains(k, t) for k in state.knowledge):
+            if t in state.atoms:
                 raise Unrecoverable(
                     f"{state.participant.label} holds {t.label} only sealed "
                     "inside terms it cannot open"
                 )
-            state.emit(_GEN_CLASSIFIER[t.kind], SignedTTerm(1, type_erase(t)))
+            state.emit(_GEN_CLASSIFIER[t.kind], (1, t))
             state.learn(t)
             return
         raise Ungeneratable(
@@ -106,77 +201,35 @@ def _construct(t: Term, state: _State) -> None:
     if isinstance(t, Pair):
         _construct(t.left, state)
         _construct(t.right, state)
-        state.emit(
-            Classifier.C_C,
-            SignedTTerm(-1, type_erase(t.left)),
-            SignedTTerm(-1, type_erase(t.right)),
-            SignedTTerm(1, type_erase(t)),
-        )
-        state.learn(t)
+        state.emit(Classifier.C_C, (-1, t.left), (-1, t.right), (1, t))
+        state.learn(t, walk=False)
         return
     assert isinstance(t, Enc)
     if t.func is not FuncName.H:
         _construct(t.key, state)
     _construct(t.body, state)
-    state.emit(
-        _ENC_CLASSIFIER[t.func],
-        SignedTTerm(-1, type_erase(t.body)),
-        SignedTTerm(1, type_erase(t)),
-    )
-    state.learn(t)
+    state.emit(_ENC_CLASSIFIER[t.func], (-1, t.body), (1, t))
+    state.learn(t, walk=False)
 
 
 def _recover(target: Term, state: _State) -> bool:
     """Split/decrypt a path from known material down to the target.
 
-    The path is chosen against the knowledge as it stands at scan time
-    (first exposing entry, leftmost descent); steps whose outputs are
-    already known emit nothing.
+    The path is read from the index before any step runs, so it is the one
+    the knowledge exposes at that moment; steps whose outputs are already
+    known emit nothing.
     """
-    for entry in state.knowledge:
-        path = _path_to(entry, target, state.knowledge)
-        if path is None:
+    path = state.path_to(target)
+    if path is None:
+        return False
+    for step, child in zip(path, path[1:]):
+        if child in state.knowledge:
             continue
-        for step, child in zip(path, path[1:]):
-            if isinstance(step, Pair):
-                if child not in state.knowledge:
-                    state.emit(
-                        Classifier.C_I,
-                        SignedTTerm(-1, type_erase(step)),
-                        SignedTTerm(1, type_erase(step.left)),
-                        SignedTTerm(1, type_erase(step.right)),
-                    )
-                    state.learn(step.left)
-                    state.learn(step.right)
-            else:
-                if child not in state.knowledge:
-                    state.emit(
-                        Classifier.C_D,
-                        SignedTTerm(-1, type_erase(step)),
-                        SignedTTerm(1, type_erase(step.body)),
-                    )
-                    state.learn(step.body)
-        return True
-    return False
-
-
-def _path_to(container: Term, target: Term, knowledge) -> list[Term] | None:
-    """Containers from `container` down to `target` inclusive, descending
-    only through pairs and symmetric ciphers whose key is held; None when
-    the target is not reachable this way."""
-    if container == target:
-        return [container]
-    if isinstance(container, Pair):
-        for side in (container.left, container.right):
-            path = _path_to(side, target, knowledge)
-            if path is not None:
-                return [container] + path
-    if (
-        isinstance(container, Enc)
-        and container.func is FuncName.SK
-        and container.key in knowledge
-    ):
-        path = _path_to(container.body, target, knowledge)
-        if path is not None:
-            return [container] + path
-    return None
+        if isinstance(step, Pair):
+            state.emit(Classifier.C_I, (-1, step), (1, step.left), (1, step.right))
+            state.learn(step.left, walk=False)
+            state.learn(step.right, walk=False)
+        else:
+            state.emit(Classifier.C_D, (-1, step), (1, step.body))
+            state.learn(step.body, walk=False)
+    return True

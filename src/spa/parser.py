@@ -32,8 +32,13 @@ from .terms import (
     SignedTerm,
     Term,
     atoms_of,
-    pair_of,
 )
+
+# Deepest nesting a term may have.  Each pair, cipher and hash around a
+# basic value is one level, so a list of k components nests k - 1 levels.
+# The term walks recurse once per level; the cap keeps them far from
+# Python's recursion limit.
+MAX_NESTING = 256
 
 RESERVED = {
     "protocol", "roles", "nonce", "key", "data", "knows", "sk", "pk", "pvk", "h",
@@ -194,10 +199,10 @@ class _Parser:
             self.next()
             role = self.role_ref(self.ident("role name"))
             self.expect(":")
-            entries = [self.term()]
+            entries = [self.term()[0]]
             while self.peek().text == ",":
                 self.next()
-                entries.append(self.term())
+                entries.append(self.term()[0])
             self.expect(";")
             for entry in entries:
                 if entry not in knowledge[role.label]:
@@ -234,34 +239,51 @@ class _Parser:
                 f"{frm.label!r} sends to itself", frm_tok.line, frm_tok.column
             )
         self.expect(":")
-        parts = [self.term()]
+        payload, _, _ = self.sequence(0)
+        self.expect(";")
+        return Message(frm, to, payload)
+
+    def sequence(self, depth: int) -> tuple[Term, int, int]:
+        """Comma-separated terms as a left-nested pair chain: (term, its
+        nesting depth, number of components)."""
+        out, height = self.term(depth)
+        count = 1
         while self.peek().text == ",":
             self.next()
-            parts.append(self.term())
-        self.expect(";")
-        return Message(frm, to, pair_of(parts))
+            tok = self.peek()
+            right, right_height = self.term(depth)
+            out = Pair(out, right)
+            height = self.nest(max(height, right_height), tok)
+            count += 1
+        return out, height, count
 
-    def term(self) -> Term:
+    def nest(self, inner: int, tok: Token) -> int:
+        """Depth of a term one level above `inner`, started at tok."""
+        if inner >= MAX_NESTING:
+            raise ParseError(
+                f"term nests more than {MAX_NESTING} levels deep", tok.line, tok.column
+            )
+        return inner + 1
+
+    def term(self, depth: int = 0) -> tuple[Term, int]:
+        """One term and its nesting depth; `depth` counts the brackets around
+        it, so runaway bracketing stops before the parser recurses further."""
         tok = self.peek()
         if tok.text == "(":
+            self.nest(depth, tok)
             self.next()
-            parts = [self.term()]
-            while self.peek().text == ",":
-                self.next()
-                parts.append(self.term())
+            inner, height, count = self.sequence(depth + 1)
             self.expect(")")
-            if len(parts) < 2:
+            if count < 2:
                 raise ParseError(
                     "parenthesized terms need at least two components",
                     tok.line, tok.column,
                 )
-            return pair_of(parts)
+            return inner, height
         if tok.text == "{":
+            self.nest(depth, tok)
             self.next()
-            parts = [self.term()]
-            while self.peek().text == ",":
-                self.next()
-                parts.append(self.term())
+            body, height, _ = self.sequence(depth + 1)
             self.expect("}")
             func_tok = self.next()
             funcs = {"sk": FuncName.SK, "pk": FuncName.PK, "pvk": FuncName.PVK}
@@ -278,18 +300,16 @@ class _Parser:
                     f"{key_tok.text!r} is not a key", key_tok.line, key_tok.column
                 )
             self.expect(")")
-            return Enc(pair_of(parts), funcs[func_tok.text], key)
+            return Enc(body, funcs[func_tok.text], key), self.nest(height, tok)
         if tok.text == "h":
+            self.nest(depth, tok)
             self.next()
             self.expect("(")
-            parts = [self.term()]
-            while self.peek().text == ",":
-                self.next()
-                parts.append(self.term())
+            body, height, _ = self.sequence(depth + 1)
             self.expect(")")
-            return Enc(pair_of(parts), FuncName.H, Empty())
+            return Enc(body, FuncName.H, Empty()), self.nest(height, tok)
         if tok.kind == "ident":
-            return self.lookup(self.ident())
+            return self.lookup(self.ident()), 0
         shown = tok.text if tok.kind != "eof" else "end of input"
         raise ParseError(f"expected a term, found {shown!r}", tok.line, tok.column)
 

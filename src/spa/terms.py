@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 
 class AtomKind(enum.Enum):
@@ -30,10 +31,30 @@ class FuncName(enum.Enum):
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
+def _hash_once(cls):
+    """Hash a frozen dataclass by its fields on first use, then from the
+    `_hash` slot its base class declares.  Deep terms are hashed again and
+    again as dict keys; filling the slot lazily keeps construction (and so
+    parsing) as cheap as before, since many compound terms are never
+    hashed."""
+    key = attrgetter(*(f.name for f in fields(cls)))
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(key(self))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 class Term:
     """Base class for instance terms."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,6 +62,7 @@ class Empty(Term):
     pass
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class Atom(Term):
     kind: AtomKind
@@ -49,14 +71,19 @@ class Atom(Term):
     def __post_init__(self):
         if not _IDENT_RE.match(self.label):
             raise ValueError(f"bad atom label: {self.label!r}")
+        # nearly every atom gets hashed, and hashing here costs less than
+        # the slot miss in __hash__
+        object.__setattr__(self, "_hash", hash((self.kind, self.label)))
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class Pair(Term):
     left: Term
     right: Term
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class Enc(Term):
     body: Term
@@ -90,7 +117,7 @@ _KIND_TO_BASIC = {
 class TTerm:
     """Base class for typed terms."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,17 +125,20 @@ class TEmpty(TTerm):
     pass
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class Basic(TTerm):
     tt: BasicTT
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class TPair(TTerm):
     left: TTerm
     right: TTerm
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class TEnc(TTerm):
     body: TTerm
@@ -150,17 +180,29 @@ def pair_of(parts) -> Term:
     return out
 
 
-def type_erase(t: Term) -> TTerm:
-    """Map an instance term to its typed term: labels and keys are dropped."""
+def type_erase(t: Term, memo: dict | None = None) -> TTerm:
+    """Map an instance term to its typed term: labels and keys are dropped.
+
+    `memo`, when given, maps terms already erased to their results and is
+    extended with every subterm erased here.
+    """
+    if memo is not None:
+        e = memo.get(t)
+        if e is not None:
+            return e
     if isinstance(t, Empty):
-        return TEmpty()
-    if isinstance(t, Atom):
-        return Basic(_KIND_TO_BASIC[t.kind])
-    if isinstance(t, Pair):
-        return TPair(type_erase(t.left), type_erase(t.right))
-    if isinstance(t, Enc):
-        return TEnc(type_erase(t.body), t.func)
-    raise TypeError(f"not a term: {t!r}")
+        e = TEmpty()
+    elif isinstance(t, Atom):
+        e = Basic(_KIND_TO_BASIC[t.kind])
+    elif isinstance(t, Pair):
+        e = TPair(type_erase(t.left, memo), type_erase(t.right, memo))
+    elif isinstance(t, Enc):
+        e = TEnc(type_erase(t.body, memo), t.func)
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    if memo is not None:
+        memo[t] = e
+    return e
 
 
 def atoms_of(t: Term):
@@ -173,17 +215,6 @@ def atoms_of(t: Term):
     elif isinstance(t, Enc):
         yield from atoms_of(t.body)
         yield from atoms_of(t.key)
-
-
-def contains(t: Term, sub: Term) -> bool:
-    """True when sub occurs in t (t itself included)."""
-    if t == sub:
-        return True
-    if isinstance(t, Pair):
-        return contains(t.left, sub) or contains(t.right, sub)
-    if isinstance(t, Enc):
-        return contains(t.body, sub) or contains(t.key, sub)
-    return False
 
 
 def _spine(t) -> list:

@@ -27,12 +27,14 @@ from spa import (
     Enc,
     FuncName,
     HashSize,
+    KStrand,
     LambdaC,
     LambdaP,
     Message,
     Overhead,
     Pair,
     ProtocolSpec,
+    SignedTerm,
     SizeModel,
     TEmpty,
     TEnc,
@@ -131,6 +133,63 @@ def random_spec(rng: random.Random, max_atoms: int = 4, depth: int = 3) -> Proto
         except Exception:
             continue
     raise RuntimeError("could not generate a valid protocol")
+
+
+def random_strand(rng: random.Random) -> KStrand:
+    """One role's strand that leans on recovery: compound knowledge entries,
+    often sealed under keys the role holds only once a reception delivers
+    them, and sends drawn from the same atoms."""
+    role = Atom(AtomKind.PARTICIPANT, "A")
+    keys = [Atom(AtomKind.KEY, f"K{i}") for i in range(rng.randint(1, 3))]
+    nonces = [Atom(AtomKind.NONCE, f"N{i}") for i in range(rng.randint(1, 4))]
+    leaves = keys + nonces + [Atom(AtomKind.USERDATA, "D")]
+
+    def draw(depth):
+        if depth == 0 or rng.random() < 0.35:
+            return rng.choice(leaves)
+        roll = rng.random()
+        if roll < 0.45:
+            return Pair(draw(depth - 1), draw(depth - 1))
+        if roll < 0.85:
+            return Enc(draw(depth - 1), FuncName.SK, rng.choice(keys))
+        if roll < 0.92:
+            return Enc(draw(depth - 1), FuncName.H, Empty())
+        return Enc(draw(depth - 1), FuncName.PK, rng.choice(keys))
+
+    knowledge = [role]
+    for _ in range(rng.randint(0, 4)):
+        entry = draw(rng.randint(1, 4))
+        if entry not in knowledge:
+            knowledge.append(entry)
+    seq = tuple(
+        SignedTerm(rng.choice((1, -1, -1)), draw(rng.randint(0, 3)))
+        for _ in range(rng.randint(1, 6))
+    )
+    return KStrand(tuple(knowledge), role, seq)
+
+
+def chain_spec(n: int, w: int) -> ProtocolSpec:
+    """n messages, alternately A -> B and B -> A, each carrying a block of w
+    new nonces as `{block}sk(K0), h(prev, block), {block}pk(K1)`, where prev
+    is the previous message's block (K0 for the first).  Both roles hold K0
+    and K1, so each message after the first makes its sender recover the
+    block it last received."""
+    blocks = [", ".join(f"N{i}_{j}" for j in range(w)) for i in range(n)]
+    lines = [
+        f"protocol chain_{n}_{w} {{",
+        "roles A, B;",
+        "nonce " + ", ".join(blocks) + ";",
+        "key K0, K1;",
+        "knows A: B, K0, K1;",
+        "knows B: A, K0, K1;",
+    ]
+    prev = "K0"
+    for i, block in enumerate(blocks):
+        route = "A -> B" if i % 2 == 0 else "B -> A"
+        lines.append(f"{route}: {{{block}}}sk(K0), h({prev}, {block}), {{{block}}}pk(K1);")
+        prev = block
+    lines.append("}")
+    return parse("\n".join(lines))
 
 
 # -- cost expressions and models -------------------------------------------

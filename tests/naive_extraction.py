@@ -1,0 +1,165 @@
+"""Scan-based reference extractor for the differential tests.
+
+A copy of the extractor before it kept an exposure index: recovery scans
+every knowledge entry in insertion order for the first one exposing the
+target and walks the leftmost path to it, and the sealed-atom check scans
+every entry.  It is quadratic in protocol length and kept only so that
+tests can require the indexed extractor to emit the same strands.
+"""
+
+from __future__ import annotations
+
+from spa import (
+    Atom,
+    AtomKind,
+    Classifier,
+    Enc,
+    Extraction,
+    FuncName,
+    KStrand,
+    Pair,
+    SignedTTerm,
+    Term,
+    TStrand,
+    Ungeneratable,
+    Unrecoverable,
+    type_erase,
+)
+
+_ENC_CLASSIFIER = {
+    FuncName.SK: Classifier.C_E,
+    FuncName.PK: Classifier.C_PK,
+    FuncName.PVK: Classifier.C_PVK,
+    FuncName.H: Classifier.C_H,
+}
+
+_GEN_CLASSIFIER = {
+    AtomKind.NONCE: Classifier.C_N,
+    AtomKind.KEY: Classifier.C_K,
+}
+
+
+class _State:
+    def __init__(self, strand: KStrand):
+        self.participant = strand.participant
+        self.knowledge: dict[Term, None] = dict.fromkeys(strand.working_knowledge())
+        self.ops: list[TStrand] = []
+
+    def learn(self, t: Term) -> None:
+        self.knowledge.setdefault(t)
+
+    def emit(self, classifier: Classifier, *events: SignedTTerm) -> None:
+        self.ops.append(TStrand(classifier, self.participant, events))
+
+
+def naive_extract(s: KStrand) -> Extraction:
+    state = _State(s)
+    process_seq = []
+    for event in s.seq:
+        if event.sign < 0:
+            state.learn(event.payload)
+        else:
+            _construct(event.payload, state)
+        process_seq.append(SignedTTerm(event.sign, type_erase(event.payload)))
+    process = TStrand(Classifier.C_P, s.participant, tuple(process_seq))
+    return Extraction(process, tuple(state.ops))
+
+
+def contains(t: Term, sub: Term) -> bool:
+    """True when sub occurs in t (t itself and key positions included)."""
+    if t == sub:
+        return True
+    if isinstance(t, Pair):
+        return contains(t.left, sub) or contains(t.right, sub)
+    if isinstance(t, Enc):
+        return contains(t.body, sub) or contains(t.key, sub)
+    return False
+
+
+def _construct(t: Term, state: _State) -> None:
+    if t in state.knowledge:
+        return
+    if _recover(t, state):
+        return
+    if isinstance(t, Atom):
+        if t.kind in _GEN_CLASSIFIER:
+            if any(contains(k, t) for k in state.knowledge):
+                raise Unrecoverable(
+                    f"{state.participant.label} holds {t.label} only sealed "
+                    "inside terms it cannot open"
+                )
+            state.emit(_GEN_CLASSIFIER[t.kind], SignedTTerm(1, type_erase(t)))
+            state.learn(t)
+            return
+        raise Ungeneratable(
+            f"{state.participant.label} does not hold {t.label} and "
+            f"{t.kind.value} atoms cannot be generated"
+        )
+    if isinstance(t, Pair):
+        _construct(t.left, state)
+        _construct(t.right, state)
+        state.emit(
+            Classifier.C_C,
+            SignedTTerm(-1, type_erase(t.left)),
+            SignedTTerm(-1, type_erase(t.right)),
+            SignedTTerm(1, type_erase(t)),
+        )
+        state.learn(t)
+        return
+    assert isinstance(t, Enc)
+    if t.func is not FuncName.H:
+        _construct(t.key, state)
+    _construct(t.body, state)
+    state.emit(
+        _ENC_CLASSIFIER[t.func],
+        SignedTTerm(-1, type_erase(t.body)),
+        SignedTTerm(1, type_erase(t)),
+    )
+    state.learn(t)
+
+
+def _recover(target: Term, state: _State) -> bool:
+    for entry in state.knowledge:
+        path = _path_to(entry, target, state.knowledge)
+        if path is None:
+            continue
+        for step, child in zip(path, path[1:]):
+            if isinstance(step, Pair):
+                if child not in state.knowledge:
+                    state.emit(
+                        Classifier.C_I,
+                        SignedTTerm(-1, type_erase(step)),
+                        SignedTTerm(1, type_erase(step.left)),
+                        SignedTTerm(1, type_erase(step.right)),
+                    )
+                    state.learn(step.left)
+                    state.learn(step.right)
+            else:
+                if child not in state.knowledge:
+                    state.emit(
+                        Classifier.C_D,
+                        SignedTTerm(-1, type_erase(step)),
+                        SignedTTerm(1, type_erase(step.body)),
+                    )
+                    state.learn(step.body)
+        return True
+    return False
+
+
+def _path_to(container: Term, target: Term, knowledge) -> list[Term] | None:
+    if container == target:
+        return [container]
+    if isinstance(container, Pair):
+        for side in (container.left, container.right):
+            path = _path_to(side, target, knowledge)
+            if path is not None:
+                return [container] + path
+    if (
+        isinstance(container, Enc)
+        and container.func is FuncName.SK
+        and container.key in knowledge
+    ):
+        path = _path_to(container.body, target, knowledge)
+        if path is not None:
+            return [container] + path
+    return None

@@ -259,3 +259,37 @@ def test_cost_requires_role():
 def test_raw_and_simplified_exclusive():
     with pytest.raises(SystemExit):
         run_cli("cost", KEY_WRAP, "--role", "B", "--raw", "--simplified")
+
+
+def nested_protocol(shape, depth):
+    """A protocol whose one payload nests `depth` levels deep."""
+    if shape == "wide":
+        payload = ", ".join(["N"] * (depth + 1))
+    else:
+        payload = "N"
+        wrap = {"h": "h({})", "sk": "{{{}}}sk(K)", "pairs": "({}, N, M)"}[shape]
+        for _ in range(depth // 2 if shape == "pairs" else depth):
+            payload = wrap.format(payload)
+    return (
+        "protocol deep { roles A, B; nonce N, M; key K; "
+        f"knows A: B, K, N, M; knows B: A, K; A -> B: {payload}; }}"
+    )
+
+
+@pytest.mark.parametrize("shape", ["h", "sk", "pairs", "wide"])
+def test_nesting_cap(tmp_path, shape):
+    ok = write(tmp_path, nested_protocol(shape, 256), "ok.spa")
+    runs = [("check", ok), ("model", ok), ("model", ok, "--format", "json"),
+            ("model", ok, "--format", "dot")]
+    if shape == "h":
+        # pricing is quadratic in depth, so only the cheapest shape runs it
+        runs += [("cost", ok, "--role", "A"), ("compare", ok, ok),
+                 ("eval", ok, "--role", "A", "--config", DEFAULT_CONFIG)]
+    for argv in runs:
+        code, _, err = run_cli(*argv)
+        assert (code, err) == (0, ""), argv
+    deep = write(tmp_path, nested_protocol(shape, 258), "deep.spa")
+    for argv in (("check", deep), ("cost", deep, "--role", "A"), ("model", deep)):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert "ParseError: term nests more than 256 levels deep (line 1, column" in err

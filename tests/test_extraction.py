@@ -1,6 +1,7 @@
 """Operation extraction from knowledge strands, and oracle agreement."""
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -23,12 +24,14 @@ from spa import (
     pair_of,
     parse,
     project,
+    render_kstrand,
     type_erase,
     validate_op_strand,
 )
 
-from .generators import random_spec
+from .generators import chain_spec, random_spec, random_strand
 from .helpers import ANDREW, CORPUS, KEY_WRAP, X509_ORIGINAL
+from .naive_extraction import naive_extract
 
 A = Atom(AtomKind.PARTICIPANT, "A")
 B = Atom(AtomKind.PARTICIPANT, "B")
@@ -194,6 +197,68 @@ def test_recovery_prefers_first_exposing_entry():
     s = KStrand((B, first, second), B, (SignedTerm(1, NA),))
     ext = extract(s)
     assert ext.ops[0].seq[0].payload == type_erase(first)
+
+
+def test_late_key_opens_earlier_entry():
+    # entry 0 seals D under K, entry 1 holds D in clear: once K arrives the
+    # scan finds D in entry 0 first and decrypts; without K it splits entry 1
+    sealed = Enc(D, FuncName.SK, K)
+    clear = Pair(D, NA)
+    late = KStrand((B, sealed, clear), B, (SignedTerm(-1, K), SignedTerm(1, D)))
+    never = KStrand((B, sealed, clear), B, (SignedTerm(1, D),))
+    for s, classifier, source in (
+        (late, Classifier.C_D, sealed), (never, Classifier.C_I, clear),
+    ):
+        ext = extract(s)
+        assert [op.classifier for op in ext.ops] == [classifier]
+        assert ext.ops[0].seq[0].payload == type_erase(source)
+        assert ext == naive_extract(s)
+
+
+def exact_outcome(fn, s):
+    try:
+        return fn(s)
+    except (Ungeneratable, Unrecoverable) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# block width -> message counts; the scan reference is quadratic, so the
+# widest blocks stop early
+CHAIN_SIZES = {1: (1, 2, 3, 5, 8, 13, 21, 40), 4: (1, 2, 3, 5, 8, 13, 21), 8: (1, 2, 3, 5, 8, 13)}
+
+
+def test_index_matches_naive_scan():
+    specs = [chain_spec(n, w) for w, sizes in CHAIN_SIZES.items() for n in sizes]
+    specs += [parse(open(path, encoding="utf-8").read()) for path in CORPUS]
+    rng = random.Random(0x1DE7)
+    specs += [random_spec(rng) for _ in range(300)]
+    strands = [s for spec in specs for s in project(spec).strands]
+    strands += [random_strand(rng) for _ in range(2000)]
+    for s in strands:
+        # same process strand, same ops in the same order, same refusals
+        assert exact_outcome(extract, s) == exact_outcome(naive_extract, s), (
+            render_kstrand(s)
+        )
+
+
+def test_chain_extraction_scales():
+    n, w = 320, 4
+    strands = project(chain_spec(n, w)).strands
+    expected = {"A": Counter(), "B": Counter()}
+    for i in range(n):
+        # each send generates the block, concatenates it (w - 1), the hash
+        # input (w) and the payload (2), and encrypts, hashes and encrypts;
+        # from the second message on it first splits its last reception
+        # down to the sealed block and decrypts it
+        sender = expected["A" if i % 2 == 0 else "B"]
+        sender.update({"C_N": w, "C_C": 2 * w + 1, "C_E": 1, "C_H": 1, "C_PK": 1})
+        if i > 0:
+            sender.update({"C_D": 1, "C_I": 2})
+    start = time.perf_counter()
+    got = {s.participant.label: counts(extract(s)) for s in strands}
+    elapsed = time.perf_counter() - start
+    assert got == {role: dict(c) for role, c in expected.items()}
+    assert elapsed < 10.0, f"n = {n}, w = {w} took {elapsed:.1f} s"
 
 
 def test_emitted_ops_are_well_formed():

@@ -155,6 +155,28 @@ def test_error_carries_location():
         raise AssertionError("expected UndeclaredIdentifier")
 
 
+def test_nesting_cap_boundary():
+    prefix = "A -> B: "
+    column = MINI.splitlines()[5].index(prefix) + len(prefix) + 1
+
+    def payload(text):
+        return MINI.replace("A -> B: N;", f"A -> B: {text};")
+
+    parse(payload("h(" * 256 + "N" + ")" * 256))
+    with pytest.raises(ParseError) as exc:  # reported at the 257th h
+        parse(payload("h(" * 257 + "N" + ")" * 257))
+    assert (exc.value.line, exc.value.column) == (6, column + 2 * 256)
+    # a list of k components nests k - 1 levels
+    parse(payload(", ".join(["N"] * 257)))
+    with pytest.raises(ParseError) as exc:  # reported at the 258th component
+        parse(payload(", ".join(["N"] * 258)))
+    assert (exc.value.line, exc.value.column) == (6, column + 3 * 257)
+    # both kinds of level add up
+    parse(payload("h(" * 128 + ", ".join(["N"] * 129) + ")" * 128))
+    with pytest.raises(ParseError):
+        parse(payload("h(" * 128 + ", ".join(["N"] * 130) + ")" * 128))
+
+
 def test_missing_roles_section():
     with pytest.raises(ParseError):
         parse("protocol p { nonce N; A -> B: N; }")
