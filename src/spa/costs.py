@@ -146,7 +146,9 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
     Each operation strand contributes its operation's cost term, and one
     processing term f_p per positive node it carries.  Process strands are
     free.  Operation terms come first (strand order), then processing terms.
+    Every typed subterm is sized once per call.
     """
+    memo: dict = {}
     op_terms: list[CostTerm] = []
     proc_terms: list[CostTerm] = []
     for s in space.strands:
@@ -158,30 +160,32 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
             validate_op_strand(s)
         except ShapeViolation as exc:
             raise InvalidOpStrand(str(exc)) from exc
-        op_terms.append(_op_cost(s))
+        op_terms.append(_op_cost(s, memo))
         for ev in s.seq:
             if ev.sign > 0:
-                proc_terms.append(App(CostFunc.F_P, (delta(ev.payload),)))
+                proc_terms.append(App(CostFunc.F_P, (delta(ev.payload, memo),)))
     return cost_expr(op_terms + proc_terms)
 
 
-def _op_cost(s: TStrand) -> CostTerm:
+def _op_cost(s: TStrand, memo: dict) -> CostTerm:
     c = s.classifier
     if c in (Classifier.C_E, Classifier.C_D):
         body = s.seq[0].payload.body if c is Classifier.C_D else s.seq[0].payload
-        return App(CostFunc.F_SK, (delta(body),))
+        return App(CostFunc.F_SK, (delta(body, memo),))
     if c is Classifier.C_H:
-        return App(CostFunc.F_H, (delta(s.seq[0].payload),))
+        return App(CostFunc.F_H, (delta(s.seq[0].payload, memo),))
     if c in (Classifier.C_PK, Classifier.C_PVK):
-        return App(CostFunc.F_PK, (delta(s.seq[0].payload),))
+        return App(CostFunc.F_PK, (delta(s.seq[0].payload, memo),))
     if c is Classifier.C_K:
-        return App(CostFunc.F_KG, (delta(s.seq[0].payload),))
+        return App(CostFunc.F_KG, (delta(s.seq[0].payload, memo),))
     if c is Classifier.C_N:
-        return App(CostFunc.F_NG, (delta(s.seq[0].payload),))
+        return App(CostFunc.F_NG, (delta(s.seq[0].payload, memo),))
     if c is Classifier.C_C:
-        return App(CostFunc.F_C, (delta(s.seq[0].payload), delta(s.seq[1].payload)))
+        return App(CostFunc.F_C, (
+            delta(s.seq[0].payload, memo), delta(s.seq[1].payload, memo),
+        ))
     if c is Classifier.C_I:
-        return App(CostFunc.F_S, (delta(s.seq[0].payload),))
+        return App(CostFunc.F_S, (delta(s.seq[0].payload, memo),))
     raise InvalidOpStrand(f"cannot cost classifier {c.value}")
 
 

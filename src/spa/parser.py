@@ -329,44 +329,37 @@ def role_events(spec: ProtocolSpec, role: Atom) -> list[SignedTerm]:
     return events
 
 
-def _known_atoms(spec: ProtocolSpec, role: Atom) -> set[Atom]:
+def _first_unheld(spec: ProtocolSpec, role: Atom) -> list[tuple[int, Atom]]:
+    """(sign, atom) for each atom the role does not hold initially, at the
+    first of its events that carries it, in event order."""
     known = {role}
     for entry in spec.knowledge[role.label]:
         known.update(atoms_of(entry))
-    return known
+    first = []
+    for event in role_events(spec, role):
+        for atom in atoms_of(event.payload):
+            if atom not in known:
+                known.add(atom)
+                first.append((event.sign, atom))
+    return first
 
 
 def fresh_atoms(spec: ProtocolSpec, role: Atom) -> frozenset[Atom]:
     """Atoms the role must create: unheld nonces/keys first seen in a send."""
-    known = _known_atoms(spec, role)
-    seen: set[Atom] = set()
-    fresh: set[Atom] = set()
-    for event in role_events(spec, role):
-        for atom in atoms_of(event.payload):
-            if atom in known or atom in seen:
-                continue
-            seen.add(atom)
-            if event.sign > 0 and atom.kind in (AtomKind.NONCE, AtomKind.KEY):
-                fresh.add(atom)
-    return frozenset(fresh)
+    return frozenset(
+        atom for sign, atom in _first_unheld(spec, role)
+        if sign > 0 and atom.kind in (AtomKind.NONCE, AtomKind.KEY)
+    )
 
 
 def _validate(spec: ProtocolSpec) -> None:
     for role in spec.roles:
-        known = _known_atoms(spec, role)
-        seen: set[Atom] = set()
-        for event in role_events(spec, role):
-            for atom in atoms_of(event.payload):
-                if atom in known or atom in seen:
-                    continue
-                seen.add(atom)
-                if event.sign > 0 and atom.kind in (
-                    AtomKind.PARTICIPANT, AtomKind.USERDATA,
-                ):
-                    raise Ungeneratable(
-                        f"role {role.label} sends {atom.label} without holding "
-                        f"it, and {atom.kind.value} atoms cannot be generated"
-                    )
+        for sign, atom in _first_unheld(spec, role):
+            if sign > 0 and atom.kind in (AtomKind.PARTICIPANT, AtomKind.USERDATA):
+                raise Ungeneratable(
+                    f"role {role.label} sends {atom.label} without holding "
+                    f"it, and {atom.kind.value} atoms cannot be generated"
+                )
 
 
 def project(spec: ProtocolSpec) -> StrandSpace:

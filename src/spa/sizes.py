@@ -6,6 +6,12 @@ coefficient-weighted sum of those units.  Normal form: sums are flat, units
 merged, ordered by descending coefficient with first-occurrence ties; a
 single unit with coefficient 1 collapses to the bare unit; the empty sum is
 size zero.
+
+`delta` takes an optional memo dict from typed terms to their sizes.  A
+caller that sizes many terms sharing subterms passes one dict to every
+call, so each distinct typed subterm is sized once: `cost_of_space` keeps
+one per call, which makes pricing linear in the distinct subterms of a
+space rather than quadratic in nesting depth.  No memo outlives its caller.
 """
 
 from __future__ import annotations
@@ -81,21 +87,36 @@ def addend_count(e: SizeExpr) -> int:
     return sum(as_multiset(e).values())
 
 
-def delta(t: TTerm) -> SizeExpr:
-    """Symbolic size of a typed term."""
+def delta(t: TTerm, memo: dict | None = None) -> SizeExpr:
+    """Symbolic size of a typed term.
+
+    `memo`, when given, maps typed terms already sized to their sizes and is
+    extended with every subterm sized here.
+    """
+    if memo is not None:
+        e = memo.get(t)
+        if e is not None:
+            return e
     if isinstance(t, TEmpty):
-        return ZERO
-    if isinstance(t, Basic):
-        return TypeSize(t.tt)
-    if isinstance(t, TPair):
-        return add(delta(t.left), delta(t.right))
-    if isinstance(t, TEnc):
+        e = ZERO
+    elif isinstance(t, Basic):
+        e = TypeSize(t.tt)
+    elif isinstance(t, TPair):
+        e = add(delta(t.left, memo), delta(t.right, memo))
+    elif isinstance(t, TEnc):
+        # lambda_s, lambda_h and lambda_a inlined, so that the memo reaches
+        # nested ciphers and each nesting level costs one frame
         if t.func is FuncName.SK:
-            return lambda_s(t.body)
-        if t.func is FuncName.H:
-            return lambda_h(t.body)
-        return lambda_a(t.body)
-    raise TypeError(f"not a typed term: {t!r}")
+            e = delta(t.body, memo)
+        elif t.func is FuncName.H:
+            e = HashSize()
+        else:
+            e = AsymSize(delta(t.body, memo))
+    else:
+        raise TypeError(f"not a typed term: {t!r}")
+    if memo is not None:
+        memo[t] = e
+    return e
 
 
 def lambda_s(t: TTerm) -> SizeExpr:

@@ -280,11 +280,8 @@ def nested_protocol(shape, depth):
 def test_nesting_cap(tmp_path, shape):
     ok = write(tmp_path, nested_protocol(shape, 256), "ok.spa")
     runs = [("check", ok), ("model", ok), ("model", ok, "--format", "json"),
-            ("model", ok, "--format", "dot")]
-    if shape == "h":
-        # pricing is quadratic in depth, so only the cheapest shape runs it
-        runs += [("cost", ok, "--role", "A"), ("compare", ok, ok),
-                 ("eval", ok, "--role", "A", "--config", DEFAULT_CONFIG)]
+            ("model", ok, "--format", "dot"), ("cost", ok, "--role", "A"),
+            ("compare", ok, ok), ("eval", ok, "--role", "A", "--config", DEFAULT_CONFIG)]
     for argv in runs:
         code, _, err = run_cli(*argv)
         assert (code, err) == (0, ""), argv

@@ -23,6 +23,8 @@ from spa import (
     Overhead,
     SizeModel,
     TypeSize,
+    Ungeneratable,
+    Unrecoverable,
     Verdict,
     compare,
     cost_expr,
@@ -38,10 +40,12 @@ from spa import (
     simplify,
     ssum,
 )
+from spa import costs, sizes
 from spa.costs import EXPANDABLE, ZERO_COST, _strictly_dominates
 
-from .generators import random_cost_expr, random_eval_model
-from .helpers import KEY_WRAP, X509_ORIGINAL
+from .generators import chain_spec, random_cost_expr, random_eval_model, random_spec
+from .helpers import CORPUS, KEY_WRAP, X509_ORIGINAL
+from .naive_sizes import naive_delta
 
 SR, SN, SK_, SM = (TypeSize(tt) for tt in BasicTT)
 
@@ -117,6 +121,66 @@ def test_canonical_order_classes():
         "f_kg(|k|) + f_ng(|n|) + L_C + f_sk(|n| + |r|) + "
         "f_h(S_hash + |n|) + 2*L_P - Ov_h"
     )
+
+
+def reference_cost(space):
+    """cost_of_space with every input sized by the memo-free reference."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(costs, "delta", lambda t, memo=None: naive_delta(t))
+        return cost_of_space(space)
+
+
+def test_pricing_matches_memo_free_reference():
+    specs = [chain_spec(n, w) for w in (4, 8) for n in range(1, 25)]
+    specs += [parse(open(path, encoding="utf-8").read()) for path in CORPUS]
+    rng = random.Random(0x5123)
+    specs += [random_spec(rng) for _ in range(300)]
+    priced = 0
+    for spec in specs:
+        for s in project(spec).strands:
+            try:
+                space = extract(s).space()
+            except (Ungeneratable, Unrecoverable):
+                continue
+            # raw expressions: same terms, same order, same multiplicities
+            assert cost_of_space(space) == reference_cost(space)
+            priced += 1
+    assert priced >= 400
+
+
+def typed_subterms(t, into: set) -> set:
+    if t not in into:
+        into.add(t)
+        for child in (getattr(t, name, None) for name in ("left", "right", "body")):
+            if child is not None:
+                typed_subterms(child, into)
+    return into
+
+
+def test_pricing_is_linear_in_distinct_subterms(monkeypatch):
+    # A sends a 256-component list: its 255 concatenations take nested
+    # inputs, so memo-free sizing sums about k^2 times
+    nonces = ", ".join(f"N{i}" for i in range(256))
+    spec = parse(
+        f"protocol wide {{ roles A, B; nonce {nonces}; knows A: B, {nonces}; "
+        f"knows B: A; A -> B: {nonces}; }}"
+    )
+    space = extract(project(spec).strands[0]).space()
+    distinct: set = set()
+    for s in space.strands:
+        for ev in s.seq:
+            typed_subterms(ev.payload, distinct)
+    calls = 0
+    real_ssum = sizes.ssum
+
+    def counting_ssum(parts):
+        nonlocal calls
+        calls += 1
+        return real_ssum(parts)
+
+    monkeypatch.setattr(sizes, "ssum", counting_ssum)
+    cost_of_space(space)
+    assert 0 < calls <= 2 * len(distinct), (calls, len(distinct))
 
 
 def test_simplify_folds_constants():
