@@ -33,6 +33,8 @@ from .strands import Classifier, StrandSpace, TStrand, validate_op_strand
 
 
 class CostFunc(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons; see terms.AtomKind
+
     F_SK = "f_sk"
     F_PK = "f_pk"
     F_H = "f_h"
@@ -146,11 +148,18 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
     Each operation strand contributes its operation's cost term, and one
     processing term f_p per positive node it carries.  Process strands are
     free.  Operation terms come first (strand order), then processing terms.
-    Every typed subterm is sized once per call.
+
+    A term depends only on its strand's classifier and typed inputs, or on
+    the payload it processes.  So every strand is validated, then strands
+    are counted by (classifier, received payloads) and positive payloads by
+    typed term, and each group is priced once, in first-seen order.
+    `cost_expr` merges groups that price alike (C_E and C_D on one body,
+    say) at the first one's position, so the result equals pricing strand
+    by strand.  Interned payloads (see `type_erase`) compare by identity
+    when grouped, and every typed subterm is sized once per call.
     """
-    memo: dict = {}
-    op_terms: list[CostTerm] = []
-    proc_terms: list[CostTerm] = []
+    ops: dict[tuple, list] = {}  # (classifier, *inputs) -> [first strand, count]
+    procs: dict = {}  # positive typed payload -> count
     for s in space.strands:
         if not isinstance(s, TStrand):
             raise InvalidOpStrand(f"not a typed strand: {s!r}")
@@ -160,11 +169,22 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
             validate_op_strand(s)
         except ShapeViolation as exc:
             raise InvalidOpStrand(str(exc)) from exc
-        op_terms.append(_op_cost(s, memo))
+        key = (s.classifier,)
         for ev in s.seq:
             if ev.sign > 0:
-                proc_terms.append(App(CostFunc.F_P, (delta(ev.payload, memo),)))
-    return cost_expr(op_terms + proc_terms)
+                procs[ev.payload] = procs.get(ev.payload, 0) + 1
+            else:
+                key += (ev.payload,)
+        group = ops.get(key)
+        if group is None:
+            ops[key] = [s, 1]
+        else:
+            group[1] += 1
+    memo: dict = {}
+    return cost_expr(
+        [(_op_cost(s, memo), n) for s, n in ops.values()]
+        + [(App(CostFunc.F_P, (delta(t, memo),)), n) for t, n in procs.items()]
+    )
 
 
 def _op_cost(s: TStrand, memo: dict) -> CostTerm:

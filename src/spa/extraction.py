@@ -88,7 +88,8 @@ class _State:
         # ranks are one preorder count over all walked entries, so comparing
         # two ranks compares entry order first, then position in the entry
         self.next_rank = 0
-        self.erased: dict[Term, TTerm] = {}
+        # type_erase's memo: equal typed terms are one object per extraction
+        self.erased: dict = {}
         self.ops: list[TStrand] = []
         for t in strand.working_knowledge():
             self.learn(t)

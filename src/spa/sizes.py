@@ -11,7 +11,10 @@ size zero.
 caller that sizes many terms sharing subterms passes one dict to every
 call, so each distinct typed subterm is sized once: `cost_of_space` keeps
 one per call, which makes pricing linear in the distinct subterms of a
-space rather than quadratic in nesting depth.  No memo outlives its caller.
+space rather than quadratic in nesting depth.  It sizes only the inputs of
+each distinct operation, and since extraction interns typed terms, a memo
+lookup mostly matches by identity without comparing terms deeply.  No memo
+outlives its caller.
 """
 
 from __future__ import annotations

@@ -31,6 +31,8 @@ from .terms import (
 
 
 class Classifier(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons; see terms.AtomKind
+
     C_P = "C_P"
     C_E = "C_E"
     C_D = "C_D"
@@ -177,6 +179,15 @@ def _check(cond: bool, classifier: Classifier, position: int, expected: str):
         )
 
 
+# classifiers whose output wraps their input, with the wrapping function
+_WRAP_FUNC = {
+    Classifier.C_E: FuncName.SK,
+    Classifier.C_H: FuncName.H,
+    Classifier.C_PK: FuncName.PK,
+    Classifier.C_PVK: FuncName.PVK,
+}
+
+
 def validate_op_strand(s: TStrand) -> None:
     """Check that an operation strand has exactly its classifier's shape."""
     c = s.classifier
@@ -187,13 +198,8 @@ def validate_op_strand(s: TStrand) -> None:
     def arity(n: int):
         _check(len(seq) == n, c, 0, f"a sequence of {n} events")
 
-    if c in (Classifier.C_E, Classifier.C_H, Classifier.C_PK, Classifier.C_PVK):
-        func = {
-            Classifier.C_E: FuncName.SK,
-            Classifier.C_H: FuncName.H,
-            Classifier.C_PK: FuncName.PK,
-            Classifier.C_PVK: FuncName.PVK,
-        }[c]
+    func = _WRAP_FUNC.get(c)
+    if func is not None:
         arity(2)
         _check(seq[0].sign < 0, c, 1, "a reception")
         _check(seq[1].sign > 0, c, 2, "a transmission")

@@ -15,6 +15,10 @@ from operator import attrgetter
 
 
 class AtomKind(enum.Enum):
+    # members are singletons, so identity hashing agrees with equality and
+    # skips Enum.__hash__, a Python-level hash of the member name
+    __hash__ = object.__hash__
+
     PARTICIPANT = "participant"
     NONCE = "nonce"
     KEY = "key"
@@ -22,6 +26,8 @@ class AtomKind(enum.Enum):
 
 
 class FuncName(enum.Enum):
+    __hash__ = object.__hash__  # see AtomKind
+
     SK = "sk"
     PK = "pk"
     PVK = "pvk"
@@ -100,6 +106,8 @@ class Enc(Term):
 
 
 class BasicTT(enum.Enum):
+    __hash__ = object.__hash__  # see AtomKind
+
     R = "r"
     N = "n"
     K = "k"
@@ -184,37 +192,58 @@ def type_erase(t: Term, memo: dict | None = None) -> TTerm:
     """Map an instance term to its typed term: labels and keys are dropped.
 
     `memo`, when given, maps terms already erased to their results and is
-    extended with every subterm erased here.
+    extended with every subterm erased here.  It also hash-conses: equal
+    typed terms erased through one memo are one object.  A typed term is
+    looked up by its basic type, or by its function and the identities of
+    its already-interned children, so interning never hashes or compares a
+    typed term deeply; the memo keeps those children alive, so their
+    identities are not reused while it lives.
     """
-    if memo is not None:
-        e = memo.get(t)
-        if e is not None:
-            return e
-    if isinstance(t, Empty):
-        e = TEmpty()
-    elif isinstance(t, Atom):
-        e = Basic(_KIND_TO_BASIC[t.kind])
+    if memo is None:
+        memo = {}
+    e = memo.get(t)
+    if e is not None:
+        return e
+    if isinstance(t, Atom):
+        key = _KIND_TO_BASIC[t.kind]
+        e = memo.get(key)
+        if e is None:
+            e = memo[key] = Basic(key)
     elif isinstance(t, Pair):
-        e = TPair(type_erase(t.left, memo), type_erase(t.right, memo))
+        left = type_erase(t.left, memo)
+        right = type_erase(t.right, memo)
+        key = (id(left), id(right))
+        e = memo.get(key)
+        if e is None:
+            e = memo[key] = TPair(left, right)
     elif isinstance(t, Enc):
-        e = TEnc(type_erase(t.body, memo), t.func)
+        body = type_erase(t.body, memo)
+        key = (id(body), t.func)
+        e = memo.get(key)
+        if e is None:
+            e = memo[key] = TEnc(body, t.func)
+    elif isinstance(t, Empty):
+        e = TEmpty()
     else:
         raise TypeError(f"not a term: {t!r}")
-    if memo is not None:
-        memo[t] = e
+    memo[t] = e
     return e
 
 
 def atoms_of(t: Term):
-    """Yield every atom occurring in t, key positions included, left to right."""
-    if isinstance(t, Atom):
-        yield t
-    elif isinstance(t, Pair):
-        yield from atoms_of(t.left)
-        yield from atoms_of(t.right)
-    elif isinstance(t, Enc):
-        yield from atoms_of(t.body)
-        yield from atoms_of(t.key)
+    """Yield every atom occurring in t, key positions included, left to right
+    (a cipher's body before its key)."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Atom):
+            yield t
+        elif isinstance(t, Pair):
+            stack.append(t.right)
+            stack.append(t.left)
+        elif isinstance(t, Enc):
+            stack.append(t.key)
+            stack.append(t.body)
 
 
 def _spine(t) -> list:

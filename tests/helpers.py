@@ -22,6 +22,10 @@ DEFAULT_CONFIG = str(CONFIGS / "default.json")
 CORPUS = (ANDREW, X509_ORIGINAL, X509_MODIFIED, X509_FULL, KEY_WRAP)
 
 
+def read(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
 def run_cli(*argv: str) -> tuple[int, str, str]:
     """Invoke the CLI in-process; returns (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

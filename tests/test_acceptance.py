@@ -44,7 +44,7 @@ from .generators import (
     random_tterm,
     sound_model,
 )
-from .helpers import ANDREW, CORPUS, KEY_WRAP, X509_MODIFIED, X509_ORIGINAL, run_cli
+from .helpers import ANDREW, CORPUS, KEY_WRAP, X509_MODIFIED, X509_ORIGINAL, read, run_cli
 
 
 def _report(num: int, desc: str, budget: float, fn) -> None:
@@ -61,7 +61,7 @@ def _report(num: int, desc: str, budget: float, fn) -> None:
 
 
 def _strands(path):
-    spec = parse(open(path, encoding="utf-8").read())
+    spec = parse(read(path))
     return {s.participant.label: s for s in project(spec).strands}
 
 

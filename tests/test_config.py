@@ -14,9 +14,9 @@ from spa import (
     parse_config,
 )
 
-from .helpers import DEFAULT_CONFIG
+from .helpers import DEFAULT_CONFIG, read
 
-BASE = json.load(open(DEFAULT_CONFIG, encoding="utf-8"))
+BASE = json.loads(read(DEFAULT_CONFIG))
 
 
 def variant(**changes):

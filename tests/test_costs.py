@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from spa import (
     DEFAULT_ASSUMPTIONS,
+    Atom,
+    AtomKind,
+    Basic,
     Affine,
     App,
     AssumptionSet,
@@ -17,11 +20,19 @@ from spa import (
     CostExpr,
     CostFunc,
     CostModel,
+    Classifier,
+    FuncName,
     HashSize,
+    InvalidOpStrand,
     LambdaC,
     LambdaP,
     Overhead,
+    SignedTTerm,
     SizeModel,
+    StrandSpace,
+    TEnc,
+    TPair,
+    TStrand,
     TypeSize,
     Ungeneratable,
     Unrecoverable,
@@ -40,14 +51,15 @@ from spa import (
     simplify,
     ssum,
 )
-from spa import costs, sizes
+from spa import sizes
 from spa.costs import EXPANDABLE, ZERO_COST, _strictly_dominates
 
 from .generators import chain_spec, random_cost_expr, random_eval_model, random_spec
-from .helpers import CORPUS, KEY_WRAP, X509_ORIGINAL
-from .naive_sizes import naive_delta
+from .helpers import CORPUS, KEY_WRAP, X509_ORIGINAL, read
+from .naive_sizes import naive_cost_of_space
 
 SR, SN, SK_, SM = (TypeSize(tt) for tt in BasicTT)
+PA = Atom(AtomKind.PARTICIPANT, "A")
 
 
 def _sizes():
@@ -59,7 +71,7 @@ def app(func, *units):
 
 
 def strand_of(path, label):
-    spec = parse(open(path, encoding="utf-8").read())
+    spec = parse(read(path))
     for s in project(spec).strands:
         if s.participant.label == label:
             return s
@@ -123,16 +135,9 @@ def test_canonical_order_classes():
     )
 
 
-def reference_cost(space):
-    """cost_of_space with every input sized by the memo-free reference."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(costs, "delta", lambda t, memo=None: naive_delta(t))
-        return cost_of_space(space)
-
-
 def test_pricing_matches_memo_free_reference():
     specs = [chain_spec(n, w) for w in (4, 8) for n in range(1, 25)]
-    specs += [parse(open(path, encoding="utf-8").read()) for path in CORPUS]
+    specs += [parse(read(path)) for path in CORPUS]
     rng = random.Random(0x5123)
     specs += [random_spec(rng) for _ in range(300)]
     priced = 0
@@ -143,9 +148,67 @@ def test_pricing_matches_memo_free_reference():
             except (Ungeneratable, Unrecoverable):
                 continue
             # raw expressions: same terms, same order, same multiplicities
-            assert cost_of_space(space) == reference_cost(space)
+            assert cost_of_space(space) == naive_cost_of_space(space)
             priced += 1
     assert priced >= 400
+
+
+def op(classifier, *events):
+    return TStrand(classifier, PA, tuple(SignedTTerm(sign, t) for sign, t in events))
+
+
+def priced(*strands):
+    space = StrandSpace(strands)
+    cost = cost_of_space(space)
+    assert cost == naive_cost_of_space(space)
+    return render_cost(cost)
+
+
+def test_groups_that_price_alike_merge_at_the_first():
+    n = Basic(BasicTT.N)
+    nn = TPair(n, n)
+    left, right = TPair(nn, n), TPair(n, nn)  # ((n, n), n) and (n, (n, n))
+    assert priced(
+        op(Classifier.C_D, (-1, TEnc(nn, FuncName.SK)), (1, nn)),
+        op(Classifier.C_PVK, (-1, n), (1, TEnc(n, FuncName.PVK))),
+        op(Classifier.C_E, (-1, nn), (1, TEnc(nn, FuncName.SK))),
+        op(Classifier.C_C, (-1, nn), (-1, n), (1, left)),
+        op(Classifier.C_PK, (-1, n), (1, TEnc(n, FuncName.PK))),
+        op(Classifier.C_C, (-1, n), (-1, nn), (1, right)),
+        op(Classifier.C_D, (-1, TEnc(nn, FuncName.SK)), (1, nn)),
+    ) == (
+        # C_D and C_E share f_sk(2|n|), C_PVK and C_PK share f_pk(|n|);
+        # (n, n) and {n, n}_sk are both processed as f_p(2|n|), and both
+        # bracketings of three nonces as f_p(3|n|)
+        "3*f_sk(2|n|) + 2*f_pk(|n|) + f_c(2|n|, |n|) + f_c(|n|, 2|n|) + "
+        "3*f_p(2|n|) + 2*f_p(S_asym(|n|)) + 2*f_p(3|n|)"
+    )
+
+
+def test_equal_payloads_price_alike_whether_or_not_interned():
+    def rn():
+        return TPair(Basic(BasicTT.R), Basic(BasicTT.N))
+
+    # every payload is a fresh object: equal, never identical
+    strands = [op(Classifier.C_N, (1, Basic(BasicTT.N))) for _ in range(3)]
+    strands += [op(Classifier.C_H, (-1, rn()), (1, TEnc(rn(), FuncName.H))) for _ in range(2)]
+    assert priced(*strands) == (
+        "3*f_ng(|n|) + 2*f_h(|r| + |n|) + 3*f_p(|n|) + 2*f_p(S_hash)"
+    )
+
+
+def test_malformed_strand_after_a_well_formed_twin_is_refused():
+    n, k = Basic(BasicTT.N), Basic(BasicTT.K)
+    good = op(Classifier.C_E, (-1, n), (1, TEnc(n, FuncName.SK)))
+    # same classifier and input as `good`, but the output wraps another term
+    bad = op(Classifier.C_E, (-1, n), (1, TEnc(k, FuncName.SK)))
+    cost_of_space(StrandSpace((good, good)))
+    with pytest.raises(InvalidOpStrand, match="C_E: position 2"):
+        cost_of_space(StrandSpace((good, bad)))
+    with pytest.raises(InvalidOpStrand, match="C_N: position 1"):
+        cost_of_space(StrandSpace((
+            op(Classifier.C_N, (1, n)), op(Classifier.C_N, (-1, n)),
+        )))
 
 
 def typed_subterms(t, into: set) -> set:

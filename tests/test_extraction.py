@@ -30,7 +30,7 @@ from spa import (
 )
 
 from .generators import chain_spec, random_spec, random_strand
-from .helpers import ANDREW, CORPUS, KEY_WRAP, X509_ORIGINAL
+from .helpers import ANDREW, CORPUS, KEY_WRAP, X509_ORIGINAL, read
 from .naive_extraction import naive_extract
 
 A = Atom(AtomKind.PARTICIPANT, "A")
@@ -42,7 +42,7 @@ D = Atom(AtomKind.USERDATA, "D")
 
 
 def strand_of(path, label):
-    spec = parse(open(path, encoding="utf-8").read())
+    spec = parse(read(path))
     for s in project(spec).strands:
         if s.participant.label == label:
             return s
@@ -229,7 +229,7 @@ CHAIN_SIZES = {1: (1, 2, 3, 5, 8, 13, 21, 40), 4: (1, 2, 3, 5, 8, 13, 21), 8: (1
 
 def test_index_matches_naive_scan():
     specs = [chain_spec(n, w) for w, sizes in CHAIN_SIZES.items() for n in sizes]
-    specs += [parse(open(path, encoding="utf-8").read()) for path in CORPUS]
+    specs += [parse(read(path)) for path in CORPUS]
     rng = random.Random(0x1DE7)
     specs += [random_spec(rng) for _ in range(300)]
     strands = [s for spec in specs for s in project(spec).strands]
@@ -261,9 +261,30 @@ def test_chain_extraction_scales():
     assert elapsed < 10.0, f"n = {n}, w = {w} took {elapsed:.1f} s"
 
 
+def test_equal_typed_payloads_are_one_object():
+    specs = [chain_spec(6, 4)] + [parse(read(path)) for path in CORPUS]
+    rng = random.Random(0x1D)
+    specs += [random_spec(rng) for _ in range(50)]
+    visited = 0
+    for spec in specs:
+        for s in project(spec).strands:
+            try:
+                ext = extract(s)
+            except (Ungeneratable, Unrecoverable):
+                continue
+            first: dict = {}  # typed term -> the first object equal to it
+            stack = [ev.payload for strand in (ext.process,) + ext.ops for ev in strand.seq]
+            while stack:
+                t = stack.pop()
+                assert first.setdefault(t, t) is t, f"two objects for {t}"
+                visited += 1
+                stack.extend(getattr(t, f) for f in ("left", "right", "body") if hasattr(t, f))
+    assert visited > 1000
+
+
 def test_emitted_ops_are_well_formed():
     for path in CORPUS:
-        spec = parse(open(path, encoding="utf-8").read())
+        spec = parse(read(path))
         for s in project(spec).strands:
             for op in extract(s).ops:
                 validate_op_strand(op)
@@ -283,7 +304,7 @@ def test_space_includes_process_first():
 
 def test_oracle_agrees_on_corpus():
     for path in CORPUS:
-        spec = parse(open(path, encoding="utf-8").read())
+        spec = parse(read(path))
         for s in project(spec).strands:
             assert extract(s).op_counts() == op_count_oracle(s)
 

@@ -27,9 +27,9 @@ from spa import (
 )
 
 from .generators import random_spec
-from .helpers import ANDREW, CORPUS
+from .helpers import ANDREW, CORPUS, read
 
-ANDREW_SRC = open(ANDREW, encoding="utf-8").read()
+ANDREW_SRC = read(ANDREW)
 
 MINI = """
 protocol mini {
@@ -255,7 +255,7 @@ def test_projection_skips_event_less_roles():
 
 def test_corpus_round_trips():
     for path in CORPUS:
-        spec = parse(open(path, encoding="utf-8").read())
+        spec = parse(read(path))
         assert parse(render_spec(spec)) == spec
 
 

@@ -1,5 +1,8 @@
 """Term model: constructors, validation, erasure, traversal, display."""
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +12,8 @@ from spa import (
     AtomKind,
     Basic,
     BasicTT,
+    Classifier,
+    CostFunc,
     Empty,
     Enc,
     FuncName,
@@ -20,11 +25,14 @@ from spa import (
     TPair,
     atoms_of,
     pair_of,
+    parse,
     render_term,
     render_tterm,
     type_erase,
 )
 
+from .generators import random_spec
+from .helpers import CORPUS, read
 from .naive_extraction import contains
 
 A = Atom(AtomKind.PARTICIPANT, "A")
@@ -77,6 +85,43 @@ def test_type_erase_drops_labels_and_keys():
 def test_atoms_of_covers_key_positions():
     t = Enc(Pair(A, NA), FuncName.SK, K)
     assert list(atoms_of(t)) == [A, NA, K]
+
+
+def recursive_atoms_of(t):
+    """atoms_of as a recursive generator, the reference for its order."""
+    if isinstance(t, Atom):
+        yield t
+    elif isinstance(t, Pair):
+        yield from recursive_atoms_of(t.left)
+        yield from recursive_atoms_of(t.right)
+    elif isinstance(t, Enc):
+        yield from recursive_atoms_of(t.body)
+        yield from recursive_atoms_of(t.key)
+
+
+def test_atoms_of_matches_recursive_walk():
+    specs = [parse(read(path)) for path in CORPUS]
+    rng = random.Random(0xA70)
+    specs += [random_spec(rng, max_atoms=6, depth=5) for _ in range(200)]
+    walked = 0
+    for spec in specs:
+        payloads = [m.payload for m in spec.messages]
+        payloads += [t for entries in spec.knowledge.values() for t in entries]
+        for t in payloads:
+            assert list(atoms_of(t)) == list(recursive_atoms_of(t))
+            walked += 1
+    assert walked > 1000
+
+
+@pytest.mark.parametrize("enum_cls", [AtomKind, FuncName, BasicTT, Classifier, CostFunc])
+def test_enum_members_stay_keys_after_pickling(enum_cls):
+    # members hash by identity; unpickling must return the very member
+    table = {member: i for i, member in enumerate(enum_cls)}
+    for i, member in enumerate(enum_cls):
+        back = pickle.loads(pickle.dumps(member))
+        assert back is member and hash(back) == hash(member)
+        assert table[back] == i and back in set(enum_cls)
+    assert pickle.loads(pickle.dumps(table)) == table
 
 
 def test_signed_terms_validated():
@@ -142,6 +187,33 @@ def test_type_erase_preserves_shape(t):
         assert e == TEnc(type_erase(t.body), t.func)
     else:
         assert isinstance(e, Basic)
+
+
+_RELABEL = {
+    A: Atom(AtomKind.PARTICIPANT, "B"),
+    NA: Atom(AtomKind.NONCE, "N_b"),
+    K: Atom(AtomKind.KEY, "K2"),
+    M: Atom(AtomKind.USERDATA, "Y_b"),
+}
+
+
+def relabel(t):
+    if isinstance(t, Pair):
+        return Pair(relabel(t.left), relabel(t.right))
+    if isinstance(t, Enc):
+        return Enc(relabel(t.body), t.func, relabel(t.key))
+    return _RELABEL.get(t, t)
+
+
+@given(terms(), terms())
+def test_memo_interns_equal_typed_terms(t, u):
+    memo = {}
+    et, eu = type_erase(t, memo), type_erase(u, memo)
+    assert (et == eu) == (et is eu)
+    assert type_erase(relabel(t), memo) is et
+    # erasing without a memo gives an equal term, never the interned one
+    alone = type_erase(t)
+    assert alone == et and alone is not et
 
 
 @given(terms())
