@@ -26,7 +26,7 @@ from .costs import (
     render_cost_term,
     simplify,
 )
-from .errors import ConfigError, ParseError, SpaError
+from .errors import ConfigError, SpaError
 from .extraction import Extraction, extract
 from .parser import ProtocolSpec, parse, project
 from .strands import (
@@ -54,6 +54,10 @@ def _load_spec(path: str) -> ProtocolSpec:
             text = handle.read()
     except OSError as exc:
         raise _CliError(1, f"IOError: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _CliError(
+            2, f"ParseError: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
     try:
         return parse(text)
     except SpaError as exc:
@@ -295,12 +299,6 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
-    except ParseError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"ConfigError: {exc}", file=sys.stderr)
-        return 4
     except SpaError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -10,6 +10,7 @@ back to defaults.
 from __future__ import annotations
 
 import json
+import math
 
 from .costs import (
     DEFAULT_ASSUMPTIONS,
@@ -46,7 +47,13 @@ def _number(data: dict, key: str, where: str) -> float:
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}.{key} must be finite")
+    return number
 
 
 def _flag(data: dict, key: str, where: str) -> bool:
@@ -144,6 +151,7 @@ def load_config(path) -> tuple[CostModel, AssumptionSet]:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # malformed or too deeply nested JSON, or text that is not UTF-8
             raise ConfigError(f"{path}: {exc}") from exc
     return parse_config(data)

@@ -73,18 +73,25 @@ class App(CostTerm):
             raise ValueError(f"{self.func.value} takes {want} argument(s)")
 
 
+# L_C and L_P are the flat constants f_c and f_p fold into.  Each names the
+# function it folds as a class attribute, not a field, so evaluation and
+# dominance treat a folded term and a raw application alike.
 @dataclass(frozen=True, slots=True)
 class LambdaC(CostTerm):
-    pass
+    func = CostFunc.F_C
 
 
 @dataclass(frozen=True, slots=True)
 class LambdaP(CostTerm):
-    pass
+    func = CostFunc.F_P
+
+
+_FOLDED = {cls.func: cls() for cls in (LambdaC, LambdaP)}
 
 
 @dataclass(frozen=True, slots=True)
 class Overhead(CostTerm):
+    func = None  # no function applied
     sign: int
 
     def __post_init__(self):
@@ -215,13 +222,9 @@ def simplify(e: CostExpr) -> CostExpr:
     out = []
     for term, mult in e.terms:
         if isinstance(term, App):
-            if term.func is CostFunc.F_C:
-                out.append((LambdaC(), mult))
-                continue
-            if term.func is CostFunc.F_P:
-                out.append((LambdaP(), mult))
-                continue
-            term = App(term.func, tuple(normalize(a) for a in term.args))
+            term = _FOLDED.get(term.func) or App(
+                term.func, tuple(normalize(a) for a in term.args)
+            )
         out.append((term, mult))
     return _canonical(out)
 
@@ -244,17 +247,30 @@ def expand_one(term: App) -> list[tuple[CostTerm, int]] | None:
     return parts
 
 
+def _expand(terms, trace: list[str] | None = None, label: str = "") -> dict:
+    """Apply `expand_one` to every term, merging the results in
+    first-occurrence order; each rewrite is logged to `trace` if given."""
+    out: dict = {}
+    for term, mult in terms:
+        parts = expand_one(term) if isinstance(term, App) else None
+        if parts is None:
+            out[term] = out.get(term, 0) + mult
+            continue
+        if trace is not None:
+            units = " + ".join(render_cost_term(t, m) for t, m in parts[:-1])
+            trace.append(
+                f"expand {label}: {render_cost_term(term)} -> {units} - "
+                f"{render_cost_term(*parts[-1])}"
+            )
+        for t, m in parts:
+            out[t] = out.get(t, 0) + m * mult
+    return out
+
+
 def expand_additivity(e: CostExpr) -> CostExpr:
     """Rewrite every application over a sum into per-addend applications
     minus the per-term overhead."""
-    out: list[tuple[CostTerm, int]] = []
-    for term, mult in e.terms:
-        parts = expand_one(term) if isinstance(term, App) else None
-        if parts is None:
-            out.append((term, mult))
-        else:
-            out.extend((t, m * mult) for t, m in parts)
-    return _canonical(out)
+    return _canonical(_expand(e.terms).items())
 
 
 def render_cost_term(term: CostTerm, mult: int = 1) -> str:
@@ -348,21 +364,15 @@ class CostModel:
 def eval_cost(e: CostExpr, model: CostModel) -> float:
     total = 0.0
     for term, mult in e.terms:
-        if isinstance(term, App):
-            if term.func is CostFunc.F_C:
-                value = model.lambda_c
-            elif term.func is CostFunc.F_P:
-                value = model.lambda_p
-            else:
-                value = model.funcs[term.func](eval_size(term.args[0], model.size_model))
-        elif isinstance(term, LambdaC):
+        func = term.func
+        if func is CostFunc.F_C:
             value = model.lambda_c
-        elif isinstance(term, LambdaP):
+        elif func is CostFunc.F_P:
             value = model.lambda_p
-        elif isinstance(term, Overhead):
+        elif func is None:
             value = term.sign * model.ov_h
         else:
-            raise TypeError(f"not a cost term: {term!r}")
+            value = model.funcs[func](eval_size(term.args[0], model.size_model))
         total += mult * value
     return total
 
@@ -404,43 +414,13 @@ def _cancel(left: dict, right: dict, trace: list[str], stage: str):
                 del right[term]
 
 
-def _expand_counter(side: dict, trace: list[str], label: str) -> dict:
-    out: dict = {}
-    for term, mult in side.items():
-        parts = expand_one(term) if isinstance(term, App) else None
-        if parts is None:
-            out[term] = out.get(term, 0) + mult
-        else:
-            rendered = " + ".join(
-                render_cost_term(t, m) for t, m in parts if not isinstance(t, Overhead)
-            )
-            k = next(m for t, m in parts if isinstance(t, Overhead))
-            trace.append(
-                f"expand {label}: {render_cost_term(term)} -> {rendered} - "
-                f"{render_cost_term(Overhead(-1), k)}"
-            )
-            for t, m in parts:
-                out[t] = out.get(t, 0) + m * mult
-    return out
-
-
 def _to_expr(side: dict) -> CostExpr:
     return _canonical(list(side.items()))
 
 
 def _strictly_dominates(g: CostTerm, f: CostTerm, assume: AssumptionSet, closure) -> bool:
     """True when g's value strictly exceeds f's in every admissible model."""
-
-    def func_of(term):
-        if isinstance(term, App):
-            return term.func
-        if isinstance(term, LambdaC):
-            return CostFunc.F_C
-        if isinstance(term, LambdaP):
-            return CostFunc.F_P
-        return None
-
-    gf, ff = func_of(g), func_of(f)
+    gf, ff = g.func, f.func
     if gf is None or ff is None:
         return False
     if (gf, ff) in closure:
@@ -510,8 +490,8 @@ def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTION
     right = {term: mult for term, mult in simplify(b).terms}
 
     _cancel(left, right, trace, "cancel")
-    left = _expand_counter(left, trace, "left")
-    right = _expand_counter(right, trace, "right")
+    left = _expand(left.items(), trace, "left")
+    right = _expand(right.items(), trace, "right")
     _cancel(left, right, trace, "cancel")
 
     if assume.ignore_overhead:

@@ -53,9 +53,5 @@ class InvalidOpStrand(SpaError):
     """Costing was asked for a malformed operation strand."""
 
 
-class UnknownRole(SpaError):
-    """A requested role does not exist in the protocol."""
-
-
 class ConfigError(SpaError):
     """Malformed cost-model configuration."""

@@ -107,8 +107,8 @@ def delta(t: TTerm, memo: dict | None = None) -> SizeExpr:
     elif isinstance(t, TPair):
         e = add(delta(t.left, memo), delta(t.right, memo))
     elif isinstance(t, TEnc):
-        # lambda_s, lambda_h and lambda_a inlined, so that the memo reaches
-        # nested ciphers and each nesting level costs one frame
+        # symmetric ciphertexts are as large as their cleartext, digests are
+        # constant, asymmetric ciphertexts an opaque function of the cleartext
         if t.func is FuncName.SK:
             e = delta(t.body, memo)
         elif t.func is FuncName.H:
@@ -120,21 +120,6 @@ def delta(t: TTerm, memo: dict | None = None) -> SizeExpr:
     if memo is not None:
         memo[t] = e
     return e
-
-
-def lambda_s(t: TTerm) -> SizeExpr:
-    """Symmetric ciphertext size: same as the cleartext."""
-    return delta(t)
-
-
-def lambda_a(t: TTerm) -> SizeExpr:
-    """Asymmetric ciphertext size: opaque function of the cleartext size."""
-    return AsymSize(delta(t))
-
-
-def lambda_h(t: TTerm) -> SizeExpr:
-    """Hash ciphertext size: constant, whatever the cleartext."""
-    return HashSize()
 
 
 def contains_hash(e: SizeExpr) -> bool:

@@ -12,41 +12,38 @@ from __future__ import annotations
 
 import random
 
-from spa import (
+from spa import parse
+from spa.costs import (
+    EXPANDABLE,
     Affine,
     App,
     AssumptionSet,
+    CostExpr,
+    CostFunc,
+    CostModel,
+    LambdaC,
+    LambdaP,
+    Overhead,
+    cost_expr,
+)
+from spa.parser import Message, ProtocolSpec, render_spec
+from spa.sizes import HashSize, SizeModel, TypeSize, ssum
+from spa.strands import KStrand
+from spa.terms import (
     Atom,
     AtomKind,
     Basic,
     BasicTT,
-    CostExpr,
-    CostFunc,
-    CostModel,
     Empty,
     Enc,
     FuncName,
-    HashSize,
-    KStrand,
-    LambdaC,
-    LambdaP,
-    Message,
-    Overhead,
     Pair,
-    ProtocolSpec,
     SignedTerm,
-    SizeModel,
     TEmpty,
     TEnc,
     TPair,
-    TypeSize,
-    cost_expr,
     pair_of,
-    parse,
-    render_spec,
-    ssum,
 )
-from spa.costs import EXPANDABLE
 
 BASICS = tuple(BasicTT)
 
@@ -195,7 +192,7 @@ def chain_spec(n: int, w: int) -> ProtocolSpec:
 # -- cost expressions and models -------------------------------------------
 
 def _units(rng: random.Random):
-    from spa import AsymSize
+    from spa.sizes import AsymSize
 
     pool = [TypeSize(b) for b in BASICS] + [HashSize()]
     pool += [AsymSize(TypeSize(b)) for b in BASICS]
@@ -292,7 +289,7 @@ def sound_model(rng: random.Random, assume: AssumptionSet) -> CostModel:
 def bounded_size_expr(rng: random.Random, cap: float = 4096.0):
     """Size expression whose value stays within [1, cap] for the size
     ranges _random_size_model draws from."""
-    from spa import AsymSize
+    from spa.sizes import AsymSize
 
     weighted = (
         [(TypeSize(b), 32.0) for b in BASICS]

@@ -9,20 +9,17 @@ tests can require the indexed extractor to emit the same strands.
 
 from __future__ import annotations
 
-from spa import (
+from spa.errors import Ungeneratable, Unrecoverable
+from spa.extraction import Extraction
+from spa.strands import Classifier, KStrand, TStrand
+from spa.terms import (
     Atom,
     AtomKind,
-    Classifier,
     Enc,
-    Extraction,
     FuncName,
-    KStrand,
     Pair,
     SignedTTerm,
     Term,
-    TStrand,
-    Ungeneratable,
-    Unrecoverable,
     type_erase,
 )
 

@@ -11,26 +11,11 @@ the library's pricing to return the same cost expressions.
 
 from __future__ import annotations
 
-from spa import (
-    ZERO,
-    App,
-    AsymSize,
-    Basic,
-    Classifier,
-    CostFunc,
-    FuncName,
-    HashSize,
-    InvalidOpStrand,
-    ShapeViolation,
-    TEmpty,
-    TEnc,
-    TPair,
-    TStrand,
-    TypeSize,
-    add,
-    cost_expr,
-    validate_op_strand,
-)
+from spa.costs import App, CostFunc, cost_expr
+from spa.errors import InvalidOpStrand, ShapeViolation
+from spa.sizes import ZERO, AsymSize, HashSize, TypeSize, add
+from spa.strands import Classifier, TStrand, validate_op_strand
+from spa.terms import Basic, FuncName, TEmpty, TEnc, TPair
 
 
 def naive_delta(t):

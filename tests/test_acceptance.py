@@ -9,32 +9,21 @@ import time
 from collections import Counter
 
 from spa import (
-    AssumptionSet,
-    Classifier,
-    CostFunc,
-    FuncName,
-    HashSize,
-    TEnc,
-    TPair,
-    Ungeneratable,
-    Unrecoverable,
-    Verdict,
-    add,
     compare,
     cost_of_space,
-    delta,
     eval_cost,
-    expand_additivity,
     extract,
-    normalize,
-    op_count_oracle,
     parse,
     project,
     render_cost,
-    render_kstrand,
-    render_tterm,
     simplify,
 )
+from spa.costs import AssumptionSet, CostFunc, Verdict, expand_additivity
+from spa.errors import Ungeneratable, Unrecoverable
+from spa.oracle import op_count_oracle
+from spa.sizes import HashSize, add, delta, normalize
+from spa.strands import Classifier, render_kstrand
+from spa.terms import FuncName, TEnc, TPair, render_tterm
 
 from .generators import (
     decisive_pair,

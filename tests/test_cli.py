@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output contracts and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -290,3 +291,45 @@ def test_nesting_cap(tmp_path, shape):
         code, out, err = run_cli(*argv)
         assert code == 2 and out == ""
         assert "ParseError: term nests more than 256 levels deep (line 1, column" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check",),
+    ("model", "--format", "dot"),
+    ("cost", "--role", "A"),
+    ("eval", "--role", "A", "--config", DEFAULT_CONFIG),
+    ("compare", ANDREW),
+], ids=lambda argv: argv[0])
+def test_non_utf8_protocol_is_validation_error(tmp_path, argv):
+    path = tmp_path / "latin1.spa"
+    path.write_bytes(b"// caf\xe9\nprotocol p { roles A, B; nonce N; A -> B: N; }\n")
+    code, out, err = run_cli(argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"ParseError: {path} is not UTF-8 text (invalid continuation byte at byte 6)\n"
+
+
+def test_non_utf8_config_is_config_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(Path(DEFAULT_CONFIG).read_bytes().replace(b'"m"', b'"\xb5"'))
+    for argv in (
+        ("eval", X509_ORIGINAL, "--role", "A", "--config", str(cfg)),
+        ("compare", X509_ORIGINAL, X509_MODIFIED, "--config", str(cfg)),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"ConfigError: {cfg}: 'utf-8' codec can't decode byte 0xb5")
+        assert err.count("\n") == 1
+
+
+def test_non_finite_config_is_config_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    text = Path(DEFAULT_CONFIG).read_text(encoding="utf-8")
+    cfg.write_text(
+        text.replace('"lambda_c": 0.1', '"lambda_c": NaN').replace('"n": 16', '"n": Infinity'),
+        encoding="utf-8",
+    )
+    for argv in (
+        ("eval", X509_ORIGINAL, "--role", "A", "--config", str(cfg)),
+        ("compare", X509_ORIGINAL, X509_MODIFIED, "--config", str(cfg)),
+    ):
+        assert run_cli(*argv) == (4, "", "ConfigError: sizes.n must be finite\n")

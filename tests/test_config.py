@@ -2,17 +2,15 @@
 
 import copy
 import json
+import math
 
 import pytest
 
-from spa import (
-    DEFAULT_ASSUMPTIONS,
-    BasicTT,
-    ConfigError,
-    CostFunc,
-    load_config,
-    parse_config,
-)
+from spa import load_config
+from spa.config import parse_config
+from spa.costs import DEFAULT_ASSUMPTIONS, CostFunc
+from spa.errors import ConfigError
+from spa.terms import BasicTT
 
 from .helpers import DEFAULT_CONFIG, read
 
@@ -152,11 +150,36 @@ def test_dominance_may_name_constants():
 
 def test_bad_json_is_config_error(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_config(path)
+    # malformed, not UTF-8, nested beyond the JSON reader's recursion limit
+    for data in (b"{not json", b'{"siz\xe9s": {}}', b"[" * 100_000 + b"]" * 100_000):
+        path.write_bytes(data)
+        with pytest.raises(ConfigError):
+            load_config(path)
 
 
 def test_missing_file_is_os_error(tmp_path):
     with pytest.raises(OSError):
         load_config(tmp_path / "absent.json")
+
+
+def _numeric_keys(data, where=()):
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from _numeric_keys(value, where + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield where + (key,)
+
+
+@pytest.mark.parametrize("key", sorted(_numeric_keys(BASE)), ids=".".join)
+def test_non_finite_numbers_rejected(key):
+    for bad in (math.nan, math.inf, -math.inf, 10**400):
+        data = variant()
+        *outer, last = key
+        target = data
+        for part in outer:
+            target = target[part]
+        target[last] = bad
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data)
+        name = ".".join(key) if outer else f"config.{last}"
+        assert str(exc.value) == f"{name} must be finite"

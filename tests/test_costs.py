@@ -9,50 +9,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spa import (
-    DEFAULT_ASSUMPTIONS,
-    Atom,
-    AtomKind,
-    Basic,
-    Affine,
-    App,
-    AssumptionSet,
-    BasicTT,
-    CostExpr,
-    CostFunc,
-    CostModel,
-    Classifier,
-    FuncName,
-    HashSize,
-    InvalidOpStrand,
-    LambdaC,
-    LambdaP,
-    Overhead,
-    SignedTTerm,
-    SizeModel,
-    StrandSpace,
-    TEnc,
-    TPair,
-    TStrand,
-    TypeSize,
-    Ungeneratable,
-    Unrecoverable,
-    Verdict,
     compare,
-    cost_expr,
     cost_of_space,
     eval_cost,
-    expand_additivity,
-    expand_one,
     extract,
     parse,
     project,
     render_cost,
-    render_size,
     simplify,
-    ssum,
 )
 from spa import sizes
-from spa.costs import EXPANDABLE, ZERO_COST, _strictly_dominates
+from spa.costs import (
+    DEFAULT_ASSUMPTIONS,
+    EXPANDABLE,
+    ZERO_COST,
+    Affine,
+    App,
+    AssumptionSet,
+    CostExpr,
+    CostFunc,
+    CostModel,
+    LambdaC,
+    LambdaP,
+    Overhead,
+    Verdict,
+    _strictly_dominates,
+    cost_expr,
+    expand_additivity,
+    expand_one,
+)
+from spa.errors import InvalidOpStrand, Ungeneratable, Unrecoverable
+from spa.sizes import HashSize, SizeModel, TypeSize, render_size, ssum
+from spa.strands import Classifier, StrandSpace, TStrand
+from spa.terms import (
+    Atom,
+    AtomKind,
+    Basic,
+    BasicTT,
+    FuncName,
+    SignedTTerm,
+    TEnc,
+    TPair,
+)
 
 from .generators import chain_spec, random_cost_expr, random_eval_model, random_spec
 from .helpers import CORPUS, KEY_WRAP, X509_ORIGINAL, read
@@ -256,7 +254,7 @@ def test_simplify_folds_constants():
 
 
 def test_simplify_merges_equal_args_after_normalization():
-    from spa import Sum
+    from spa.sizes import Sum
 
     a = App(CostFunc.F_H, (SN,))
     b = App(CostFunc.F_H, (Sum(((1, SN),)),))  # denormal singleton sum

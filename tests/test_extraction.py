@@ -8,25 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spa import (
+from spa import extract, parse, project
+from spa.errors import Ungeneratable, Unrecoverable
+from spa.oracle import op_count_oracle
+from spa.strands import Classifier, KStrand, render_kstrand, validate_op_strand
+from spa.terms import (
     Atom,
     AtomKind,
-    Classifier,
     Enc,
     FuncName,
-    KStrand,
     Pair,
     SignedTerm,
-    Ungeneratable,
-    Unrecoverable,
-    extract,
-    op_count_oracle,
     pair_of,
-    parse,
-    project,
-    render_kstrand,
     type_erase,
-    validate_op_strand,
 )
 
 from .generators import chain_spec, random_spec, random_strand

@@ -6,25 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spa import (
-    Atom,
-    AtomKind,
+from spa import parse, project
+from spa.errors import (
     DuplicateDeclaration,
-    Enc,
-    FuncName,
     KindMismatch,
-    Pair,
     ParseError,
     SelfMessage,
     UndeclaredIdentifier,
     Ungeneratable,
-    fresh_atoms,
-    pair_of,
-    parse,
-    project,
-    render_kstrand,
-    render_spec,
 )
+from spa.parser import fresh_atoms, render_spec
+from spa.strands import render_kstrand
+from spa.terms import Atom, AtomKind, Enc, FuncName, Pair, pair_of
 
 from .generators import random_spec
 from .helpers import ANDREW, CORPUS, read

@@ -7,18 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spa import (
+from spa.sizes import (
     ZERO,
     AsymSize,
-    Basic,
-    BasicTT,
-    FuncName,
     HashSize,
     SizeModel,
     Sum,
-    TEmpty,
-    TEnc,
-    TPair,
     TypeSize,
     add,
     addend_count,
@@ -26,13 +20,11 @@ from spa import (
     contains_hash,
     delta,
     eval_size,
-    lambda_a,
-    lambda_h,
-    lambda_s,
     normalize,
     render_size,
     ssum,
 )
+from spa.terms import Basic, BasicTT, FuncName, TEmpty, TEnc, TPair
 
 from .generators import random_tterm
 
@@ -55,17 +47,11 @@ def test_delta_basics():
 
 
 def test_delta_ciphertexts():
-    body = TPair(N, R)
-    assert delta(TEnc(body, FuncName.SK)) == delta(body)  # transparent
-    assert delta(TEnc(body, FuncName.H)) == HashSize()
-    assert delta(TEnc(body, FuncName.PK)) == AsymSize(delta(body))
-    assert delta(TEnc(body, FuncName.PVK)) == AsymSize(delta(body))
-
-
-def test_lambda_shorthands():
-    assert lambda_s(N) == SN
-    assert lambda_h(TPair(N, N)) == HashSize()
-    assert lambda_a(N) == AsymSize(SN)
+    for body, size in ((N, SN), (TPair(N, R), add(SN, SR))):
+        assert delta(TEnc(body, FuncName.SK)) == size  # transparent
+        assert delta(TEnc(body, FuncName.H)) == HashSize()
+        assert delta(TEnc(body, FuncName.PK)) == AsymSize(size)
+        assert delta(TEnc(body, FuncName.PVK)) == AsymSize(size)
 
 
 def test_ssum_merges_and_orders():
@@ -147,13 +133,13 @@ def test_delta_pair_additivity(seed):
 
 
 @given(seeds)
-def test_lambda_h_constant(seed):
+def test_delta_hash_constant(seed):
     rng = random.Random(seed)
     assert delta(TEnc(random_tterm(rng), FuncName.H)) == HashSize()
 
 
 @given(seeds)
-def test_lambda_s_transparent(seed):
+def test_delta_sk_transparent(seed):
     rng = random.Random(seed)
     t = random_tterm(rng)
     assert delta(TEnc(t, FuncName.SK)) == delta(t)

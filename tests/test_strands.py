@@ -2,28 +2,29 @@
 
 import pytest
 
-from spa import (
-    AmbiguousMatch,
-    Atom,
-    AtomKind,
-    Basic,
-    BasicTT,
+from spa.errors import AmbiguousMatch, ShapeViolation
+from spa.strands import (
     Classifier,
-    FuncName,
     KStrand,
     Node,
-    ShapeViolation,
-    SignedTerm,
-    SignedTTerm,
     StrandSpace,
-    TEnc,
-    TPair,
     TStrand,
     edges,
     enumerate_nodes,
     render_kstrand,
     render_tstrand,
     validate_op_strand,
+)
+from spa.terms import (
+    Atom,
+    AtomKind,
+    Basic,
+    BasicTT,
+    FuncName,
+    SignedTTerm,
+    SignedTerm,
+    TEnc,
+    TPair,
 )
 
 A = Atom(AtomKind.PARTICIPANT, "A")

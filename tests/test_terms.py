@@ -7,25 +7,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spa import (
+from spa import parse
+from spa.costs import CostFunc
+from spa.strands import Classifier
+from spa.terms import (
     Atom,
     AtomKind,
     Basic,
     BasicTT,
-    Classifier,
-    CostFunc,
     Empty,
     Enc,
     FuncName,
     Pair,
-    SignedTerm,
     SignedTTerm,
+    SignedTerm,
     TEmpty,
     TEnc,
     TPair,
     atoms_of,
     pair_of,
-    parse,
     render_term,
     render_tterm,
     type_erase,
