@@ -7,6 +7,9 @@ evaluates a cost numerically under a configured model.
 
 Exit codes: 0 success (verdicts included), 1 I/O, 2 validation,
 3 extraction, 4 configuration.
+
+The argument parser is built on the first `main` call and reused by every
+later call in the process; importing this module does not build it.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .config import load_config
 from .costs import (
@@ -250,7 +254,10 @@ def cmd_eval(args) -> int:
 # -- argument plumbing ------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # Building costs more than most calls' analysis; parsing arguments
+    # leaves the parser unchanged, and help is wrapped when it is printed.
     parser = argparse.ArgumentParser(
         prog="spa",
         description="Protocol strand models and symbolic operation costs.",
@@ -293,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except _CliError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DuplicateDeclaration,
@@ -44,6 +45,8 @@ RESERVED = {
     "protocol", "roles", "nonce", "key", "data", "knows", "sk", "pk", "pvk", "h",
 }
 
+# Whitespace and comments are matched too, so that consecutive matches cover
+# the whole source and a gap between them is an unexpected character.
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -56,34 +59,30 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "arrow", "punct", "eof"
     text: str
-    line: int
-    column: int
+    pos: int  # offset into the source; see _line_col
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of offset `pos`, for error messages only."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        group = m.lastgroup
-        raw = m.group()
-        if group not in ("ws", "comment"):
-            tokens.append(Token(group, raw, line, col))
-        newlines = raw.count("\n")
-        if newlines:
-            line += newlines
-            col = len(raw) - raw.rfind("\n")
-        else:
-            col += len(raw)
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        kind = m.lastgroup
+        if kind != "ws" and kind != "comment":
+            tokens.append(Token(kind, m.group(), pos))
         pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    if pos != len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))
+    tokens.append(Token("eof", "", pos))
     return tokens
 
 
@@ -111,12 +110,16 @@ class ProtocolSpec:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.atoms: dict[str, Atom] = {}
         self.decl_order: list[str] = []
 
     # -- token plumbing -----------------------------------------------------
+
+    def at(self, tok: Token) -> tuple[int, int]:
+        return _line_col(self.text, tok.pos)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -131,16 +134,16 @@ class _Parser:
         tok = self.next()
         if tok.text != text or tok.kind == "eof":
             shown = tok.text if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected {text!r}, found {shown!r}", tok.line, tok.column)
+            raise ParseError(f"expected {text!r}, found {shown!r}", *self.at(tok))
         return tok
 
     def ident(self, what: str = "identifier") -> Token:
         tok = self.next()
         if tok.kind != "ident":
             shown = tok.text if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected {what}, found {shown!r}", tok.line, tok.column)
+            raise ParseError(f"expected {what}, found {shown!r}", *self.at(tok))
         if tok.text in RESERVED:
-            raise ParseError(f"{tok.text!r} is reserved", tok.line, tok.column)
+            raise ParseError(f"{tok.text!r} is reserved", *self.at(tok))
         return tok
 
     # -- declarations -------------------------------------------------------
@@ -148,7 +151,7 @@ class _Parser:
     def declare(self, tok: Token, kind: AtomKind) -> Atom:
         if tok.text in self.atoms:
             raise DuplicateDeclaration(
-                f"{tok.text!r} already declared", tok.line, tok.column
+                f"{tok.text!r} already declared", *self.at(tok)
             )
         atom = Atom(kind, tok.text)
         self.atoms[tok.text] = atom
@@ -159,7 +162,7 @@ class _Parser:
         atom = self.atoms.get(tok.text)
         if atom is None:
             raise UndeclaredIdentifier(
-                f"{tok.text!r} is not declared", tok.line, tok.column
+                f"{tok.text!r} is not declared", *self.at(tok)
             )
         return atom
 
@@ -167,7 +170,7 @@ class _Parser:
         atom = self.lookup(tok)
         if atom.kind is not AtomKind.PARTICIPANT:
             raise KindMismatch(
-                f"{tok.text!r} is not a role", tok.line, tok.column
+                f"{tok.text!r} is not a role", *self.at(tok)
             )
         return atom
 
@@ -215,7 +218,7 @@ class _Parser:
         tail = self.next()
         if tail.kind != "eof":
             raise ParseError(
-                f"unexpected {tail.text!r} after protocol", tail.line, tail.column
+                f"unexpected {tail.text!r} after protocol", *self.at(tail)
             )
 
         spec = ProtocolSpec(
@@ -236,7 +239,7 @@ class _Parser:
         to = self.role_ref(to_tok)
         if frm == to:
             raise SelfMessage(
-                f"{frm.label!r} sends to itself", frm_tok.line, frm_tok.column
+                f"{frm.label!r} sends to itself", *self.at(frm_tok)
             )
         self.expect(":")
         payload, _, _ = self.sequence(0)
@@ -261,7 +264,7 @@ class _Parser:
         """Depth of a term one level above `inner`, started at tok."""
         if inner >= MAX_NESTING:
             raise ParseError(
-                f"term nests more than {MAX_NESTING} levels deep", tok.line, tok.column
+                f"term nests more than {MAX_NESTING} levels deep", *self.at(tok)
             )
         return inner + 1
 
@@ -277,7 +280,7 @@ class _Parser:
             if count < 2:
                 raise ParseError(
                     "parenthesized terms need at least two components",
-                    tok.line, tok.column,
+                    *self.at(tok),
                 )
             return inner, height
         if tok.text == "{":
@@ -290,14 +293,14 @@ class _Parser:
             if func_tok.text not in funcs:
                 raise ParseError(
                     f"expected sk, pk or pvk, found {func_tok.text!r}",
-                    func_tok.line, func_tok.column,
+                    *self.at(func_tok),
                 )
             self.expect("(")
             key_tok = self.ident("key name")
             key = self.lookup(key_tok)
             if key.kind is not AtomKind.KEY:
                 raise KindMismatch(
-                    f"{key_tok.text!r} is not a key", key_tok.line, key_tok.column
+                    f"{key_tok.text!r} is not a key", *self.at(key_tok)
                 )
             self.expect(")")
             return Enc(body, funcs[func_tok.text], key), self.nest(height, tok)
@@ -311,7 +314,7 @@ class _Parser:
         if tok.kind == "ident":
             return self.lookup(self.ident()), 0
         shown = tok.text if tok.kind != "eof" else "end of input"
-        raise ParseError(f"expected a term, found {shown!r}", tok.line, tok.column)
+        raise ParseError(f"expected a term, found {shown!r}", *self.at(tok))
 
 
 def parse(text: str) -> ProtocolSpec:

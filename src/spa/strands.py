@@ -172,12 +172,22 @@ def _is_basic(t: TTerm, tt: BasicTT) -> bool:
     return isinstance(t, Basic) and t.tt is tt
 
 
-def _check(cond: bool, classifier: Classifier, position: int, expected: str):
-    if not cond:
-        raise ShapeViolation(
-            f"{classifier.value}: position {position} must be {expected}"
-        )
+def _fail(classifier: Classifier, position: int, expected: str):
+    raise ShapeViolation(f"{classifier.value}: position {position} must be {expected}")
 
+
+# the event signs of each operation classifier's shape, in order
+_SIGNS = {
+    Classifier.C_E: (-1, 1),
+    Classifier.C_H: (-1, 1),
+    Classifier.C_PK: (-1, 1),
+    Classifier.C_PVK: (-1, 1),
+    Classifier.C_D: (-1, 1),
+    Classifier.C_K: (1,),
+    Classifier.C_N: (1,),
+    Classifier.C_C: (-1, -1, 1),
+    Classifier.C_I: (-1, 1, 1),
+}
 
 # classifiers whose output wraps their input, with the wrapping function
 _WRAP_FUNC = {
@@ -194,62 +204,44 @@ def validate_op_strand(s: TStrand) -> None:
     if c is Classifier.C_P:
         raise ValueError("process strands have no fixed shape")
     seq = s.seq
-
-    def arity(n: int):
-        _check(len(seq) == n, c, 0, f"a sequence of {n} events")
-
+    signs = _SIGNS[c]
+    if len(seq) != len(signs):
+        _fail(c, 0, f"a sequence of {len(signs)} events")
+    for position, (event, sign) in enumerate(zip(seq, signs), start=1):
+        if event.sign != sign:
+            _fail(c, position, "a reception" if sign < 0 else "a transmission")
     func = _WRAP_FUNC.get(c)
     if func is not None:
-        arity(2)
-        _check(seq[0].sign < 0, c, 1, "a reception")
-        _check(seq[1].sign > 0, c, 2, "a transmission")
         out = seq[1].payload
-        _check(
-            isinstance(out, TEnc) and out.func is func and out.body == seq[0].payload,
-            c, 2, f"the input wrapped with {func.value}",
-        )
+        if not (isinstance(out, TEnc) and out.func is func and out.body == seq[0].payload):
+            _fail(c, 2, f"the input wrapped with {func.value}")
     elif c is Classifier.C_D:
-        arity(2)
-        _check(seq[0].sign < 0, c, 1, "a reception")
-        _check(seq[1].sign > 0, c, 2, "a transmission")
         enc = seq[0].payload
-        _check(
+        if not (
             isinstance(enc, TEnc) and enc.func is FuncName.SK
-            and enc.body == seq[1].payload,
-            c, 1, "an sk term whose body is the output",
-        )
+            and enc.body == seq[1].payload
+        ):
+            _fail(c, 1, "an sk term whose body is the output")
     elif c is Classifier.C_K:
-        arity(1)
-        _check(seq[0].sign > 0, c, 1, "a transmission")
-        _check(_is_basic(seq[0].payload, BasicTT.K), c, 1, "a key type")
+        if not _is_basic(seq[0].payload, BasicTT.K):
+            _fail(c, 1, "a key type")
     elif c is Classifier.C_N:
-        arity(1)
-        _check(seq[0].sign > 0, c, 1, "a transmission")
-        _check(_is_basic(seq[0].payload, BasicTT.N), c, 1, "a nonce type")
+        if not _is_basic(seq[0].payload, BasicTT.N):
+            _fail(c, 1, "a nonce type")
     elif c is Classifier.C_C:
-        arity(3)
-        _check(seq[0].sign < 0, c, 1, "a reception")
-        _check(seq[1].sign < 0, c, 2, "a reception")
-        _check(seq[2].sign > 0, c, 3, "a transmission")
         out = seq[2].payload
-        _check(
+        if not (
             isinstance(out, TPair)
-            and out.left == seq[0].payload and out.right == seq[1].payload,
-            c, 3, "the pair of the two inputs",
-        )
-    elif c is Classifier.C_I:
-        arity(3)
-        _check(seq[0].sign < 0, c, 1, "a reception")
-        _check(seq[1].sign > 0, c, 2, "a transmission")
-        _check(seq[2].sign > 0, c, 3, "a transmission")
+            and out.left == seq[0].payload and out.right == seq[1].payload
+        ):
+            _fail(c, 3, "the pair of the two inputs")
+    else:  # C_I
         pair = seq[0].payload
-        _check(
+        if not (
             isinstance(pair, TPair)
-            and pair.left == seq[1].payload and pair.right == seq[2].payload,
-            c, 1, "the pair of the two outputs",
-        )
-    else:  # pragma: no cover - closed enumeration
-        raise ValueError(f"unknown classifier {c}")
+            and pair.left == seq[1].payload and pair.right == seq[2].payload
+        ):
+            _fail(c, 1, "the pair of the two outputs")
 
 
 def render_kstrand(s: KStrand) -> str:

@@ -27,8 +27,14 @@ def read(path: str) -> str:
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
-    """Invoke the CLI in-process; returns (exit code, stdout, stderr)."""
+    """Invoke the CLI in-process; returns (exit code, stdout, stderr).
+
+    argparse ends `--help` and usage errors with `SystemExit`; its code is
+    returned like any other exit code."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: output contracts and exit codes."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from .helpers import (
     ANDREW,
     DEFAULT_CONFIG,
     KEY_WRAP,
+    ROOT,
     X509_MODIFIED,
     X509_ORIGINAL,
     run_cli,
@@ -253,13 +256,24 @@ def test_parse_time_ungeneratable_is_validation(tmp_path):
 
 
 def test_cost_requires_role():
-    with pytest.raises(SystemExit):
-        run_cli("cost", KEY_WRAP)
+    code, out, err = run_cli("cost", KEY_WRAP)
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --role" in err
+
+
+def test_import_does_not_build_parser():
+    probe = "import spa.cli; print(spa.cli._parser.cache_info().misses)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=ROOT / "src",
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "0\n"
 
 
 def test_raw_and_simplified_exclusive():
-    with pytest.raises(SystemExit):
-        run_cli("cost", KEY_WRAP, "--role", "B", "--raw", "--simplified")
+    code, out, err = run_cli("cost", KEY_WRAP, "--role", "B", "--raw", "--simplified")
+    assert (code, out) == (2, "")
+    assert "argument --simplified: not allowed with argument --raw" in err
 
 
 def nested_protocol(shape, depth):

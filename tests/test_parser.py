@@ -12,15 +12,17 @@ from spa.errors import (
     KindMismatch,
     ParseError,
     SelfMessage,
+    SpaError,
     UndeclaredIdentifier,
     Ungeneratable,
 )
-from spa.parser import fresh_atoms, render_spec
+from spa.parser import _line_col, _tokenize, fresh_atoms, render_spec
 from spa.strands import render_kstrand
 from spa.terms import Atom, AtomKind, Enc, FuncName, Pair, pair_of
 
 from .generators import random_spec
 from .helpers import ANDREW, CORPUS, read
+from .naive_tokenize import naive_tokenize
 
 ANDREW_SRC = read(ANDREW)
 
@@ -136,6 +138,52 @@ def test_trailing_garbage_rejected():
 def test_unexpected_character():
     with pytest.raises(ParseError):
         parse(MINI.replace("A -> B: N;", "A -> B: N @;"))
+
+
+# Edits for the tokenizer differential: characters no token starts with,
+# whitespace that does or does not end a line, comments, multi-line gaps.
+EDITS = ("@", "\r", "\t", "\n", " ", "/", "-", ">", "é", "\u2028", "\x0c", "{", ";",
+         "x", "_", "7", "//", "// note\n", "//@\r\n", "\n\n\n", "\r\n  \t")
+
+
+def _mutants(rng: random.Random, text: str, count: int):
+    """`count` copies of text, each with one inserted, deleted or replaced
+    character or edit."""
+    for _ in range(count):
+        at = rng.randrange(len(text) + 1)
+        op = rng.choice(("insert", "delete", "replace"))
+        edit = "" if op == "delete" else rng.choice(EDITS)
+        yield text[:at] + edit + text[at + (op != "insert"):]
+
+
+def _located(tokenize, text, where):
+    """(kind, text, line, column) per token, or the ParseError's message."""
+    try:
+        return [(tok.kind, tok.text, *where(tok)) for tok in tokenize(text)]
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def test_tokenizer_matches_naive():
+    rng = random.Random(2009)
+    texts = [read(path) for path in CORPUS]
+    texts += [render_spec(random_spec(rng)) for _ in range(300)]
+    texts += [m for text in texts for m in _mutants(rng, text, 4)]
+    refused = 0
+    for text in texts:
+        expected = _located(naive_tokenize, text, lambda t: (t.line, t.column))
+        assert _located(_tokenize, text, lambda t: _line_col(text, t.pos)) == expected, text
+        if isinstance(expected, tuple):
+            refused += 1
+            continue
+        # errors past the tokenizer are located at a token
+        try:
+            parse(text)
+        except ParseError as exc:
+            assert exc.line is None or (exc.line, exc.column) in {t[2:] for t in expected}
+        except SpaError:
+            pass
+    assert 100 < refused < len(texts) // 2
 
 
 def test_error_carries_location():

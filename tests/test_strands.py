@@ -142,23 +142,46 @@ def test_op_shapes_accepted():
                            SignedTTerm(1, n), SignedTTerm(1, r)))
 
 
-def test_op_shapes_rejected():
-    with pytest.raises(ShapeViolation):  # wrong function
-        validate_op_strand(_op(Classifier.C_E, SignedTTerm(-1, n),
-                               SignedTTerm(1, TEnc(n, FuncName.PK))))
-    with pytest.raises(ShapeViolation):  # body mismatch
-        validate_op_strand(_op(Classifier.C_E, SignedTTerm(-1, n),
-                               SignedTTerm(1, TEnc(k, FuncName.SK))))
-    with pytest.raises(ShapeViolation):  # wrong arity
-        validate_op_strand(_op(Classifier.C_K, SignedTTerm(1, k), SignedTTerm(1, k)))
-    with pytest.raises(ShapeViolation):  # wrong basic type
-        validate_op_strand(_op(Classifier.C_N, SignedTTerm(1, k)))
-    with pytest.raises(ShapeViolation):  # reception where transmission expected
-        validate_op_strand(_op(Classifier.C_K, SignedTTerm(-1, k)))
-    with pytest.raises(ShapeViolation):  # pair is not of the inputs
-        validate_op_strand(_op(Classifier.C_C, SignedTTerm(-1, n), SignedTTerm(-1, r),
-                               SignedTTerm(1, TPair(r, n))))
-    with pytest.raises(ValueError):  # process strands have no fixed shape
+# (strand, its ShapeViolation message)
+REJECTED = [
+    (_op(Classifier.C_E, SignedTTerm(-1, n), SignedTTerm(1, TEnc(n, FuncName.PK))),
+     "C_E: position 2 must be the input wrapped with sk"),  # wrong function
+    (_op(Classifier.C_H, SignedTTerm(-1, n), SignedTTerm(1, TEnc(k, FuncName.H))),
+     "C_H: position 2 must be the input wrapped with h"),  # body mismatch
+    (_op(Classifier.C_K, SignedTTerm(1, k), SignedTTerm(1, k)),
+     "C_K: position 0 must be a sequence of 1 events"),  # wrong arity
+    (_op(Classifier.C_I, SignedTTerm(-1, TPair(n, r))),
+     "C_I: position 0 must be a sequence of 3 events"),
+    (_op(Classifier.C_N, SignedTTerm(1, k)),
+     "C_N: position 1 must be a nonce type"),  # wrong basic type
+    (_op(Classifier.C_K, SignedTTerm(1, n)),
+     "C_K: position 1 must be a key type"),
+    (_op(Classifier.C_K, SignedTTerm(-1, k)),
+     "C_K: position 1 must be a transmission"),  # reception where transmission expected
+    (_op(Classifier.C_C, SignedTTerm(-1, n), SignedTTerm(1, r), SignedTTerm(1, TPair(n, r))),
+     "C_C: position 2 must be a reception"),
+    (_op(Classifier.C_C, SignedTTerm(-1, n), SignedTTerm(-1, r), SignedTTerm(1, TPair(r, n))),
+     "C_C: position 3 must be the pair of the two inputs"),  # pair is not of the inputs
+    (_op(Classifier.C_I, SignedTTerm(-1, TPair(n, r)), SignedTTerm(1, r), SignedTTerm(1, n)),
+     "C_I: position 1 must be the pair of the two outputs"),
+    (_op(Classifier.C_D, SignedTTerm(-1, TEnc(n, FuncName.PK)), SignedTTerm(1, n)),
+     "C_D: position 1 must be an sk term whose body is the output"),
+    (_op(Classifier.C_D, SignedTTerm(1, TEnc(n, FuncName.SK)), SignedTTerm(-1, n)),
+     "C_D: position 1 must be a reception"),
+    (_op(Classifier.C_PVK, SignedTTerm(-1, n), SignedTTerm(-1, TEnc(n, FuncName.PVK))),
+     "C_PVK: position 2 must be a transmission"),
+]
+
+
+@pytest.mark.parametrize("strand, message", REJECTED, ids=[m for _, m in REJECTED])
+def test_op_shapes_rejected(strand, message):
+    with pytest.raises(ShapeViolation) as exc:
+        validate_op_strand(strand)
+    assert str(exc.value) == message
+
+
+def test_process_strands_have_no_shape():
+    with pytest.raises(ValueError):
         validate_op_strand(_op(Classifier.C_P, SignedTTerm(1, n)))
 
 
