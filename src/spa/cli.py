@@ -133,10 +133,9 @@ def cmd_model(args) -> int:
     else:
         if args.role is not None and strands:
             space = _extract(strands[0]).space()
-            title = f"{spec.name}:{args.role}"
         else:
             space = StrandSpace(tuple(strands))
-            title = spec.name
+        title = spec.name if args.role is None else f"{spec.name}:{args.role}"
         print(_dot(space, title), end="")
     return 0
 

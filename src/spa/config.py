@@ -134,7 +134,7 @@ def _parse_assumptions(raw) -> AssumptionSet:
                 raise ConfigError("assumptions.dominance entries must be [greater, lesser]")
             named = []
             for name in entry:
-                func = _FUNC_NAMES.get(name)
+                func = _FUNC_NAMES.get(name) if isinstance(name, str) else None
                 if func is None:
                     raise ConfigError(f"unknown cost function {name!r} in dominance")
                 named.append(func)

@@ -29,20 +29,7 @@ from .sizes import (
     normalize,
     render_size,
 )
-from .strands import Classifier, StrandSpace, TStrand, validate_op_strand
-
-
-class CostFunc(enum.Enum):
-    __hash__ = object.__hash__  # members are singletons; see terms.AtomKind
-
-    F_SK = "f_sk"
-    F_PK = "f_pk"
-    F_H = "f_h"
-    F_KG = "f_kg"
-    F_NG = "f_ng"
-    F_S = "f_s"
-    F_P = "f_p"
-    F_C = "f_c"
+from .strands import OPS, Classifier, CostFunc, StrandSpace, TStrand, validate_op_strand
 
 
 _FUNC_RANK = {f: i for i, f in enumerate(CostFunc)}
@@ -152,18 +139,22 @@ def _canonical(items) -> CostExpr:
 def cost_of_space(space: StrandSpace) -> CostExpr:
     """Raw cost of a participant's typed-strand space.
 
-    Each operation strand contributes its operation's cost term, and one
-    processing term f_p per positive node it carries.  Process strands are
-    free.  Operation terms come first (strand order), then processing terms.
+    Each operation strand contributes the cost term of its `strands.OPS`
+    row, the row's cost function applied to the sizes of the payloads at
+    its sized positions, and one processing term f_p per positive node it
+    carries.  Process strands are free.  Operation terms come first (strand
+    order), then processing terms.
 
-    A term depends only on its strand's classifier and typed inputs, or on
-    the payload it processes.  So every strand is validated, then strands
-    are counted by (classifier, received payloads) and positive payloads by
-    typed term, and each group is priced once, in first-seen order.
-    `cost_expr` merges groups that price alike (C_E and C_D on one body,
-    say) at the first one's position, so the result equals pricing strand
-    by strand.  Interned payloads (see `type_erase`) compare by identity
-    when grouped, and every typed subterm is sized once per call.
+    A term depends only on its strand's classifier and typed inputs (a
+    row's condition fixes the outputs from the inputs; C_K and C_N output
+    one basic type each), or on the payload it processes.  So every strand
+    is validated, then strands are counted by (classifier, received
+    payloads) and positive payloads by typed term, and each group is priced
+    once, in first-seen order.  `cost_expr` merges groups that price alike
+    (C_E and C_D on one body, say) at the first one's position, so the
+    result equals pricing strand by strand.  Interned payloads (see
+    `type_erase`) compare by identity when grouped, and every typed subterm
+    is sized once per call.
     """
     ops: dict[tuple, list] = {}  # (classifier, *inputs) -> [first strand, count]
     procs: dict = {}  # positive typed payload -> count
@@ -195,25 +186,8 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
 
 
 def _op_cost(s: TStrand, memo: dict) -> CostTerm:
-    c = s.classifier
-    if c in (Classifier.C_E, Classifier.C_D):
-        body = s.seq[0].payload.body if c is Classifier.C_D else s.seq[0].payload
-        return App(CostFunc.F_SK, (delta(body, memo),))
-    if c is Classifier.C_H:
-        return App(CostFunc.F_H, (delta(s.seq[0].payload, memo),))
-    if c in (Classifier.C_PK, Classifier.C_PVK):
-        return App(CostFunc.F_PK, (delta(s.seq[0].payload, memo),))
-    if c is Classifier.C_K:
-        return App(CostFunc.F_KG, (delta(s.seq[0].payload, memo),))
-    if c is Classifier.C_N:
-        return App(CostFunc.F_NG, (delta(s.seq[0].payload, memo),))
-    if c is Classifier.C_C:
-        return App(CostFunc.F_C, (
-            delta(s.seq[0].payload, memo), delta(s.seq[1].payload, memo),
-        ))
-    if c is Classifier.C_I:
-        return App(CostFunc.F_S, (delta(s.seq[0].payload, memo),))
-    raise InvalidOpStrand(f"cannot cost classifier {c.value}")
+    op = OPS[s.classifier]
+    return App(op.cost, tuple([delta(s.seq[i - 1].payload, memo) for i in op.sized]))
 
 
 def simplify(e: CostExpr) -> CostExpr:

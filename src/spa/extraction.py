@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import Ungeneratable, Unrecoverable
-from .strands import Classifier, KStrand, StrandSpace, TStrand
+from .strands import OPS, Classifier, KStrand, StrandSpace, TStrand
 from .terms import (
     Atom,
     AtomKind,
@@ -145,7 +145,8 @@ class _State:
     def erase(self, t: Term) -> TTerm:
         return type_erase(t, self.erased)
 
-    def emit(self, classifier: Classifier, *events: tuple[int, Term]) -> None:
+    def emit(self, classifier: Classifier, *payloads: Term) -> None:
+        events = zip(OPS[classifier].signs, payloads, strict=True)
         seq = tuple(SignedTTerm(sign, self.erase(t)) for sign, t in events)
         self.ops.append(TStrand(classifier, self.participant, seq))
 
@@ -192,7 +193,7 @@ def _construct(t: Term, state: _State) -> None:
                     f"{state.participant.label} holds {t.label} only sealed "
                     "inside terms it cannot open"
                 )
-            state.emit(_GEN_CLASSIFIER[t.kind], (1, t))
+            state.emit(_GEN_CLASSIFIER[t.kind], t)
             state.learn(t)
             return
         raise Ungeneratable(
@@ -202,14 +203,14 @@ def _construct(t: Term, state: _State) -> None:
     if isinstance(t, Pair):
         _construct(t.left, state)
         _construct(t.right, state)
-        state.emit(Classifier.C_C, (-1, t.left), (-1, t.right), (1, t))
+        state.emit(Classifier.C_C, t.left, t.right, t)
         state.learn(t, walk=False)
         return
     assert isinstance(t, Enc)
     if t.func is not FuncName.H:
         _construct(t.key, state)
     _construct(t.body, state)
-    state.emit(_ENC_CLASSIFIER[t.func], (-1, t.body), (1, t))
+    state.emit(_ENC_CLASSIFIER[t.func], t.body, t)
     state.learn(t, walk=False)
 
 
@@ -227,10 +228,10 @@ def _recover(target: Term, state: _State) -> bool:
         if child in state.knowledge:
             continue
         if isinstance(step, Pair):
-            state.emit(Classifier.C_I, (-1, step), (1, step.left), (1, step.right))
+            state.emit(Classifier.C_I, step, step.left, step.right)
             state.learn(step.left, walk=False)
             state.learn(step.right, walk=False)
         else:
-            state.emit(Classifier.C_D, (-1, step), (1, step.body))
+            state.emit(Classifier.C_D, step, step.body)
             state.learn(step.body, walk=False)
     return True

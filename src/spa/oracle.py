@@ -6,6 +6,10 @@ resolution policy as the extractor without sharing code with it: known
 first, then recovery along the first exposing knowledge entry (leftmost
 descent, fixed at scan time), then generation for nonces and keys, else
 failure.
+
+It names each operation's classifier itself and must not read
+`strands.OPS` or extraction's classifier maps: an error there would then
+show up on both sides of the cross-check and pass it.
 """
 
 from __future__ import annotations

@@ -5,12 +5,19 @@ sequence; a typed strand holds a classifier plus signed typed events.  The
 `fresh` field on KStrand marks atoms the participant will create during the
 run: they are displayed as part of the knowledge set but are absent from the
 working knowledge when operations are derived.
+
+`OPS` is the one table of operations: for each classifier but `C_P`, the
+signs of its events, the condition its payloads meet and how a violation
+reads, and the cost function with the positions of the payloads it sizes.
+Shape checking, pricing (`costs.cost_of_space`) and strand emission
+(`extraction`) all read it, so an operation is added as one row.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .errors import AmbiguousMatch, ShapeViolation
 from .terms import (
@@ -23,8 +30,8 @@ from .terms import (
     SignedTTerm,
     TEnc,
     TPair,
-    TTerm,
     Term,
+    TTerm,
     render_signed,
     render_term,
 )
@@ -43,6 +50,19 @@ class Classifier(enum.Enum):
     C_N = "C_N"
     C_C = "C_C"
     C_I = "C_I"
+
+
+class CostFunc(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons; see terms.AtomKind
+
+    F_SK = "f_sk"
+    F_PK = "f_pk"
+    F_H = "f_h"
+    F_KG = "f_kg"
+    F_NG = "f_ng"
+    F_S = "f_s"
+    F_P = "f_p"
+    F_C = "f_c"
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,33 +188,54 @@ def edges(space: StrandSpace):
     return succ, comm
 
 
-def _is_basic(t: TTerm, tt: BasicTT) -> bool:
-    return isinstance(t, Basic) and t.tt is tt
+# Conditions on the payload t at an operation's constrained position, given
+# the whole event sequence.  Every strand is checked, so a condition reads
+# `seq` directly and allocates nothing.  Positions count events from 1.
+def _wraps(func: FuncName, body: int):
+    return lambda t, seq: (
+        isinstance(t, TEnc) and t.func is func and t.body == seq[body - 1].payload
+    )
 
 
-def _fail(classifier: Classifier, position: int, expected: str):
-    raise ShapeViolation(f"{classifier.value}: position {position} must be {expected}")
+def _pairs(left: int, right: int):
+    return lambda t, seq: (
+        isinstance(t, TPair)
+        and t.left == seq[left - 1].payload and t.right == seq[right - 1].payload
+    )
 
 
-# the event signs of each operation classifier's shape, in order
-_SIGNS = {
-    Classifier.C_E: (-1, 1),
-    Classifier.C_H: (-1, 1),
-    Classifier.C_PK: (-1, 1),
-    Classifier.C_PVK: (-1, 1),
-    Classifier.C_D: (-1, 1),
-    Classifier.C_K: (1,),
-    Classifier.C_N: (1,),
-    Classifier.C_C: (-1, -1, 1),
-    Classifier.C_I: (-1, 1, 1),
-}
+def _basic(tt: BasicTT):
+    return lambda t, seq: isinstance(t, Basic) and t.tt is tt
 
-# classifiers whose output wraps their input, with the wrapping function
-_WRAP_FUNC = {
-    Classifier.C_E: FuncName.SK,
-    Classifier.C_H: FuncName.H,
-    Classifier.C_PK: FuncName.PK,
-    Classifier.C_PVK: FuncName.PVK,
+
+class Op(NamedTuple):
+    """An operation's shape and cost; positions count events from 1."""
+
+    signs: tuple[int, ...]  # the sign of each event, in order
+    cost: CostFunc
+    sized: tuple[int, ...]  # the positions whose payload sizes `cost` takes
+    position: int  # the payload `check` constrains, where a violation is reported
+    check: Callable[[TTerm, tuple], bool]
+    expected: str  # what the payload at `position` must be
+
+
+OPS = {
+    Classifier.C_E: Op((-1, 1), CostFunc.F_SK, (1,), 2, _wraps(FuncName.SK, 1),
+                       "the input wrapped with sk"),
+    Classifier.C_D: Op((-1, 1), CostFunc.F_SK, (2,), 1, _wraps(FuncName.SK, 2),
+                       "an sk term whose body is the output"),
+    Classifier.C_H: Op((-1, 1), CostFunc.F_H, (1,), 2, _wraps(FuncName.H, 1),
+                       "the input wrapped with h"),
+    Classifier.C_PK: Op((-1, 1), CostFunc.F_PK, (1,), 2, _wraps(FuncName.PK, 1),
+                        "the input wrapped with pk"),
+    Classifier.C_PVK: Op((-1, 1), CostFunc.F_PK, (1,), 2, _wraps(FuncName.PVK, 1),
+                         "the input wrapped with pvk"),
+    Classifier.C_K: Op((1,), CostFunc.F_KG, (1,), 1, _basic(BasicTT.K), "a key type"),
+    Classifier.C_N: Op((1,), CostFunc.F_NG, (1,), 1, _basic(BasicTT.N), "a nonce type"),
+    Classifier.C_C: Op((-1, -1, 1), CostFunc.F_C, (1, 2), 3, _pairs(1, 2),
+                       "the pair of the two inputs"),
+    Classifier.C_I: Op((-1, 1, 1), CostFunc.F_S, (1,), 1, _pairs(2, 3),
+                       "the pair of the two outputs"),
 }
 
 
@@ -204,44 +245,18 @@ def validate_op_strand(s: TStrand) -> None:
     if c is Classifier.C_P:
         raise ValueError("process strands have no fixed shape")
     seq = s.seq
-    signs = _SIGNS[c]
+    signs, _, _, position, check, expected = OPS[c]
     if len(seq) != len(signs):
         _fail(c, 0, f"a sequence of {len(signs)} events")
-    for position, (event, sign) in enumerate(zip(seq, signs), start=1):
+    for i, (event, sign) in enumerate(zip(seq, signs), start=1):
         if event.sign != sign:
-            _fail(c, position, "a reception" if sign < 0 else "a transmission")
-    func = _WRAP_FUNC.get(c)
-    if func is not None:
-        out = seq[1].payload
-        if not (isinstance(out, TEnc) and out.func is func and out.body == seq[0].payload):
-            _fail(c, 2, f"the input wrapped with {func.value}")
-    elif c is Classifier.C_D:
-        enc = seq[0].payload
-        if not (
-            isinstance(enc, TEnc) and enc.func is FuncName.SK
-            and enc.body == seq[1].payload
-        ):
-            _fail(c, 1, "an sk term whose body is the output")
-    elif c is Classifier.C_K:
-        if not _is_basic(seq[0].payload, BasicTT.K):
-            _fail(c, 1, "a key type")
-    elif c is Classifier.C_N:
-        if not _is_basic(seq[0].payload, BasicTT.N):
-            _fail(c, 1, "a nonce type")
-    elif c is Classifier.C_C:
-        out = seq[2].payload
-        if not (
-            isinstance(out, TPair)
-            and out.left == seq[0].payload and out.right == seq[1].payload
-        ):
-            _fail(c, 3, "the pair of the two inputs")
-    else:  # C_I
-        pair = seq[0].payload
-        if not (
-            isinstance(pair, TPair)
-            and pair.left == seq[1].payload and pair.right == seq[2].payload
-        ):
-            _fail(c, 1, "the pair of the two outputs")
+            _fail(c, i, "a reception" if sign < 0 else "a transmission")
+    if not check(seq[position - 1].payload, seq):
+        _fail(c, position, expected)
+
+
+def _fail(classifier: Classifier, position: int, expected: str):
+    raise ShapeViolation(f"{classifier.value}: position {position} must be {expected}")
 
 
 def render_kstrand(s: KStrand) -> str:

@@ -5,6 +5,7 @@ import re
 import types
 
 import spa
+from spa.strands import OPS
 
 from .helpers import ROOT, read
 
@@ -24,3 +25,9 @@ def test_spa_exports_the_readme_library_names():
     assert public == documented
     pyproject = read(str(ROOT / "pyproject.toml"))
     assert re.search(r'^version = "(.+)"$', pyproject, re.M)[1] == spa.__version__
+
+
+def test_readme_operation_table_matches_ops():
+    readme = read(str(ROOT / "README.md"))
+    documented = dict(re.findall(r"^\| `(C_\w+)` \|.*\| `(f_\w+)\(.*\|$", readme, re.M))
+    assert documented == {c.value: op.cost.value for c, op in OPS.items()}

@@ -32,6 +32,16 @@ protocol sealed {
 """
 
 
+IDLE = """
+protocol idle {
+  roles A, B, C;
+  nonce N;
+  knows A: N;
+  A -> B: N;
+}
+"""
+
+
 def write(tmp_path, text, name="t.spa"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -118,6 +128,13 @@ def test_model_dot_kspace():
     assert out.count("style=dashed") == 4
 
 
+def test_model_dot_event_less_role_titled_with_role(tmp_path):
+    code, out, _ = run_cli("model", write(tmp_path, IDLE), "--role", "C", "--format", "dot")
+    assert code == 0
+    assert out.startswith('digraph "idle:C" {\n')
+    assert check_dot(out).clusters == 0
+
+
 def test_model_dot_stable():
     first = run_cli("model", ANDREW, "--format", "dot")
     second = run_cli("model", ANDREW, "--format", "dot")
@@ -142,15 +159,7 @@ def test_cost_raw():
 
 
 def test_cost_event_less_role(tmp_path):
-    path = write(tmp_path, """
-    protocol idle {
-      roles A, B, C;
-      nonce N;
-      knows A: N;
-      A -> B: N;
-    }
-    """)
-    code, out, _ = run_cli("cost", path, "--role", "C")
+    code, out, _ = run_cli("cost", write(tmp_path, IDLE), "--role", "C")
     assert code == 0
     assert out == "0\n"
 
@@ -231,6 +240,16 @@ def test_bad_config_exit_code(tmp_path):
     )
     assert code == 4
     assert "ConfigError" in err
+
+
+def test_dominance_entry_not_a_name_is_config_error(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    data = json.loads(Path(DEFAULT_CONFIG).read_text(encoding="utf-8"))
+    data["assumptions"]["dominance"] = [[["f_pk"], "f_h"]]
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    assert run_cli("compare", X509_ORIGINAL, X509_MODIFIED, "--config", str(cfg)) == (
+        4, "", "ConfigError: unknown cost function ['f_pk'] in dominance\n",
+    )
 
 
 def test_missing_config_file_is_io_error():

@@ -141,6 +141,15 @@ def test_dominance_validation():
         parse_config(data)
 
 
+@pytest.mark.parametrize("name", [["f_pk"], {"f": "f_pk"}])
+def test_dominance_names_must_be_function_names(name):
+    data = variant()
+    data["assumptions"]["dominance"] = [[name, "f_h"]]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data)
+    assert str(exc.value) == f"unknown cost function {name!r} in dominance"
+
+
 def test_dominance_may_name_constants():
     data = variant()
     data["assumptions"]["dominance"] = [["f_c", "f_p"]]

@@ -2,8 +2,10 @@
 
 import pytest
 
+from spa.costs import CostFunc
 from spa.errors import AmbiguousMatch, ShapeViolation
 from spa.strands import (
+    OPS,
     Classifier,
     KStrand,
     Node,
@@ -178,6 +180,19 @@ def test_op_shapes_rejected(strand, message):
     with pytest.raises(ShapeViolation) as exc:
         validate_op_strand(strand)
     assert str(exc.value) == message
+
+
+def test_ops_has_a_row_per_operation_classifier():
+    assert set(OPS) == set(Classifier) - {Classifier.C_P}
+
+
+def test_ops_costs_and_f_p_cover_every_cost_function():
+    assert {op.cost for op in OPS.values()} | {CostFunc.F_P} == set(CostFunc)
+
+
+def test_ops_positions_index_events_of_their_row():
+    for op in OPS.values():
+        assert all(1 <= i <= len(op.signs) for i in op.sized + (op.position,))
 
 
 def test_process_strands_have_no_shape():
