@@ -12,11 +12,10 @@ by the function enumeration, then first occurrence.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidOpStrand, ShapeViolation
 from .sizes import (
-    AsymSize,
     SizeExpr,
     SizeModel,
     Sum,

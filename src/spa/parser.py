@@ -5,7 +5,12 @@ of messages.  Projection turns each role into one knowledge strand: a sent
 message is a positive event on the sender's strand and a negative event on
 the recipient's, in message order.  Nonce/key atoms a role emits without
 holding them are marked fresh; participant/user-data atoms in that position
-are rejected, since nothing can create them.
+are rejected, since nothing can create them; parsing finds both in one walk
+per role and keeps the fresh atoms in `ProtocolSpec.fresh`.
+
+Tokenizing is one `re.split` pass that yields the token strings; a token's
+kind shows in its text.  Offsets, lines and columns are worked out only for
+an error, by scanning the source again (`_tokenize`).
 """
 
 from __future__ import annotations
@@ -46,17 +51,10 @@ RESERVED = {
 }
 
 # Whitespace and comments are matched too, so that consecutive matches cover
-# the whole source and a gap between them is an unexpected character.
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<arrow>->)
-  | (?P<punct>[{}(),;:])
-    """,
-    re.VERBOSE,
-)
+# the whole source and a gap between them is an unexpected character.  Only a
+# token is captured.  Each alternative is one greedy run with nothing after
+# it, so no input makes the engine backtrack.
+_TOKEN_RE = re.compile(r"\s+|//[^\n]*|([A-Za-z][A-Za-z0-9_]*|->|[{}(),;:])")
 
 
 class Token(NamedTuple):
@@ -70,15 +68,32 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
+def _token_texts(text: str) -> list[str]:
+    """The source's tokens as strings, then "" for the end of input.
+
+    One `split` pass: the unmatched gaps sit at the even indices and must all
+    be empty, and the captured tokens at the odd ones (None for whitespace
+    and comments).  A valid token's kind shows in its text: an identifier
+    starts with a letter, and every other token is "->" or one punctuation
+    character."""
+    parts = _TOKEN_RE.split(text)
+    if any(parts[::2]):
+        _tokenize(text)  # raises, located at the first gap
+    return [*filter(None, parts[1::2]), ""]
+
+
 def _tokenize(text: str) -> list[Token]:
+    """`_token_texts`'s tokens with their kinds and offsets.  Parsing needs
+    offsets only to locate an error, so it scans again for them then."""
     tokens = []
     pos = 0
     for m in _TOKEN_RE.finditer(text):
         if m.start() != pos:
             break
-        kind = m.lastgroup
-        if kind != "ws" and kind != "comment":
-            tokens.append(Token(kind, m.group(), pos))
+        tok = m.group(1)
+        if tok:
+            kind = "ident" if tok[0].isalpha() else "arrow" if tok == "->" else "punct"
+            tokens.append(Token(kind, tok, pos))
         pos = m.end()
     if pos != len(text):
         raise ParseError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))
@@ -100,6 +115,7 @@ class ProtocolSpec:
     decls: dict  # label -> AtomKind, declaration order, roles included
     knowledge: dict  # role label -> tuple of Term
     messages: tuple[Message, ...]
+    fresh: dict  # role label -> frozenset of the atoms it must create
 
     def role(self, label: str) -> Atom | None:
         for r in self.roles:
@@ -109,68 +125,70 @@ class ProtocolSpec:
 
 
 class _Parser:
+    """Recursive descent over token strings ("" is the end of input).  The
+    cursor `pos` moves past every token `next` returns, so an error about the
+    token just read is located at `pos - 1`."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _token_texts(text)
         self.pos = 0
         self.atoms: dict[str, Atom] = {}
-        self.decl_order: list[str] = []
 
     # -- token plumbing -----------------------------------------------------
 
-    def at(self, tok: Token) -> tuple[int, int]:
-        return _line_col(self.text, tok.pos)
+    def at(self, i: int) -> tuple[int, int]:
+        """Line and column of token i."""
+        return _line_col(self.text, _tokenize(self.text)[i].pos)
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> str:
+        # past the end only on the way to an error: every caller that can
+        # read "" raises, except the final end-of-input check
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        self.pos += 1
         return tok
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok.text != text or tok.kind == "eof":
-            shown = tok.text if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected {text!r}, found {shown!r}", *self.at(tok))
-        return tok
+        if tok != text:
+            shown = tok or "end of input"
+            raise ParseError(f"expected {text!r}, found {shown!r}", *self.at(self.pos - 1))
 
-    def ident(self, what: str = "identifier") -> Token:
+    def ident(self, what: str = "identifier") -> str:
         tok = self.next()
-        if tok.kind != "ident":
-            shown = tok.text if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected {what}, found {shown!r}", *self.at(tok))
-        if tok.text in RESERVED:
-            raise ParseError(f"{tok.text!r} is reserved", *self.at(tok))
+        if not tok[:1].isalpha():
+            shown = tok or "end of input"
+            raise ParseError(f"expected {what}, found {shown!r}", *self.at(self.pos - 1))
+        if tok in RESERVED:
+            raise ParseError(f"{tok!r} is reserved", *self.at(self.pos - 1))
         return tok
 
-    # -- declarations -------------------------------------------------------
+    # -- declarations: each locates its error at the token just read --------
 
-    def declare(self, tok: Token, kind: AtomKind) -> Atom:
-        if tok.text in self.atoms:
+    def declare(self, label: str, kind: AtomKind) -> Atom:
+        if label in self.atoms:
             raise DuplicateDeclaration(
-                f"{tok.text!r} already declared", *self.at(tok)
+                f"{label!r} already declared", *self.at(self.pos - 1)
             )
-        atom = Atom(kind, tok.text)
-        self.atoms[tok.text] = atom
-        self.decl_order.append(tok.text)
+        atom = self.atoms[label] = Atom(kind, label)
         return atom
 
-    def lookup(self, tok: Token) -> Atom:
-        atom = self.atoms.get(tok.text)
+    def lookup(self, label: str) -> Atom:
+        atom = self.atoms.get(label)
         if atom is None:
             raise UndeclaredIdentifier(
-                f"{tok.text!r} is not declared", *self.at(tok)
+                f"{label!r} is not declared", *self.at(self.pos - 1)
             )
         return atom
 
-    def role_ref(self, tok: Token) -> Atom:
-        atom = self.lookup(tok)
+    def role_ref(self, label: str) -> Atom:
+        atom = self.lookup(label)
         if atom.kind is not AtomKind.PARTICIPANT:
             raise KindMismatch(
-                f"{tok.text!r} is not a role", *self.at(tok)
+                f"{label!r} is not a role", *self.at(self.pos - 1)
             )
         return atom
 
@@ -178,32 +196,32 @@ class _Parser:
 
     def protocol(self) -> ProtocolSpec:
         self.expect("protocol")
-        name = self.ident("protocol name").text
+        name = self.ident("protocol name")
         self.expect("{")
 
         self.expect("roles")
         roles = [self.declare(self.ident("role name"), AtomKind.PARTICIPANT)]
-        while self.peek().text == ",":
+        while self.peek() == ",":
             self.next()
             roles.append(self.declare(self.ident("role name"), AtomKind.PARTICIPANT))
         self.expect(";")
 
         kind_words = {"nonce": AtomKind.NONCE, "key": AtomKind.KEY, "data": AtomKind.USERDATA}
-        while self.peek().text in kind_words:
-            kind = kind_words[self.next().text]
+        while self.peek() in kind_words:
+            kind = kind_words[self.next()]
             self.declare(self.ident(), kind)
-            while self.peek().text == ",":
+            while self.peek() == ",":
                 self.next()
                 self.declare(self.ident(), kind)
             self.expect(";")
 
         knowledge: dict[str, list[Term]] = {r.label: [] for r in roles}
-        while self.peek().text == "knows":
+        while self.peek() == "knows":
             self.next()
             role = self.role_ref(self.ident("role name"))
             self.expect(":")
             entries = [self.term()[0]]
-            while self.peek().text == ",":
+            while self.peek() == ",":
                 self.next()
                 entries.append(self.term()[0])
             self.expect(";")
@@ -212,34 +230,34 @@ class _Parser:
                     knowledge[role.label].append(entry)
 
         messages = [self.message()]
-        while self.peek().text != "}":
+        while self.peek() != "}":
             messages.append(self.message())
         self.expect("}")
         tail = self.next()
-        if tail.kind != "eof":
+        if tail:
             raise ParseError(
-                f"unexpected {tail.text!r} after protocol", *self.at(tail)
+                f"unexpected {tail!r} after protocol", *self.at(self.pos - 1)
             )
 
-        spec = ProtocolSpec(
+        messages = tuple(messages)
+        held = {label: tuple(entries) for label, entries in knowledge.items()}
+        return ProtocolSpec(
             name=name,
             roles=tuple(roles),
-            decls={label: self.atoms[label].kind for label in self.decl_order},
-            knowledge={label: tuple(entries) for label, entries in knowledge.items()},
-            messages=tuple(messages),
+            decls={label: atom.kind for label, atom in self.atoms.items()},
+            knowledge=held,
+            messages=messages,
+            fresh={r.label: _fresh_atoms(r, held[r.label], messages) for r in roles},
         )
-        _validate(spec)
-        return spec
 
     def message(self) -> Message:
-        frm_tok = self.ident("role name")
-        frm = self.role_ref(frm_tok)
+        frm_at = self.pos
+        frm = self.role_ref(self.ident("role name"))
         self.expect("->")
-        to_tok = self.ident("role name")
-        to = self.role_ref(to_tok)
+        to = self.role_ref(self.ident("role name"))
         if frm == to:
             raise SelfMessage(
-                f"{frm.label!r} sends to itself", *self.at(frm_tok)
+                f"{frm.label!r} sends to itself", *self.at(frm_at)
             )
         self.expect(":")
         payload, _, _ = self.sequence(0)
@@ -251,70 +269,69 @@ class _Parser:
         nesting depth, number of components)."""
         out, height = self.term(depth)
         count = 1
-        while self.peek().text == ",":
+        while self.peek() == ",":
             self.next()
-            tok = self.peek()
+            start = self.pos
             right, right_height = self.term(depth)
             out = Pair(out, right)
-            height = self.nest(max(height, right_height), tok)
+            height = self.nest(max(height, right_height), start)
             count += 1
         return out, height, count
 
-    def nest(self, inner: int, tok: Token) -> int:
-        """Depth of a term one level above `inner`, started at tok."""
+    def nest(self, inner: int, start: int) -> int:
+        """Depth of a term one level above `inner`, started at token start."""
         if inner >= MAX_NESTING:
             raise ParseError(
-                f"term nests more than {MAX_NESTING} levels deep", *self.at(tok)
+                f"term nests more than {MAX_NESTING} levels deep", *self.at(start)
             )
         return inner + 1
 
     def term(self, depth: int = 0) -> tuple[Term, int]:
         """One term and its nesting depth; `depth` counts the brackets around
         it, so runaway bracketing stops before the parser recurses further."""
-        tok = self.peek()
-        if tok.text == "(":
-            self.nest(depth, tok)
+        start = self.pos
+        tok = self.tokens[start]
+        if tok == "(":
+            self.nest(depth, start)
             self.next()
             inner, height, count = self.sequence(depth + 1)
             self.expect(")")
             if count < 2:
                 raise ParseError(
                     "parenthesized terms need at least two components",
-                    *self.at(tok),
+                    *self.at(start),
                 )
             return inner, height
-        if tok.text == "{":
-            self.nest(depth, tok)
+        if tok == "{":
+            self.nest(depth, start)
             self.next()
             body, height, _ = self.sequence(depth + 1)
             self.expect("}")
-            func_tok = self.next()
+            func = self.next()
             funcs = {"sk": FuncName.SK, "pk": FuncName.PK, "pvk": FuncName.PVK}
-            if func_tok.text not in funcs:
+            if func not in funcs:
                 raise ParseError(
-                    f"expected sk, pk or pvk, found {func_tok.text!r}",
-                    *self.at(func_tok),
+                    f"expected sk, pk or pvk, found {func!r}", *self.at(self.pos - 1)
                 )
             self.expect("(")
-            key_tok = self.ident("key name")
-            key = self.lookup(key_tok)
+            key = self.lookup(self.ident("key name"))
             if key.kind is not AtomKind.KEY:
                 raise KindMismatch(
-                    f"{key_tok.text!r} is not a key", *self.at(key_tok)
+                    f"{key.label!r} is not a key", *self.at(self.pos - 1)
                 )
             self.expect(")")
-            return Enc(body, funcs[func_tok.text], key), self.nest(height, tok)
-        if tok.text == "h":
-            self.nest(depth, tok)
+            return Enc(body, funcs[func], key), self.nest(height, start)
+        if tok == "h":
+            self.nest(depth, start)
             self.next()
             self.expect("(")
             body, height, _ = self.sequence(depth + 1)
             self.expect(")")
-            return Enc(body, FuncName.H, Empty()), self.nest(height, tok)
-        if tok.kind == "ident":
+            return Enc(body, FuncName.H, Empty()), self.nest(height, start)
+        if tok[:1].isalpha():
             return self.lookup(self.ident()), 0
-        shown = tok.text if tok.kind != "eof" else "end of input"
-        raise ParseError(f"expected a term, found {shown!r}", *self.at(tok))
+        shown = tok or "end of input"
+        raise ParseError(f"expected a term, found {shown!r}", *self.at(start))
 
 
 def parse(text: str) -> ProtocolSpec:
@@ -332,37 +349,31 @@ def role_events(spec: ProtocolSpec, role: Atom) -> list[SignedTerm]:
     return events
 
 
-def _first_unheld(spec: ProtocolSpec, role: Atom) -> list[tuple[int, Atom]]:
-    """(sign, atom) for each atom the role does not hold initially, at the
-    first of its events that carries it, in event order."""
+def _fresh_atoms(role: Atom, entries: tuple, messages: tuple) -> frozenset[Atom]:
+    """Atoms the role must create: those it does not hold initially and first
+    meets in one of its sends, which must be nonces or keys.  An unheld
+    participant or user-data atom it sends is Ungeneratable."""
     known = {role}
-    for entry in spec.knowledge[role.label]:
+    for entry in entries:
         known.update(atoms_of(entry))
-    first = []
-    for event in role_events(spec, role):
-        for atom in atoms_of(event.payload):
-            if atom not in known:
-                known.add(atom)
-                first.append((event.sign, atom))
-    return first
-
-
-def fresh_atoms(spec: ProtocolSpec, role: Atom) -> frozenset[Atom]:
-    """Atoms the role must create: unheld nonces/keys first seen in a send."""
-    return frozenset(
-        atom for sign, atom in _first_unheld(spec, role)
-        if sign > 0 and atom.kind in (AtomKind.NONCE, AtomKind.KEY)
-    )
-
-
-def _validate(spec: ProtocolSpec) -> None:
-    for role in spec.roles:
-        for sign, atom in _first_unheld(spec, role):
-            if sign > 0 and atom.kind in (AtomKind.PARTICIPANT, AtomKind.USERDATA):
+    fresh = set()
+    for msg in messages:
+        sends = msg.sender == role
+        if not sends and msg.recipient != role:
+            continue
+        for atom in atoms_of(msg.payload):
+            if atom in known:
+                continue
+            known.add(atom)
+            if not sends:
+                continue
+            if atom.kind is AtomKind.PARTICIPANT or atom.kind is AtomKind.USERDATA:
                 raise Ungeneratable(
                     f"role {role.label} sends {atom.label} without holding "
                     f"it, and {atom.kind.value} atoms cannot be generated"
                 )
+            fresh.add(atom)
+    return frozenset(fresh)
 
 
 def project(spec: ProtocolSpec) -> StrandSpace:
@@ -377,19 +388,14 @@ def project(spec: ProtocolSpec) -> StrandSpace:
         if not events:
             continue
         entries = spec.knowledge[role.label]
-        fresh = fresh_atoms(spec, role)
-        atoms_held = {e for e in entries if isinstance(e, Atom)} | fresh
+        fresh = spec.fresh[role.label]
+        held = {e.label: e for e in entries if isinstance(e, Atom)}
+        held.update((a.label, a) for a in fresh)
+        held.pop(role.label, None)
         knowledge: list[Term] = [role]
-        for other in spec.roles:
-            if other != role and other in atoms_held:
-                knowledge.append(other)
-        for label in spec.decls:
-            atom = Atom(spec.decls[label], label)
-            if atom.kind is not AtomKind.PARTICIPANT and atom in atoms_held:
-                knowledge.append(atom)
-        for entry in entries:
-            if not isinstance(entry, Atom):
-                knowledge.append(entry)
+        # roles are declared first, so declaration order puts them first
+        knowledge += [held[label] for label in spec.decls if label in held]
+        knowledge += [e for e in entries if not isinstance(e, Atom)]
         strands.append(
             KStrand(
                 knowledge=tuple(knowledge),

@@ -124,7 +124,8 @@ def random_spec(rng: random.Random, max_atoms: int = 4, depth: int = 3) -> Proto
             sender, recipient = roles if rng.random() < 0.5 else roles[::-1]
             payload = _random_payload(rng, leaves, keys, depth)
             messages.append(Message(sender, recipient, payload))
-        spec = ProtocolSpec("gen", roles, decls, knowledge, tuple(messages))
+        # render_spec ignores `fresh`; parsing the rendering fills it in
+        spec = ProtocolSpec("gen", roles, decls, knowledge, tuple(messages), {})
         try:
             return parse(render_spec(spec))
         except Exception:

@@ -1,11 +1,14 @@
 """Protocol source parsing, validation, projection, round-tripping."""
 
 import random
+import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spa.parser
 from spa import parse, project
 from spa.errors import (
     DuplicateDeclaration,
@@ -16,12 +19,13 @@ from spa.errors import (
     UndeclaredIdentifier,
     Ungeneratable,
 )
-from spa.parser import _line_col, _tokenize, fresh_atoms, render_spec
+from spa.parser import _line_col, _token_texts, _tokenize, render_spec
 from spa.strands import render_kstrand
 from spa.terms import Atom, AtomKind, Enc, FuncName, Pair, pair_of
 
-from .generators import random_spec
+from .generators import chain_spec, random_spec
 from .helpers import ANDREW, CORPUS, read
+from .naive_project import naive_project, naive_validate
 from .naive_tokenize import naive_tokenize
 
 ANDREW_SRC = read(ANDREW)
@@ -186,6 +190,137 @@ def test_tokenizer_matches_naive():
     assert 100 < refused < len(texts) // 2
 
 
+def _ends_like_naive(text: str) -> bool:
+    """`_token_texts` gives naive_tokenize's token texts, or raises its error."""
+    expected = _located(naive_tokenize, text, lambda t: ())
+    try:
+        tokens = _token_texts(text)
+    except ParseError as exc:
+        return expected == (str(exc), exc.line, exc.column)
+    return isinstance(expected, list) and tokens == [tok for _, tok in expected]
+
+
+def test_token_texts_match_naive():
+    rng = random.Random(2010)
+    texts = [read(path) for path in CORPUS]
+    texts += [render_spec(random_spec(rng)) for _ in range(100)]
+    texts += [m for text in texts for m in _mutants(rng, text, 8)]
+    for text in texts:
+        assert _ends_like_naive(text), text
+
+
+# A lone non-ASCII letter where an identifier may stand alone, Unicode
+# whitespace, a token starting with a digit, and a lone "-" or "/" at the end:
+# a character-class test such as str.isalpha gets these wrong.  Each outcome
+# is what parse gave before it tokenized in one pass.
+_LETTER_CASES = [
+    (f"protocol {c} {{ roles A, B; nonce N; A -> B: N; }}", c, 10)
+    for c in "éßЖİ"
+] + [
+    (f"protocol p {{ roles {c}, B; nonce N; {c} -> B: N; }}", c, 20)
+    for c in "éßЖİ"
+] + [
+    (f"protocol p {{ roles A, B; nonce {c}; A -> B: {c}; }}", c, 32)
+    for c in "éßЖİ"
+]
+ONE_LINE = "protocol mini { roles A, B; nonce N; knows A: N; A -> B: N; }"
+CHARACTER_CASES = [
+    (text, f"ParseError: unexpected character {c!r} (line 1, column {col})")
+    for text, c, col in _LETTER_CASES
+] + [
+    (ONE_LINE.replace(" ", space), "ok") for space in ("\xa0", "\x1c", "\u3000")
+] + [
+    ("protocol p { roles A, B; nonce 7N; A -> B: N; }",
+     "ParseError: unexpected character '7' (line 1, column 32)"),
+    (ONE_LINE + "-", "ParseError: unexpected character '-' (line 1, column 62)"),
+    (ONE_LINE + "/", "ParseError: unexpected character '/' (line 1, column 62)"),
+    (ONE_LINE + "\n-", "ParseError: unexpected character '-' (line 2, column 1)"),
+]
+
+
+@pytest.mark.parametrize("text, outcome", CHARACTER_CASES)
+def test_character_class_edges(text, outcome):
+    assert _ends_like_naive(text)
+    try:
+        parse(text)
+        got = "ok"
+    except SpaError as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    assert got == outcome
+
+
+LONG = 200_000
+
+
+@pytest.mark.parametrize("text", [
+    " " * LONG + "@",
+    MINI + " " * LONG,
+    MINI + "/" * LONG,  # a comment of slashes, with no newline
+    "x" * (LONG // 2) + "@",
+], ids=["spaces-then-bad", "trailing-spaces", "long-comment", "long-ident-then-bad"])
+def test_tokenizer_is_linear(text):
+    start = time.perf_counter()
+    try:
+        parse(text)
+    except ParseError:
+        pass
+    assert time.perf_counter() - start < 2.0
+    assert _ends_like_naive(text)
+
+
+def _draws(count: int = 300) -> list:
+    rng = random.Random(2011)
+    return [random_spec(rng) for _ in range(count)]
+
+
+def test_one_freshness_walk_per_role(monkeypatch):
+    walk = spa.parser._fresh_atoms
+    walked = []
+
+    def counted(role, *rest):
+        walked.append(role)
+        return walk(role, *rest)
+
+    monkeypatch.setattr(spa.parser, "_fresh_atoms", counted)
+    texts = [read(path) for path in CORPUS] + [render_spec(s) for s in _draws()]
+    for text in texts:
+        walked.clear()
+        spec = parse(text)
+        project(spec)
+        assert walked == list(spec.roles), text
+
+
+def test_projection_matches_reference():
+    """Knowledge order, fresh atoms, events and Ungeneratable messages as the
+    walk-per-use reference gives them; the draws with knowledge dropped make
+    some roles send what they cannot create."""
+    rng = random.Random(2012)
+    draws = _draws()
+    specs = [chain_spec(n, w) for n in range(1, 25) for w in (4, 8)] + draws
+    specs += [
+        replace(spec, knowledge={
+            label: tuple(e for e in entries if rng.random() < 0.5)
+            for label, entries in spec.knowledge.items()
+        })
+        for spec in draws
+    ]
+    cases = [(parse(read(path)), read(path)) for path in CORPUS]
+    cases += [(spec, render_spec(spec)) for spec in specs]
+    refused = 0
+    for spec, text in cases:
+        try:
+            naive_validate(spec)
+        except Ungeneratable as exc:
+            with pytest.raises(Ungeneratable) as got:
+                parse(text)
+            assert str(got.value) == str(exc)
+            refused += 1
+            continue
+        parsed = parse(text)
+        assert project(parsed) == naive_project(parsed), text
+    assert 20 < refused < 300
+
+
 def test_error_carries_location():
     try:
         parse(MINI.replace("knows A: N;", "knows A: X;"))
@@ -242,8 +377,7 @@ def test_sending_unheld_data_rejected():
 
 def test_unheld_nonce_is_fresh_not_error():
     spec = parse(MINI.replace("knows A: N;", "knows B: N;"))
-    A = spec.roles[0]
-    assert fresh_atoms(spec, A) == frozenset({Atom(AtomKind.NONCE, "N")})
+    assert spec.fresh["A"] == frozenset({Atom(AtomKind.NONCE, "N")})
 
 
 def test_nonce_first_seen_in_reception_not_fresh():
@@ -256,8 +390,7 @@ def test_nonce_first_seen_in_reception_not_fresh():
       B -> A: N;
     }
     """)
-    B = spec.roles[1]
-    assert fresh_atoms(spec, B) == frozenset()
+    assert spec.fresh["B"] == frozenset()
 
 
 def test_projection_golden_knowledge_order():
