@@ -7,12 +7,22 @@ and L_P, and signed overhead constants Ov_h.  Canonical order groups terms
 as: applications to a single type size, L_C, remaining applications without
 S_hash in the argument, applications with S_hash, L_P, overhead; ties break
 by the function enumeration, then first occurrence.
+
+Applications hash once, when built: nearly every one is a dict key several
+times over (merging, cancelling, expanding), and a frozen dataclass would
+hash its whole argument tree again each time.  Copies and unpickled terms
+carry no cached hash and compute it on first use.  `simplify` keeps the
+applications and size expressions it is given when they are already in
+normal form, so simplifying a simplified expression builds no new terms.
+`compare` records its steps as data and renders them into the trace only
+when `CompareResult.trace` is read.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import is_not
 
 from .errors import InvalidOpStrand, ShapeViolation
 from .sizes import (
@@ -29,6 +39,7 @@ from .sizes import (
     render_size,
 )
 from .strands import OPS, Classifier, CostFunc, StrandSpace, TStrand, validate_op_strand
+from .terms import _hash_once
 
 
 _FUNC_RANK = {f: i for i, f in enumerate(CostFunc)}
@@ -45,9 +56,10 @@ EXPANDABLE = (
 
 
 class CostTerm:
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class App(CostTerm):
     func: CostFunc
@@ -57,6 +69,9 @@ class App(CostTerm):
         want = 2 if self.func is CostFunc.F_C else 1
         if len(self.args) != want:
             raise ValueError(f"{self.func.value} takes {want} argument(s)")
+        # the hash `_hash_once` would compute on first use; filling the slot
+        # here costs less than the slot miss, and nearly every App is hashed
+        object.__setattr__(self, "_hash", hash((self.func, self.args)))
 
 
 # L_C and L_P are the flat constants f_c and f_p fold into.  Each names the
@@ -99,29 +114,35 @@ class CostExpr:
 ZERO_COST = CostExpr(())
 
 
-def cost_expr(items) -> CostExpr:
-    """Merge (term, multiplicity) or bare terms in first-occurrence order."""
+def _merged(items) -> dict:
     merged: dict[CostTerm, int] = {}
     for item in items:
         term, mult = item if isinstance(item, tuple) else (item, 1)
         if mult == 0:
             continue
         merged[term] = merged.get(term, 0) + mult
-    return CostExpr(tuple(merged.items()))
+    return merged
 
 
-def _term_key(term: CostTerm):
+def cost_expr(items) -> CostExpr:
+    """Merge (term, multiplicity) or bare terms in first-occurrence order."""
+    return CostExpr(tuple(_merged(items).items()))
+
+
+def _item_key(item: tuple):
+    """Canonical-order key of a (term, multiplicity) pair."""
+    term = item[0]
     if isinstance(term, App):
-        rank = _FUNC_RANK[term.func]
-        if term.func is CostFunc.F_C:
+        func = term.func
+        rank = _FUNC_RANK[func]
+        if func is CostFunc.F_C:
             return (1, rank)
-        if term.func is CostFunc.F_P:
+        if func is CostFunc.F_P:
             return (4, rank)
-        if len(term.args) == 1 and isinstance(term.args[0], TypeSize):
+        arg = term.args[0]  # every other function takes one argument
+        if isinstance(arg, TypeSize):
             return (0, rank)
-        if any(contains_hash(a) for a in term.args):
-            return (3, rank)
-        return (2, rank)
+        return (3 if contains_hash(arg) else 2, rank)
     if isinstance(term, LambdaC):
         return (1, -1)
     if isinstance(term, LambdaP):
@@ -130,9 +151,7 @@ def _term_key(term: CostTerm):
 
 
 def _canonical(items) -> CostExpr:
-    merged = cost_expr(items)
-    ordered = sorted(merged.terms, key=lambda tm: _term_key(tm[0]))
-    return CostExpr(tuple(ordered))
+    return CostExpr(tuple(sorted(_merged(items).items(), key=_item_key)))
 
 
 def cost_of_space(space: StrandSpace) -> CostExpr:
@@ -191,13 +210,18 @@ def _op_cost(s: TStrand, memo: dict) -> CostTerm:
 
 def simplify(e: CostExpr) -> CostExpr:
     """Fold concatenation and processing applications into their constants,
-    normalize arguments, merge like terms, order canonically."""
+    normalize arguments, merge like terms, order canonically.  An
+    application whose arguments are already normal is kept as it is."""
     out = []
     for term, mult in e.terms:
         if isinstance(term, App):
-            term = _FOLDED.get(term.func) or App(
-                term.func, tuple(normalize(a) for a in term.args)
-            )
+            folded = _FOLDED.get(term.func)
+            if folded is not None:
+                term = folded
+            else:
+                args = tuple(map(normalize, term.args))
+                if any(map(is_not, args, term.args)):
+                    term = App(term.func, args)
         out.append((term, mult))
     return _canonical(out)
 
@@ -220,21 +244,17 @@ def expand_one(term: App) -> list[tuple[CostTerm, int]] | None:
     return parts
 
 
-def _expand(terms, trace: list[str] | None = None, label: str = "") -> dict:
+def _expand(terms, steps: list | None = None, label: str = "") -> dict:
     """Apply `expand_one` to every term, merging the results in
-    first-occurrence order; each rewrite is logged to `trace` if given."""
+    first-occurrence order; each rewrite is recorded in `steps` if given."""
     out: dict = {}
     for term, mult in terms:
         parts = expand_one(term) if isinstance(term, App) else None
         if parts is None:
             out[term] = out.get(term, 0) + mult
             continue
-        if trace is not None:
-            units = " + ".join(render_cost_term(t, m) for t, m in parts[:-1])
-            trace.append(
-                f"expand {label}: {render_cost_term(term)} -> {units} - "
-                f"{render_cost_term(*parts[-1])}"
-            )
+        if steps is not None:
+            steps.append(("expand", label, term, parts))
         for t, m in parts:
             out[t] = out.get(t, 0) + m * mult
     return out
@@ -293,14 +313,16 @@ class AssumptionSet:
     dominance: tuple = ((CostFunc.F_PK, CostFunc.F_H), (CostFunc.F_PK, CostFunc.F_SK))
     monotone: bool = True
     max_bytes: float = 4096.0
+    _closure: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         closure = _transitive_closure(self.dominance)
         if any(g is f for g, f in closure):
             raise ValueError("dominance must be irreflexive and acyclic")
+        object.__setattr__(self, "_closure", closure)
 
     def closure(self) -> frozenset:
-        return _transitive_closure(self.dominance)
+        return self._closure
 
 
 def _transitive_closure(pairs) -> frozenset:
@@ -351,10 +373,48 @@ def eval_cost(e: CostExpr, model: CostModel) -> float:
 
 
 class Verdict(enum.Enum):
+    __hash__ = object.__hash__  # members are singletons; see terms.AtomKind
+
     LESS = "Less"
     GREATER = "Greater"
     EQUAL = "Equal"
     INDETERMINATE = "Indeterminate"
+
+
+_VERDICT_OP = {
+    Verdict.LESS: "<",
+    Verdict.GREATER: ">",
+    Verdict.EQUAL: "=",
+    Verdict.INDETERMINATE: "?",
+}
+
+
+def _render_step(step: tuple) -> str:
+    """One trace line from a step `compare` recorded: a kind, then data."""
+    kind = step[0]
+    if kind == "cancel":
+        return f"cancel: {render_cost_term(step[1], step[2])}"
+    if kind == "expand":
+        _, label, term, parts = step
+        units = " + ".join(render_cost_term(t, m) for t, m in parts[:-1])
+        return (
+            f"expand {label}: {render_cost_term(term)} -> {units} - "
+            f"{render_cost_term(*parts[-1])}"
+        )
+    if kind == "drop overhead":
+        _, label, term, mult = step
+        return f"drop overhead ({label}): {render_cost_term(term, mult)}"
+    if kind == "residue":
+        return "overhead residue cannot be discharged"
+    if kind == "empty":
+        full = "right" if step[1] == "left" else "left"
+        return f"{step[1]} residual empty; {full} residual is strictly positive"
+    if kind == "dominance":
+        _, small, op, big = step
+        return f"dominance: {render_cost_term(small)} {op} {render_cost_term(big)}"
+    if kind == "verdict":
+        return f"verdict: {step[1].value}"
+    raise ValueError(f"unknown trace step {kind!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -362,23 +422,23 @@ class CompareResult:
     verdict: Verdict
     left_residual: CostExpr
     right_residual: CostExpr
-    trace: tuple[str, ...]
+    _steps: tuple[tuple, ...]  # what `compare` did, rendered by `trace`
+
+    @property
+    def trace(self) -> tuple[str, ...]:
+        """The steps `compare` took, one line each, rendered on every read."""
+        return tuple(map(_render_step, self._steps))
 
     def residual_line(self) -> str:
-        op = {
-            Verdict.LESS: "<",
-            Verdict.GREATER: ">",
-            Verdict.EQUAL: "=",
-            Verdict.INDETERMINATE: "?",
-        }[self.verdict]
+        op = _VERDICT_OP[self.verdict]
         return f"{render_cost(self.left_residual)} {op} {render_cost(self.right_residual)}"
 
 
-def _cancel(left: dict, right: dict, trace: list[str], stage: str):
+def _cancel(left: dict, right: dict, steps: list):
     for term in list(left):
         if term in right:
             mult = min(left[term], right[term])
-            trace.append(f"{stage}: {render_cost_term(term, mult)}")
+            steps.append(("cancel", term, mult))
             left[term] -= mult
             right[term] -= mult
             if left[term] == 0:
@@ -457,36 +517,38 @@ def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTION
     residuals, cancel again, drop overhead when assumed insignificant, then
     discharge what remains through dominance or monotone subsumption.
     Returns Indeterminate rather than guessing.
-    """
-    trace: list[str] = []
-    left = {term: mult for term, mult in simplify(a).terms}
-    right = {term: mult for term, mult in simplify(b).terms}
 
-    _cancel(left, right, trace, "cancel")
-    left = _expand(left.items(), trace, "left")
-    right = _expand(right.items(), trace, "right")
-    _cancel(left, right, trace, "cancel")
+    Each step is recorded as a tuple, its kind first ("cancel", "expand",
+    "drop overhead", "residue", "empty", "dominance", "verdict") and then
+    the terms it concerns; `CompareResult.trace` renders them to text when
+    read, so a caller that reads only the verdict pays for no rendering.
+    """
+    steps: list[tuple] = []
+    left = dict(simplify(a).terms)
+    right = dict(simplify(b).terms)
+
+    _cancel(left, right, steps)
+    left = _expand(left.items(), steps, "left")
+    right = _expand(right.items(), steps, "right")
+    _cancel(left, right, steps)
 
     if assume.ignore_overhead:
         for side, label in ((left, "left"), (right, "right")):
             for term in [t for t in side if isinstance(t, Overhead)]:
-                trace.append(
-                    f"drop overhead ({label}): {render_cost_term(term, side[term])}"
-                )
-                del side[term]
+                steps.append(("drop overhead", label, term, side.pop(term)))
 
-    verdict = _decide(left, right, assume, trace)
-    trace.append(f"verdict: {verdict.value}")
-    return CompareResult(verdict, _to_expr(left), _to_expr(right), tuple(trace))
+    verdict = _decide(left, right, assume, steps)
+    steps.append(("verdict", verdict))
+    return CompareResult(verdict, _to_expr(left), _to_expr(right), tuple(steps))
 
 
-def _decide(left: dict, right: dict, assume: AssumptionSet, trace: list[str]) -> Verdict:
+def _decide(left: dict, right: dict, assume: AssumptionSet, steps: list) -> Verdict:
     if not left and not right:
         return Verdict.EQUAL
     if any(isinstance(t, Overhead) for t in left) or any(
         isinstance(t, Overhead) for t in right
     ):
-        trace.append("overhead residue cannot be discharged")
+        steps.append(("residue",))
         return Verdict.INDETERMINATE
     closure = assume.closure()
 
@@ -494,19 +556,17 @@ def _decide(left: dict, right: dict, assume: AssumptionSet, trace: list[str]) ->
         return _strictly_dominates(g, f, assume, closure)
 
     if not left:
-        trace.append("left residual empty; right residual is strictly positive")
+        steps.append(("empty", "left"))
         return Verdict.LESS
     if not right:
-        trace.append("right residual empty; left residual is strictly positive")
+        steps.append(("empty", "right"))
         return Verdict.GREATER
     match = _saturating_match(left, right, dominates)
     if match is not None:
-        for s, b in match:
-            trace.append(f"dominance: {render_cost_term(s)} < {render_cost_term(b)}")
+        steps.extend(("dominance", s, "<", b) for s, b in match)
         return Verdict.LESS
     match = _saturating_match(right, left, dominates)
     if match is not None:
-        for s, b in match:
-            trace.append(f"dominance: {render_cost_term(s)} > {render_cost_term(b)}")
+        steps.extend(("dominance", s, ">", b) for s, b in match)
         return Verdict.GREATER
     return Verdict.INDETERMINATE

@@ -5,8 +5,9 @@ of messages.  Projection turns each role into one knowledge strand: a sent
 message is a positive event on the sender's strand and a negative event on
 the recipient's, in message order.  Nonce/key atoms a role emits without
 holding them are marked fresh; participant/user-data atoms in that position
-are rejected, since nothing can create them; parsing finds both in one walk
-per role and keeps the fresh atoms in `ProtocolSpec.fresh`.
+are rejected, since nothing can create them; parsing walks each payload's
+atoms once, finds both in one pass per role over them, and keeps the fresh
+atoms in `ProtocolSpec.fresh`.
 
 Tokenizing is one `re.split` pass that yields the token strings; a token's
 kind shows in its text.  Offsets, lines and columns are worked out only for
@@ -241,13 +242,18 @@ class _Parser:
 
         messages = tuple(messages)
         held = {label: tuple(entries) for label, entries in knowledge.items()}
+        # each payload is walked once and shared by its sender and recipient
+        carried = [tuple(atoms_of(msg.payload)) for msg in messages]
         return ProtocolSpec(
             name=name,
             roles=tuple(roles),
             decls={label: atom.kind for label, atom in self.atoms.items()},
             knowledge=held,
             messages=messages,
-            fresh={r.label: _fresh_atoms(r, held[r.label], messages) for r in roles},
+            fresh={
+                r.label: _fresh_atoms(r, held[r.label], messages, carried)
+                for r in roles
+            },
         )
 
     def message(self) -> Message:
@@ -349,19 +355,22 @@ def role_events(spec: ProtocolSpec, role: Atom) -> list[SignedTerm]:
     return events
 
 
-def _fresh_atoms(role: Atom, entries: tuple, messages: tuple) -> frozenset[Atom]:
+def _fresh_atoms(
+    role: Atom, entries: tuple, messages: tuple, carried: list
+) -> frozenset[Atom]:
     """Atoms the role must create: those it does not hold initially and first
     meets in one of its sends, which must be nonces or keys.  An unheld
-    participant or user-data atom it sends is Ungeneratable."""
+    participant or user-data atom it sends is Ungeneratable.  `carried`
+    holds the atoms of each message's payload, in `atoms_of` order."""
     known = {role}
     for entry in entries:
         known.update(atoms_of(entry))
     fresh = set()
-    for msg in messages:
+    for msg, atoms in zip(messages, carried):
         sends = msg.sender == role
         if not sends and msg.recipient != role:
             continue
-        for atom in atoms_of(msg.payload):
+        for atom in atoms:
             if atom in known:
                 continue
             known.add(atom)

@@ -71,6 +71,19 @@ def ssum(parts) -> SizeExpr:
 
 
 def normalize(e: SizeExpr) -> SizeExpr:
+    """Normal form of e; e itself when it is already normal (a unit, or a
+    sum of distinct units with non-increasing coefficients that is not a
+    lone unit with coefficient 1), so normal terms keep their identity."""
+    if not isinstance(e, Sum):
+        return e
+    items = e.items
+    if len(items) == 1:
+        if items[0][0] != 1:
+            return e
+    elif all(a[0] >= b[0] for a, b in zip(items, items[1:])) and len(
+        {unit for _, unit in items}
+    ) == len(items):
+        return e
     return ssum([e])
 
 

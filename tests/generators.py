@@ -27,7 +27,7 @@ from spa.costs import (
     cost_expr,
 )
 from spa.parser import Message, ProtocolSpec, render_spec
-from spa.sizes import HashSize, SizeModel, TypeSize, ssum
+from spa.sizes import AsymSize, HashSize, SizeModel, Sum, TypeSize, as_multiset, ssum
 from spa.strands import KStrand
 from spa.terms import (
     Atom,
@@ -208,6 +208,40 @@ def random_size_expr(rng: random.Random):
     return ssum(parts)
 
 
+def denormal_size(rng: random.Random, e):
+    """A sum equal to e in value but not in normal form: units reordered,
+    coefficients split into repeated units, a lone unit wrapped in a sum."""
+    parts = []
+    for unit, coeff in as_multiset(e).items():
+        if coeff > 1 and rng.random() < 0.5:
+            parts += [(coeff - 1, unit), (1, unit)]
+        else:
+            parts.append((coeff, unit))
+    rng.shuffle(parts)
+    return Sum(tuple(parts))
+
+
+def denormal_cost_expr(rng: random.Random, e: CostExpr) -> CostExpr:
+    """e with about half its applications given non-normal arguments."""
+    items = []
+    for term, mult in e.terms:
+        if isinstance(term, App) and rng.random() < 0.5:
+            term = App(term.func, tuple(denormal_size(rng, a) for a in term.args))
+        items.append((term, mult))
+    return cost_expr(items)
+
+
+def hashed_terms() -> list:
+    """Cost terms that cache their hash, and an overhead term that does not."""
+    sr, sn, sk = (TypeSize(b) for b in (BasicTT.R, BasicTT.N, BasicTT.K))
+    return [
+        App(CostFunc.F_H, (ssum([sn, sn, sr]),)),
+        App(CostFunc.F_C, (sn, sr)),
+        App(CostFunc.F_PK, (AsymSize(ssum([sn, sk])),)),
+        Overhead(-1),
+    ]
+
+
 def random_cost_expr(rng: random.Random) -> CostExpr:
     items = []
     for _ in range(rng.randint(1, 6)):
@@ -250,6 +284,26 @@ def random_eval_model(rng: random.Random) -> CostModel:
     )
 
 
+# the five assumption sets of acceptance criterion 8
+ASSUMPTION_SETS = (
+    AssumptionSet(),
+    AssumptionSet(ignore_overhead=False),
+    AssumptionSet(
+        dominance=(
+            (CostFunc.F_PK, CostFunc.F_H),
+            (CostFunc.F_H, CostFunc.F_SK),
+            (CostFunc.F_SK, CostFunc.F_NG),
+        ),
+        max_bytes=1024.0,
+    ),
+    AssumptionSet(
+        ignore_overhead=False,
+        dominance=((CostFunc.F_C, CostFunc.F_P), (CostFunc.F_PK, CostFunc.F_C)),
+    ),
+    AssumptionSet(dominance=()),
+)
+
+
 def _dominance_levels(assume: AssumptionSet) -> dict:
     closure = assume.closure()
 
@@ -290,8 +344,6 @@ def sound_model(rng: random.Random, assume: AssumptionSet) -> CostModel:
 def bounded_size_expr(rng: random.Random, cap: float = 4096.0):
     """Size expression whose value stays within [1, cap] for the size
     ranges _random_size_model draws from."""
-    from spa.sizes import AsymSize
-
     weighted = (
         [(TypeSize(b), 32.0) for b in BASICS]
         + [(HashSize(), 64.0)]

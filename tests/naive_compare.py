@@ -1,0 +1,160 @@
+"""Eager reference comparator for the differential tests.
+
+`naive_compare` is a copy of `compare` before it recorded its steps as
+data: it renders every trace line as it goes, `naive_simplify` rebuilds
+every application and sum it is given (normalizing through `ssum`), the
+canonical order is the old key with its generic argument scan, and the
+dominance closure is worked out again on every call.  It shares with the
+library only the rules that did not change: merging (`cost_expr`), the
+additivity law (`expand_one`), term rendering, dominance between two terms
+and the matching.  It is kept only so that tests can require the library's
+`compare` to return the same verdict, residuals and trace.
+"""
+
+from __future__ import annotations
+
+from spa.costs import (
+    App,
+    CostExpr,
+    CostFunc,
+    LambdaC,
+    LambdaP,
+    Overhead,
+    Verdict,
+    _FUNC_RANK,
+    _saturating_match,
+    _strictly_dominates,
+    _transitive_closure,
+    cost_expr,
+    expand_one,
+    render_cost_term,
+)
+from spa.sizes import TypeSize, contains_hash, ssum
+
+_FOLD = {CostFunc.F_C: LambdaC(), CostFunc.F_P: LambdaP()}
+
+
+def _term_key(term):
+    if isinstance(term, App):
+        rank = _FUNC_RANK[term.func]
+        if term.func is CostFunc.F_C:
+            return (1, rank)
+        if term.func is CostFunc.F_P:
+            return (4, rank)
+        if len(term.args) == 1 and isinstance(term.args[0], TypeSize):
+            return (0, rank)
+        if any(contains_hash(a) for a in term.args):
+            return (3, rank)
+        return (2, rank)
+    if isinstance(term, LambdaC):
+        return (1, -1)
+    if isinstance(term, LambdaP):
+        return (4, -1)
+    return (5, -term.sign)
+
+
+def _canonical(items) -> CostExpr:
+    merged = cost_expr(items)
+    return CostExpr(tuple(sorted(merged.terms, key=lambda tm: _term_key(tm[0]))))
+
+
+def naive_simplify(e: CostExpr) -> CostExpr:
+    out = []
+    for term, mult in e.terms:
+        if isinstance(term, App):
+            term = _FOLD.get(term.func) or App(
+                term.func, tuple(ssum([a]) for a in term.args)
+            )
+        out.append((term, mult))
+    return _canonical(out)
+
+
+def _expand(terms, trace: list, label: str) -> dict:
+    out: dict = {}
+    for term, mult in terms:
+        parts = expand_one(term) if isinstance(term, App) else None
+        if parts is None:
+            out[term] = out.get(term, 0) + mult
+            continue
+        units = " + ".join(render_cost_term(t, m) for t, m in parts[:-1])
+        trace.append(
+            f"expand {label}: {render_cost_term(term)} -> {units} - "
+            f"{render_cost_term(*parts[-1])}"
+        )
+        for t, m in parts:
+            out[t] = out.get(t, 0) + m * mult
+    return out
+
+
+def _cancel(left: dict, right: dict, trace: list):
+    for term in list(left):
+        if term in right:
+            mult = min(left[term], right[term])
+            trace.append(f"cancel: {render_cost_term(term, mult)}")
+            left[term] -= mult
+            right[term] -= mult
+            if left[term] == 0:
+                del left[term]
+            if right[term] == 0:
+                del right[term]
+
+
+def naive_compare(a: CostExpr, b: CostExpr, assume):
+    """(verdict, left residual, right residual, trace) of comparing a and b."""
+    trace: list[str] = []
+    left = {term: mult for term, mult in naive_simplify(a).terms}
+    right = {term: mult for term, mult in naive_simplify(b).terms}
+
+    _cancel(left, right, trace)
+    left = _expand(left.items(), trace, "left")
+    right = _expand(right.items(), trace, "right")
+    _cancel(left, right, trace)
+
+    if assume.ignore_overhead:
+        for side, label in ((left, "left"), (right, "right")):
+            for term in [t for t in side if isinstance(t, Overhead)]:
+                trace.append(
+                    f"drop overhead ({label}): {render_cost_term(term, side[term])}"
+                )
+                del side[term]
+
+    verdict = _decide(left, right, assume, trace)
+    trace.append(f"verdict: {verdict.value}")
+    return (
+        verdict,
+        _canonical(list(left.items())),
+        _canonical(list(right.items())),
+        tuple(trace),
+    )
+
+
+def _decide(left: dict, right: dict, assume, trace: list) -> Verdict:
+    if not left and not right:
+        return Verdict.EQUAL
+    if any(isinstance(t, Overhead) for t in left) or any(
+        isinstance(t, Overhead) for t in right
+    ):
+        trace.append("overhead residue cannot be discharged")
+        return Verdict.INDETERMINATE
+    closure = _transitive_closure(assume.dominance)
+
+    def dominates(g, f):
+        return _strictly_dominates(g, f, assume, closure)
+
+    if not left:
+        trace.append("left residual empty; right residual is strictly positive")
+        return Verdict.LESS
+    if not right:
+        trace.append("right residual empty; left residual is strictly positive")
+        return Verdict.GREATER
+    match = _saturating_match(left, right, dominates)
+    if match is not None:
+        for s, b in match:
+            trace.append(f"dominance: {render_cost_term(s)} < {render_cost_term(b)}")
+        return Verdict.LESS
+    match = _saturating_match(right, left, dominates)
+    if match is not None:
+        for s, b in match:
+            trace.append(f"dominance: {render_cost_term(s)} > {render_cost_term(b)}")
+        return Verdict.GREATER
+    return Verdict.INDETERMINATE

@@ -18,7 +18,7 @@ from spa import (
     render_cost,
     simplify,
 )
-from spa.costs import AssumptionSet, CostFunc, Verdict, expand_additivity
+from spa.costs import Verdict, expand_additivity
 from spa.errors import Ungeneratable, Unrecoverable
 from spa.oracle import op_count_oracle
 from spa.sizes import HashSize, add, delta, normalize
@@ -26,6 +26,7 @@ from spa.strands import Classifier, render_kstrand
 from spa.terms import FuncName, TEnc, TPair, render_tterm
 
 from .generators import (
+    ASSUMPTION_SETS,
     decisive_pair,
     random_cost_expr,
     random_eval_model,
@@ -161,25 +162,6 @@ def test_criterion_7_evaluation_preservation():
                 assert math.isclose(value, base, rel_tol=1e-9, abs_tol=1e-9)
 
     _report(7, "evaluation preserved by rewrites, 1000 pairs", 10.0, check)
-
-
-ASSUMPTION_SETS = (
-    AssumptionSet(),
-    AssumptionSet(ignore_overhead=False),
-    AssumptionSet(
-        dominance=(
-            (CostFunc.F_PK, CostFunc.F_H),
-            (CostFunc.F_H, CostFunc.F_SK),
-            (CostFunc.F_SK, CostFunc.F_NG),
-        ),
-        max_bytes=1024.0,
-    ),
-    AssumptionSet(
-        ignore_overhead=False,
-        dominance=((CostFunc.F_C, CostFunc.F_P), (CostFunc.F_PK, CostFunc.F_C)),
-    ),
-    AssumptionSet(dominance=()),
-)
 
 
 def test_criterion_8_comparator_soundness():

@@ -1,8 +1,14 @@
 """Cost algebra: construction, simplification, expansion, evaluation,
 comparison."""
 
+import copy
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +24,7 @@ from spa import (
     render_cost,
     simplify,
 )
+import spa.costs
 from spa import sizes
 from spa.costs import (
     DEFAULT_ASSUMPTIONS,
@@ -52,8 +59,18 @@ from spa.terms import (
     TPair,
 )
 
-from .generators import chain_spec, random_cost_expr, random_eval_model, random_spec
-from .helpers import CORPUS, KEY_WRAP, X509_ORIGINAL, read
+from .generators import (
+    ASSUMPTION_SETS,
+    chain_spec,
+    decisive_pair,
+    denormal_cost_expr,
+    hashed_terms,
+    random_cost_expr,
+    random_eval_model,
+    random_spec,
+)
+from .helpers import CORPUS, KEY_WRAP, ROOT, X509_ORIGINAL, read
+from .naive_compare import naive_compare
 from .naive_sizes import naive_cost_of_space
 
 SR, SN, SK_, SM = (TypeSize(tt) for tt in BasicTT)
@@ -402,6 +419,136 @@ def test_compare_simplifies_inputs():
     raw = cost_expr([App(CostFunc.F_C, (SN, SR))])
     folded = cost_expr([LambdaC()])
     assert compare(raw, folded).verdict is Verdict.EQUAL
+
+
+def _role_costs() -> list:
+    """Raw cost of every role of every bundled protocol that extracts."""
+    out = []
+    for path in CORPUS:
+        for strand in project(parse(read(path))).strands:
+            try:
+                out.append(cost_of_space(extract(strand).space()))
+            except (Ungeneratable, Unrecoverable):
+                pass
+    return out
+
+
+def _compare_cases():
+    rng = random.Random(0xC0A2)
+    for assume in ASSUMPTION_SETS:
+        for _ in range(60):
+            a, b = random_cost_expr(rng), random_cost_expr(rng)
+            shared = list(random_cost_expr(rng).terms)
+            yield a, b, assume
+            yield cost_expr(list(a.terms) + shared), cost_expr(shared + list(b.terms)), assume
+            yield denormal_cost_expr(rng, a), denormal_cost_expr(rng, a), assume
+            x, y, _ = decisive_pair(rng, assume)
+            yield x, y, assume
+            yield y, x, assume
+    roles = _role_costs()
+    for assume in ASSUMPTION_SETS:
+        for a in roles:
+            for b in roles:
+                yield a, b, assume
+                yield simplify(a), simplify(b), assume
+
+
+def test_compare_matches_eager_reference():
+    # every kind of step shows up in some trace
+    kinds = {"cancel", "expand", "drop overhead", "overhead residue", "left residual",
+             "right residual", "dominance", "verdict"}
+    seen = set()
+    cases = 0
+    for a, b, assume in _compare_cases():
+        res = compare(a, b, assume)
+        verdict, left, right, trace = naive_compare(a, b, assume)
+        assert res.verdict is verdict
+        assert res.left_residual.terms == left.terms
+        assert res.right_residual.terms == right.terms
+        assert res.trace == trace
+        assert isinstance(res.trace, tuple)
+        seen.update(k for k in kinds for line in trace if line.startswith(k))
+        cases += 1
+    assert seen == kinds and cases > 2000
+
+
+def test_trace_rendered_only_when_read(monkeypatch):
+    rendered = []
+    render = spa.costs.render_cost_term
+
+    def counted(*args):
+        rendered.append(args)
+        return render(*args)
+
+    monkeypatch.setattr(spa.costs, "render_cost_term", counted)
+    shared = app(CostFunc.F_H, SN)
+    a = cost_expr([shared, app(CostFunc.F_SK, SN, SR), app(CostFunc.F_H, SR)])
+    b = cost_expr([shared, app(CostFunc.F_SK, SN), app(CostFunc.F_SK, SR),
+                   app(CostFunc.F_PK, SR)])
+    res = compare(a, b, AssumptionSet())
+    assert rendered == []
+    assert res.verdict is Verdict.LESS
+    trace = res.trace
+    assert rendered and trace == naive_compare(a, b, AssumptionSet())[3]
+    assert any(line.startswith("expand") for line in trace)
+    assert any(line.startswith("dominance") for line in trace)
+
+
+def test_simplify_keeps_simplified_terms():
+    rng = random.Random(0x51A)
+    for _ in range(300):
+        once = simplify(denormal_cost_expr(rng, random_cost_expr(rng)))
+        twice = simplify(once)
+        assert twice == once
+        assert all(t is u for (t, _), (u, _) in zip(once.terms, twice.terms))
+
+
+_PICKLE_HASHED = (
+    "import pickle, sys; from tests.generators import hashed_terms; "
+    "sys.stdout.buffer.write(pickle.dumps(hashed_terms()))"
+)
+
+
+def _pickled_elsewhere() -> list:
+    # another interpreter gives CostFunc members other identity hashes, so
+    # a hash carried over in the pickle would not match this process's
+    src = str(Path(spa.costs.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _PICKLE_HASHED], check=True, capture_output=True,
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    return pickle.loads(out)
+
+
+@pytest.mark.parametrize("how", ["built", "copy", "deepcopy", "pickle", "subprocess"])
+def test_cached_hashes_are_rebuilt_not_carried(how):
+    fresh = hashed_terms()
+    made = {
+        "built": hashed_terms,
+        "copy": lambda: [copy.copy(t) for t in hashed_terms()],
+        "deepcopy": lambda: copy.deepcopy(hashed_terms()),
+        "pickle": lambda: pickle.loads(pickle.dumps(hashed_terms())),
+        "subprocess": _pickled_elsewhere,
+    }[how]()
+    table = {t: i for i, t in enumerate(fresh)}
+    for i, (t, twin) in enumerate(zip(made, fresh)):
+        assert t == twin and hash(t) == hash(twin)
+        if isinstance(t, App):  # the hash of its fields, cached or not
+            assert hash(t) == hash((t.func, t.args))
+        assert table[t] == i and {t: i}[twin] == i
+
+
+def test_assumption_closure_is_kept_but_not_compared():
+    dominance = ((CostFunc.F_PK, CostFunc.F_H), (CostFunc.F_H, CostFunc.F_S))
+    a = AssumptionSet(dominance=dominance, max_bytes=512.0)
+    assert a.closure() is a.closure()
+    assert a.closure() == frozenset(dominance + ((CostFunc.F_PK, CostFunc.F_S),))
+    assert a == AssumptionSet(dominance=dominance, max_bytes=512.0)
+    assert hash(a) == hash(AssumptionSet(dominance=dominance, max_bytes=512.0))
+    assert "closure" not in repr(a)
+    for back in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert back == a and hash(back) == hash(a)
+        assert back.closure() == a.closure()
 
 
 def test_dominance_covers_lambda_constants():

@@ -290,6 +290,24 @@ def test_one_freshness_walk_per_role(monkeypatch):
         assert walked == list(spec.roles), text
 
 
+def test_one_atom_walk_per_payload_and_entry(monkeypatch):
+    walk = spa.parser.atoms_of
+    walked = []
+
+    def counted(t):
+        walked.append(t)
+        return walk(t)
+
+    monkeypatch.setattr(spa.parser, "atoms_of", counted)
+    texts = [read(path) for path in CORPUS] + [render_spec(s) for s in _draws()]
+    for text in texts:
+        walked.clear()
+        spec = parse(text)
+        entries = [t for held in spec.knowledge.values() for t in held]
+        payloads = [msg.payload for msg in spec.messages]
+        assert sorted(map(id, walked)) == sorted(map(id, entries + payloads)), text
+
+
 def test_projection_matches_reference():
     """Knowledge order, fresh atoms, events and Ungeneratable messages as the
     walk-per-use reference gives them; the draws with knowledge dropped make

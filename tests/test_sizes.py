@@ -26,7 +26,7 @@ from spa.sizes import (
 )
 from spa.terms import Basic, BasicTT, FuncName, TEmpty, TEnc, TPair
 
-from .generators import random_tterm
+from .generators import denormal_size, random_size_expr, random_tterm
 
 R, N, K, M = (Basic(tt) for tt in BasicTT)
 SR, SN = TypeSize(BasicTT.R), TypeSize(BasicTT.N)
@@ -150,6 +150,26 @@ def test_normalize_idempotent(seed):
     rng = random.Random(seed)
     e = delta(random_tterm(rng))
     assert normalize(e) == normalize(normalize(e))
+
+
+def test_normalize_keeps_normal_sums():
+    # normalize agrees with ssum, and returns its argument exactly when that
+    # is already what ssum would build
+    rng = random.Random(0x50B)
+    kept = rebuilt = 0
+    for _ in range(500):
+        e = random_size_expr(rng)
+        backwards = Sum(tuple((c, u) for u, c in reversed(as_multiset(e).items())))
+        for x in (e, denormal_size(rng, e), backwards):
+            got = normalize(x)
+            assert got == ssum([x])
+            if ssum([x]) == x:
+                assert got is x
+                kept += 1
+            else:
+                rebuilt += 1
+    assert kept > 500 and rebuilt > 300
+    assert normalize(SR) is SR and normalize(ZERO) is ZERO
 
 
 @given(seeds)

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spa import parse
-from spa.costs import CostFunc
+from spa.costs import CostFunc, Verdict
 from spa.strands import Classifier
 from spa.terms import (
     Atom,
@@ -113,9 +113,12 @@ def test_atoms_of_matches_recursive_walk():
     assert walked > 1000
 
 
-@pytest.mark.parametrize("enum_cls", [AtomKind, FuncName, BasicTT, Classifier, CostFunc])
+@pytest.mark.parametrize(
+    "enum_cls", [AtomKind, FuncName, BasicTT, Classifier, CostFunc, Verdict]
+)
 def test_enum_members_stay_keys_after_pickling(enum_cls):
     # members hash by identity; unpickling must return the very member
+    assert enum_cls.__hash__ is object.__hash__
     table = {member: i for i, member in enumerate(enum_cls)}
     for i, member in enumerate(enum_cls):
         back = pickle.loads(pickle.dumps(member))
