@@ -173,13 +173,24 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
     result equals pricing strand by strand.  Interned payloads (see
     `type_erase`) compare by identity when grouped, and every typed subterm
     is sized once per call.
+
+    Strands may share one sequence object, as `extract`'s operations of one
+    shape do.  Validating and grouping depend only on the classifier and
+    the sequence, so each (classifier, sequence object) is handled once and
+    later strands with it are only counted (the space keeps every sequence
+    alive, so `id`s are not reused during the call).
     """
     ops: dict[tuple, list] = {}  # (classifier, *inputs) -> [first strand, count]
     procs: dict = {}  # positive typed payload -> count
+    seqs: dict[tuple, list] = {}  # (classifier, id(seq)) -> [key, seq, later strands]
     for s in space.strands:
         if not isinstance(s, TStrand):
             raise InvalidOpStrand(f"not a typed strand: {s!r}")
         if s.classifier is Classifier.C_P:
+            continue
+        seen = seqs.get((s.classifier, id(s.seq)))
+        if seen is not None:
+            seen[2] += 1
             continue
         try:
             validate_op_strand(s)
@@ -196,6 +207,13 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
             ops[key] = [s, 1]
         else:
             group[1] += 1
+        seqs[s.classifier, id(s.seq)] = [key, s.seq, 0]
+    for key, seq, n in seqs.values():
+        if n:
+            ops[key][1] += n
+            for ev in seq:
+                if ev.sign > 0:
+                    procs[ev.payload] += n
     memo: dict = {}
     return cost_expr(
         [(_op_cost(s, memo), n) for s, n in ops.values()]
@@ -410,8 +428,8 @@ def _render_step(step: tuple) -> str:
         full = "right" if step[1] == "left" else "left"
         return f"{step[1]} residual empty; {full} residual is strictly positive"
     if kind == "dominance":
-        _, small, op, big = step
-        return f"dominance: {render_cost_term(small)} {op} {render_cost_term(big)}"
+        _, first, op, second = step
+        return f"dominance: {render_cost_term(first)} {op} {render_cost_term(second)}"
     if kind == "verdict":
         return f"verdict: {step[1].value}"
     raise ValueError(f"unknown trace step {kind!r}")
@@ -567,6 +585,7 @@ def _decide(left: dict, right: dict, assume: AssumptionSet, steps: list) -> Verd
         return Verdict.LESS
     match = _saturating_match(right, left, dominates)
     if match is not None:
-        steps.extend(("dominance", s, ">", b) for s, b in match)
+        # left terms dominate, and each line reads in residual order
+        steps.extend(("dominance", b, ">", s) for s, b in match)
         return Verdict.GREATER
     return Verdict.INDETERMINATE

@@ -7,7 +7,10 @@ from known material (splitting pairs, decrypting under held symmetric
 keys), generate (nonces and keys only), otherwise fail.  Every operation
 emits one classifier strand over type-erased terms, and every term built,
 received, or recovered joins the knowledge set, so nothing is ever built
-twice.
+twice.  Typed terms are interned, and operations of one shape (classifier
+and typed payloads) share one event sequence object, built on its first
+use; each still gets a strand object of its own, since edges and DOT tell
+strands apart by identity.  Pricing handles a shared sequence once.
 
 Recovery takes the path from the first knowledge entry (in insertion
 order) that exposes the target, descending leftmost through pairs and
@@ -42,6 +45,7 @@ from .terms import (
     SignedTTerm,
     Term,
     TTerm,
+    _intern,
     atoms_of,
     type_erase,
 )
@@ -90,6 +94,9 @@ class _State:
         self.next_rank = 0
         # type_erase's memo: equal typed terms are one object per extraction
         self.erased: dict = {}
+        # (classifier, ids of interned typed payloads) -> the one event
+        # sequence every operation of that shape shares
+        self.seqs: dict[tuple, tuple[SignedTTerm, ...]] = {}
         self.ops: list[TStrand] = []
         for t in strand.working_knowledge():
             self.learn(t)
@@ -145,9 +152,13 @@ class _State:
     def erase(self, t: Term) -> TTerm:
         return type_erase(t, self.erased)
 
-    def emit(self, classifier: Classifier, *payloads: Term) -> None:
-        events = zip(OPS[classifier].signs, payloads, strict=True)
-        seq = tuple(SignedTTerm(sign, self.erase(t)) for sign, t in events)
+    def emit(self, classifier: Classifier, *payloads: TTerm) -> None:
+        """Append an operation strand over interned typed payloads."""
+        key = (classifier, *map(id, payloads))
+        seq = self.seqs.get(key)
+        if seq is None:
+            events = zip(OPS[classifier].signs, payloads, strict=True)
+            seq = self.seqs[key] = tuple(SignedTTerm(*e) for e in events)
         self.ops.append(TStrand(classifier, self.participant, seq))
 
 
@@ -174,18 +185,19 @@ def extract(s: KStrand) -> Extraction:
     for event in s.seq:
         if event.sign < 0:
             state.learn(event.payload)
+            erased = state.erase(event.payload)
         else:
-            _construct(event.payload, state)
-        process_seq.append(SignedTTerm(event.sign, state.erase(event.payload)))
+            erased = _construct(event.payload, state)
+        process_seq.append(SignedTTerm(event.sign, erased))
     process = TStrand(Classifier.C_P, s.participant, tuple(process_seq))
     return Extraction(process, tuple(state.ops))
 
 
-def _construct(t: Term, state: _State) -> None:
-    if t in state.knowledge:
-        return
-    if _recover(t, state):
-        return
+def _construct(t: Term, state: _State) -> TTerm:
+    """Make t known, emitting the operations that build it; return its
+    typed term."""
+    if t in state.knowledge or _recover(t, state):
+        return state.erase(t)
     if isinstance(t, Atom):
         if t.kind in _GEN_CLASSIFIER:
             if t in state.atoms:
@@ -193,25 +205,28 @@ def _construct(t: Term, state: _State) -> None:
                     f"{state.participant.label} holds {t.label} only sealed "
                     "inside terms it cannot open"
                 )
-            state.emit(_GEN_CLASSIFIER[t.kind], t)
+            erased = state.erase(t)
+            state.emit(_GEN_CLASSIFIER[t.kind], erased)
             state.learn(t)
-            return
+            return erased
         raise Ungeneratable(
             f"{state.participant.label} does not hold {t.label} and "
             f"{t.kind.value} atoms cannot be generated"
         )
     if isinstance(t, Pair):
-        _construct(t.left, state)
-        _construct(t.right, state)
-        state.emit(Classifier.C_C, t.left, t.right, t)
-        state.learn(t, walk=False)
-        return
-    assert isinstance(t, Enc)
-    if t.func is not FuncName.H:
-        _construct(t.key, state)
-    _construct(t.body, state)
-    state.emit(_ENC_CLASSIFIER[t.func], t.body, t)
+        left = _construct(t.left, state)
+        right = _construct(t.right, state)
+        erased = _intern(t, state.erased, left, right)
+        state.emit(Classifier.C_C, left, right, erased)
+    else:
+        assert isinstance(t, Enc)
+        if t.func is not FuncName.H:
+            _construct(t.key, state)
+        body = _construct(t.body, state)
+        erased = _intern(t, state.erased, body)
+        state.emit(_ENC_CLASSIFIER[t.func], body, erased)
     state.learn(t, walk=False)
+    return erased
 
 
 def _recover(target: Term, state: _State) -> bool:
@@ -227,11 +242,13 @@ def _recover(target: Term, state: _State) -> bool:
     for step, child in zip(path, path[1:]):
         if child in state.knowledge:
             continue
+        # an interned typed term's parts are interned too
+        erased = state.erase(step)
         if isinstance(step, Pair):
-            state.emit(Classifier.C_I, step, step.left, step.right)
+            state.emit(Classifier.C_I, erased, erased.left, erased.right)
             state.learn(step.left, walk=False)
             state.learn(step.right, walk=False)
         else:
-            state.emit(Classifier.C_D, step, step.body)
+            state.emit(Classifier.C_D, erased, erased.body)
             state.learn(step.body, walk=False)
     return True

@@ -193,11 +193,7 @@ def type_erase(t: Term, memo: dict | None = None) -> TTerm:
 
     `memo`, when given, maps terms already erased to their results and is
     extended with every subterm erased here.  It also hash-conses: equal
-    typed terms erased through one memo are one object.  A typed term is
-    looked up by its basic type, or by its function and the identities of
-    its already-interned children, so interning never hashes or compares a
-    typed term deeply; the memo keeps those children alive, so their
-    identities are not reused while it lives.
+    typed terms erased through one memo are one object (see `_intern`).
     """
     if memo is None:
         memo = {}
@@ -210,22 +206,28 @@ def type_erase(t: Term, memo: dict | None = None) -> TTerm:
         if e is None:
             e = memo[key] = Basic(key)
     elif isinstance(t, Pair):
-        left = type_erase(t.left, memo)
-        right = type_erase(t.right, memo)
-        key = (id(left), id(right))
-        e = memo.get(key)
-        if e is None:
-            e = memo[key] = TPair(left, right)
+        return _intern(t, memo, type_erase(t.left, memo), type_erase(t.right, memo))
     elif isinstance(t, Enc):
-        body = type_erase(t.body, memo)
-        key = (id(body), t.func)
-        e = memo.get(key)
-        if e is None:
-            e = memo[key] = TEnc(body, t.func)
+        return _intern(t, memo, type_erase(t.body, memo))
     elif isinstance(t, Empty):
         e = TEmpty()
     else:
         raise TypeError(f"not a term: {t!r}")
+    memo[t] = e
+    return e
+
+
+def _intern(t: Pair | Enc, memo: dict, *parts: TTerm) -> TTerm:
+    """The typed term of the pair or cipher t, whose left and right (or body)
+    erase to `parts`, already interned through `memo`; recorded there under
+    t.  It is looked up by its function and the identities of its parts, so
+    interning never hashes or compares a typed term deeply; the memo keeps
+    the parts alive, so their identities are not reused while it lives."""
+    pair = isinstance(t, Pair)
+    key = (id(parts[0]), id(parts[1])) if pair else (id(parts[0]), t.func)
+    e = memo.get(key)
+    if e is None:
+        e = memo[key] = TPair(*parts) if pair else TEnc(parts[0], t.func)
     memo[t] = e
     return e
 

@@ -155,6 +155,6 @@ def _decide(left: dict, right: dict, assume, trace: list) -> Verdict:
     match = _saturating_match(right, left, dominates)
     if match is not None:
         for s, b in match:
-            trace.append(f"dominance: {render_cost_term(s)} > {render_cost_term(b)}")
+            trace.append(f"dominance: {render_cost_term(b)} > {render_cost_term(s)}")
         return Verdict.GREATER
     return Verdict.INDETERMINATE

@@ -206,6 +206,17 @@ def test_compare_trace():
     assert any(step.startswith("dominance:") for step in steps)
 
 
+def test_greater_trace_puts_the_dominating_term_first():
+    for config in ((), ("--config", DEFAULT_CONFIG)):
+        code, out, _ = run_cli(
+            "compare", X509_MODIFIED, X509_ORIGINAL, "--trace", *config,
+        )
+        assert code == 0
+        lines = [line.strip() for line in out.splitlines()]
+        assert lines[:2] == ["verdict: Greater", "residual: f_pk(|n|) > f_h(|n|)"]
+        assert "dominance: f_pk(|n|) > f_h(|n|)" in lines
+
+
 def test_compare_self_is_equal():
     code, out, _ = run_cli("compare", ANDREW, ANDREW, "--role", "B")
     assert code == 0

@@ -44,6 +44,7 @@ from spa.costs import (
     cost_expr,
     expand_additivity,
     expand_one,
+    render_cost_term,
 )
 from spa.errors import InvalidOpStrand, Ungeneratable, Unrecoverable
 from spa.sizes import HashSize, SizeModel, TypeSize, render_size, ssum
@@ -224,6 +225,68 @@ def test_malformed_strand_after_a_well_formed_twin_is_refused():
         cost_of_space(StrandSpace((
             op(Classifier.C_N, (1, n)), op(Classifier.C_N, (-1, n)),
         )))
+
+
+def test_shared_sequence_is_validated_under_each_classifier():
+    n = Basic(BasicTT.N)
+    seq = (SignedTTerm(-1, n), SignedTTerm(1, TEnc(n, FuncName.SK)))
+    wrap = TStrand(Classifier.C_E, PA, seq)
+    cost_of_space(StrandSpace((wrap, wrap, TStrand(Classifier.C_E, PA, seq))))
+    with pytest.raises(InvalidOpStrand, match="C_H: position 2"):
+        cost_of_space(StrandSpace((wrap, TStrand(Classifier.C_H, PA, seq))))
+
+
+def test_shared_and_unshared_sequences_price_strand_by_strand():
+    n, k, m = (Basic(tt) for tt in (BasicTT.N, BasicTT.K, BasicTT.M))
+
+    def seqs():
+        # fresh sequence objects on every call: equal to the last call's, not identical
+        nk = TPair(n, k)
+        return [
+            (Classifier.C_N, (SignedTTerm(1, Basic(BasicTT.N)),)),
+            (Classifier.C_E, (SignedTTerm(-1, nk), SignedTTerm(1, TEnc(nk, FuncName.SK)))),
+            (Classifier.C_D, (SignedTTerm(-1, TEnc(nk, FuncName.SK)), SignedTTerm(1, nk))),
+            (Classifier.C_C, (SignedTTerm(-1, n), SignedTTerm(-1, k), SignedTTerm(1, nk))),
+            (Classifier.C_I, (SignedTTerm(-1, nk), SignedTTerm(1, n), SignedTTerm(1, k))),
+            (Classifier.C_H, (SignedTTerm(-1, m), SignedTTerm(1, TEnc(m, FuncName.H)))),
+        ]
+
+    rng = random.Random(0x5AE)
+    process = TStrand(Classifier.C_P, PA, (SignedTTerm(1, n),))
+    chain = [s for spec in (chain_spec(5, 2), chain_spec(8, 3)) for s in project(spec).strands]
+    for _ in range(200):
+        shared = seqs()
+        strands = [process]
+        for _ in range(rng.randrange(1, 30)):
+            classifier, seq = rng.choice(shared if rng.random() < 0.7 else seqs())
+            strands.append(TStrand(classifier, PA, seq))
+        strands += extract(rng.choice(chain)).ops[: rng.randrange(40)]
+        rng.shuffle(strands)
+        space = StrandSpace(tuple(strands))
+        # same terms, same order, same multiplicities
+        assert cost_of_space(space) == naive_cost_of_space(space)
+
+
+def test_each_shared_sequence_is_validated_once(monkeypatch):
+    calls = 0
+    validate = spa.costs.validate_op_strand
+
+    def counted(s):
+        nonlocal calls
+        calls += 1
+        return validate(s)
+
+    monkeypatch.setattr(spa.costs, "validate_op_strand", counted)
+    per_role = set()
+    for n in (4, 12, 24):
+        for s in project(chain_spec(n, 4)).strands:
+            ops = extract(s).ops
+            calls = 0
+            cost_of_space(StrandSpace(ops))
+            assert calls == len({(op.classifier, id(op.seq)) for op in ops})
+            per_role.add((s.participant.label, calls))
+    # one call per distinct shape, however long the chain
+    assert per_role == {("A", 23), ("B", 18)}
 
 
 def typed_subterms(t, into: set) -> set:
@@ -470,6 +533,25 @@ def test_compare_matches_eager_reference():
         seen.update(k for k in kinds for line in trace if line.startswith(k))
         cases += 1
     assert seen == kinds and cases > 2000
+
+
+def test_dominance_lines_read_as_the_verdict():
+    # the dominating term comes first under Greater, as in the residual line
+    seen = set()
+    for a, b, assume in _compare_cases():
+        res = compare(a, b, assume)
+        left = {render_cost_term(t) for t, _ in res.left_residual.terms}
+        right = {render_cost_term(t) for t, _ in res.right_residual.terms}
+        for line in res.trace:
+            if line.startswith("dominance: "):
+                op = "<" if res.verdict is Verdict.LESS else ">"
+                first, second = line[len("dominance: "):].split(f" {op} ")
+                assert first in left and second in right, (line, res.residual_line())
+                seen.add(res.verdict)
+    assert seen == {Verdict.LESS, Verdict.GREATER}
+    res = compare(cost_expr([app(CostFunc.F_PK, SN)]), cost_expr([app(CostFunc.F_H, SN)]))
+    assert res.residual_line() == "f_pk(|n|) > f_h(|n|)"
+    assert res.trace == ("dominance: f_pk(|n|) > f_h(|n|)", "verdict: Greater")
 
 
 def test_trace_rendered_only_when_read(monkeypatch):

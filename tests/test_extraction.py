@@ -276,6 +276,26 @@ def test_equal_typed_payloads_are_one_object():
     assert visited > 1000
 
 
+def test_operations_of_one_shape_share_one_sequence():
+    specs = [chain_spec(24, 4)] + [parse(read(path)) for path in CORPUS]
+    rng = random.Random(0x5EC)
+    specs += [random_spec(rng) for _ in range(100)]
+    for i, spec in enumerate(specs):
+        for s in project(spec).strands:
+            try:
+                ext = extract(s)
+            except (Ungeneratable, Unrecoverable):
+                continue
+            shared = {id(op.seq) for op in ext.ops}
+            # equal sequences are one object, and every strand is its own
+            assert len(shared) == len(set(op.seq for op in ext.ops))
+            assert len({id(op) for op in ext.ops}) == len(ext.ops)
+            assert ext == naive_extract(s)
+            if i == 0:
+                # about ten times as many operations as shapes
+                assert len(shared) <= 23 and len(ext.ops) >= 225
+
+
 def test_emitted_ops_are_well_formed():
     for path in CORPUS:
         spec = parse(read(path))
