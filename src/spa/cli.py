@@ -32,7 +32,7 @@ from .costs import (
 )
 from .errors import ConfigError, SpaError
 from .extraction import Extraction, extract
-from .parser import ProtocolSpec, parse, project
+from .parser import ProtocolSpec, _role_strand, parse, project
 from .strands import (
     Classifier,
     KStrand,
@@ -80,12 +80,10 @@ def _load_model(path: str | None):
 
 
 def _strand_for(spec: ProtocolSpec, label: str) -> KStrand | None:
-    if spec.role(label) is None:
+    role = spec.role(label)
+    if role is None:
         raise _CliError(2, f"UnknownRole: {label!r} is not a role of {spec.name}")
-    for strand in project(spec).strands:
-        if strand.participant.label == label:
-            return strand
-    return None  # declared role with no events
+    return _role_strand(spec, role)  # None for a declared role with no events
 
 
 def _extract(strand: KStrand) -> Extraction:

@@ -39,7 +39,6 @@ from .sizes import (
     render_size,
 )
 from .strands import OPS, Classifier, CostFunc, StrandSpace, TStrand, validate_op_strand
-from .terms import _hash_once
 
 
 _FUNC_RANK = {f: i for i, f in enumerate(CostFunc)}
@@ -59,7 +58,6 @@ class CostTerm:
     __slots__ = ("_hash",)
 
 
-@_hash_once
 @dataclass(frozen=True, slots=True)
 class App(CostTerm):
     func: CostFunc
@@ -69,9 +67,17 @@ class App(CostTerm):
         want = 2 if self.func is CostFunc.F_C else 1
         if len(self.args) != want:
             raise ValueError(f"{self.func.value} takes {want} argument(s)")
-        # the hash `_hash_once` would compute on first use; filling the slot
-        # here costs less than the slot miss, and nearly every App is hashed
+        # nearly every App is hashed, and hashing here costs less than the
+        # slot miss in __hash__
         object.__setattr__(self, "_hash", hash((self.func, self.args)))
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:  # a copy or an unpickled term: no cached hash
+            h = hash((self.func, self.args))
+            object.__setattr__(self, "_hash", h)
+            return h
 
 
 # L_C and L_P are the flat constants f_c and f_p fold into.  Each names the
@@ -170,9 +176,10 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
     payloads) and positive payloads by typed term, and each group is priced
     once, in first-seen order.  `cost_expr` merges groups that price alike
     (C_E and C_D on one body, say) at the first one's position, so the
-    result equals pricing strand by strand.  Interned payloads (see
-    `type_erase`) compare by identity when grouped, and every typed subterm
-    is sized once per call.
+    result equals pricing strand by strand.  Equal typed payloads are one
+    object, process-wide and held weakly (see `terms`), so grouping hashes
+    and compares them by identity, and every typed subterm is sized once
+    per call.
 
     Strands may share one sequence object, as `extract`'s operations of one
     shape do.  Validating and grouping depend only on the classifier and

@@ -7,10 +7,11 @@ from known material (splitting pairs, decrypting under held symmetric
 keys), generate (nonces and keys only), otherwise fail.  Every operation
 emits one classifier strand over type-erased terms, and every term built,
 received, or recovered joins the knowledge set, so nothing is ever built
-twice.  Typed terms are interned, and operations of one shape (classifier
-and typed payloads) share one event sequence object, built on its first
-use; each still gets a strand object of its own, since edges and DOT tell
-strands apart by identity.  Pricing handles a shared sequence once.
+twice.  Terms are hash-consed process-wide and held weakly (see `terms`),
+so equal typed terms are one object, and operations of one shape
+(classifier and typed payloads) share one event sequence object, built on
+its first use; each still gets a strand object of its own, since edges and
+DOT tell strands apart by identity.  Pricing handles a shared sequence once.
 
 Recovery takes the path from the first knowledge entry (in insertion
 order) that exposes the target, descending leftmost through pairs and
@@ -26,7 +27,9 @@ waits under that key and is opened, at its original positions, when the
 key atom is learned.  Only terms that arrive from outside (initial
 knowledge, receptions, generated atoms) are walked: split halves,
 decrypted bodies and constructed terms are reachable, at a lower rank,
-from entries already walked.
+from entries already walked.  The same walk collects the atoms it meets;
+only the ciphers it does not enter (sealed `sk` ciphers, asymmetric
+ciphers and hashes) get a walk of their own for atoms.
 """
 
 from __future__ import annotations
@@ -44,8 +47,9 @@ from .terms import (
     Pair,
     SignedTTerm,
     Term,
+    TEnc,
+    TPair,
     TTerm,
-    _intern,
     atoms_of,
     type_erase,
 )
@@ -92,10 +96,10 @@ class _State:
         # ranks are one preorder count over all walked entries, so comparing
         # two ranks compares entry order first, then position in the entry
         self.next_rank = 0
-        # type_erase's memo: equal typed terms are one object per extraction
+        # type_erase's memo: each term is erased once per extraction
         self.erased: dict = {}
-        # (classifier, ids of interned typed payloads) -> the one event
-        # sequence every operation of that shape shares
+        # (classifier, *typed payloads) -> the one event sequence every
+        # operation of that shape shares
         self.seqs: dict[tuple, tuple[SignedTTerm, ...]] = {}
         self.ops: list[TStrand] = []
         for t in strand.working_knowledge():
@@ -109,15 +113,16 @@ class _State:
             return
         self.knowledge[t] = None
         if walk:
-            self.atoms.update(atoms_of(t))
             self.next_rank = self._expose(t, None, self.next_rank)
         if isinstance(t, Atom):
             for cipher, rank in self.sealed.pop(t, ()):
                 self._expose(cipher.body, cipher, rank)
 
     def _expose(self, root: Term, container: Term | None, rank: int) -> int:
-        """Index the occurrences under root, root ranked `rank`; return the
-        rank that follows root's subtree."""
+        """Index the occurrences under root, root ranked `rank`, and add
+        every atom in root to `atoms`; return the rank that follows root's
+        subtree."""
+        atoms = self.atoms
         stack = [(root, container)]
         while stack:
             t, container = stack.pop()
@@ -128,12 +133,17 @@ class _State:
             if isinstance(t, Pair):
                 stack.append((t.right, t))
                 stack.append((t.left, t))
-            elif isinstance(t, Enc) and t.func is FuncName.SK:
-                if t.key in self.knowledge:
+            elif isinstance(t, Atom):
+                atoms.add(t)
+            elif isinstance(t, Enc):
+                if t.func is FuncName.SK and t.key in self.knowledge:
+                    # a held key is in `atoms` already
                     stack.append((t.body, t))
                 else:
-                    self.sealed.setdefault(t.key, []).append((t, rank))
-                    rank += _span(t.body)
+                    atoms.update(atoms_of(t))
+                    if t.func is FuncName.SK:
+                        self.sealed.setdefault(t.key, []).append((t, rank))
+                        rank += _span(t.body)
         return rank
 
     def path_to(self, target: Term) -> list[Term] | None:
@@ -153,8 +163,8 @@ class _State:
         return type_erase(t, self.erased)
 
     def emit(self, classifier: Classifier, *payloads: TTerm) -> None:
-        """Append an operation strand over interned typed payloads."""
-        key = (classifier, *map(id, payloads))
+        """Append an operation strand over typed payloads."""
+        key = (classifier, *payloads)
         seq = self.seqs.get(key)
         if seq is None:
             events = zip(OPS[classifier].signs, payloads, strict=True)
@@ -216,14 +226,14 @@ def _construct(t: Term, state: _State) -> TTerm:
     if isinstance(t, Pair):
         left = _construct(t.left, state)
         right = _construct(t.right, state)
-        erased = _intern(t, state.erased, left, right)
+        erased = state.erased[t] = TPair(left, right)
         state.emit(Classifier.C_C, left, right, erased)
     else:
         assert isinstance(t, Enc)
         if t.func is not FuncName.H:
             _construct(t.key, state)
         body = _construct(t.body, state)
-        erased = _intern(t, state.erased, body)
+        erased = state.erased[t] = TEnc(body, t.func)
         state.emit(_ENC_CLASSIFIER[t.func], body, erased)
     state.learn(t, walk=False)
     return erased
@@ -242,7 +252,6 @@ def _recover(target: Term, state: _State) -> bool:
     for step, child in zip(path, path[1:]):
         if child in state.knowledge:
             continue
-        # an interned typed term's parts are interned too
         erased = state.erase(step)
         if isinstance(step, Pair):
             state.emit(Classifier.C_I, erased, erased.left, erased.right)

@@ -391,64 +391,29 @@ def project(spec: ProtocolSpec) -> StrandSpace:
     Knowledge order: own name, other role names held (declaration order),
     held or fresh basic atoms (declaration order), compound entries last.
     """
-    strands = []
-    for role in spec.roles:
-        events = role_events(spec, role)
-        if not events:
-            continue
-        entries = spec.knowledge[role.label]
-        fresh = spec.fresh[role.label]
-        held = {e.label: e for e in entries if isinstance(e, Atom)}
-        held.update((a.label, a) for a in fresh)
-        held.pop(role.label, None)
-        knowledge: list[Term] = [role]
-        # roles are declared first, so declaration order puts them first
-        knowledge += [held[label] for label in spec.decls if label in held]
-        knowledge += [e for e in entries if not isinstance(e, Atom)]
-        strands.append(
-            KStrand(
-                knowledge=tuple(knowledge),
-                participant=role,
-                seq=tuple(events),
-                fresh=fresh,
-            )
-        )
-    return StrandSpace(tuple(strands))
+    strands = (_role_strand(spec, role) for role in spec.roles)
+    return StrandSpace(tuple(s for s in strands if s is not None))
 
 
-def _render_dsl_term(t: Term, top: bool = False) -> str:
-    from .terms import _spine
+def _role_strand(spec: ProtocolSpec, role: Atom) -> KStrand | None:
+    """The role's knowledge strand (see `project`); None if it has no
+    events."""
+    events = role_events(spec, role)
+    if not events:
+        return None
+    entries = spec.knowledge[role.label]
+    fresh = spec.fresh[role.label]
+    held = {e.label: e for e in entries if isinstance(e, Atom)}
+    held.update((a.label, a) for a in fresh)
+    held.pop(role.label, None)
+    knowledge: list[Term] = [role]
+    # roles are declared first, so declaration order puts them first
+    knowledge += [held[label] for label in spec.decls if label in held]
+    knowledge += [e for e in entries if not isinstance(e, Atom)]
+    return KStrand(
+        knowledge=tuple(knowledge),
+        participant=role,
+        seq=tuple(events),
+        fresh=fresh,
+    )
 
-    if isinstance(t, Atom):
-        return t.label
-    if isinstance(t, Pair):
-        inner = ", ".join(_render_dsl_term(p) for p in _spine(t))
-        return inner if top else f"({inner})"
-    if isinstance(t, Enc):
-        inner = ", ".join(_render_dsl_term(p) for p in _spine(t.body))
-        if t.func is FuncName.H:
-            return f"h({inner})"
-        return f"{{{inner}}}{t.func.value}({t.key.label})"
-    raise TypeError(f"cannot render {t!r}")
-
-
-def render_spec(spec: ProtocolSpec) -> str:
-    """Pretty-print a protocol back to parseable source."""
-    lines = [f"protocol {spec.name} {{"]
-    lines.append("  roles " + ", ".join(r.label for r in spec.roles) + ";")
-    for word, kind in (
-        ("nonce", AtomKind.NONCE), ("key", AtomKind.KEY), ("data", AtomKind.USERDATA),
-    ):
-        labels = [lb for lb, k in spec.decls.items() if k is kind]
-        if labels:
-            lines.append(f"  {word} " + ", ".join(labels) + ";")
-    for role in spec.roles:
-        entries = spec.knowledge[role.label]
-        if entries:
-            rendered = ", ".join(_render_dsl_term(e) for e in entries)
-            lines.append(f"  knows {role.label}: {rendered};")
-    for msg in spec.messages:
-        payload = _render_dsl_term(msg.payload, top=True)
-        lines.append(f"  {msg.sender.label} -> {msg.recipient.label}: {payload};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -12,9 +12,9 @@ caller that sizes many terms sharing subterms passes one dict to every
 call, so each distinct typed subterm is sized once: `cost_of_space` keeps
 one per call, which makes pricing linear in the distinct subterms of a
 space rather than quadratic in nesting depth.  It sizes only the inputs of
-each distinct operation, and since extraction interns typed terms, a memo
-lookup mostly matches by identity without comparing terms deeply.  No memo
-outlives its caller.
+each distinct operation.  Equal typed terms are one object, process-wide
+and held weakly (see `terms`), so a memo lookup hashes and matches by
+identity.  No memo outlives its caller.
 """
 
 from __future__ import annotations

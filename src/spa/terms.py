@@ -4,14 +4,20 @@ Instance terms carry atom labels and encryption keys; typed terms keep only
 the type structure (r, n, k, m).  Pairing is left-associative throughout:
 (a, b, c) is Pair(Pair(a, b), c).  Hashing is Enc with func `h` and an empty
 key slot so the encryption constructor stays uniform.
+
+Terms are hash-consed process-wide: each class keeps a table from fields
+to the live term with those fields, held weakly, and its constructor
+returns that term when there is one.  Equal terms are one object, so
+every term hash and comparison is by identity, at C level.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, fields
-from operator import attrgetter
 
 
 class AtomKind(enum.Enum):
@@ -36,40 +42,72 @@ class FuncName(enum.Enum):
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
+# class -> {fields: _Ref to the live term with those fields}
+_TABLES: dict[type, dict] = {}
 
-def _hash_once(cls):
-    """Hash a frozen dataclass by its fields on first use, then from the
-    `_hash` slot its base class declares.  Deep terms are hashed again and
-    again as dict keys; filling the slot lazily keeps construction (and so
-    parsing) as cheap as before, since many compound terms are never
-    hashed."""
-    key = attrgetter(*(f.name for f in fields(cls)))
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(key(self))
-            object.__setattr__(self, "_hash", h)
-            return h
+class _Ref(weakref.ref):
+    __slots__ = ("table", "key")
 
-    cls.__hash__ = __hash__
+
+def _drop(ref: _Ref, remove=_remove_dead_weakref) -> None:
+    # `remove` is bound here, since module teardown may clear the global
+    # first.  It is the C helper WeakValueDictionary uses: it deletes the
+    # entry only while it holds a dead reference, in one step, so it never
+    # drops a term another thread built after this one died.
+    remove(ref.table, ref.key)
+
+
+def _hash_consed(cls):
+    """Make constructing a term of cls return the live term with equal
+    fields if there is one, so identity equality and `object.__hash__` are
+    value equality and a hash of it.  The dataclass's `__init__` (and its
+    `__post_init__` checks) fills a new term on a table miss only.  A new
+    term enters its table by `setdefault`, one step, so threads that race
+    to build a term all get the one that entered first."""
+    fill = cls.__init__
+    del cls.__init__
+    names = [f.name for f in fields(cls)]
+    table = _TABLES[cls] = {}
+
+    def __new__(cls, *key, **named):
+        if named:  # bound by the dataclass's `__init__`, on a scratch term
+            fill(scratch := object.__new__(cls), *key, **named)
+            key = scratch.__reduce__()[1]
+        ref = table.get(key)
+        t = ref and ref()
+        if t is None:
+            fill(t := object.__new__(cls), *key)
+            new = _Ref(t, _drop)
+            new.table, new.key = table, key
+            while (ref := table.setdefault(key, new)) is not new:
+                if (live := ref()) is not None:
+                    return live
+                _remove_dead_weakref(table, key)
+        return t
+
+    cls.__new__ = staticmethod(__new__)
+    # pickles and copies are the canonical term
+    cls.__reduce__ = lambda t: (cls, tuple(getattr(t, name) for name in names))
+    cls.__copy__ = lambda t: t
+    cls.__deepcopy__ = lambda t, memo: t
     return cls
 
 
 class Term:
     """Base class for instance terms."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("__weakref__",)
 
 
-@dataclass(frozen=True, slots=True)
+@_hash_consed
+@dataclass(frozen=True, slots=True, eq=False)
 class Empty(Term):
     pass
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True)
+@_hash_consed
+@dataclass(frozen=True, slots=True, eq=False)
 class Atom(Term):
     kind: AtomKind
     label: str
@@ -77,20 +115,17 @@ class Atom(Term):
     def __post_init__(self):
         if not _IDENT_RE.match(self.label):
             raise ValueError(f"bad atom label: {self.label!r}")
-        # nearly every atom gets hashed, and hashing here costs less than
-        # the slot miss in __hash__
-        object.__setattr__(self, "_hash", hash((self.kind, self.label)))
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True)
+@_hash_consed
+@dataclass(frozen=True, slots=True, eq=False)
 class Pair(Term):
     left: Term
     right: Term
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True)
+@_hash_consed
+@dataclass(frozen=True, slots=True, eq=False)
 class Enc(Term):
     body: Term
     func: FuncName
@@ -125,29 +160,30 @@ _KIND_TO_BASIC = {
 class TTerm:
     """Base class for typed terms."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("__weakref__",)
 
 
-@dataclass(frozen=True, slots=True)
+@_hash_consed
+@dataclass(frozen=True, slots=True, eq=False)
 class TEmpty(TTerm):
     pass
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True)
+@_hash_consed
+@dataclass(frozen=True, slots=True, eq=False)
 class Basic(TTerm):
     tt: BasicTT
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True)
+@_hash_consed
+@dataclass(frozen=True, slots=True, eq=False)
 class TPair(TTerm):
     left: TTerm
     right: TTerm
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True)
+@_hash_consed
+@dataclass(frozen=True, slots=True, eq=False)
 class TEnc(TTerm):
     body: TTerm
     func: FuncName
@@ -192,8 +228,7 @@ def type_erase(t: Term, memo: dict | None = None) -> TTerm:
     """Map an instance term to its typed term: labels and keys are dropped.
 
     `memo`, when given, maps terms already erased to their results and is
-    extended with every subterm erased here.  It also hash-conses: equal
-    typed terms erased through one memo are one object (see `_intern`).
+    extended with every subterm erased here, so no term is walked twice.
     """
     if memo is None:
         memo = {}
@@ -201,33 +236,15 @@ def type_erase(t: Term, memo: dict | None = None) -> TTerm:
     if e is not None:
         return e
     if isinstance(t, Atom):
-        key = _KIND_TO_BASIC[t.kind]
-        e = memo.get(key)
-        if e is None:
-            e = memo[key] = Basic(key)
+        e = Basic(_KIND_TO_BASIC[t.kind])
     elif isinstance(t, Pair):
-        return _intern(t, memo, type_erase(t.left, memo), type_erase(t.right, memo))
+        e = TPair(type_erase(t.left, memo), type_erase(t.right, memo))
     elif isinstance(t, Enc):
-        return _intern(t, memo, type_erase(t.body, memo))
+        e = TEnc(type_erase(t.body, memo), t.func)
     elif isinstance(t, Empty):
         e = TEmpty()
     else:
         raise TypeError(f"not a term: {t!r}")
-    memo[t] = e
-    return e
-
-
-def _intern(t: Pair | Enc, memo: dict, *parts: TTerm) -> TTerm:
-    """The typed term of the pair or cipher t, whose left and right (or body)
-    erase to `parts`, already interned through `memo`; recorded there under
-    t.  It is looked up by its function and the identities of its parts, so
-    interning never hashes or compares a typed term deeply; the memo keeps
-    the parts alive, so their identities are not reused while it lives."""
-    pair = isinstance(t, Pair)
-    key = (id(parts[0]), id(parts[1])) if pair else (id(parts[0]), t.func)
-    e = memo.get(key)
-    if e is None:
-        e = memo[key] = TPair(*parts) if pair else TEnc(parts[0], t.func)
     memo[t] = e
     return e
 

@@ -26,7 +26,7 @@ from spa.costs import (
     Overhead,
     cost_expr,
 )
-from spa.parser import Message, ProtocolSpec, render_spec
+from spa.parser import Message, ProtocolSpec
 from spa.sizes import AsymSize, HashSize, SizeModel, Sum, TypeSize, as_multiset, ssum
 from spa.strands import KStrand
 from spa.terms import (
@@ -42,6 +42,7 @@ from spa.terms import (
     TEmpty,
     TEnc,
     TPair,
+    _spine,
     pair_of,
 )
 
@@ -416,3 +417,42 @@ def decisive_pair(rng: random.Random, assume: AssumptionSet):
     left.append((App(func, (narrow,)), 1))
     right.append((App(func, (wide,)), 1))
     return cost_expr(left), cost_expr(right), "less"
+
+
+# -- protocol source -------------------------------------------------------
+
+
+def _render_dsl_term(t, top: bool = False) -> str:
+    if isinstance(t, Atom):
+        return t.label
+    if isinstance(t, Pair):
+        inner = ", ".join(_render_dsl_term(p) for p in _spine(t))
+        return inner if top else f"({inner})"
+    if isinstance(t, Enc):
+        inner = ", ".join(_render_dsl_term(p) for p in _spine(t.body))
+        if t.func is FuncName.H:
+            return f"h({inner})"
+        return f"{{{inner}}}{t.func.value}({t.key.label})"
+    raise TypeError(f"cannot render {t!r}")
+
+
+def render_spec(spec: ProtocolSpec) -> str:
+    """Pretty-print a protocol back to parseable source."""
+    lines = [f"protocol {spec.name} {{"]
+    lines.append("  roles " + ", ".join(r.label for r in spec.roles) + ";")
+    for word, kind in (
+        ("nonce", AtomKind.NONCE), ("key", AtomKind.KEY), ("data", AtomKind.USERDATA),
+    ):
+        labels = [lb for lb, k in spec.decls.items() if k is kind]
+        if labels:
+            lines.append(f"  {word} " + ", ".join(labels) + ";")
+    for role in spec.roles:
+        entries = spec.knowledge[role.label]
+        if entries:
+            rendered = ", ".join(_render_dsl_term(e) for e in entries)
+            lines.append(f"  knows {role.label}: {rendered};")
+    for msg in spec.messages:
+        payload = _render_dsl_term(msg.payload, top=True)
+        lines.append(f"  {msg.sender.label} -> {msg.recipient.label}: {payload};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -19,11 +19,11 @@ from spa.errors import (
     UndeclaredIdentifier,
     Ungeneratable,
 )
-from spa.parser import _line_col, _token_texts, _tokenize, render_spec
+from spa.parser import _line_col, _token_texts, _tokenize
 from spa.strands import render_kstrand
 from spa.terms import Atom, AtomKind, Enc, FuncName, Pair, pair_of
 
-from .generators import chain_spec, random_spec
+from .generators import chain_spec, random_spec, render_spec
 from .helpers import ANDREW, CORPUS, read
 from .naive_project import naive_project, naive_validate
 from .naive_tokenize import naive_tokenize

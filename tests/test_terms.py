@@ -1,12 +1,21 @@
-"""Term model: constructors, validation, erasure, traversal, display."""
+"""Term model: constructors, validation, hash-consing, erasure, traversal,
+display."""
 
+import copy
+import dataclasses
+import gc
+import os
 import pickle
 import random
+import subprocess
+import sys
+import threading
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import spa
 from spa import parse
 from spa.costs import CostFunc, Verdict
 from spa.strands import Classifier
@@ -24,6 +33,7 @@ from spa.terms import (
     TEmpty,
     TEnc,
     TPair,
+    _TABLES,
     atoms_of,
     pair_of,
     render_term,
@@ -32,7 +42,7 @@ from spa.terms import (
 )
 
 from .generators import random_spec
-from .helpers import CORPUS, read
+from .helpers import CORPUS, ROOT, read
 from .naive_extraction import contains
 
 A = Atom(AtomKind.PARTICIPANT, "A")
@@ -42,22 +52,22 @@ M = Atom(AtomKind.USERDATA, "X_a")
 
 
 def test_atom_label_validated():
-    with pytest.raises(ValueError):
-        Atom(AtomKind.NONCE, "2bad")
-    with pytest.raises(ValueError):
-        Atom(AtomKind.NONCE, "")
-    with pytest.raises(ValueError):
-        Atom(AtomKind.NONCE, "a b")
+    for label in ("2bad", "", "a b"):
+        with pytest.raises(ValueError, match=f"^bad atom label: {label!r}$"):
+            Atom(AtomKind.NONCE, label)
+        # a rejected term is not kept for the next call to find
+        assert (AtomKind.NONCE, label) not in _TABLES[Atom]
 
 
 def test_enc_key_slot_validated():
     # hash takes an empty key, everything else a key atom
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^hash terms take an empty key$"):
         Enc(NA, FuncName.H, K)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sk key must be a key atom$"):
         Enc(NA, FuncName.SK, Empty())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^pk key must be a key atom$"):
         Enc(NA, FuncName.PK, NA)
+    assert (NA, FuncName.PK, NA) not in _TABLES[Enc]
     Enc(NA, FuncName.H, Empty())
     Enc(NA, FuncName.SK, K)
 
@@ -214,9 +224,123 @@ def test_memo_interns_equal_typed_terms(t, u):
     et, eu = type_erase(t, memo), type_erase(u, memo)
     assert (et == eu) == (et is eu)
     assert type_erase(relabel(t), memo) is et
-    # erasing without a memo gives an equal term, never the interned one
-    alone = type_erase(t)
-    assert alone == et and alone is not et
+    # the memo only saves walking a term again: typed terms are hash-consed
+    # process-wide, so erasing without it gives the same object
+    assert type_erase(t) is et
+
+
+@given(terms())
+def test_equal_terms_are_one_object(t):
+    assert rebuild(t) is t
+    assert type_erase(t) is type_erase(relabel(t))
+    assert relabel(t) is relabel(rebuild(t))
+
+
+def test_keywords_bind_like_positions():
+    assert Atom(kind=AtomKind.NONCE, label="N_a") is NA
+    assert Enc(NA, FuncName.SK, key=K) is Enc(NA, FuncName.SK, K)
+    assert dataclasses.replace(NA, label="N_b") is Atom(AtomKind.NONCE, "N_b")
+    with pytest.raises(ValueError, match="^bad atom label: '2bad'$"):
+        Atom(kind=AtomKind.NONCE, label="2bad")
+    with pytest.raises(TypeError):
+        Atom(AtomKind.NONCE, name="N_a")
+
+
+def test_racing_threads_build_one_term():
+    # more threads than cores, switching often: each term a thread builds
+    # must be the one every other thread built
+    workers, start = 8, threading.Barrier(8)
+    built = [None] * workers
+
+    def build(i):
+        start.wait(timeout=30)
+        atoms = [Atom(AtomKind.NONCE, f"N_race{j}") for j in range(2000)]
+        built[i] = atoms + [Pair(a, b) for a, b in zip(atoms, atoms[1:])]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(len(terms) == 3999 for terms in built)
+    for terms in built[1:]:
+        assert all(t is u for t, u in zip(terms, built[0]))
+
+
+def _sample_terms() -> list:
+    t = Enc(pair_of([A, NA, Enc(M, FuncName.H, Empty())]), FuncName.SK, K)
+    e = type_erase(t)
+    return [t, t.body, Empty(), e, e.body, TEmpty(), Basic(BasicTT.K)]
+
+
+_PICKLE_TERMS = (
+    "import pickle, sys; from tests.test_terms import _sample_terms; "
+    "sent = pickle.loads(sys.stdin.buffer.read()); "
+    "assert all(a is b for a, b in zip(sent, _sample_terms())); "
+    "sys.stdout.buffer.write(pickle.dumps(_sample_terms()))"
+)
+
+
+def _pickled_elsewhere(terms: list) -> list:
+    # the other interpreter checks it loads its own canonical terms, then
+    # sends them back pickled
+    src = str(os.path.dirname(os.path.dirname(spa.__file__)))
+    return pickle.loads(subprocess.run(
+        [sys.executable, "-c", _PICKLE_TERMS], check=True, capture_output=True,
+        input=pickle.dumps(terms), cwd=ROOT, env={**os.environ, "PYTHONPATH": src},
+    ).stdout)
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle", "subprocess"])
+def test_copies_are_the_canonical_term(how):
+    terms = _sample_terms()
+    back = {
+        "copy": lambda: [copy.copy(t) for t in terms],
+        "deepcopy": lambda: copy.deepcopy(terms),
+        "pickle": lambda: pickle.loads(pickle.dumps(terms)),
+        "subprocess": lambda: _pickled_elsewhere(terms),
+    }[how]()
+    assert len(back) == len(terms)
+    assert all(b is t for b, t in zip(back, terms))
+
+
+def _entries() -> int:
+    return sum(map(len, _TABLES.values()))
+
+
+def test_tables_drop_dead_terms():
+    gc.collect()
+    before = _entries()
+    atoms = [Atom(AtomKind.NONCE, f"N_drop{i}") for i in range(50)]
+    t = Enc(pair_of(atoms), FuncName.PK, Atom(AtomKind.KEY, "K_drop"))
+    e = type_erase(t)
+    assert _entries() > before + 100
+    assert Atom(AtomKind.NONCE, "N_drop7") is atoms[7]
+    del atoms, t, e
+    gc.collect()
+    assert _entries() <= before
+
+
+@pytest.mark.parametrize("wrap", ["pair", "hash"])
+def test_deep_terms_build_and_free(wrap):
+    gc.collect()
+    before = _entries()
+    t = Atom(AtomKind.NONCE, "N_deep")
+    if wrap == "pair":
+        t = pair_of([t] * 100_000)
+    else:
+        for _ in range(100_000):
+            t = Enc(t, FuncName.H, Empty())
+    assert _entries() >= before + 100_000
+    del t
+    gc.collect()
+    assert _entries() <= before
 
 
 @given(terms())
@@ -235,8 +359,7 @@ def rebuild(t):
 
 @given(terms())
 def test_cached_hash_follows_equality(t):
-    hash(t)  # fill the cache on one copy only
-    copy = rebuild(t)
-    assert copy == t and hash(copy) == hash(t)
-    assert hash(type_erase(copy)) == hash(type_erase(t))
+    twin = rebuild(t)
+    assert twin == t and hash(twin) == hash(t)
+    assert hash(type_erase(twin)) == hash(type_erase(t))
     assert "_hash" not in repr(t)
