@@ -115,9 +115,10 @@ def cmd_model(args) -> int:
     spec = _load_spec(args.file)
     if args.role is not None:
         strand = _strand_for(spec, args.role)
-        strands = [strand] if strand is not None else []
+        space = StrandSpace((strand,) if strand is not None else ())
     else:
-        strands = list(project(spec).strands)
+        space = project(spec)
+    strands = space.strands
     if args.format == "text":
         blocks = []
         for strand in strands:
@@ -130,9 +131,8 @@ def cmd_model(args) -> int:
         print(_model_json(spec, strands))
     else:
         if args.role is not None and strands:
-            space = _extract(strands[0]).space()
-        else:
-            space = StrandSpace(tuple(strands))
+            ext = _extract(strands[0])
+            space = StrandSpace(ext.space().strands, ext.comm())
         title = spec.name if args.role is None else f"{spec.name}:{args.role}"
         print(_dot(space, title), end="")
     return 0
@@ -177,7 +177,6 @@ def _dot(space: StrandSpace, title: str) -> str:
         "  rankdir=TB;",
         '  node [shape=box, fontname="monospace"];',
     ]
-    ids = {}
     for i, strand in enumerate(space.strands):
         if isinstance(strand, TStrand):
             label = (
@@ -190,21 +189,14 @@ def _dot(space: StrandSpace, title: str) -> str:
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(f'    label="{_dot_escape(label)}";')
         for j, event in enumerate(strand.seq, start=1):
-            ids[(i, j)] = f"n{i}_{j}"
             lines.append(
                 f'    n{i}_{j} [label="{_dot_escape(render_signed(event))}"];'
             )
         lines.append("  }")
-    strand_index = {id(s): i for i, s in enumerate(space.strands)}
     succ, comm = edges(space)
-    for a, b in succ:
-        na = ids[(strand_index[id(a.strand)], a.index)]
-        nb = ids[(strand_index[id(b.strand)], b.index)]
-        lines.append(f"  {na} -> {nb} [style=solid];")
-    for a, b in comm:
-        na = ids[(strand_index[id(a.strand)], a.index)]
-        nb = ids[(strand_index[id(b.strand)], b.index)]
-        lines.append(f"  {na} -> {nb} [style=dashed];")
+    for style, pairs in (("solid", succ), ("dashed", comm)):
+        for (i, j), (k, m) in pairs:
+            lines.append(f"  n{i}_{j} -> n{k}_{m} [style={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

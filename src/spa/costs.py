@@ -117,9 +117,6 @@ class CostExpr:
             raise ValueError("terms must be distinct")
 
 
-ZERO_COST = CostExpr(())
-
-
 def _merged(items) -> dict:
     merged: dict[CostTerm, int] = {}
     for item in items:
@@ -181,21 +178,21 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
     and compares them by identity, and every typed subterm is sized once
     per call.
 
-    Strands may share one sequence object, as `extract`'s operations of one
-    shape do.  Validating and grouping depend only on the classifier and
-    the sequence, so each (classifier, sequence object) is handled once and
-    later strands with it are only counted (the space keeps every sequence
-    alive, so `id`s are not reused during the call).
+    One strand object may stand at several positions of a space, as
+    `extract`'s operations of one shape do.  Each strand object is
+    validated and grouped once, and its later positions are only counted
+    (the space keeps every strand alive, so `id`s are not reused during
+    the call).
     """
     ops: dict[tuple, list] = {}  # (classifier, *inputs) -> [first strand, count]
     procs: dict = {}  # positive typed payload -> count
-    seqs: dict[tuple, list] = {}  # (classifier, id(seq)) -> [key, seq, later strands]
+    seen_strands: dict[int, list] = {}  # id(strand) -> [key, seq, later positions]
     for s in space.strands:
         if not isinstance(s, TStrand):
             raise InvalidOpStrand(f"not a typed strand: {s!r}")
         if s.classifier is Classifier.C_P:
             continue
-        seen = seqs.get((s.classifier, id(s.seq)))
+        seen = seen_strands.get(id(s))
         if seen is not None:
             seen[2] += 1
             continue
@@ -214,8 +211,8 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
             ops[key] = [s, 1]
         else:
             group[1] += 1
-        seqs[s.classifier, id(s.seq)] = [key, s.seq, 0]
-    for key, seq, n in seqs.values():
+        seen_strands[id(s)] = [key, s.seq, 0]
+    for key, seq, n in seen_strands.values():
         if n:
             ops[key][1] += n
             for ev in seq:

@@ -45,10 +45,6 @@ class ShapeViolation(SpaError):
     """An operation strand does not match its classifier's shape."""
 
 
-class AmbiguousMatch(SpaError):
-    """A transmitted payload matches pending receptions on two strands."""
-
-
 class InvalidOpStrand(SpaError):
     """Costing was asked for a malformed operation strand."""
 

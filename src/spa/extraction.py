@@ -9,9 +9,16 @@ emits one classifier strand over type-erased terms, and every term built,
 received, or recovered joins the knowledge set, so nothing is ever built
 twice.  Terms are hash-consed process-wide and held weakly (see `terms`),
 so equal typed terms are one object, and operations of one shape
-(classifier and typed payloads) share one event sequence object, built on
-its first use; each still gets a strand object of its own, since edges and
-DOT tell strands apart by identity.  Pricing handles a shared sequence once.
+(classifier and typed payloads) share one strand object, built on its
+first use.  Pricing handles a shared strand once.
+
+Dataflow is recorded, not guessed.  The knowledge set maps each term to
+the operation that made it (None for a term from outside: initial
+knowledge, receptions), and each operation keeps the instance terms it
+consumes.  `Extraction.comm` turns the two into communication edges only
+when asked (DOT does): every operation input made by an earlier
+operation gets one edge from that operation's output.  The process strand
+gets none.
 
 Recovery takes the path from the first knowledge entry (in insertion
 order) that exposes the target, descending leftmost through pairs and
@@ -35,7 +42,7 @@ ciphers and hashes) get a walk of their own for atoms.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import Ungeneratable, Unrecoverable
 from .strands import OPS, Classifier, KStrand, StrandSpace, TStrand
@@ -71,9 +78,32 @@ _GEN_CLASSIFIER = {
 class Extraction:
     process: TStrand
     ops: tuple[TStrand, ...]
+    # dataflow bookkeeping, read only by `comm`: each op's input instance
+    # terms, and each known term -> the index of the op that made it, or None
+    inputs: tuple[tuple[Term, ...], ...] = field(default=(), compare=False, repr=False)
+    made: dict = field(default_factory=dict, compare=False, repr=False)
 
     def space(self) -> StrandSpace:
+        """The process strand, then the operations; communication edges,
+        which pricing does not read, come from `comm`."""
         return StrandSpace((self.process,) + self.ops)
+
+    def comm(self) -> tuple:
+        """Communication edges over `space()`'s positions: each op output
+        to each op input it feeds, in order of the inputs."""
+        comm = []
+        for j, terms in enumerate(self.inputs):
+            for p, t in enumerate(terms, start=1):
+                i = self.made[t]
+                if i is None:
+                    continue
+                producer = self.ops[i]
+                if producer.classifier is Classifier.C_I:  # outputs: left, right
+                    out = 2 if t is self.inputs[i][0].left else 3
+                else:
+                    out = len(producer.seq)  # the one output is last
+                comm.append(((i + 1, out), (j + 1, p)))
+        return tuple(comm)
 
     def op_counts(self) -> Counter:
         return Counter(op.classifier for op in self.ops)
@@ -85,8 +115,9 @@ class _State:
 
     def __init__(self, strand: KStrand):
         self.participant = strand.participant
-        # dict as ordered set: insertion order is recovery's entry order
-        self.knowledge: dict[Term, None] = {}
+        # known term -> index of the op that made it, None from outside;
+        # insertion order is recovery's entry order
+        self.knowledge: dict[Term, int | None] = {}
         # every atom occurring in knowledge, key positions included
         self.atoms: set[Atom] = set()
         # exposed term -> (lowest rank, container there or None for an entry)
@@ -98,20 +129,22 @@ class _State:
         self.next_rank = 0
         # type_erase's memo: each term is erased once per extraction
         self.erased: dict = {}
-        # (classifier, *typed payloads) -> the one event sequence every
-        # operation of that shape shares
-        self.seqs: dict[tuple, tuple[SignedTTerm, ...]] = {}
+        # (classifier, *typed payloads) -> the one strand every operation
+        # of that shape shares
+        self.strands: dict[tuple, TStrand] = {}
         self.ops: list[TStrand] = []
+        self.inputs: list[tuple[Term, ...]] = []  # each op's input terms
         for t in strand.working_knowledge():
             self.learn(t)
 
-    def learn(self, t: Term, walk: bool = True) -> None:
-        """Add t to knowledge.  `walk=False` is for terms reachable from
-        entries already walked: split halves, decrypted bodies, and terms
-        constructed from known parts."""
+    def learn(self, t: Term, by: int | None = None, walk: bool = True) -> None:
+        """Add t to knowledge, made by op `by` (None: from outside).
+        `walk=False` is for terms reachable from entries already walked:
+        split halves, decrypted bodies, and terms constructed from known
+        parts."""
         if t in self.knowledge:
             return
-        self.knowledge[t] = None
+        self.knowledge[t] = by
         if walk:
             self.next_rank = self._expose(t, None, self.next_rank)
         if isinstance(t, Atom):
@@ -162,14 +195,19 @@ class _State:
     def erase(self, t: Term) -> TTerm:
         return type_erase(t, self.erased)
 
-    def emit(self, classifier: Classifier, *payloads: TTerm) -> None:
-        """Append an operation strand over typed payloads."""
+    def emit(self, classifier: Classifier, inputs: tuple[Term, ...], *payloads: TTerm) -> int:
+        """Append an operation strand over typed payloads that consumes the
+        instance terms `inputs`; return its index."""
         key = (classifier, *payloads)
-        seq = self.seqs.get(key)
-        if seq is None:
+        strand = self.strands.get(key)
+        if strand is None:
             events = zip(OPS[classifier].signs, payloads, strict=True)
-            seq = self.seqs[key] = tuple(SignedTTerm(*e) for e in events)
-        self.ops.append(TStrand(classifier, self.participant, seq))
+            strand = self.strands[key] = TStrand(
+                classifier, self.participant, tuple(SignedTTerm(*e) for e in events)
+            )
+        self.ops.append(strand)
+        self.inputs.append(inputs)
+        return len(self.ops) - 1
 
 
 def _span(t: Term) -> int:
@@ -200,7 +238,7 @@ def extract(s: KStrand) -> Extraction:
             erased = _construct(event.payload, state)
         process_seq.append(SignedTTerm(event.sign, erased))
     process = TStrand(Classifier.C_P, s.participant, tuple(process_seq))
-    return Extraction(process, tuple(state.ops))
+    return Extraction(process, tuple(state.ops), tuple(state.inputs), state.knowledge)
 
 
 def _construct(t: Term, state: _State) -> TTerm:
@@ -216,8 +254,7 @@ def _construct(t: Term, state: _State) -> TTerm:
                     "inside terms it cannot open"
                 )
             erased = state.erase(t)
-            state.emit(_GEN_CLASSIFIER[t.kind], erased)
-            state.learn(t)
+            state.learn(t, state.emit(_GEN_CLASSIFIER[t.kind], (), erased))
             return erased
         raise Ungeneratable(
             f"{state.participant.label} does not hold {t.label} and "
@@ -227,15 +264,15 @@ def _construct(t: Term, state: _State) -> TTerm:
         left = _construct(t.left, state)
         right = _construct(t.right, state)
         erased = state.erased[t] = TPair(left, right)
-        state.emit(Classifier.C_C, left, right, erased)
+        by = state.emit(Classifier.C_C, (t.left, t.right), left, right, erased)
     else:
         assert isinstance(t, Enc)
         if t.func is not FuncName.H:
             _construct(t.key, state)
         body = _construct(t.body, state)
         erased = state.erased[t] = TEnc(body, t.func)
-        state.emit(_ENC_CLASSIFIER[t.func], body, erased)
-    state.learn(t, walk=False)
+        by = state.emit(_ENC_CLASSIFIER[t.func], (t.body,), body, erased)
+    state.learn(t, by, walk=False)
     return erased
 
 
@@ -254,10 +291,10 @@ def _recover(target: Term, state: _State) -> bool:
             continue
         erased = state.erase(step)
         if isinstance(step, Pair):
-            state.emit(Classifier.C_I, erased, erased.left, erased.right)
-            state.learn(step.left, walk=False)
-            state.learn(step.right, walk=False)
+            by = state.emit(Classifier.C_I, (step,), erased, erased.left, erased.right)
+            state.learn(step.left, by, walk=False)
+            state.learn(step.right, by, walk=False)
         else:
-            state.emit(Classifier.C_D, erased, erased.body)
-            state.learn(step.body, walk=False)
+            by = state.emit(Classifier.C_D, (step,), erased, erased.body)
+            state.learn(step.body, by, walk=False)
     return True

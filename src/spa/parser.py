@@ -386,13 +386,25 @@ def _fresh_atoms(
 
 
 def project(spec: ProtocolSpec) -> StrandSpace:
-    """One knowledge strand per role with at least one event.
+    """One knowledge strand per role with at least one event, and one
+    communication edge per message, in message order.
 
     Knowledge order: own name, other role names held (declaration order),
     held or fresh basic atoms (declaration order), compound entries last.
+    Message k is its sender's and its recipient's next event, so its edge
+    links those two positions.
     """
     strands = (_role_strand(spec, role) for role in spec.roles)
-    return StrandSpace(tuple(s for s in strands if s is not None))
+    strands = tuple(s for s in strands if s is not None)
+    index = {s.participant: i for i, s in enumerate(strands)}
+    placed = dict.fromkeys(index, 0)  # role -> its events so far
+    comm = []
+    for msg in spec.messages:
+        placed[msg.sender] += 1
+        placed[msg.recipient] += 1
+        comm.append(((index[msg.sender], placed[msg.sender]),
+                     (index[msg.recipient], placed[msg.recipient])))
+    return StrandSpace(strands, tuple(comm))
 
 
 def _role_strand(spec: ProtocolSpec, role: Atom) -> KStrand | None:

@@ -1,10 +1,14 @@
-"""Strands, strand spaces, nodes, edges, and operation-strand shapes.
+"""Strands, strand spaces, edges, and operation-strand shapes.
 
 A knowledge strand holds a participant's knowledge plus its signed event
 sequence; a typed strand holds a classifier plus signed typed events.  The
 `fresh` field on KStrand marks atoms the participant will create during the
 run: they are displayed as part of the knowledge set but are absent from the
 working knowledge when operations are derived.
+
+A strand space holds its strands and the communication edges recorded
+when it was built; none is matched on payloads.  A node is its position,
+(strand, event), so one strand object may stand at several positions.
 
 `OPS` is the one table of operations: for each classifier but `C_P`, the
 signs of its events, the condition its payloads meet and how a violation
@@ -19,7 +23,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .errors import AmbiguousMatch, ShapeViolation
+from .errors import ShapeViolation
 from .terms import (
     Atom,
     AtomKind,
@@ -103,89 +107,21 @@ class TStrand:
 @dataclass(frozen=True, slots=True)
 class StrandSpace:
     strands: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class Node:
-    strand: object
-    index: int  # 1-based position in the strand's sequence
-
-    @property
-    def event(self):
-        return self.strand.seq[self.index - 1]
-
-    @property
-    def sign(self) -> int:
-        return self.event.sign
-
-    @property
-    def payload(self):
-        return self.event.payload
-
-
-def enumerate_nodes(space: StrandSpace) -> list[Node]:
-    """All nodes of the space, strand by strand, in sequence order."""
-    return [
-        Node(s, i)
-        for s in space.strands
-        for i in range(1, len(s.seq) + 1)
-    ]
+    # communication edges, each (transmitting node, receiving node); a node
+    # is its position (strand, event): strands count from 0, events from 1
+    comm: tuple = ()
 
 
 def edges(space: StrandSpace):
-    """Return (succession edges, communication edges).
-
-    Succession links consecutive nodes on each strand.  Communication links a
-    positive node to a negative node with an identical payload on another
-    strand.  Matching walks nodes in declaration order and pairs each side
-    with the first pending opposite; a positive payload pending on negatives
-    of two or more distinct other strands is rejected as ambiguous.
-    """
-    succ = []
-    for s in space.strands:
-        for i in range(1, len(s.seq)):
-            succ.append((Node(s, i), Node(s, i + 1)))
-
-    comm = []
-    pending_pos: dict = {}  # payload -> list of unmatched positive nodes
-    pending_neg: dict = {}  # payload -> list of unmatched negative nodes
-
-    def take(pending: list, match: Node):
-        # remove by identity: distinct strands can be value-equal
-        for i, n in enumerate(pending):
-            if n is match:
-                del pending[i]
-                return
-
-    for node in enumerate_nodes(space):
-        if node.sign > 0:
-            waiting = [
-                n for n in pending_neg.get(node.payload, [])
-                if n.strand is not node.strand
-            ]
-            if waiting:
-                if len({id(n.strand) for n in waiting}) > 1:
-                    raise AmbiguousMatch(
-                        f"payload {render_signed(node.event)[1:]} is awaited "
-                        f"on {len(waiting)} strands"
-                    )
-                match = waiting[0]
-                take(pending_neg[node.payload], match)
-                comm.append((node, match))
-            else:
-                pending_pos.setdefault(node.payload, []).append(node)
-        else:
-            waiting = [
-                n for n in pending_pos.get(node.payload, [])
-                if n.strand is not node.strand
-            ]
-            if waiting:
-                match = waiting[0]
-                take(pending_pos[node.payload], match)
-                comm.append((match, node))
-            else:
-                pending_neg.setdefault(node.payload, []).append(node)
-    return succ, comm
+    """Return (succession edges, communication edges) as node positions:
+    consecutive events on each strand, and the edges the space records
+    (see `parser.project` and `extraction.Extraction.comm`)."""
+    succ = [
+        ((i, j), (i, j + 1))
+        for i, s in enumerate(space.strands)
+        for j in range(1, len(s.seq))
+    ]
+    return succ, space.comm
 
 
 # Conditions on the payload t at an operation's constrained position, given

@@ -5,6 +5,10 @@ every knowledge entry in insertion order for the first one exposing the
 target and walks the leftmost path to it, and the sealed-atom check scans
 every entry.  It is quadratic in protocol length and kept only so that
 tests can require the indexed extractor to emit the same strands.
+
+It also draws the communication edges as it goes: each known term
+remembers the node that output it, and each operation, as it is emitted,
+gets an edge from that node into each input it consumes.
 """
 
 from __future__ import annotations
@@ -39,17 +43,28 @@ _GEN_CLASSIFIER = {
 class _State:
     def __init__(self, strand: KStrand):
         self.participant = strand.participant
-        self.knowledge: dict[Term, None] = dict.fromkeys(strand.working_knowledge())
+        # known term -> (strand, event) of the output that made it, or None
+        self.knowledge: dict = dict.fromkeys(strand.working_knowledge())
         self.ops: list[TStrand] = []
+        self.comm: list = []
 
-    def learn(self, t: Term) -> None:
-        self.knowledge.setdefault(t)
+    def learn(self, t: Term, node=None) -> None:
+        self.knowledge.setdefault(t, node)
 
-    def emit(self, classifier: Classifier, *events: SignedTTerm) -> None:
+    def emit(self, classifier: Classifier, inputs: tuple, *events: SignedTTerm) -> int:
+        """Append an operation consuming the terms `inputs` (its first
+        events), draw an edge into each input made by an earlier operation,
+        and return the new strand's position in the space."""
         self.ops.append(TStrand(classifier, self.participant, events))
+        at = len(self.ops)  # the process strand comes first
+        for event, t in enumerate(inputs, start=1):
+            if self.knowledge[t] is not None:
+                self.comm.append((self.knowledge[t], (at, event)))
+        return at
 
 
-def naive_extract(s: KStrand) -> Extraction:
+def naive_extract(s: KStrand) -> tuple[Extraction, tuple]:
+    """The extraction and its communication edges."""
     state = _State(s)
     process_seq = []
     for event in s.seq:
@@ -59,7 +74,7 @@ def naive_extract(s: KStrand) -> Extraction:
             _construct(event.payload, state)
         process_seq.append(SignedTTerm(event.sign, type_erase(event.payload)))
     process = TStrand(Classifier.C_P, s.participant, tuple(process_seq))
-    return Extraction(process, tuple(state.ops))
+    return Extraction(process, tuple(state.ops)), tuple(state.comm)
 
 
 def contains(t: Term, sub: Term) -> bool:
@@ -85,8 +100,8 @@ def _construct(t: Term, state: _State) -> None:
                     f"{state.participant.label} holds {t.label} only sealed "
                     "inside terms it cannot open"
                 )
-            state.emit(_GEN_CLASSIFIER[t.kind], SignedTTerm(1, type_erase(t)))
-            state.learn(t)
+            at = state.emit(_GEN_CLASSIFIER[t.kind], (), SignedTTerm(1, type_erase(t)))
+            state.learn(t, (at, 1))
             return
         raise Ungeneratable(
             f"{state.participant.label} does not hold {t.label} and "
@@ -95,24 +110,26 @@ def _construct(t: Term, state: _State) -> None:
     if isinstance(t, Pair):
         _construct(t.left, state)
         _construct(t.right, state)
-        state.emit(
+        at = state.emit(
             Classifier.C_C,
+            (t.left, t.right),
             SignedTTerm(-1, type_erase(t.left)),
             SignedTTerm(-1, type_erase(t.right)),
             SignedTTerm(1, type_erase(t)),
         )
-        state.learn(t)
+        state.learn(t, (at, 3))
         return
     assert isinstance(t, Enc)
     if t.func is not FuncName.H:
         _construct(t.key, state)
     _construct(t.body, state)
-    state.emit(
+    at = state.emit(
         _ENC_CLASSIFIER[t.func],
+        (t.body,),
         SignedTTerm(-1, type_erase(t.body)),
         SignedTTerm(1, type_erase(t)),
     )
-    state.learn(t)
+    state.learn(t, (at, 2))
 
 
 def _recover(target: Term, state: _State) -> bool:
@@ -123,22 +140,24 @@ def _recover(target: Term, state: _State) -> bool:
         for step, child in zip(path, path[1:]):
             if isinstance(step, Pair):
                 if child not in state.knowledge:
-                    state.emit(
+                    at = state.emit(
                         Classifier.C_I,
+                        (step,),
                         SignedTTerm(-1, type_erase(step)),
                         SignedTTerm(1, type_erase(step.left)),
                         SignedTTerm(1, type_erase(step.right)),
                     )
-                    state.learn(step.left)
-                    state.learn(step.right)
+                    state.learn(step.left, (at, 2))
+                    state.learn(step.right, (at, 3))
             else:
                 if child not in state.knowledge:
-                    state.emit(
+                    at = state.emit(
                         Classifier.C_D,
+                        (step,),
                         SignedTTerm(-1, type_erase(step)),
                         SignedTTerm(1, type_erase(step.body)),
                     )
-                    state.learn(step.body)
+                    state.learn(step.body, (at, 2))
         return True
     return False
 

@@ -6,7 +6,8 @@ events again to find the atoms it first meets unheld, and rebuilds an atom
 from every declaration to put the knowledge in order.  `naive_validate`
 raises the `Ungeneratable` that `parse` raised from the same walk.  Both are
 kept only so that tests can require the library's strands and messages to be
-the same.
+the same.  `naive_project` also counts each message's events afresh to
+link them, so the communication edges are compared too.
 """
 
 from __future__ import annotations
@@ -70,4 +71,14 @@ def naive_project(spec) -> StrandSpace:
             if not isinstance(entry, Atom):
                 knowledge.append(entry)
         strands.append(KStrand(tuple(knowledge), role, tuple(events), fresh))
-    return StrandSpace(tuple(strands))
+    roles = [s.participant for s in strands]
+
+    def node(role, k):
+        # the role's event for message k: one per message it takes part in
+        taken = [m for m in spec.messages[: k + 1] if role in (m.sender, m.recipient)]
+        return roles.index(role), len(taken)
+
+    comm = tuple(
+        (node(m.sender, k), node(m.recipient, k)) for k, m in enumerate(spec.messages)
+    )
+    return StrandSpace(tuple(strands), comm)

@@ -42,6 +42,22 @@ protocol idle {
 """
 
 
+# two repros of payload matching: every C_E input and every hash body was
+# awaited by two strands at once, and so was N by B and C
+AMB1 = """
+protocol amb1 {
+  roles A, B; nonce N0, N1, N2; key K0, K1;
+  knows A: B, K0, K1;
+  knows B: A, K0, K1;
+  A -> B: {N0}sk(K0), h(K0, N0), {N0}pk(K1);
+  B -> A: {N1}sk(K0), h(N0, N1), {N1}pk(K1);
+  A -> B: {N2}sk(K0), h(N1, N2), {N2}pk(K1);
+}
+"""
+
+AMB2 = "protocol amb2 { roles B, C, A; nonce N; knows A: B, C, N; A -> B: N; A -> C: N; }"
+
+
 def write(tmp_path, text, name="t.spa"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -126,6 +142,24 @@ def test_model_dot_kspace():
     assert stats.nodes == 8
     assert stats.edges == 6 + 4  # succession + one comm edge per message
     assert out.count("style=dashed") == 4
+
+
+def dashed(out):
+    return [line.split(" [")[0].strip() for line in out.splitlines() if "dashed" in line]
+
+
+def test_model_dot_role_with_equal_payloads_awaited_twice(tmp_path):
+    code, out, err = run_cli("model", write(tmp_path, AMB1), "--role", "A", "--format", "dot")
+    assert (code, err) == (0, "")
+    check_dot(out)
+    assert len(dashed(out)) == len(set(edge.split(" -> ")[1] for edge in dashed(out))) > 0
+
+
+def test_model_dot_one_edge_per_message_of_one_payload(tmp_path):
+    code, out, err = run_cli("model", write(tmp_path, AMB2), "--format", "dot")
+    assert (code, err) == (0, "")
+    check_dot(out)
+    assert dashed(out) == ["n2_1 -> n0_1", "n2_2 -> n1_1"]
 
 
 def test_model_dot_event_less_role_titled_with_role(tmp_path):

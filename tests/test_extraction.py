@@ -25,6 +25,7 @@ from spa.terms import (
 
 from .generators import chain_spec, random_spec, random_strand
 from .helpers import ANDREW, CORPUS, KEY_WRAP, X509_ORIGINAL, read
+from .bundle import check_extraction
 from .naive_extraction import naive_extract
 
 A = Atom(AtomKind.PARTICIPANT, "A")
@@ -206,7 +207,7 @@ def test_late_key_opens_earlier_entry():
         ext = extract(s)
         assert [op.classifier for op in ext.ops] == [classifier]
         assert ext.ops[0].seq[0].payload == type_erase(source)
-        assert ext == naive_extract(s)
+        assert (ext, ext.comm()) == naive_extract(s)
 
 
 def exact_outcome(fn, s):
@@ -214,6 +215,12 @@ def exact_outcome(fn, s):
         return fn(s)
     except (Ungeneratable, Unrecoverable) as exc:
         return type(exc).__name__, str(exc)
+
+
+def extract_with_comm(s):
+    ext = extract(s)
+    check_extraction(ext)
+    return ext, ext.comm()
 
 
 # block width -> message counts; the scan reference is quadratic, so the
@@ -229,8 +236,9 @@ def test_index_matches_naive_scan():
     strands = [s for spec in specs for s in project(spec).strands]
     strands += [random_strand(rng) for _ in range(2000)]
     for s in strands:
-        # same process strand, same ops in the same order, same refusals
-        assert exact_outcome(extract, s) == exact_outcome(naive_extract, s), (
+        # same process strand, same ops in the same order, same edges, same
+        # refusals
+        assert exact_outcome(extract_with_comm, s) == exact_outcome(naive_extract, s), (
             render_kstrand(s)
         )
 
@@ -287,10 +295,10 @@ def test_operations_of_one_shape_share_one_sequence():
             except (Ungeneratable, Unrecoverable):
                 continue
             shared = {id(op.seq) for op in ext.ops}
-            # equal sequences are one object, and every strand is its own
+            # equal sequences are one object, and so are equal strands
             assert len(shared) == len(set(op.seq for op in ext.ops))
-            assert len({id(op) for op in ext.ops}) == len(ext.ops)
-            assert ext == naive_extract(s)
+            assert len({id(op) for op in ext.ops}) == len(shared)
+            assert (ext, ext.comm()) == naive_extract(s)
             if i == 0:
                 # about ten times as many operations as shapes
                 assert len(shared) <= 23 and len(ext.ops) >= 225

@@ -1,18 +1,19 @@
-"""Strand structures, node enumeration, edge matching, shape checks."""
+"""Strand structures, edges and the bundle property, shape checks."""
+
+import random
 
 import pytest
 
+from spa import extract, parse, project
 from spa.costs import CostFunc
-from spa.errors import AmbiguousMatch, ShapeViolation
+from spa.errors import ShapeViolation, Ungeneratable, Unrecoverable
 from spa.strands import (
     OPS,
     Classifier,
     KStrand,
-    Node,
     StrandSpace,
     TStrand,
     edges,
-    enumerate_nodes,
     render_kstrand,
     render_tstrand,
     validate_op_strand,
@@ -28,6 +29,10 @@ from spa.terms import (
     TEnc,
     TPair,
 )
+
+from .bundle import check_extraction, check_projection
+from .generators import chain_spec, random_spec
+from .helpers import CORPUS, read
 
 A = Atom(AtomKind.PARTICIPANT, "A")
 B = Atom(AtomKind.PARTICIPANT, "B")
@@ -65,60 +70,68 @@ def test_tstrand_validated():
         TStrand(Classifier.C_N, NA, (SignedTTerm(1, n),))
 
 
-def test_enumerate_nodes_order_and_indexing():
-    s1 = kstrand(SignedTerm(1, NA), SignedTerm(-1, K))
-    s2 = TStrand(Classifier.C_N, A, (SignedTTerm(1, n),))
-    nodes = enumerate_nodes(StrandSpace((s1, s2)))
-    assert [(id(nd.strand), nd.index) for nd in nodes] == [
-        (id(s1), 1), (id(s1), 2), (id(s2), 1),
-    ]
-    assert nodes[0].sign == 1 and nodes[0].payload == NA
-    assert nodes[1].sign == -1 and nodes[1].payload == K
-
-
 def test_succession_edges():
     s = kstrand(SignedTerm(1, NA), SignedTerm(-1, K), SignedTerm(1, K))
-    succ, comm = edges(StrandSpace((s,)))
-    assert [(a.index, b.index) for a, b in succ] == [(1, 2), (2, 3)]
-    assert comm == []
+    t = TStrand(Classifier.C_N, A, (SignedTTerm(1, n),))
+    succ, comm = edges(StrandSpace((s, t)))
+    assert succ == [((0, 1), (0, 2)), ((0, 2), (0, 3))]
+    assert comm == ()
 
 
-def test_communication_edges_match_signs_across_strands():
+def test_communication_edges_are_the_recorded_ones():
+    # no payload is matched: equal payloads on other strands draw nothing
     sa = KStrand((A,), A, (SignedTerm(1, NA), SignedTerm(-1, K)))
     sb = KStrand((B,), B, (SignedTerm(-1, NA), SignedTerm(1, K)))
-    succ, comm = edges(StrandSpace((sa, sb)))
-    assert len(succ) == 2
-    assert [(a.strand.participant.label, b.strand.participant.label) for a, b in comm] == [
-        ("A", "B"), ("B", "A"),
-    ]
-    for a, b in comm:
-        assert a.sign > 0 and b.sign < 0 and a.payload == b.payload
+    assert edges(StrandSpace((sa, sb)))[1] == ()
+    comm = (((0, 1), (1, 1)), ((1, 2), (0, 2)))
+    assert edges(StrandSpace((sa, sb), comm))[1] == comm
 
 
-def test_no_self_communication():
-    s = kstrand(SignedTerm(1, NA), SignedTerm(-1, NA))
-    _, comm = edges(StrandSpace((s,)))
-    assert comm == []
+def test_one_strand_object_at_two_positions():
+    t = TStrand(Classifier.C_H, A, (SignedTTerm(-1, n), SignedTTerm(1, TEnc(n, FuncName.H))))
+    succ, _ = edges(StrandSpace((t, t)))
+    assert succ == [((0, 1), (0, 2)), ((1, 1), (1, 2))]
 
 
-def test_value_equal_strands_keep_distinct_nodes():
-    # two strands with identical content: matching is by identity
-    sa = KStrand((A,), A, (SignedTerm(1, NA),))
-    sb = KStrand((B,), B, (SignedTerm(-1, NA),))
-    sc = KStrand((B,), B, (SignedTerm(-1, NA),))
-    _, comm = edges(StrandSpace((sa, sb)))
-    assert len(comm) == 1
-    with pytest.raises(AmbiguousMatch):
-        edges(StrandSpace((sb, sc, sa)))
+def test_projection_links_each_message_to_its_events():
+    spec = parse(
+        "protocol three { roles B, C, A, D; nonce N; knows A: B, C, N; "
+        "A -> B: N; A -> C: N; C -> B: N; }"
+    )
+    space = project(spec)
+    assert [s.participant.label for s in space.strands] == ["B", "C", "A"]
+    assert space.comm == (((2, 1), (0, 1)), ((2, 2), (1, 1)), ((1, 2), (0, 2)))
+    check_projection(spec, space)
 
 
-def test_ambiguous_match_rejected():
-    sa = KStrand((A,), A, (SignedTerm(-1, NA),))
-    sb = KStrand((B,), B, (SignedTerm(-1, NA),))
-    sender = KStrand((Atom(AtomKind.PARTICIPANT, "C"),),
-                     Atom(AtomKind.PARTICIPANT, "C"), (SignedTerm(1, NA),))
-    with pytest.raises(AmbiguousMatch):
-        edges(StrandSpace((sa, sb, sender)))
+def _specs():
+    specs = [parse(read(path)) for path in CORPUS]
+    specs += [chain_spec(n, w) for n, w in ((1, 1), (5, 4), (12, 4), (6, 8))]
+    rng = random.Random(0xB0D)
+    specs += [random_spec(rng) for _ in range(150)]
+    return specs
+
+
+def test_every_space_is_a_bundle():
+    extracted = edged = 0
+    for spec in _specs():
+        space = project(spec)
+        check_projection(spec, space)
+        for s in space.strands:
+            try:
+                ext = extract(s)
+            except (Ungeneratable, Unrecoverable):
+                continue
+            extracted += 1
+            edged += bool(check_extraction(ext).comm)
+    assert extracted > 200 and edged > 100
+
+
+def test_process_strand_has_no_edges():
+    for path in CORPUS:
+        for s in project(parse(read(path))).strands:
+            space = check_extraction(extract(s))
+            assert all(0 not in (i, k) for (i, _), (k, _) in space.comm)
 
 
 def _op(classifier, *events):
@@ -205,11 +218,3 @@ def test_render_strands():
     assert render_kstrand(s) == "⟨{A, N_a}, A, ⟨+N_a⟩⟩"
     t = TStrand(Classifier.C_N, A, (SignedTTerm(1, n),))
     assert render_tstrand(t) == "⟨C_N, A, ⟨+n⟩⟩"
-
-
-def test_node_accessors():
-    s = kstrand(SignedTerm(1, NA))
-    node = Node(s, 1)
-    assert node.event == SignedTerm(1, NA)
-    assert node.sign == 1
-    assert node.payload == NA
