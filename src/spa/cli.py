@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import cache
 
@@ -77,6 +78,18 @@ def _load_model(path: str | None):
         raise _CliError(1, f"IOError: {exc}") from exc
     except ConfigError as exc:
         raise _CliError(4, f"ConfigError: {exc}") from exc
+
+
+def _evaluate(cost: CostExpr, model, path: str) -> float:
+    """`eval_cost` under a loaded model; a value too large for a float
+    is a configuration error."""
+    try:
+        value = eval_cost(cost, model)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise _CliError(4, f"ConfigError: {path}: cost does not evaluate to a finite number")
+    return value
 
 
 def _strand_for(spec: ProtocolSpec, label: str) -> KStrand | None:
@@ -216,11 +229,11 @@ def cmd_compare(args) -> int:
     cost_a = simplify(_role_cost(spec_a, label))
     cost_b = simplify(_role_cost(spec_b, label))
     result = compare(cost_a, cost_b, assume)
+    if model is not None:
+        va, vb = (_evaluate(cost, model, args.config) for cost in (cost_a, cost_b))
     print(f"verdict: {result.verdict.value}")
     print(f"residual: {result.residual_line()}")
     if model is not None:
-        va = eval_cost(cost_a, model)
-        vb = eval_cost(cost_b, model)
         print(f"numeric: {va:g} vs {vb:g}")
     if args.trace:
         print("trace:")
@@ -233,9 +246,10 @@ def cmd_eval(args) -> int:
     spec = _load_spec(args.file)
     model, _ = _load_model(args.config)
     cost = simplify(_role_cost(spec, args.role))
-    print(f"value: {eval_cost(cost, model):.6f}")
-    for term, mult in cost.terms:
-        part = mult * eval_cost(CostExpr(((term, 1),)), model)
+    value = _evaluate(cost, model, args.config)
+    parts = [_evaluate(CostExpr(((term, mult),)), model, args.config) for term, mult in cost.terms]
+    print(f"value: {value:.6f}")
+    for (term, mult), part in zip(cost.terms, parts):
         print(f"  {render_cost_term(term, mult)} = {part:.6f}")
     return 0
 

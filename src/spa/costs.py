@@ -8,21 +8,17 @@ as: applications to a single type size, L_C, remaining applications without
 S_hash in the argument, applications with S_hash, L_P, overhead; ties break
 by the function enumeration, then first occurrence.
 
-Applications hash once, when built: nearly every one is a dict key several
-times over (merging, cancelling, expanding), and a frozen dataclass would
-hash its whole argument tree again each time.  Copies and unpickled terms
-carry no cached hash and compute it on first use.  `simplify` keeps the
-applications and size expressions it is given when they are already in
-normal form, so simplifying a simplified expression builds no new terms.
-`compare` records its steps as data and renders them into the trace only
-when `CompareResult.trace` is read.
+Cost terms are hash-consed like terms and size expressions (see `terms`):
+equal cost terms are one object, so merging, cancelling and expanding key
+dicts on them by identity, and simplifying a simplified expression gives
+back the terms it was given.  `compare` records its steps as data and
+renders them into the trace only when `CompareResult.trace` is read.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from operator import is_not
 
 from .errors import InvalidOpStrand, ShapeViolation
 from .sizes import (
@@ -39,6 +35,7 @@ from .sizes import (
     render_size,
 )
 from .strands import OPS, Classifier, CostFunc, StrandSpace, TStrand, validate_op_strand
+from .terms import _hash_consed
 
 
 _FUNC_RANK = {f: i for i, f in enumerate(CostFunc)}
@@ -55,10 +52,11 @@ EXPANDABLE = (
 
 
 class CostTerm:
-    __slots__ = ("_hash",)
+    __slots__ = ("__weakref__",)
 
 
-@dataclass(frozen=True, slots=True)
+@_hash_consed
+@dataclass(frozen=True, slots=True, eq=False)
 class App(CostTerm):
     func: CostFunc
     args: tuple[SizeExpr, ...]
@@ -67,28 +65,19 @@ class App(CostTerm):
         want = 2 if self.func is CostFunc.F_C else 1
         if len(self.args) != want:
             raise ValueError(f"{self.func.value} takes {want} argument(s)")
-        # nearly every App is hashed, and hashing here costs less than the
-        # slot miss in __hash__
-        object.__setattr__(self, "_hash", hash((self.func, self.args)))
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:  # a copy or an unpickled term: no cached hash
-            h = hash((self.func, self.args))
-            object.__setattr__(self, "_hash", h)
-            return h
 
 
 # L_C and L_P are the flat constants f_c and f_p fold into.  Each names the
 # function it folds as a class attribute, not a field, so evaluation and
 # dominance treat a folded term and a raw application alike.
-@dataclass(frozen=True, slots=True)
+@_hash_consed
+@dataclass(frozen=True, slots=True, eq=False)
 class LambdaC(CostTerm):
     func = CostFunc.F_C
 
 
-@dataclass(frozen=True, slots=True)
+@_hash_consed
+@dataclass(frozen=True, slots=True, eq=False)
 class LambdaP(CostTerm):
     func = CostFunc.F_P
 
@@ -96,7 +85,8 @@ class LambdaP(CostTerm):
 _FOLDED = {cls.func: cls() for cls in (LambdaC, LambdaP)}
 
 
-@dataclass(frozen=True, slots=True)
+@_hash_consed
+@dataclass(frozen=True, slots=True, eq=False)
 class Overhead(CostTerm):
     func = None  # no function applied
     sign: int
@@ -166,62 +156,39 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
     carries.  Process strands are free.  Operation terms come first (strand
     order), then processing terms.
 
-    A term depends only on its strand's classifier and typed inputs (a
-    row's condition fixes the outputs from the inputs; C_K and C_N output
-    one basic type each), or on the payload it processes.  So every strand
-    is validated, then strands are counted by (classifier, received
-    payloads) and positive payloads by typed term, and each group is priced
-    once, in first-seen order.  `cost_expr` merges groups that price alike
-    (C_E and C_D on one body, say) at the first one's position, so the
-    result equals pricing strand by strand.  Equal typed payloads are one
-    object, process-wide and held weakly (see `terms`), so grouping hashes
-    and compares them by identity, and every typed subterm is sized once
-    per call.
-
     One strand object may stand at several positions of a space, as
     `extract`'s operations of one shape do.  Each strand object is
-    validated and grouped once, and its later positions are only counted
-    (the space keeps every strand alive, so `id`s are not reused during
-    the call).
+    validated and priced once, with its number of positions as
+    multiplicity, and every typed subterm is sized once per call.
+    `cost_expr` merges equal terms at their first position, so the result
+    equals pricing strand by strand.
     """
-    ops: dict[tuple, list] = {}  # (classifier, *inputs) -> [first strand, count]
-    procs: dict = {}  # positive typed payload -> count
-    seen_strands: dict[int, list] = {}  # id(strand) -> [key, seq, later positions]
+    # id(strand) -> [strand, positions]; the space keeps every strand
+    # alive, so ids are not reused during the call
+    groups: dict[int, list] = {}
     for s in space.strands:
         if not isinstance(s, TStrand):
             raise InvalidOpStrand(f"not a typed strand: {s!r}")
         if s.classifier is Classifier.C_P:
             continue
-        seen = seen_strands.get(id(s))
-        if seen is not None:
-            seen[2] += 1
-            continue
-        try:
-            validate_op_strand(s)
-        except ShapeViolation as exc:
-            raise InvalidOpStrand(str(exc)) from exc
-        key = (s.classifier,)
+        group = groups.get(id(s))
+        if group is None:
+            try:
+                validate_op_strand(s)
+            except ShapeViolation as exc:
+                raise InvalidOpStrand(str(exc)) from exc
+            group = groups[id(s)] = [s, 0]
+        group[1] += 1
+    memo: dict = {}
+    ops = []
+    procs: dict = {}  # positive typed payload -> count
+    for s, n in groups.values():
+        ops.append((_op_cost(s, memo), n))
         for ev in s.seq:
             if ev.sign > 0:
-                procs[ev.payload] = procs.get(ev.payload, 0) + 1
-            else:
-                key += (ev.payload,)
-        group = ops.get(key)
-        if group is None:
-            ops[key] = [s, 1]
-        else:
-            group[1] += 1
-        seen_strands[id(s)] = [key, s.seq, 0]
-    for key, seq, n in seen_strands.values():
-        if n:
-            ops[key][1] += n
-            for ev in seq:
-                if ev.sign > 0:
-                    procs[ev.payload] += n
-    memo: dict = {}
+                procs[ev.payload] = procs.get(ev.payload, 0) + n
     return cost_expr(
-        [(_op_cost(s, memo), n) for s, n in ops.values()]
-        + [(App(CostFunc.F_P, (delta(t, memo),)), n) for t, n in procs.items()]
+        ops + [(App(CostFunc.F_P, (delta(t, memo),)), n) for t, n in procs.items()]
     )
 
 
@@ -232,8 +199,7 @@ def _op_cost(s: TStrand, memo: dict) -> CostTerm:
 
 def simplify(e: CostExpr) -> CostExpr:
     """Fold concatenation and processing applications into their constants,
-    normalize arguments, merge like terms, order canonically.  An
-    application whose arguments are already normal is kept as it is."""
+    normalize arguments, merge like terms, order canonically."""
     out = []
     for term, mult in e.terms:
         if isinstance(term, App):
@@ -241,9 +207,7 @@ def simplify(e: CostExpr) -> CostExpr:
             if folded is not None:
                 term = folded
             else:
-                args = tuple(map(normalize, term.args))
-                if any(map(is_not, args, term.args)):
-                    term = App(term.func, args)
+                term = App(term.func, tuple(map(normalize, term.args)))
         out.append((term, mult))
     return _canonical(out)
 
@@ -469,10 +433,6 @@ def _cancel(left: dict, right: dict, steps: list):
                 del right[term]
 
 
-def _to_expr(side: dict) -> CostExpr:
-    return _canonical(list(side.items()))
-
-
 def _strictly_dominates(g: CostTerm, f: CostTerm, assume: AssumptionSet, closure) -> bool:
     """True when g's value strictly exceeds f's in every admissible model."""
     gf, ff = g.func, f.func
@@ -561,7 +521,9 @@ def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTION
 
     verdict = _decide(left, right, assume, steps)
     steps.append(("verdict", verdict))
-    return CompareResult(verdict, _to_expr(left), _to_expr(right), tuple(steps))
+    return CompareResult(
+        verdict, _canonical(left.items()), _canonical(right.items()), tuple(steps)
+    )
 
 
 def _decide(left: dict, right: dict, assume: AssumptionSet, steps: list) -> Verdict:

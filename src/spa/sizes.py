@@ -7,14 +7,14 @@ merged, ordered by descending coefficient with first-occurrence ties; a
 single unit with coefficient 1 collapses to the bare unit; the empty sum is
 size zero.
 
+Size expressions are hash-consed like terms (see `terms`): equal size
+expressions are one object, so they hash and compare by identity.
+
 `delta` takes an optional memo dict from typed terms to their sizes.  A
 caller that sizes many terms sharing subterms passes one dict to every
 call, so each distinct typed subterm is sized once: `cost_of_space` keeps
 one per call, which makes pricing linear in the distinct subterms of a
-space rather than quadratic in nesting depth.  It sizes only the inputs of
-each distinct operation.  Equal typed terms are one object, process-wide
-and held weakly (see `terms`), so a memo lookup hashes and matches by
-identity.  No memo outlives its caller.
+space rather than quadratic in nesting depth.  No memo outlives its caller.
 """
 
 from __future__ import annotations
@@ -22,29 +22,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .terms import Basic, BasicTT, FuncName, TEmpty, TEnc, TPair, TTerm
+from .terms import Basic, BasicTT, FuncName, TEmpty, TEnc, TPair, TTerm, _hash_consed
 
 
 class SizeExpr:
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
 
-@dataclass(frozen=True, slots=True)
+@_hash_consed
+@dataclass(frozen=True, slots=True, eq=False)
 class TypeSize(SizeExpr):
     tt: BasicTT
 
 
-@dataclass(frozen=True, slots=True)
+@_hash_consed
+@dataclass(frozen=True, slots=True, eq=False)
 class HashSize(SizeExpr):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_hash_consed
+@dataclass(frozen=True, slots=True, eq=False)
 class AsymSize(SizeExpr):
     arg: SizeExpr
 
 
-@dataclass(frozen=True, slots=True)
+@_hash_consed
+@dataclass(frozen=True, slots=True, eq=False)
 class Sum(SizeExpr):
     items: tuple[tuple[int, SizeExpr], ...]  # (coefficient, non-Sum unit)
 
@@ -71,9 +75,9 @@ def ssum(parts) -> SizeExpr:
 
 
 def normalize(e: SizeExpr) -> SizeExpr:
-    """Normal form of e; e itself when it is already normal (a unit, or a
-    sum of distinct units with non-increasing coefficients that is not a
-    lone unit with coefficient 1), so normal terms keep their identity."""
+    """Normal form of e.  An e that is already normal (a unit, or a sum of
+    distinct units with non-increasing coefficients that is not a lone unit
+    with coefficient 1) is returned without rebuilding it."""
     if not isinstance(e, Sum):
         return e
     items = e.items

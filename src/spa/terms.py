@@ -8,7 +8,9 @@ key slot so the encryption constructor stays uniform.
 Terms are hash-consed process-wide: each class keeps a table from fields
 to the live term with those fields, held weakly, and its constructor
 returns that term when there is one.  Equal terms are one object, so
-every term hash and comparison is by identity, at C level.
+every term hash and comparison is by identity, at C level.  `_hash_consed`
+is the one identity rule of the package: size expressions (`sizes`) and
+cost terms (`costs`) are built through it too.
 """
 
 from __future__ import annotations

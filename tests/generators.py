@@ -233,7 +233,7 @@ def denormal_cost_expr(rng: random.Random, e: CostExpr) -> CostExpr:
 
 
 def hashed_terms() -> list:
-    """Cost terms that cache their hash, and an overhead term that does not."""
+    """Cost terms over size expressions, and an overhead term."""
     sr, sn, sk = (TypeSize(b) for b in (BasicTT.R, BasicTT.N, BasicTT.K))
     return [
         App(CostFunc.F_H, (ssum([sn, sn, sr]),)),

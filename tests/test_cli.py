@@ -411,3 +411,27 @@ def test_non_finite_config_is_config_error(tmp_path):
         ("compare", X509_ORIGINAL, X509_MODIFIED, "--config", str(cfg)),
     ):
         assert run_cli(*argv) == (4, "", "ConfigError: sizes.n must be finite\n")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        # S_asym's block count is too large to be an integer
+        {"s_asym": {"blk_in": 2e-300, "blk_out": 128, "pad": 1e-300}, "sizes": {"m": 1e10}},
+        # every value is finite, but their sums are not
+        {"sizes": {"r": 1e308, "n": 1e308}},
+    ],
+)
+def test_cost_overflowing_a_float_is_config_error(tmp_path, change):
+    data = json.loads(Path(DEFAULT_CONFIG).read_text(encoding="utf-8"))
+    for key, value in change.items():
+        data[key].update(value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    for argv in (
+        ("eval", X509_ORIGINAL, "--role", "A", "--config", str(cfg)),
+        ("compare", X509_ORIGINAL, X509_MODIFIED, "--config", str(cfg)),
+    ):
+        assert run_cli(*argv) == (
+            4, "", f"ConfigError: {cfg}: cost does not evaluate to a finite number\n",
+        )

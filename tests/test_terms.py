@@ -1,5 +1,5 @@
-"""Term model: constructors, validation, hash-consing, erasure, traversal,
-display."""
+"""Term model: constructors, validation, hash-consing (of terms, size
+expressions and cost terms), erasure, traversal, display."""
 
 import copy
 import dataclasses
@@ -17,7 +17,18 @@ from hypothesis import strategies as st
 
 import spa
 from spa import parse
-from spa.costs import CostFunc, Verdict
+from spa.costs import (
+    App,
+    CostExpr,
+    CostFunc,
+    LambdaC,
+    LambdaP,
+    Overhead,
+    Verdict,
+    cost_expr,
+    simplify,
+)
+from spa.sizes import AsymSize, HashSize, Sum, TypeSize, as_multiset, delta, ssum
 from spa.strands import Classifier
 from spa.terms import (
     Atom,
@@ -229,11 +240,42 @@ def test_memo_interns_equal_typed_terms(t, u):
     assert type_erase(t) is et
 
 
-@given(terms())
-def test_equal_terms_are_one_object(t):
+def rebuild_size(e):
+    if isinstance(e, Sum):
+        return Sum(tuple((coeff, rebuild_size(unit)) for coeff, unit in e.items))
+    if isinstance(e, AsymSize):
+        return AsymSize(rebuild_size(e.arg))
+    return TypeSize(e.tt) if isinstance(e, TypeSize) else HashSize()
+
+
+def rebuild_cost_term(term):
+    if isinstance(term, App):
+        return App(term.func, tuple(map(rebuild_size, term.args)))
+    return Overhead(term.sign) if isinstance(term, Overhead) else type(term)()
+
+
+@given(terms(), st.randoms(use_true_random=False))
+def test_equal_terms_are_one_object(t, rnd):
     assert rebuild(t) is t
     assert type_erase(t) is type_erase(relabel(t))
     assert relabel(t) is relabel(rebuild(t))
+    # sizes and cost terms are hash-consed too: built again, with or without
+    # a memo, from rebuilt parts or in another order, they are one object
+    size = delta(type_erase(t))
+    assert delta(type_erase(t), {}) is size and rebuild_size(size) is size
+    parts = [delta(type_erase(a)) for a in atoms_of(t)] + [size, HashSize()]
+    total = ssum(parts)
+    shuffled = rnd.sample(parts, len(parts))
+    assert ssum(list(map(rebuild_size, shuffled))) is ssum(shuffled)
+    assert as_multiset(ssum(shuffled)) == as_multiset(total)
+    cost = cost_expr(
+        [App(CostFunc.F_C, (size, total)), LambdaC(), LambdaP(), Overhead(-1)]
+        + [App(CostFunc.F_SK, (p,)) for p in shuffled]
+    )
+    rebuilt = CostExpr(tuple((rebuild_cost_term(term), m) for term, m in cost.terms))
+    for built, again in ((cost, rebuilt), (simplify(cost), simplify(rebuilt))):
+        assert len(built.terms) == len(again.terms)
+        assert all(a is b for (a, _), (b, _) in zip(built.terms, again.terms))
 
 
 def test_keywords_bind_like_positions():
@@ -276,7 +318,14 @@ def test_racing_threads_build_one_term():
 def _sample_terms() -> list:
     t = Enc(pair_of([A, NA, Enc(M, FuncName.H, Empty())]), FuncName.SK, K)
     e = type_erase(t)
-    return [t, t.body, Empty(), e, e.body, TEmpty(), Basic(BasicTT.K)]
+    n, r = TypeSize(BasicTT.N), TypeSize(BasicTT.R)
+    wide = ssum([n, n, r, HashSize()])
+    return [
+        t, t.body, Empty(), e, e.body, TEmpty(), Basic(BasicTT.K),
+        n, HashSize(), AsymSize(wide), wide,
+        App(CostFunc.F_PK, (AsymSize(wide),)), App(CostFunc.F_C, (n, r)),
+        LambdaC(), LambdaP(), Overhead(-1),
+    ]
 
 
 _PICKLE_TERMS = (
