@@ -246,12 +246,6 @@ def _expand(terms, steps: list | None = None, label: str = "") -> dict:
     return out
 
 
-def expand_additivity(e: CostExpr) -> CostExpr:
-    """Rewrite every application over a sum into per-addend applications
-    minus the per-term overhead."""
-    return _canonical(_expand(e.terms).items())
-
-
 def render_cost_term(term: CostTerm, mult: int = 1) -> str:
     if isinstance(term, App):
         body = f"{term.func.value}({', '.join(render_size(a) for a in term.args)})"

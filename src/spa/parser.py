@@ -5,13 +5,14 @@ of messages.  Projection turns each role into one knowledge strand: a sent
 message is a positive event on the sender's strand and a negative event on
 the recipient's, in message order.  Nonce/key atoms a role emits without
 holding them are marked fresh; participant/user-data atoms in that position
-are rejected, since nothing can create them; parsing walks each payload's
-atoms once, finds both in one pass per role over them, and keeps the fresh
-atoms in `ProtocolSpec.fresh`.
+are rejected, since nothing can create them; parsing notes each payload's
+atoms as it reads their tokens, finds both in one pass per role over them,
+and keeps the fresh atoms in `ProtocolSpec.fresh`.
 
 Tokenizing is one `re.split` pass that yields the token strings; a token's
 kind shows in its text.  Offsets, lines and columns are worked out only for
-an error, by scanning the source again (`_tokenize`).
+an error, by scanning the source again (`_tokenize`).  Terms are read by one
+loop with an explicit stack of open brackets, so parsing never recurses.
 """
 
 from __future__ import annotations
@@ -43,13 +44,19 @@ from .terms import (
 
 # Deepest nesting a term may have.  Each pair, cipher and hash around a
 # basic value is one level, so a list of k components nests k - 1 levels.
-# The term walks recurse once per level; the cap keeps them far from
-# Python's recursion limit.
+# The parser does not recurse, but `type_erase`, `delta`, extraction's
+# `_construct` and `render_term` recurse once per level; the cap keeps them
+# far from Python's recursion limit.
 MAX_NESTING = 256
 
 RESERVED = {
     "protocol", "roles", "nonce", "key", "data", "knows", "sk", "pk", "pvk", "h",
 }
+# tokens that cannot be declared: keywords, punctuation and the end of input
+_NOT_NAMES = frozenset(RESERVED | {"", "->", *"{}(),;:"})
+
+_KIND_WORDS = {"nonce": AtomKind.NONCE, "key": AtomKind.KEY, "data": AtomKind.USERDATA}
+_FUNCS = {"sk": FuncName.SK, "pk": FuncName.PK, "pvk": FuncName.PVK}
 
 # Whitespace and comments are matched too, so that consecutive matches cover
 # the whole source and a gap between them is an unexpected character.  Only a
@@ -126,124 +133,117 @@ class ProtocolSpec:
 
 
 class _Parser:
-    """Recursive descent over token strings ("" is the end of input).  The
-    cursor `pos` moves past every token `next` returns, so an error about the
-    token just read is located at `pos - 1`."""
+    """One pass over the token strings ("" is the end of input).  Each
+    method takes the index of the token it reads, and one that reads a run
+    of tokens returns the index after it, so an error is located at the
+    index in hand."""
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = _token_texts(text)
-        self.pos = 0
         self.atoms: dict[str, Atom] = {}
 
-    # -- token plumbing -----------------------------------------------------
+    # -- errors and single tokens -------------------------------------------
 
     def at(self, i: int) -> tuple[int, int]:
         """Line and column of token i."""
         return _line_col(self.text, _tokenize(self.text)[i].pos)
 
-    def peek(self) -> str:
-        return self.tokens[self.pos]
+    def expected(self, i: int, what: str) -> ParseError:
+        shown = self.tokens[i] or "end of input"
+        return ParseError(f"expected {what}, found {shown!r}", *self.at(i))
 
-    def next(self) -> str:
-        # past the end only on the way to an error: every caller that can
-        # read "" raises, except the final end-of-input check
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def expect(self, i: int, text: str) -> None:
+        if self.tokens[i] != text:
+            raise self.expected(i, repr(text))
 
-    def expect(self, text: str) -> None:
-        tok = self.next()
-        if tok != text:
-            shown = tok or "end of input"
-            raise ParseError(f"expected {text!r}, found {shown!r}", *self.at(self.pos - 1))
-
-    def ident(self, what: str = "identifier") -> str:
-        tok = self.next()
+    def name(self, i: int, what: str) -> str:
+        tok = self.tokens[i]
         if not tok[:1].isalpha():
-            shown = tok or "end of input"
-            raise ParseError(f"expected {what}, found {shown!r}", *self.at(self.pos - 1))
+            raise self.expected(i, what)
         if tok in RESERVED:
-            raise ParseError(f"{tok!r} is reserved", *self.at(self.pos - 1))
+            raise ParseError(f"{tok!r} is reserved", *self.at(i))
         return tok
 
-    # -- declarations: each locates its error at the token just read --------
-
-    def declare(self, label: str, kind: AtomKind) -> Atom:
-        if label in self.atoms:
-            raise DuplicateDeclaration(
-                f"{label!r} already declared", *self.at(self.pos - 1)
-            )
-        atom = self.atoms[label] = Atom(kind, label)
-        return atom
-
-    def lookup(self, label: str) -> Atom:
-        atom = self.atoms.get(label)
+    def lookup(self, i: int, what: str) -> Atom:
+        atom = self.atoms.get(self.tokens[i])
         if atom is None:
             raise UndeclaredIdentifier(
-                f"{label!r} is not declared", *self.at(self.pos - 1)
+                f"{self.name(i, what)!r} is not declared", *self.at(i)
             )
         return atom
 
-    def role_ref(self, label: str) -> Atom:
-        atom = self.lookup(label)
+    def role_ref(self, i: int) -> Atom:
+        atom = self.lookup(i, "role name")
         if atom.kind is not AtomKind.PARTICIPANT:
-            raise KindMismatch(
-                f"{label!r} is not a role", *self.at(self.pos - 1)
-            )
+            raise KindMismatch(f"{atom.label!r} is not a role", *self.at(i))
         return atom
 
     # -- grammar ------------------------------------------------------------
 
+    def declare(self, i: int, kind: AtomKind, what: str) -> tuple[list, int]:
+        """The atoms a comma-separated list of names from token i to its
+        ';' declares, and the index after the ';'."""
+        toks, atoms = self.tokens, self.atoms
+        declared = []
+        while True:
+            label = toks[i]
+            if label in atoms or label in _NOT_NAMES:
+                self.name(i, what)  # raises unless the name is taken
+                raise DuplicateDeclaration(f"{label!r} already declared", *self.at(i))
+            atom = atoms[label] = Atom(kind, label)
+            declared.append(atom)
+            if toks[i + 1] != ",":
+                break
+            i += 2
+        self.expect(i + 1, ";")
+        return declared, i + 2
+
     def protocol(self) -> ProtocolSpec:
-        self.expect("protocol")
-        name = self.ident("protocol name")
-        self.expect("{")
-
-        self.expect("roles")
-        roles = [self.declare(self.ident("role name"), AtomKind.PARTICIPANT)]
-        while self.peek() == ",":
-            self.next()
-            roles.append(self.declare(self.ident("role name"), AtomKind.PARTICIPANT))
-        self.expect(";")
-
-        kind_words = {"nonce": AtomKind.NONCE, "key": AtomKind.KEY, "data": AtomKind.USERDATA}
-        while self.peek() in kind_words:
-            kind = kind_words[self.next()]
-            self.declare(self.ident(), kind)
-            while self.peek() == ",":
-                self.next()
-                self.declare(self.ident(), kind)
-            self.expect(";")
+        toks = self.tokens
+        self.expect(0, "protocol")
+        name = self.name(1, "protocol name")
+        self.expect(2, "{")
+        self.expect(3, "roles")
+        roles, i = self.declare(4, AtomKind.PARTICIPANT, "role name")
+        while (kind := _KIND_WORDS.get(toks[i])) is not None:
+            i = self.declare(i + 1, kind, "identifier")[1]
 
         knowledge: dict[str, list[Term]] = {r.label: [] for r in roles}
-        while self.peek() == "knows":
-            self.next()
-            role = self.role_ref(self.ident("role name"))
-            self.expect(":")
-            entries = [self.term()[0]]
-            while self.peek() == ",":
-                self.next()
-                entries.append(self.term()[0])
-            self.expect(";")
+        while toks[i] == "knows":
+            held = knowledge[self.role_ref(i + 1).label]
+            self.expect(i + 2, ":")
+            entry, i = self.term(i + 3, [], listed=False)
+            entries = [entry]
+            while toks[i] == ",":
+                entry, i = self.term(i + 1, [], listed=False)
+                entries.append(entry)
+            self.expect(i, ";")
+            i += 1
             for entry in entries:
-                if entry not in knowledge[role.label]:
-                    knowledge[role.label].append(entry)
+                if entry not in held:
+                    held.append(entry)
 
-        messages = [self.message()]
-        while self.peek() != "}":
-            messages.append(self.message())
-        self.expect("}")
-        tail = self.next()
+        messages = []
+        carried = []  # each payload's atoms, in `atoms_of` order
+        while not messages or toks[i] != "}":
+            frm = self.role_ref(i)
+            self.expect(i + 1, "->")
+            to = self.role_ref(i + 2)
+            if frm == to:
+                raise SelfMessage(f"{frm.label!r} sends to itself", *self.at(i))
+            self.expect(i + 3, ":")
+            carried.append(found := [])
+            payload, i = self.term(i + 4, found, listed=True)
+            self.expect(i, ";")
+            i += 1
+            messages.append(Message(frm, to, payload))
+        tail = toks[i + 1]
         if tail:
-            raise ParseError(
-                f"unexpected {tail!r} after protocol", *self.at(self.pos - 1)
-            )
+            raise ParseError(f"unexpected {tail!r} after protocol", *self.at(i + 1))
 
         messages = tuple(messages)
         held = {label: tuple(entries) for label, entries in knowledge.items()}
-        # each payload is walked once and shared by its sender and recipient
-        carried = [tuple(atoms_of(msg.payload)) for msg in messages]
         return ProtocolSpec(
             name=name,
             roles=tuple(roles),
@@ -256,88 +256,102 @@ class _Parser:
             },
         )
 
-    def message(self) -> Message:
-        frm_at = self.pos
-        frm = self.role_ref(self.ident("role name"))
-        self.expect("->")
-        to = self.role_ref(self.ident("role name"))
-        if frm == to:
-            raise SelfMessage(
-                f"{frm.label!r} sends to itself", *self.at(frm_at)
-            )
-        self.expect(":")
-        payload, _, _ = self.sequence(0)
-        self.expect(";")
-        return Message(frm, to, payload)
+    def term(self, i: int, found: list, listed: bool) -> tuple[Term, int]:
+        """The term from token i, or if `listed` the comma-separated terms
+        from there as a left-nested pair chain, and the index after it.
+        Every atom read, keys included, is appended to `found` in token
+        order, which is `atoms_of` order.
 
-    def sequence(self, depth: int) -> tuple[Term, int, int]:
-        """Comma-separated terms as a left-nested pair chain: (term, its
-        nesting depth, number of components)."""
-        out, height = self.term(depth)
-        count = 1
-        while self.peek() == ",":
-            self.next()
-            start = self.pos
-            right, right_height = self.term(depth)
-            out = Pair(out, right)
-            height = self.nest(max(height, right_height), start)
-            count += 1
-        return out, height, count
+        One loop reads every token.  `stack` holds the open brackets, each
+        with the run of comma-separated terms it interrupted; a run is its
+        pair chain so far (`out`), that chain's nesting depth (`height`) and
+        its number of terms (`count`).  A term's depth counts the levels in
+        it, so a list of k terms nests k - 1 levels and each cipher or hash
+        adds one; the stack's length counts the brackets around it.  Either
+        reaching `MAX_NESTING` is an error at the first token of the term
+        that reaches it; for a pair, that is its right component."""
+        toks, atoms = self.tokens, self.atoms
+        stack = []
+        out, height, count = None, 0, 0
+        while True:
+            start = i
+            tok = toks[i]
+            term = atoms.get(tok)
+            if term is None:  # an open bracket, or an error
+                if tok != "(" and tok != "{" and tok != "h":
+                    self.lookup(i, "a term")  # raises: not a declared name
+                if len(stack) >= MAX_NESTING:
+                    raise self.too_deep(i)
+                if tok == "h":
+                    i += 1
+                    self.expect(i, "(")
+                stack.append((tok, start, (out, height, count)))
+                out, height, count = None, 0, 0
+                i += 1
+                continue
+            found.append(term)
+            level = 0
+            i += 1
+            while True:
+                # term, from token start with depth level, ends the run so far
+                if count:
+                    out = Pair(out, term)
+                    if height < level:
+                        height = level
+                    if height >= MAX_NESTING:
+                        raise self.too_deep(start)
+                    height += 1
+                else:
+                    out, height = term, level
+                count += 1
+                tok = toks[i]
+                if tok == "," and (stack or listed):
+                    i += 1
+                    break
+                if not stack:
+                    return out, i
+                # the run ends its bracket: close it into a term
+                bracket, start, run = stack.pop()
+                if bracket == "(":
+                    self.expect(i, ")")
+                    if count < 2:
+                        raise ParseError(
+                            "parenthesized terms need at least two components",
+                            *self.at(start),
+                        )
+                    term, level = out, height
+                    i += 1
+                else:
+                    if bracket == "h":
+                        self.expect(i, ")")
+                        term = Enc(out, FuncName.H, Empty())
+                        i += 1
+                    else:
+                        term, i = self.cipher(i, out, found)
+                    if height >= MAX_NESTING:
+                        raise self.too_deep(start)
+                    level = height + 1
+                out, height, count = run
 
-    def nest(self, inner: int, start: int) -> int:
-        """Depth of a term one level above `inner`, started at token start."""
-        if inner >= MAX_NESTING:
+    def cipher(self, i: int, body: Term, found: list) -> tuple[Enc, int]:
+        """The cipher of body whose closing '}' is token i, and the index
+        after the ')' around its key."""
+        self.expect(i, "}")
+        func = _FUNCS.get(self.tokens[i + 1])
+        if func is None:
             raise ParseError(
-                f"term nests more than {MAX_NESTING} levels deep", *self.at(start)
+                f"expected sk, pk or pvk, found {self.tokens[i + 1]!r}", *self.at(i + 1)
             )
-        return inner + 1
+        self.expect(i + 2, "(")
+        key = self.lookup(i + 3, "key name")
+        if key.kind is not AtomKind.KEY:
+            raise KindMismatch(f"{key.label!r} is not a key", *self.at(i + 3))
+        self.expect(i + 4, ")")
+        found.append(key)
+        return Enc(body, func, key), i + 5
 
-    def term(self, depth: int = 0) -> tuple[Term, int]:
-        """One term and its nesting depth; `depth` counts the brackets around
-        it, so runaway bracketing stops before the parser recurses further."""
-        start = self.pos
-        tok = self.tokens[start]
-        if tok == "(":
-            self.nest(depth, start)
-            self.next()
-            inner, height, count = self.sequence(depth + 1)
-            self.expect(")")
-            if count < 2:
-                raise ParseError(
-                    "parenthesized terms need at least two components",
-                    *self.at(start),
-                )
-            return inner, height
-        if tok == "{":
-            self.nest(depth, start)
-            self.next()
-            body, height, _ = self.sequence(depth + 1)
-            self.expect("}")
-            func = self.next()
-            funcs = {"sk": FuncName.SK, "pk": FuncName.PK, "pvk": FuncName.PVK}
-            if func not in funcs:
-                raise ParseError(
-                    f"expected sk, pk or pvk, found {func!r}", *self.at(self.pos - 1)
-                )
-            self.expect("(")
-            key = self.lookup(self.ident("key name"))
-            if key.kind is not AtomKind.KEY:
-                raise KindMismatch(
-                    f"{key.label!r} is not a key", *self.at(self.pos - 1)
-                )
-            self.expect(")")
-            return Enc(body, funcs[func], key), self.nest(height, start)
-        if tok == "h":
-            self.nest(depth, start)
-            self.next()
-            self.expect("(")
-            body, height, _ = self.sequence(depth + 1)
-            self.expect(")")
-            return Enc(body, FuncName.H, Empty()), self.nest(height, start)
-        if tok[:1].isalpha():
-            return self.lookup(self.ident()), 0
-        shown = tok or "end of input"
-        raise ParseError(f"expected a term, found {shown!r}", *self.at(start))
+    def too_deep(self, i: int) -> ParseError:
+        return ParseError(f"term nests more than {MAX_NESTING} levels deep", *self.at(i))
 
 
 def parse(text: str) -> ProtocolSpec:

@@ -11,11 +11,18 @@ returns that term when there is one.  Equal terms are one object, so
 every term hash and comparison is by identity, at C level.  `_hash_consed`
 is the one identity rule of the package: size expressions (`sizes`) and
 cost terms (`costs`) are built through it too.
+
+Each class's constructor is generated for its fields.  A call with every
+field positional runs in one Python frame (plus `__post_init__`, where a
+class checks its fields): a hit is one table lookup, and a miss fills the
+new term through its slot descriptors.  Parsing fresh input builds mostly
+new terms, so what it pays for is the miss.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import re
 import weakref
 from _weakref import _remove_dead_weakref
@@ -60,34 +67,82 @@ def _drop(ref: _Ref, remove=_remove_dead_weakref) -> None:
     remove(ref.table, ref.key)
 
 
+# Source of the constructor `_hash_consed` gives each class, made by a
+# factory whose parameters it reads as closure cells.  `{fields}` fills a
+# new term, `set0(t, key[0])` and so on, each `setN` the `__set__` of a
+# field's slot descriptor, then runs `check(t)`, the class's
+# `__post_init__`, if it has one.
+_NEW = """\
+def constructor(fill, new, get, setdefault, table, Ref, drop, remove{params}):
+    def __new__(cls, *key, **named):
+        if named:  # bound, or refused, by the dataclass's `__init__`
+            fill(scratch := new(cls), *key, **named)
+            key = scratch.__reduce__()[1]
+        ref = get(key)
+        if ref is not None and (t := ref()) is not None:
+            return t
+        if len(key) != {arity}:  # no key of the table's has this length
+            fill(new(cls), *key)  # raises the dataclass's TypeError
+        t = new(cls)
+{fields}
+        entry = Ref(t, drop)
+        entry.table, entry.key = table, key
+        while (ref := setdefault(key, entry)) is not entry:
+            if (live := ref()) is not None:
+                return live
+            remove(table, key)
+        return t
+    return __new__
+"""
+
+
+@functools.cache
+def _constructor(arity: int, checked: bool):
+    """The factory of the constructor for classes with `arity` fields and,
+    if `checked`, a `__post_init__`.  Classes of one shape share it, so
+    import compiles one per shape, and all run with this module's globals,
+    where they look up only `len`."""
+    params = [f"set{i}" for i in range(arity)] + ["check"] * checked
+    lines = [f"        set{i}(t, key[{i}])" for i in range(arity)]
+    lines += ["        check(t)"] * checked
+    src = _NEW.format(
+        params="".join(", " + p for p in params), arity=arity, fields="\n".join(lines)
+    )
+    made = {}
+    exec(compile(src, "<hash-consed>", "exec"), globals(), made)
+    return made["constructor"]
+
+
 def _hash_consed(cls):
     """Make constructing a term of cls return the live term with equal
     fields if there is one, so identity equality and `object.__hash__` are
-    value equality and a hash of it.  The dataclass's `__init__` (and its
-    `__post_init__` checks) fills a new term on a table miss only.  A new
-    term enters its table by `setdefault`, one step, so threads that race
-    to build a term all get the one that entered first."""
+    value equality and a hash of it.
+
+    A call with every field positional takes the fast path: a hit is one
+    lookup, and a miss sets the fields through their slot descriptors in
+    the `__new__` frame, then runs `__post_init__`.  Keyword calls are
+    bound, or refused, by the dataclass's `__init__` on a scratch term
+    first, and a call of the wrong arity, which no table key matches, is
+    refused by it with the usual `TypeError`.  A new term enters its table
+    by `setdefault`, one step, so threads that race to build a term all get
+    the one that entered first; a term whose `__post_init__` raised never
+    enters."""
     fill = cls.__init__
     del cls.__init__
     names = [f.name for f in fields(cls)]
     table = _TABLES[cls] = {}
-
-    def __new__(cls, *key, **named):
-        if named:  # bound by the dataclass's `__init__`, on a scratch term
-            fill(scratch := object.__new__(cls), *key, **named)
-            key = scratch.__reduce__()[1]
-        ref = table.get(key)
-        t = ref and ref()
-        if t is None:
-            fill(t := object.__new__(cls), *key)
-            new = _Ref(t, _drop)
-            new.table, new.key = table, key
-            while (ref := table.setdefault(key, new)) is not new:
-                if (live := ref()) is not None:
-                    return live
-                _remove_dead_weakref(table, key)
-        return t
-
+    env = {
+        "fill": fill, "new": object.__new__, "get": table.get,
+        "setdefault": table.setdefault, "table": table, "Ref": _Ref,
+        "drop": _drop, "remove": _remove_dead_weakref,
+    }
+    for i, name in enumerate(names):
+        env[f"set{i}"] = cls.__dict__[name].__set__
+    checked = hasattr(cls, "__post_init__")
+    if checked:
+        env["check"] = cls.__post_init__
+    __new__ = _constructor(len(names), checked)(**env)
+    __new__.__qualname__ = f"{cls.__qualname__}.__new__"
     cls.__new__ = staticmethod(__new__)
     # pickles and copies are the canonical term
     cls.__reduce__ = lambda t: (cls, tuple(getattr(t, name) for name in names))

@@ -1,4 +1,5 @@
-"""Shared test plumbing: repo paths and in-process CLI invocation."""
+"""Shared test plumbing: repo paths, in-process CLI invocation, and the
+whole-expression additivity rewrite the cost tests check values against."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from spa.cli import main
+from spa.costs import CostExpr, _canonical, _expand
 
 ROOT = Path(__file__).resolve().parent.parent
 PROTOCOLS = ROOT / "protocols"
@@ -38,3 +40,9 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def expand_additivity(e: CostExpr) -> CostExpr:
+    """Rewrite every application over a sum into per-addend applications
+    minus the per-term overhead, as `compare` does to both sides."""
+    return _canonical(_expand(e.terms).items())

@@ -18,7 +18,7 @@ from spa import (
     render_cost,
     simplify,
 )
-from spa.costs import Verdict, expand_additivity
+from spa.costs import Verdict
 from spa.errors import Ungeneratable, Unrecoverable
 from spa.oracle import op_count_oracle
 from spa.sizes import HashSize, add, delta, normalize
@@ -34,7 +34,16 @@ from .generators import (
     random_tterm,
     sound_model,
 )
-from .helpers import ANDREW, CORPUS, KEY_WRAP, X509_MODIFIED, X509_ORIGINAL, read, run_cli
+from .helpers import (
+    ANDREW,
+    CORPUS,
+    KEY_WRAP,
+    X509_MODIFIED,
+    X509_ORIGINAL,
+    expand_additivity,
+    read,
+    run_cli,
+)
 
 
 def _report(num: int, desc: str, budget: float, fn) -> None:

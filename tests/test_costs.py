@@ -41,7 +41,6 @@ from spa.costs import (
     Verdict,
     _strictly_dominates,
     cost_expr,
-    expand_additivity,
     expand_one,
     render_cost_term,
 )
@@ -69,7 +68,7 @@ from .generators import (
     random_eval_model,
     random_spec,
 )
-from .helpers import CORPUS, KEY_WRAP, ROOT, X509_ORIGINAL, read
+from .helpers import CORPUS, KEY_WRAP, ROOT, X509_ORIGINAL, expand_additivity, read
 from .naive_compare import naive_compare
 from .naive_sizes import naive_cost_of_space
 

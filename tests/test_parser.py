@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -24,7 +25,8 @@ from spa.strands import render_kstrand
 from spa.terms import Atom, AtomKind, Enc, FuncName, Pair, pair_of
 
 from .generators import chain_spec, random_spec, render_spec
-from .helpers import ANDREW, CORPUS, read
+from .helpers import ANDREW, CORPUS, X509_FULL, read
+from .naive_parse import naive_parse
 from .naive_project import naive_project, naive_validate
 from .naive_tokenize import naive_tokenize
 
@@ -290,7 +292,10 @@ def test_one_freshness_walk_per_role(monkeypatch):
         assert walked == list(spec.roles), text
 
 
-def test_one_atom_walk_per_payload_and_entry(monkeypatch):
+def test_one_atom_walk_per_entry_and_none_per_payload(monkeypatch):
+    """`parse` walks each knowledge entry once and no payload: it reads a
+    payload's atoms off its tokens (`test_projection_matches_reference`
+    checks the fresh sets they give)."""
     walk = spa.parser.atoms_of
     walked = []
 
@@ -304,8 +309,7 @@ def test_one_atom_walk_per_payload_and_entry(monkeypatch):
         walked.clear()
         spec = parse(text)
         entries = [t for held in spec.knowledge.values() for t in held]
-        payloads = [msg.payload for msg in spec.messages]
-        assert sorted(map(id, walked)) == sorted(map(id, entries + payloads)), text
+        assert sorted(map(id, walked)) == sorted(map(id, entries)), text
 
 
 def test_projection_matches_reference():
@@ -337,6 +341,84 @@ def test_projection_matches_reference():
         parsed = parse(text)
         assert project(parsed) == naive_project(parsed), text
     assert 20 < refused < 300
+
+
+def _parsed(parse_text, text):
+    """The spec, or the error's class, message, line and column."""
+    try:
+        return parse_text(text)
+    except SpaError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+def _token_mutants(rng: random.Random, text: str, count: int):
+    """`count` copies of text re-spaced token by token, each with one token
+    deleted, duplicated, swapped with its neighbour or replaced by another
+    of the text's tokens; the gaps put tokens on several lines."""
+    tokens = [tok.text for tok in _tokenize(text)[:-1]]
+    for _ in range(count):
+        out = list(tokens)
+        at = rng.randrange(len(out))
+        op = rng.choice(("delete", "duplicate", "swap", "replace"))
+        if op == "delete":
+            del out[at]
+        elif op == "duplicate":
+            out.insert(at, out[at])
+        elif op == "swap" and at + 1 < len(out):
+            out[at], out[at + 1] = out[at + 1], out[at]
+        else:
+            out[at] = rng.choice(tokens)
+        yield "".join(tok + rng.choice((" ", "\n", "\n  ")) for tok in out)
+
+
+def _nesting_cases() -> list:
+    """Payloads and knowledge entries one level under the nesting cap, at
+    it and one past it, for each kind of level and for a mix of them."""
+    def at_depth(d):
+        return [
+            "h(" * d + "N" + ")" * d,
+            "{" * d + "N" + "}sk(K)" * d,
+            "(" * d + "N" + ", N)" * d,
+            ", ".join(["N"] * (d + 1)),
+            "h(" * (d // 2) + ", ".join(["N"] * (d - d // 2 + 1)) + ")" * (d // 2),
+            "(N, " * (d - 1) + "h(N" + ")" * d,
+            "{(" * (d // 2) + "N, N" + ")}pk(K)" * (d // 2),
+        ]
+
+    base = "protocol p {\n  roles A, B;\n  nonce N;\n  key K;\n  knows A: N, K;\n"
+    cases = []
+    for d in (255, 256, 257):
+        for t in at_depth(d):
+            cases.append(base + f"  A -> B: {t};\n}}\n")
+            cases.append(base.replace("knows A: N, K;", f"knows A: N, K, {t};")
+                         + "  A -> B: N;\n}\n")
+    return cases
+
+
+def test_parse_matches_reference():
+    """The spec, or the error with its line and column, that the recursive
+    reference parser gives: on valid protocols, at the nesting cap, and on
+    token-level mutants, whose errors cover every parse error."""
+    rng = random.Random(2014)
+    texts = [read(path) for path in CORPUS]
+    texts += [render_spec(s) for s in _draws()]
+    texts += [render_spec(chain_spec(n, w)) for n in range(1, 25) for w in (4, 8)]
+    texts += _nesting_cases()
+    for path in CORPUS:
+        texts += _token_mutants(rng, read(path), 300)
+    for spec in _draws(30):
+        texts += _token_mutants(rng, render_spec(spec), 10)
+    tokens = [tok.text for tok in _tokenize(read(X509_FULL))[:-1]]
+    texts += [" ".join(tokens[:k]) for k in range(len(tokens) + 1)]
+    kinds = Counter()
+    for text in texts:
+        got, want = _parsed(parse, text), _parsed(naive_parse, text)
+        assert got == want, text
+        kinds[want[0].__name__ if isinstance(want, tuple) else "ok"] += 1
+    assert kinds["ok"] > 400
+    for name in ("ParseError", "UndeclaredIdentifier", "DuplicateDeclaration",
+                 "SelfMessage", "KindMismatch", "Ungeneratable"):
+        assert kinds[name], kinds
 
 
 def test_error_carries_location():

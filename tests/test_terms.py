@@ -288,6 +288,67 @@ def test_keywords_bind_like_positions():
         Atom(AtomKind.NONCE, name="N_a")
 
 
+# fields of one term per hash-consed class, and for each class that checks
+# its fields, fields it refuses
+_CTOR_FIELDS = {
+    Empty: (),
+    Atom: (AtomKind.NONCE, "N_ctor"),
+    Pair: (A, NA),
+    Enc: (NA, FuncName.SK, K),
+    TEmpty: (),
+    Basic: (BasicTT.N,),
+    TPair: (Basic(BasicTT.R), Basic(BasicTT.N)),
+    TEnc: (Basic(BasicTT.N), FuncName.PK),
+    TypeSize: (BasicTT.N,),
+    HashSize: (),
+    AsymSize: (TypeSize(BasicTT.K),),
+    Sum: (((2, TypeSize(BasicTT.N)), (1, HashSize())),),
+    App: (CostFunc.F_SK, (TypeSize(BasicTT.N),)),
+    LambdaC: (),
+    LambdaP: (),
+    Overhead: (-1,),
+}
+_REFUSED = {
+    Atom: (AtomKind.NONCE, "2ctor"),
+    Enc: (NA, FuncName.H, K),
+    App: (CostFunc.F_C, (TypeSize(BasicTT.N),)),
+    Overhead: (0,),
+}
+
+
+def test_every_hash_consed_class_has_constructor_cases():
+    assert set(_CTOR_FIELDS) == set(_TABLES)
+
+
+@pytest.mark.parametrize("cls", list(_CTOR_FIELDS), ids=lambda cls: cls.__name__)
+def test_constructor_contract(cls):
+    """Positional, keyword and mixed calls give one term; a call of the
+    wrong arity, with an unknown keyword or with fields `__post_init__`
+    refuses raises as the dataclass's `__init__` does and enters nothing."""
+    values = _CTOR_FIELDS[cls]
+    names = [f.name for f in dataclasses.fields(cls)]
+    table = _TABLES[cls]
+    t = cls(*values)
+    assert [getattr(t, name) for name in names] == list(values)
+    assert cls(**dict(zip(names, values))) is t
+    for cut in range(1, len(values)):
+        assert cls(*values[:cut], **dict(zip(names[cut:], values[cut:]))) is t
+    before = set(table)
+    assert table[values]() is t
+    calls = [(values + (values[:1] or (A,)), {}), (values, {"bogus": 1})]
+    if values:
+        calls.append((values[:-1], {}))
+    for args, named in calls:
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) "):
+            cls(*args, **named)
+    if cls in _REFUSED:
+        with pytest.raises(ValueError):
+            cls(*_REFUSED[cls])
+        with pytest.raises(ValueError):
+            cls(**dict(zip(names, _REFUSED[cls])))
+    assert set(table) <= before
+
+
 def test_racing_threads_build_one_term():
     # more threads than cores, switching often: each term a thread builds
     # must be the one every other thread built
