@@ -3,8 +3,8 @@
 One JSON document supplies numeric type sizes, hash and asymmetric
 ciphertext parameters, affine coefficients for the six size-dependent cost
 functions, the three constants, and optional comparison assumptions.  The
-schema is closed: unknown keys are rejected so typos cannot silently fall
-back to defaults.
+schema is closed: unknown and repeated keys are rejected so typos cannot
+silently fall back to defaults or be overridden.
 """
 
 from __future__ import annotations
@@ -146,12 +146,22 @@ def _parse_assumptions(raw) -> AssumptionSet:
         raise ConfigError(str(exc)) from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_config(path) -> tuple[CostModel, AssumptionSet]:
     """Read and validate a JSON config file."""
     with open(path, encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
-            # malformed or too deeply nested JSON, or text that is not UTF-8
+            # malformed or too deeply nested JSON, a key repeated in one
+            # object, or text that is not UTF-8
             raise ConfigError(f"{path}: {exc}") from exc
     return parse_config(data)

@@ -299,6 +299,8 @@ class AssumptionSet:
         closure = _transitive_closure(self.dominance)
         if any(g is f for g, f in closure):
             raise ValueError("dominance must be irreflexive and acyclic")
+        if not self.max_bytes > 0:
+            raise ValueError("max_bytes must be positive")
         object.__setattr__(self, "_closure", closure)
 
     def closure(self) -> frozenset:

@@ -11,15 +11,15 @@ and keeps the fresh atoms in `ProtocolSpec.fresh`.
 
 Tokenizing is one `re.split` pass that yields the token strings; a token's
 kind shows in its text.  Offsets, lines and columns are worked out only for
-an error, by scanning the source again (`_tokenize`).  Terms are read by one
-loop with an explicit stack of open brackets, so parsing never recurses.
+an error, by scanning the source again (`_offsets`).  Terms are read by
+recursive descent over token indices: `_Parser.term` reads one term and
+`_Parser.run` a comma-separated list of them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import (
     DuplicateDeclaration,
@@ -44,9 +44,9 @@ from .terms import (
 
 # Deepest nesting a term may have.  Each pair, cipher and hash around a
 # basic value is one level, so a list of k components nests k - 1 levels.
-# The parser does not recurse, but `type_erase`, `delta`, extraction's
-# `_construct` and `render_term` recurse once per level; the cap keeps them
-# far from Python's recursion limit.
+# The parser recurses twice per bracket level (`term` and `run`), and
+# `type_erase`, `delta`, extraction's `_construct` and `render_term` once
+# per level; the cap keeps them all far from Python's recursion limit.
 MAX_NESTING = 256
 
 RESERVED = {
@@ -65,12 +65,6 @@ _FUNCS = {"sk": FuncName.SK, "pk": FuncName.PK, "pvk": FuncName.PVK}
 _TOKEN_RE = re.compile(r"\s+|//[^\n]*|([A-Za-z][A-Za-z0-9_]*|->|[{}(),;:])")
 
 
-class Token(NamedTuple):
-    kind: str  # "ident", "arrow", "punct", "eof"
-    text: str
-    pos: int  # offset into the source; see _line_col
-
-
 def _line_col(text: str, pos: int) -> tuple[int, int]:
     """1-based line and column of offset `pos`, for error messages only."""
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
@@ -86,27 +80,27 @@ def _token_texts(text: str) -> list[str]:
     character."""
     parts = _TOKEN_RE.split(text)
     if any(parts[::2]):
-        _tokenize(text)  # raises, located at the first gap
+        _offsets(text)  # raises, located at the first gap
     return [*filter(None, parts[1::2]), ""]
 
 
-def _tokenize(text: str) -> list[Token]:
-    """`_token_texts`'s tokens with their kinds and offsets.  Parsing needs
-    offsets only to locate an error, so it scans again for them then."""
-    tokens = []
+def _offsets(text: str) -> list[int]:
+    """The offset of each of `_token_texts`'s tokens, the end of input's
+    included.  Parsing needs offsets only to locate an error, so it scans
+    again for them then; a character that starts no token, whitespace or
+    comment is itself the error."""
+    offsets = []
     pos = 0
     for m in _TOKEN_RE.finditer(text):
         if m.start() != pos:
             break
-        tok = m.group(1)
-        if tok:
-            kind = "ident" if tok[0].isalpha() else "arrow" if tok == "->" else "punct"
-            tokens.append(Token(kind, tok, pos))
+        if m.group(1):
+            offsets.append(pos)
         pos = m.end()
     if pos != len(text):
         raise ParseError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))
-    tokens.append(Token("eof", "", pos))
-    return tokens
+    offsets.append(pos)
+    return offsets
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,7 +141,7 @@ class _Parser:
 
     def at(self, i: int) -> tuple[int, int]:
         """Line and column of token i."""
-        return _line_col(self.text, _tokenize(self.text)[i].pos)
+        return _line_col(self.text, _offsets(self.text)[i])
 
     def expected(self, i: int, what: str) -> ParseError:
         shown = self.tokens[i] or "end of input"
@@ -213,10 +207,10 @@ class _Parser:
         while toks[i] == "knows":
             held = knowledge[self.role_ref(i + 1).label]
             self.expect(i + 2, ":")
-            entry, i = self.term(i + 3, [], listed=False)
+            entry, _, i = self.term(i + 3, [], 0)
             entries = [entry]
             while toks[i] == ",":
-                entry, i = self.term(i + 1, [], listed=False)
+                entry, _, i = self.term(i + 1, [], 0)
                 entries.append(entry)
             self.expect(i, ";")
             i += 1
@@ -234,7 +228,7 @@ class _Parser:
                 raise SelfMessage(f"{frm.label!r} sends to itself", *self.at(i))
             self.expect(i + 3, ":")
             carried.append(found := [])
-            payload, i = self.term(i + 4, found, listed=True)
+            payload, _, _, i = self.run(i + 4, found, 0)
             self.expect(i, ";")
             i += 1
             messages.append(Message(frm, to, payload))
@@ -256,82 +250,60 @@ class _Parser:
             },
         )
 
-    def term(self, i: int, found: list, listed: bool) -> tuple[Term, int]:
-        """The term from token i, or if `listed` the comma-separated terms
-        from there as a left-nested pair chain, and the index after it.
+    def term(self, i: int, found: list, depth: int) -> tuple[Term, int, int]:
+        """The term from token i, its nesting depth and the index after it.
         Every atom read, keys included, is appended to `found` in token
         order, which is `atoms_of` order.
 
-        One loop reads every token.  `stack` holds the open brackets, each
-        with the run of comma-separated terms it interrupted; a run is its
-        pair chain so far (`out`), that chain's nesting depth (`height`) and
-        its number of terms (`count`).  A term's depth counts the levels in
-        it, so a list of k terms nests k - 1 levels and each cipher or hash
-        adds one; the stack's length counts the brackets around it.  Either
-        reaching `MAX_NESTING` is an error at the first token of the term
-        that reaches it; for a pair, that is its right component."""
-        toks, atoms = self.tokens, self.atoms
-        stack = []
-        out, height, count = None, 0, 0
-        while True:
-            start = i
-            tok = toks[i]
-            term = atoms.get(tok)
-            if term is None:  # an open bracket, or an error
-                if tok != "(" and tok != "{" and tok != "h":
-                    self.lookup(i, "a term")  # raises: not a declared name
-                if len(stack) >= MAX_NESTING:
-                    raise self.too_deep(i)
-                if tok == "h":
-                    i += 1
-                    self.expect(i, "(")
-                stack.append((tok, start, (out, height, count)))
-                out, height, count = None, 0, 0
-                i += 1
-                continue
-            found.append(term)
-            level = 0
-            i += 1
-            while True:
-                # term, from token start with depth level, ends the run so far
-                if count:
-                    out = Pair(out, term)
-                    if height < level:
-                        height = level
-                    if height >= MAX_NESTING:
-                        raise self.too_deep(start)
-                    height += 1
-                else:
-                    out, height = term, level
-                count += 1
-                tok = toks[i]
-                if tok == "," and (stack or listed):
-                    i += 1
-                    break
-                if not stack:
-                    return out, i
-                # the run ends its bracket: close it into a term
-                bracket, start, run = stack.pop()
-                if bracket == "(":
-                    self.expect(i, ")")
-                    if count < 2:
-                        raise ParseError(
-                            "parenthesized terms need at least two components",
-                            *self.at(start),
-                        )
-                    term, level = out, height
-                    i += 1
-                else:
-                    if bracket == "h":
-                        self.expect(i, ")")
-                        term = Enc(out, FuncName.H, Empty())
-                        i += 1
-                    else:
-                        term, i = self.cipher(i, out, found)
-                    if height >= MAX_NESTING:
-                        raise self.too_deep(start)
-                    level = height + 1
-                out, height, count = run
+        `depth` counts the brackets around the term.  Opening one more at
+        `MAX_NESTING`, or a term whose own depth would pass it, is an error
+        at the term's first token."""
+        tok = self.tokens[i]
+        atom = self.atoms.get(tok)
+        if atom is not None:
+            found.append(atom)
+            return atom, 0, i + 1
+        if tok != "(" and tok != "{" and tok != "h":
+            self.lookup(i, "a term")  # raises: not a declared name
+        if depth >= MAX_NESTING:
+            raise self.too_deep(i)
+        if tok == "(":
+            inner, height, count, j = self.run(i + 1, found, depth + 1)
+            self.expect(j, ")")
+            if count < 2:
+                raise ParseError(
+                    "parenthesized terms need at least two components", *self.at(i)
+                )
+            return inner, height, j + 1
+        if tok == "h":
+            self.expect(i + 1, "(")
+            body, height, _, j = self.run(i + 2, found, depth + 1)
+            self.expect(j, ")")
+            term, j = Enc(body, FuncName.H, Empty()), j + 1
+        else:
+            body, height, _, j = self.run(i + 1, found, depth + 1)
+            term, j = self.cipher(j, body, found)
+        if height >= MAX_NESTING:
+            raise self.too_deep(i)
+        return term, height + 1, j
+
+    def run(self, i: int, found: list, depth: int) -> tuple[Term, int, int, int]:
+        """The comma-separated terms from token i as a left-nested pair
+        chain, its nesting depth, its number of terms and the index after
+        it.  A pair too deep is an error at its right component."""
+        out, height, i = self.term(i, found, depth)
+        count = 1
+        while self.tokens[i] == ",":
+            right, level, j = self.term(i + 1, found, depth)
+            out = Pair(out, right)
+            if height < level:
+                height = level
+            if height >= MAX_NESTING:
+                raise self.too_deep(i + 1)
+            height += 1
+            count += 1
+            i = j
+        return out, height, count, i
 
     def cipher(self, i: int, body: Term, found: list) -> tuple[Enc, int]:
         """The cipher of body whose closing '}' is token i, and the index

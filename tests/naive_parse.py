@@ -1,12 +1,12 @@
 """Recursive-descent reference parser for the differential tests.
 
-`naive_parse` is a copy of `spa.parser.parse` before its term grammar became
-one loop with an explicit stack of open brackets: `term`, `sequence` and
-`nest` call each other once per bracket, and every token is read through
-`next`, `peek` or `ident`.  It walks every payload with `atoms_of` to find
-the roles' fresh atoms.  It is kept only so that tests can require the
-library's specs, and its errors with their lines and columns, to be the
-same.
+`naive_parse` is a copy of `spa.parser.parse` before it read tokens by
+index: a cursor moves past every token read through `next`, `peek` or
+`ident`, and `term`, `sequence` and `nest` call each other once per bracket.
+It lexes with `naive_tokenize`, so it shares no lexing code with the
+library, and it walks every payload with `atoms_of` to find the roles'
+fresh atoms.  It is kept only so that tests can require the library's specs,
+and its errors with their lines and columns, to be the same.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from spa.parser import (
     Message,
     ProtocolSpec,
     _fresh_atoms,
-    _line_col,
-    _token_texts,
-    _tokenize,
 )
 from spa.terms import Atom, AtomKind, Empty, Enc, FuncName, Pair, Term, atoms_of
+
+from .naive_tokenize import naive_tokenize
 
 
 class NaiveParser:
@@ -37,8 +36,8 @@ class NaiveParser:
     token just read is located at `pos - 1`."""
 
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _token_texts(text)
+        self.lexed = naive_tokenize(text)
+        self.tokens = [tok.text for tok in self.lexed]
         self.pos = 0
         self.atoms: dict[str, Atom] = {}
 
@@ -46,7 +45,7 @@ class NaiveParser:
 
     def at(self, i: int) -> tuple[int, int]:
         """Line and column of token i."""
-        return _line_col(self.text, _tokenize(self.text)[i].pos)
+        return self.lexed[i].line, self.lexed[i].column
 
     def peek(self) -> str:
         return self.tokens[self.pos]

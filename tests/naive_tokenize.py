@@ -5,7 +5,7 @@
 for every match, and carries the line and column along every match,
 whitespace and comments included.  It is kept only so that tests can require
 the library's tokens to sit at the same lines and columns, and its errors to
-read the same.
+read the same, and so that `naive_parse` lexes without the library.
 """
 
 from __future__ import annotations

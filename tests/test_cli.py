@@ -355,20 +355,38 @@ def nested_protocol(shape, depth):
     )
 
 
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
 @pytest.mark.parametrize("shape", ["h", "sk", "pairs", "wide"])
 def test_nesting_cap(tmp_path, shape):
+    """Every command accepts a term at the cap and refuses one past it,
+    using fewer than 900 frames above its caller, so that Python's default
+    recursion limit of 1000 leaves room for a caller's own frames."""
     ok = write(tmp_path, nested_protocol(shape, 256), "ok.spa")
     runs = [("check", ok), ("model", ok), ("model", ok, "--format", "json"),
-            ("model", ok, "--format", "dot"), ("cost", ok, "--role", "A"),
-            ("compare", ok, ok), ("eval", ok, "--role", "A", "--config", DEFAULT_CONFIG)]
-    for argv in runs:
-        code, _, err = run_cli(*argv)
-        assert (code, err) == (0, ""), argv
+            ("model", ok, "--format", "dot"), ("model", ok, "--role", "A", "--format", "dot"),
+            ("cost", ok, "--role", "A", "--raw"), ("cost", ok, "--role", "A", "--simplified"),
+            ("compare", ok, ok), ("compare", ok, ok, "--trace", "--config", DEFAULT_CONFIG),
+            ("eval", ok, "--role", "A", "--config", DEFAULT_CONFIG)]
     deep = write(tmp_path, nested_protocol(shape, 258), "deep.spa")
-    for argv in (("check", deep), ("cost", deep, "--role", "A"), ("model", deep)):
-        code, out, err = run_cli(*argv)
-        assert code == 2 and out == ""
-        assert "ParseError: term nests more than 256 levels deep (line 1, column" in err
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 900)
+    try:
+        for argv in runs:
+            code, _, err = run_cli(*argv)
+            assert (code, err) == (0, ""), argv
+        for argv in (("check", deep), ("cost", deep, "--role", "A"), ("model", deep)):
+            code, out, err = run_cli(*argv)
+            assert code == 2 and out == ""
+            assert "ParseError: term nests more than 256 levels deep (line 1, column" in err
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @pytest.mark.parametrize("argv", [
@@ -411,6 +429,22 @@ def test_non_finite_config_is_config_error(tmp_path):
         ("compare", X509_ORIGINAL, X509_MODIFIED, "--config", str(cfg)),
     ):
         assert run_cli(*argv) == (4, "", "ConfigError: sizes.n must be finite\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('"lambda_c": 0.1,', '"lambda_c": 0.1, "lambda_c": 1e6,', "{cfg}: duplicate key 'lambda_c'"),
+    ('"max_bytes": 4096', '"max_bytes": 0', "max_bytes must be positive"),
+], ids=["duplicate-key", "max-bytes"])
+def test_ill_formed_config_is_config_error(tmp_path, old, new, message):
+    cfg = tmp_path / "cfg.json"
+    text = Path(DEFAULT_CONFIG).read_text(encoding="utf-8")
+    assert old in text
+    cfg.write_text(text.replace(old, new), encoding="utf-8")
+    for argv in (
+        ("eval", X509_ORIGINAL, "--role", "A", "--config", str(cfg)),
+        ("compare", X509_ORIGINAL, X509_MODIFIED, "--config", str(cfg)),
+    ):
+        assert run_cli(*argv) == (4, "", f"ConfigError: {message.format(cfg=cfg)}\n")
 
 
 @pytest.mark.parametrize(

@@ -166,6 +166,32 @@ def test_bad_json_is_config_error(tmp_path):
             load_config(path)
 
 
+@pytest.mark.parametrize("text, key", [
+    ('"lambda_c": 0.1', "lambda_c"),
+    ('"sizes": {"r": 8', "r"),
+    ('"monotone": true', "monotone"),
+], ids=["top", "sizes", "assumptions"])
+def test_duplicate_key_is_config_error(tmp_path, text, key):
+    """A repeated key in any object is refused, not read last-wins."""
+    path = tmp_path / "dup.json"
+    repeated = text + ", " + text.rsplit("{", 1)[-1]
+    path.write_text(read(DEFAULT_CONFIG).replace(text, repeated, 1), encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"{path}: duplicate key {key!r}"
+
+
+@pytest.mark.parametrize("bad", [0, -1, -0.5])
+def test_max_bytes_must_be_positive(bad):
+    data = variant()
+    data["assumptions"]["max_bytes"] = bad
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data)
+    assert str(exc.value) == "max_bytes must be positive"
+    data["assumptions"]["max_bytes"] = 1e-9
+    assert parse_config(data)[1].max_bytes == 1e-9
+
+
 def test_missing_file_is_os_error(tmp_path):
     with pytest.raises(OSError):
         load_config(tmp_path / "absent.json")

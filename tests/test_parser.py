@@ -20,7 +20,7 @@ from spa.errors import (
     UndeclaredIdentifier,
     Ungeneratable,
 )
-from spa.parser import _line_col, _token_texts, _tokenize
+from spa.parser import _line_col, _offsets, _token_texts
 from spa.strands import render_kstrand
 from spa.terms import Atom, AtomKind, Enc, FuncName, Pair, pair_of
 
@@ -162,12 +162,25 @@ def _mutants(rng: random.Random, text: str, count: int):
         yield text[:at] + edit + text[at + (op != "insert"):]
 
 
-def _located(tokenize, text, where):
-    """(kind, text, line, column) per token, or the ParseError's message."""
+def _naive_lexed(text):
+    """naive_tokenize's (text, line, column) per token, end of input
+    included, or its error's (message, line, column)."""
     try:
-        return [(tok.kind, tok.text, *where(tok)) for tok in tokenize(text)]
+        return [(tok.text, tok.line, tok.column) for tok in naive_tokenize(text)]
     except ParseError as exc:
         return str(exc), exc.line, exc.column
+
+
+def _lexed(text):
+    """The parser's tokens, each located as `_Parser.at` locates it (the
+    line and column of its entry in `_offsets`), or the lexical error."""
+    try:
+        tokens = _token_texts(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+    offsets = _offsets(text)
+    assert len(offsets) == len(tokens), text
+    return [(tok, *_line_col(text, pos)) for tok, pos in zip(tokens, offsets)]
 
 
 def test_tokenizer_matches_naive():
@@ -177,8 +190,8 @@ def test_tokenizer_matches_naive():
     texts += [m for text in texts for m in _mutants(rng, text, 4)]
     refused = 0
     for text in texts:
-        expected = _located(naive_tokenize, text, lambda t: (t.line, t.column))
-        assert _located(_tokenize, text, lambda t: _line_col(text, t.pos)) == expected, text
+        expected = _naive_lexed(text)
+        assert _lexed(text) == expected, text
         if isinstance(expected, tuple):
             refused += 1
             continue
@@ -186,20 +199,10 @@ def test_tokenizer_matches_naive():
         try:
             parse(text)
         except ParseError as exc:
-            assert exc.line is None or (exc.line, exc.column) in {t[2:] for t in expected}
+            assert exc.line is None or (exc.line, exc.column) in {t[1:] for t in expected}
         except SpaError:
             pass
     assert 100 < refused < len(texts) // 2
-
-
-def _ends_like_naive(text: str) -> bool:
-    """`_token_texts` gives naive_tokenize's token texts, or raises its error."""
-    expected = _located(naive_tokenize, text, lambda t: ())
-    try:
-        tokens = _token_texts(text)
-    except ParseError as exc:
-        return expected == (str(exc), exc.line, exc.column)
-    return isinstance(expected, list) and tokens == [tok for _, tok in expected]
 
 
 def test_token_texts_match_naive():
@@ -208,7 +211,7 @@ def test_token_texts_match_naive():
     texts += [render_spec(random_spec(rng)) for _ in range(100)]
     texts += [m for text in texts for m in _mutants(rng, text, 8)]
     for text in texts:
-        assert _ends_like_naive(text), text
+        assert _lexed(text) == _naive_lexed(text), text
 
 
 # A lone non-ASCII letter where an identifier may stand alone, Unicode
@@ -242,7 +245,7 @@ CHARACTER_CASES = [
 
 @pytest.mark.parametrize("text, outcome", CHARACTER_CASES)
 def test_character_class_edges(text, outcome):
-    assert _ends_like_naive(text)
+    assert _lexed(text) == _naive_lexed(text)
     try:
         parse(text)
         got = "ok"
@@ -267,7 +270,7 @@ def test_tokenizer_is_linear(text):
     except ParseError:
         pass
     assert time.perf_counter() - start < 2.0
-    assert _ends_like_naive(text)
+    assert _lexed(text) == _naive_lexed(text)
 
 
 def _draws(count: int = 300) -> list:
@@ -355,7 +358,7 @@ def _token_mutants(rng: random.Random, text: str, count: int):
     """`count` copies of text re-spaced token by token, each with one token
     deleted, duplicated, swapped with its neighbour or replaced by another
     of the text's tokens; the gaps put tokens on several lines."""
-    tokens = [tok.text for tok in _tokenize(text)[:-1]]
+    tokens = [tok.text for tok in naive_tokenize(text)[:-1]]
     for _ in range(count):
         out = list(tokens)
         at = rng.randrange(len(out))
@@ -371,9 +374,9 @@ def _token_mutants(rng: random.Random, text: str, count: int):
         yield "".join(tok + rng.choice((" ", "\n", "\n  ")) for tok in out)
 
 
-def _nesting_cases() -> list:
-    """Payloads and knowledge entries one level under the nesting cap, at
-    it and one past it, for each kind of level and for a mix of them."""
+def _nesting_terms() -> list:
+    """Terms one level under the nesting cap, at it and one past it, for
+    each kind of level and for a mix of them."""
     def at_depth(d):
         return [
             "h(" * d + "N" + ")" * d,
@@ -385,30 +388,60 @@ def _nesting_cases() -> list:
             "{(" * (d // 2) + "N, N" + ")}pk(K)" * (d // 2),
         ]
 
-    base = "protocol p {\n  roles A, B;\n  nonce N;\n  key K;\n  knows A: N, K;\n"
-    cases = []
-    for d in (255, 256, 257):
-        for t in at_depth(d):
-            cases.append(base + f"  A -> B: {t};\n}}\n")
-            cases.append(base.replace("knows A: N, K;", f"knows A: N, K, {t};")
-                         + "  A -> B: N;\n}\n")
-    return cases
+    return [t for d in (255, 256, 257) for t in at_depth(d)]
+
+
+def _placed(term: str, ended: bool = True) -> list:
+    """A protocol with the term as its payload, and one with it as a
+    knowledge entry; unless `ended`, each stops right after the term."""
+    head = "protocol p {\n  roles A, B;\n  nonce N;\n  key K;\n"
+    payload = head + "  knows A: N, K;\n  A -> B: " + term
+    entry = head + "  knows A: N, K, " + term
+    if not ended:
+        return [payload, entry]
+    return [payload + ";\n}\n", entry + ";\n  A -> B: N;\n}\n"]
+
+
+def _nesting_cases() -> list:
+    return [text for t in _nesting_terms() for text in _placed(t)]
+
+
+def _broken_nesting_cases() -> list:
+    """The nesting cases cut short after each of the first and last few
+    tokens of their term and around its innermost atom, and with the first
+    or the last closer of their term swapped for the other kind, so that
+    the reader fails with many brackets open."""
+    texts = []
+    for term in _nesting_terms():
+        tokens = [tok.text for tok in naive_tokenize(term)[:-1]]
+        closers = [k for k, tok in enumerate(tokens) if tok in ")}"]
+        inner = closers[0] if closers else len(tokens) - 1
+        cuts = {*range(1, 5), *range(inner - 2, inner + 3),
+                *range(len(tokens) - 4, len(tokens))}
+        for k in sorted(cuts):
+            texts += _placed(" ".join(tokens[:k]), ended=False)
+        for k in closers[:1] + closers[-1:]:
+            swapped = list(tokens)
+            swapped[k] = "}" if tokens[k] == ")" else ")"
+            texts += _placed(" ".join(swapped))
+    return texts
 
 
 def test_parse_matches_reference():
-    """The spec, or the error with its line and column, that the recursive
-    reference parser gives: on valid protocols, at the nesting cap, and on
-    token-level mutants, whose errors cover every parse error."""
+    """The spec, or the error with its line and column, that the reference
+    parser gives: on valid protocols, at the nesting cap, cut short or
+    mis-closed near it, and on token-level mutants, whose errors cover
+    every parse error."""
     rng = random.Random(2014)
     texts = [read(path) for path in CORPUS]
     texts += [render_spec(s) for s in _draws()]
     texts += [render_spec(chain_spec(n, w)) for n in range(1, 25) for w in (4, 8)]
-    texts += _nesting_cases()
+    texts += _nesting_cases() + _broken_nesting_cases()
     for path in CORPUS:
         texts += _token_mutants(rng, read(path), 300)
     for spec in _draws(30):
         texts += _token_mutants(rng, render_spec(spec), 10)
-    tokens = [tok.text for tok in _tokenize(read(X509_FULL))[:-1]]
+    tokens = [tok.text for tok in naive_tokenize(read(X509_FULL))[:-1]]
     texts += [" ".join(tokens[:k]) for k in range(len(tokens) + 1)]
     kinds = Counter()
     for text in texts:
