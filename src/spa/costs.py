@@ -56,12 +56,10 @@ class CostTerm:
 
 
 @_hash_consed
-@dataclass(frozen=True, slots=True, eq=False)
 class App(CostTerm):
-    func: CostFunc
-    args: tuple[SizeExpr, ...]
+    __slots__ = {"func": "a CostFunc", "args": "a tuple of SizeExprs"}
 
-    def __post_init__(self):
+    def _check(self):
         want = 2 if self.func is CostFunc.F_C else 1
         if len(self.args) != want:
             raise ValueError(f"{self.func.value} takes {want} argument(s)")
@@ -71,14 +69,14 @@ class App(CostTerm):
 # function it folds as a class attribute, not a field, so evaluation and
 # dominance treat a folded term and a raw application alike.
 @_hash_consed
-@dataclass(frozen=True, slots=True, eq=False)
 class LambdaC(CostTerm):
+    __slots__ = ()
     func = CostFunc.F_C
 
 
 @_hash_consed
-@dataclass(frozen=True, slots=True, eq=False)
 class LambdaP(CostTerm):
+    __slots__ = ()
     func = CostFunc.F_P
 
 
@@ -86,12 +84,11 @@ _FOLDED = {cls.func: cls() for cls in (LambdaC, LambdaP)}
 
 
 @_hash_consed
-@dataclass(frozen=True, slots=True, eq=False)
 class Overhead(CostTerm):
+    __slots__ = {"sign": "+1 or -1"}
     func = None  # no function applied
-    sign: int
 
-    def __post_init__(self):
+    def _check(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 

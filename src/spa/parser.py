@@ -311,9 +311,7 @@ class _Parser:
         self.expect(i, "}")
         func = _FUNCS.get(self.tokens[i + 1])
         if func is None:
-            raise ParseError(
-                f"expected sk, pk or pvk, found {self.tokens[i + 1]!r}", *self.at(i + 1)
-            )
+            raise self.expected(i + 1, "sk, pk or pvk")
         self.expect(i + 2, "(")
         key = self.lookup(i + 3, "key name")
         if key.kind is not AtomKind.KEY:

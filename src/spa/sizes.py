@@ -30,27 +30,23 @@ class SizeExpr:
 
 
 @_hash_consed
-@dataclass(frozen=True, slots=True, eq=False)
 class TypeSize(SizeExpr):
-    tt: BasicTT
+    __slots__ = {"tt": "a BasicTT"}
 
 
 @_hash_consed
-@dataclass(frozen=True, slots=True, eq=False)
 class HashSize(SizeExpr):
-    pass
+    __slots__ = ()
 
 
 @_hash_consed
-@dataclass(frozen=True, slots=True, eq=False)
 class AsymSize(SizeExpr):
-    arg: SizeExpr
+    __slots__ = {"arg": "a SizeExpr"}
 
 
 @_hash_consed
-@dataclass(frozen=True, slots=True, eq=False)
 class Sum(SizeExpr):
-    items: tuple[tuple[int, SizeExpr], ...]  # (coefficient, non-Sum unit)
+    __slots__ = {"items": "(coefficient, non-Sum unit) pairs"}
 
 
 ZERO = Sum(())

@@ -12,8 +12,10 @@ every term hash and comparison is by identity, at C level.  `_hash_consed`
 is the one identity rule of the package: size expressions (`sizes`) and
 cost terms (`costs`) are built through it too.
 
-Each class's constructor is generated for its fields.  A call with every
-field positional runs in one Python frame (plus `__post_init__`, where a
+A hash-consed class lists its fields once, in its `__slots__`, and
+`_hash_consed` generates its constructor, `__new__`, whose parameters are
+those fields, so Python binds positional, keyword and mixed calls and
+refuses bad ones.  A call runs in one Python frame (plus `_check`, where a
 class checks its fields): a hit is one table lookup, and a miss fills the
 new term through its slot descriptors.  Parsing fresh input builds mostly
 new terms, so what it pays for is the miss.
@@ -22,11 +24,10 @@ new terms, so what it pays for is the miss.
 from __future__ import annotations
 
 import enum
-import functools
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 class AtomKind(enum.Enum):
@@ -67,50 +68,53 @@ def _drop(ref: _Ref, remove=_remove_dead_weakref) -> None:
     remove(ref.table, ref.key)
 
 
-# Source of the constructor `_hash_consed` gives each class, made by a
-# factory whose parameters it reads as closure cells.  `{fields}` fills a
-# new term, `set0(t, key[0])` and so on, each `setN` the `__set__` of a
-# field's slot descriptor, then runs `check(t)`, the class's
-# `__post_init__`, if it has one.
+# Source of the constructor `_hash_consed` gives a class, made by a
+# factory whose parameters it reads as closure cells.  Its parameters after
+# `_cls`, `{params}`, are the class's fields, in `__slots__` order, and
+# `{key}` is the tuple of them.  `{fields}` fills a new term, `_set0(_t,
+# kind)` and so on, each `_setN` the `__set__` of a field's slot
+# descriptor, then runs `_check(_t)`, the class's `_check`, if it has one.
+# Every other name is underscored, so no field shadows it (`Enc` has a
+# field `key`).
 _NEW = """\
-def constructor(fill, new, get, setdefault, table, Ref, drop, remove{params}):
-    def __new__(cls, *key, **named):
-        if named:  # bound, or refused, by the dataclass's `__init__`
-            fill(scratch := new(cls), *key, **named)
-            key = scratch.__reduce__()[1]
-        ref = get(key)
-        if ref is not None and (t := ref()) is not None:
-            return t
-        if len(key) != {arity}:  # no key of the table's has this length
-            fill(new(cls), *key)  # raises the dataclass's TypeError
-        t = new(cls)
+def _constructor(_new, _get, _setdefault, _table, _Ref, _drop, _remove{cells}):
+    def __new__(_cls{params}):
+        _key = ({key})
+        _ref = _get(_key)
+        if _ref is not None and (_t := _ref()) is not None:
+            return _t
+        _t = _new(_cls)
 {fields}
-        entry = Ref(t, drop)
-        entry.table, entry.key = table, key
-        while (ref := setdefault(key, entry)) is not entry:
-            if (live := ref()) is not None:
-                return live
-            remove(table, key)
-        return t
+        _entry = _Ref(_t, _drop)
+        _entry.table, _entry.key = _table, _key
+        while (_ref := _setdefault(_key, _entry)) is not _entry:
+            if (_live := _ref()) is not None:
+                return _live
+            _remove(_table, _key)
+        return _t
     return __new__
 """
 
 
-@functools.cache
-def _constructor(arity: int, checked: bool):
-    """The factory of the constructor for classes with `arity` fields and,
-    if `checked`, a `__post_init__`.  Classes of one shape share it, so
-    import compiles one per shape, and all run with this module's globals,
-    where they look up only `len`."""
-    params = [f"set{i}" for i in range(arity)] + ["check"] * checked
-    lines = [f"        set{i}(t, key[{i}])" for i in range(arity)]
-    lines += ["        check(t)"] * checked
-    src = _NEW.format(
-        params="".join(", " + p for p in params), arity=arity, fields="\n".join(lines)
-    )
-    made = {}
-    exec(compile(src, "<hash-consed>", "exec"), globals(), made)
-    return made["constructor"]
+def _reduce(t):
+    return type(t), tuple(getattr(t, name) for name in type(t).__slots__)
+
+
+def _same(t, memo=None):
+    return t
+
+
+def _repr(t) -> str:
+    fields = ", ".join(f"{name}={getattr(t, name)!r}" for name in type(t).__slots__)
+    return f"{type(t).__qualname__}({fields})"
+
+
+def _setattr(t, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _delattr(t, name):
+    raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _hash_consed(cls):
@@ -118,36 +122,38 @@ def _hash_consed(cls):
     fields if there is one, so identity equality and `object.__hash__` are
     value equality and a hash of it.
 
-    A call with every field positional takes the fast path: a hit is one
-    lookup, and a miss sets the fields through their slot descriptors in
-    the `__new__` frame, then runs `__post_init__`.  Keyword calls are
-    bound, or refused, by the dataclass's `__init__` on a scratch term
-    first, and a call of the wrong arity, which no table key matches, is
-    refused by it with the usual `TypeError`.  A new term enters its table
-    by `setdefault`, one step, so threads that race to build a term all get
-    the one that entered first; a term whose `__post_init__` raised never
-    enters."""
-    fill = cls.__init__
-    del cls.__init__
-    names = [f.name for f in fields(cls)]
+    cls lists its fields in its `__slots__`.  Its constructor is generated
+    with one parameter per field: a hit is one lookup, and a miss sets the
+    fields through their slot descriptors in the `__new__` frame, then runs
+    `_check`, if cls has one.  A new term enters its table by `setdefault`,
+    one step, so threads that race to build a term all get the one that
+    entered first; a term whose `_check` raised never enters.  Terms are
+    read-only, show their fields in `repr`, and pickle and copy as the
+    canonical term."""
+    names = list(cls.__slots__)
     table = _TABLES[cls] = {}
-    env = {
-        "fill": fill, "new": object.__new__, "get": table.get,
-        "setdefault": table.setdefault, "table": table, "Ref": _Ref,
-        "drop": _drop, "remove": _remove_dead_weakref,
-    }
-    for i, name in enumerate(names):
-        env[f"set{i}"] = cls.__dict__[name].__set__
-    checked = hasattr(cls, "__post_init__")
-    if checked:
-        env["check"] = cls.__post_init__
-    __new__ = _constructor(len(names), checked)(**env)
+    cells = {f"_set{i}": cls.__dict__[name].__set__ for i, name in enumerate(names)}
+    lines = [f"        _set{i}(_t, {name})" for i, name in enumerate(names)]
+    if "_check" in cls.__dict__:
+        cells["_check"] = cls._check
+        lines.append("        _check(_t)")
+    src = _NEW.format(
+        cells="".join(", " + cell for cell in cells),
+        params="".join(", " + name for name in names),
+        key="".join(name + ", " for name in names),
+        fields="\n".join(lines),
+    )
+    made = {}
+    exec(compile(src, "<hash-consed>", "exec"), globals(), made)
+    __new__ = made["_constructor"](
+        object.__new__, table.get, table.setdefault, table, _Ref, _drop,
+        _remove_dead_weakref, **cells,
+    )
     __new__.__qualname__ = f"{cls.__qualname__}.__new__"
     cls.__new__ = staticmethod(__new__)
+    cls.__setattr__, cls.__delattr__, cls.__repr__ = _setattr, _delattr, _repr
     # pickles and copies are the canonical term
-    cls.__reduce__ = lambda t: (cls, tuple(getattr(t, name) for name in names))
-    cls.__copy__ = lambda t: t
-    cls.__deepcopy__ = lambda t, memo: t
+    cls.__reduce__, cls.__copy__, cls.__deepcopy__ = _reduce, _same, _same
     return cls
 
 
@@ -158,37 +164,29 @@ class Term:
 
 
 @_hash_consed
-@dataclass(frozen=True, slots=True, eq=False)
 class Empty(Term):
-    pass
+    __slots__ = ()
 
 
 @_hash_consed
-@dataclass(frozen=True, slots=True, eq=False)
 class Atom(Term):
-    kind: AtomKind
-    label: str
+    __slots__ = {"kind": "an AtomKind", "label": "an identifier"}
 
-    def __post_init__(self):
+    def _check(self):
         if not _IDENT_RE.match(self.label):
             raise ValueError(f"bad atom label: {self.label!r}")
 
 
 @_hash_consed
-@dataclass(frozen=True, slots=True, eq=False)
 class Pair(Term):
-    left: Term
-    right: Term
+    __slots__ = {"left": "a Term", "right": "a Term"}
 
 
 @_hash_consed
-@dataclass(frozen=True, slots=True, eq=False)
 class Enc(Term):
-    body: Term
-    func: FuncName
-    key: Term
+    __slots__ = {"body": "a Term", "func": "a FuncName", "key": "a key Atom, or Empty for h"}
 
-    def __post_init__(self):
+    def _check(self):
         if self.func is FuncName.H:
             if not isinstance(self.key, Empty):
                 raise ValueError("hash terms take an empty key")
@@ -221,29 +219,23 @@ class TTerm:
 
 
 @_hash_consed
-@dataclass(frozen=True, slots=True, eq=False)
 class TEmpty(TTerm):
-    pass
+    __slots__ = ()
 
 
 @_hash_consed
-@dataclass(frozen=True, slots=True, eq=False)
 class Basic(TTerm):
-    tt: BasicTT
+    __slots__ = {"tt": "a BasicTT"}
 
 
 @_hash_consed
-@dataclass(frozen=True, slots=True, eq=False)
 class TPair(TTerm):
-    left: TTerm
-    right: TTerm
+    __slots__ = {"left": "a TTerm", "right": "a TTerm"}
 
 
 @_hash_consed
-@dataclass(frozen=True, slots=True, eq=False)
 class TEnc(TTerm):
-    body: TTerm
-    func: FuncName
+    __slots__ = {"body": "a TTerm", "func": "a FuncName"}
 
 
 @dataclass(frozen=True, slots=True)

@@ -221,8 +221,9 @@ class NaiveParser:
             func = self.next()
             funcs = {"sk": FuncName.SK, "pk": FuncName.PK, "pvk": FuncName.PVK}
             if func not in funcs:
+                shown = func or "end of input"
                 raise ParseError(
-                    f"expected sk, pk or pvk, found {func!r}", *self.at(self.pos - 1)
+                    f"expected sk, pk or pvk, found {shown!r}", *self.at(self.pos - 1)
                 )
             self.expect("(")
             key = self.lookup(self.ident("key name"))

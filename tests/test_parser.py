@@ -462,6 +462,15 @@ def test_error_carries_location():
         assert "line" in str(exc)
     else:
         raise AssertionError("expected UndeclaredIdentifier")
+    # input that ends right after a cipher body
+    text = "protocol p { roles A, B; nonce N; key K; knows A: K; A -> B: {N}"
+    for read_spec in (parse, naive_parse):
+        with pytest.raises(ParseError) as exc:
+            read_spec(text)
+        assert str(exc.value) == (
+            "expected sk, pk or pvk, found 'end of input' (line 1, column 65)"
+        )
+        assert (exc.value.line, exc.value.column) == (1, 65)
 
 
 def test_nesting_cap_boundary():
