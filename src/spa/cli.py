@@ -315,6 +315,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"IOError: {exc}", file=sys.stderr)
         return 1
+    except UnicodeEncodeError:
+        print(f"IOError: the output cannot be encoded as {sys.stdout.encoding}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ renders them into the trace only when `CompareResult.trace` is read.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import InvalidOpStrand, ShapeViolation
 from .sizes import (
@@ -35,7 +35,7 @@ from .sizes import (
     render_size,
 )
 from .strands import OPS, Classifier, CostFunc, StrandSpace, TStrand, validate_op_strand
-from .terms import _hash_consed
+from .terms import Value, _hash_consed
 
 
 _FUNC_RANK = {f: i for i, f in enumerate(CostFunc)}
@@ -51,8 +51,8 @@ EXPANDABLE = (
 )
 
 
-class CostTerm:
-    __slots__ = ("__weakref__",)
+class CostTerm(Value):
+    __slots__ = ()
 
 
 @_hash_consed
@@ -93,11 +93,11 @@ class Overhead(CostTerm):
             raise ValueError("sign must be +1 or -1")
 
 
-@dataclass(frozen=True, slots=True)
-class CostExpr:
-    terms: tuple[tuple[CostTerm, int], ...]  # (term, multiplicity >= 1)
+@_hash_consed
+class CostExpr(Value):
+    __slots__ = {"terms": "a tuple of distinct (CostTerm, multiplicity >= 1) pairs"}
 
-    def __post_init__(self):
+    def _check(self):
         if any(mult < 1 for _, mult in self.terms):
             raise ValueError("multiplicities must be positive")
         if len({term for term, _ in self.terms}) != len(self.terms):
@@ -160,26 +160,23 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
     `cost_expr` merges equal terms at their first position, so the result
     equals pricing strand by strand.
     """
-    # id(strand) -> [strand, positions]; the space keeps every strand
-    # alive, so ids are not reused during the call
-    groups: dict[int, list] = {}
+    groups: dict[TStrand, int] = {}  # strand -> its number of positions
     for s in space.strands:
         if not isinstance(s, TStrand):
             raise InvalidOpStrand(f"not a typed strand: {s!r}")
         if s.classifier is Classifier.C_P:
             continue
-        group = groups.get(id(s))
-        if group is None:
+        if s not in groups:
             try:
                 validate_op_strand(s)
             except ShapeViolation as exc:
                 raise InvalidOpStrand(str(exc)) from exc
-            group = groups[id(s)] = [s, 0]
-        group[1] += 1
+            groups[s] = 0
+        groups[s] += 1
     memo: dict = {}
     ops = []
     procs: dict = {}  # positive typed payload -> count
-    for s, n in groups.values():
+    for s, n in groups.items():
         ops.append((_op_cost(s, memo), n))
         for ev in s.seq:
             if ev.sign > 0:
@@ -271,39 +268,36 @@ def render_cost(e: CostExpr) -> str:
     return "".join(pieces)
 
 
-@dataclass(frozen=True, slots=True)
 class Affine:
-    alpha: float
-    beta: float
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
+    def __init__(self, alpha: float, beta: float):
+        if alpha < 0 or beta < 0:
             raise ValueError("affine coefficients must be nonnegative")
+        self.alpha = alpha
+        self.beta = beta
 
     def __call__(self, x: float) -> float:
         return self.alpha + self.beta * x
 
 
-@dataclass(frozen=True, slots=True)
-class AssumptionSet:
-    ignore_overhead: bool = True
-    dominance: tuple = ((CostFunc.F_PK, CostFunc.F_H), (CostFunc.F_PK, CostFunc.F_SK))
-    monotone: bool = True
-    max_bytes: float = 4096.0
-    _closure: frozenset = field(init=False, compare=False, repr=False)
+@_hash_consed
+class AssumptionSet(Value):
+    __slots__ = ("ignore_overhead", "dominance", "monotone", "max_bytes")
+    _defaults = (True, ((CostFunc.F_PK, CostFunc.F_H), (CostFunc.F_PK, CostFunc.F_SK)),
+                 True, 4096.0)
 
-    def __post_init__(self):
-        closure = _transitive_closure(self.dominance)
-        if any(g is f for g, f in closure):
+    def _check(self):
+        if any(g is f for g, f in self.closure()):
             raise ValueError("dominance must be irreflexive and acyclic")
         if not self.max_bytes > 0:
             raise ValueError("max_bytes must be positive")
-        object.__setattr__(self, "_closure", closure)
 
     def closure(self) -> frozenset:
-        return self._closure
+        return _transitive_closure(self.dominance)
 
 
+@cache
 def _transitive_closure(pairs) -> frozenset:
     closure = set(pairs)
     changed = True
@@ -320,19 +314,20 @@ def _transitive_closure(pairs) -> frozenset:
 DEFAULT_ASSUMPTIONS = AssumptionSet()
 
 
-@dataclass(frozen=True, slots=True)
 class CostModel:
-    funcs: dict  # CostFunc -> Affine, for the six size-dependent functions
-    lambda_c: float
-    lambda_p: float
-    ov_h: float
-    size_model: SizeModel
+    __slots__ = ("funcs", "lambda_c", "lambda_p", "ov_h", "size_model")
 
-    def __post_init__(self):
-        if set(self.funcs) != set(EXPANDABLE):
+    def __init__(self, funcs: dict, lambda_c: float, lambda_p: float, ov_h: float,
+                 size_model: SizeModel):
+        if set(funcs) != set(EXPANDABLE):
             raise ValueError("funcs must cover exactly the size-dependent functions")
-        if self.lambda_c < 0 or self.lambda_p < 0 or self.ov_h < 0:
+        if lambda_c < 0 or lambda_p < 0 or ov_h < 0:
             raise ValueError("constants must be nonnegative")
+        self.funcs = funcs  # CostFunc -> Affine, for the six size-dependent functions
+        self.lambda_c = lambda_c
+        self.lambda_p = lambda_p
+        self.ov_h = ov_h
+        self.size_model = size_model
 
 
 def eval_cost(e: CostExpr, model: CostModel) -> float:
@@ -396,12 +391,14 @@ def _render_step(step: tuple) -> str:
     raise ValueError(f"unknown trace step {kind!r}")
 
 
-@dataclass(frozen=True, slots=True)
 class CompareResult:
-    verdict: Verdict
-    left_residual: CostExpr
-    right_residual: CostExpr
-    _steps: tuple[tuple, ...]  # what `compare` did, rendered by `trace`
+    __slots__ = ("verdict", "left_residual", "right_residual", "_steps")
+
+    def __init__(self, verdict, left_residual, right_residual, steps):
+        self.verdict = verdict
+        self.left_residual = left_residual
+        self.right_residual = right_residual
+        self._steps = steps  # what `compare` did, rendered by `trace`
 
     @property
     def trace(self) -> tuple[str, ...]:

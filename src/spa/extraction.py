@@ -42,7 +42,6 @@ ciphers and hashes) get a walk of their own for atoms.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .errors import Ungeneratable, Unrecoverable
 from .strands import OPS, Classifier, KStrand, StrandSpace, TStrand
@@ -74,14 +73,21 @@ _GEN_CLASSIFIER = {
 }
 
 
-@dataclass(frozen=True, slots=True)
 class Extraction:
-    process: TStrand
-    ops: tuple[TStrand, ...]
-    # dataflow bookkeeping, read only by `comm`: each op's input instance
-    # terms, and each known term -> the index of the op that made it, or None
-    inputs: tuple[tuple[Term, ...], ...] = field(default=(), compare=False, repr=False)
-    made: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("process", "ops", "inputs", "made")
+
+    def __init__(self, process: TStrand, ops: tuple, inputs: tuple = (), made: dict | None = None):
+        self.process = process
+        self.ops = ops
+        # dataflow bookkeeping, read only by `comm`: each op's input instance
+        # terms, and each known term -> the index of the op that made it, or None
+        self.inputs = inputs
+        self.made = {} if made is None else made
+
+    def __eq__(self, other):
+        if type(other) is not Extraction:
+            return NotImplemented
+        return self.process is other.process and self.ops == other.ops
 
     def space(self) -> StrandSpace:
         """The process strand, then the operations; communication edges,

@@ -19,7 +19,6 @@ recursive descent over token indices: `_Parser.term` reads one term and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
     DuplicateDeclaration,
@@ -39,6 +38,8 @@ from .terms import (
     Pair,
     SignedTerm,
     Term,
+    Value,
+    _hash_consed,
     atoms_of,
 )
 
@@ -103,21 +104,26 @@ def _offsets(text: str) -> list[int]:
     return offsets
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    sender: Atom
-    recipient: Atom
-    payload: Term
+@_hash_consed
+class Message(Value):
+    __slots__ = {"sender": "a role Atom", "recipient": "a role Atom", "payload": "a Term"}
 
 
-@dataclass(frozen=True, slots=True)
 class ProtocolSpec:
-    name: str
-    roles: tuple[Atom, ...]
-    decls: dict  # label -> AtomKind, declaration order, roles included
-    knowledge: dict  # role label -> tuple of Term
-    messages: tuple[Message, ...]
-    fresh: dict  # role label -> frozenset of the atoms it must create
+    __slots__ = ("name", "roles", "decls", "knowledge", "messages", "fresh")
+
+    def __init__(self, name, roles, decls, knowledge, messages, fresh):
+        self.name = name
+        self.roles = roles  # tuple of role Atoms
+        self.decls = decls  # label -> AtomKind, declaration order, roles included
+        self.knowledge = knowledge  # role label -> tuple of Term
+        self.messages = messages  # tuple of Messages
+        self.fresh = fresh  # role label -> frozenset of the atoms it must create
+
+    def __eq__(self, other):
+        if type(other) is not ProtocolSpec:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def role(self, label: str) -> Atom | None:
         for r in self.roles:

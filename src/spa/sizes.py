@@ -20,13 +20,12 @@ space rather than quadratic in nesting depth.  No memo outlives its caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .terms import Basic, BasicTT, FuncName, TEmpty, TEnc, TPair, TTerm, _hash_consed
+from .terms import Basic, BasicTT, FuncName, TEmpty, TEnc, TPair, TTerm, Value, _hash_consed
 
 
-class SizeExpr:
-    __slots__ = ("__weakref__",)
+class SizeExpr(Value):
+    __slots__ = ()
 
 
 @_hash_consed
@@ -163,22 +162,22 @@ def render_size(e: SizeExpr) -> str:
     raise TypeError(f"not a size expression: {e!r}")
 
 
-@dataclass(frozen=True, slots=True)
 class SizeModel:
-    sizes: dict  # BasicTT -> bytes
-    s_hash: float
-    blk_in: float
-    blk_out: float
-    pad: float
+    __slots__ = ("sizes", "s_hash", "blk_in", "blk_out", "pad")
 
-    def __post_init__(self):
-        if set(self.sizes) != set(BasicTT):
+    def __init__(self, sizes: dict, s_hash: float, blk_in: float, blk_out: float, pad: float):
+        if set(sizes) != set(BasicTT):
             raise ValueError("sizes must cover r, n, k, m")
-        values = list(self.sizes.values()) + [self.s_hash, self.blk_in, self.blk_out, self.pad]
+        values = list(sizes.values()) + [s_hash, blk_in, blk_out, pad]
         if any(v <= 0 for v in values):
             raise ValueError("size-model values must be positive")
-        if self.blk_in <= self.pad:
+        if blk_in <= pad:
             raise ValueError("blk_in must exceed pad")
+        self.sizes = sizes  # BasicTT -> bytes
+        self.s_hash = s_hash
+        self.blk_in = blk_in
+        self.blk_out = blk_out
+        self.pad = pad
 
 
 def eval_size(e: SizeExpr, model: SizeModel) -> float:

@@ -20,22 +20,18 @@ Shape checking, pricing (`costs.cost_of_space`) and strand emission
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 from .errors import ShapeViolation
 from .terms import (
-    Atom,
     AtomKind,
     Basic,
     BasicTT,
     FuncName,
-    SignedTerm,
-    SignedTTerm,
     TEnc,
     TPair,
     Term,
-    TTerm,
+    Value,
+    _hash_consed,
     render_signed,
     render_term,
 )
@@ -69,14 +65,12 @@ class CostFunc(enum.Enum):
     F_C = "f_c"
 
 
-@dataclass(frozen=True, slots=True)
-class KStrand:
-    knowledge: tuple[Term, ...]
-    participant: Atom
-    seq: tuple[SignedTerm, ...]
-    fresh: frozenset[Atom] = field(default_factory=frozenset)
+@_hash_consed
+class KStrand(Value):
+    __slots__ = ("knowledge", "participant", "seq", "fresh")
+    _defaults = (frozenset(),)
 
-    def __post_init__(self):
+    def _check(self):
         if self.participant.kind is not AtomKind.PARTICIPANT:
             raise ValueError("participant must be a participant atom")
         if self.participant not in self.knowledge:
@@ -91,25 +85,23 @@ class KStrand:
         return tuple(t for t in self.knowledge if t not in self.fresh)
 
 
-@dataclass(frozen=True, slots=True)
-class TStrand:
-    classifier: Classifier
-    participant: Atom
-    seq: tuple[SignedTTerm, ...]
+@_hash_consed
+class TStrand(Value):
+    __slots__ = ("classifier", "participant", "seq")
 
-    def __post_init__(self):
+    def _check(self):
         if self.participant.kind is not AtomKind.PARTICIPANT:
             raise ValueError("participant must be a participant atom")
         if not self.seq:
             raise ValueError("event sequence must be nonempty")
 
 
-@dataclass(frozen=True, slots=True)
-class StrandSpace:
-    strands: tuple
-    # communication edges, each (transmitting node, receiving node); a node
+@_hash_consed
+class StrandSpace(Value):
+    # `comm`: communication edges (transmitting node, receiving node); a node
     # is its position (strand, event): strands count from 0, events from 1
-    comm: tuple = ()
+    __slots__ = ("strands", "comm")
+    _defaults = ((),)
 
 
 def edges(space: StrandSpace):
@@ -144,15 +136,18 @@ def _basic(tt: BasicTT):
     return lambda t, seq: isinstance(t, Basic) and t.tt is tt
 
 
-class Op(NamedTuple):
+@_hash_consed
+class Op(Value):
     """An operation's shape and cost; positions count events from 1."""
 
-    signs: tuple[int, ...]  # the sign of each event, in order
-    cost: CostFunc
-    sized: tuple[int, ...]  # the positions whose payload sizes `cost` takes
-    position: int  # the payload `check` constrains, where a violation is reported
-    check: Callable[[TTerm, tuple], bool]
-    expected: str  # what the payload at `position` must be
+    __slots__ = {
+        "signs": "the sign of each event, in order",
+        "cost": "a CostFunc",
+        "sized": "the positions whose payload sizes `cost` takes",
+        "position": "the payload `check` constrains, where a violation is reported",
+        "check": "a condition on (payload, whole event sequence)",
+        "expected": "what the payload at `position` must be",
+    }
 
 
 OPS = {
@@ -181,14 +176,14 @@ def validate_op_strand(s: TStrand) -> None:
     if c is Classifier.C_P:
         raise ValueError("process strands have no fixed shape")
     seq = s.seq
-    signs, _, _, position, check, expected = OPS[c]
-    if len(seq) != len(signs):
-        _fail(c, 0, f"a sequence of {len(signs)} events")
-    for i, (event, sign) in enumerate(zip(seq, signs), start=1):
+    op = OPS[c]
+    if len(seq) != len(op.signs):
+        _fail(c, 0, f"a sequence of {len(op.signs)} events")
+    for i, (event, sign) in enumerate(zip(seq, op.signs), start=1):
         if event.sign != sign:
             _fail(c, i, "a reception" if sign < 0 else "a transmission")
-    if not check(seq[position - 1].payload, seq):
-        _fail(c, position, expected)
+    if not op.check(seq[op.position - 1].payload, seq):
+        _fail(c, op.position, op.expected)
 
 
 def _fail(classifier: Classifier, position: int, expected: str):

@@ -9,16 +9,20 @@ Terms are hash-consed process-wide: each class keeps a table from fields
 to the live term with those fields, held weakly, and its constructor
 returns that term when there is one.  Equal terms are one object, so
 every term hash and comparison is by identity, at C level.  `_hash_consed`
-is the one identity rule of the package: size expressions (`sizes`) and
-cost terms (`costs`) are built through it too.
+is the one identity rule of the package.  Every immutable value of the
+model goes through it: terms and signed terms here, size expressions
+(`sizes`), strands, strand spaces and `Op` rows (`strands`), messages
+(`parser`), and cost terms, cost expressions and assumption sets (`costs`).
 
-A hash-consed class lists its fields once, in its `__slots__`, and
-`_hash_consed` generates its constructor, `__new__`, whose parameters are
-those fields, so Python binds positional, keyword and mixed calls and
-refuses bad ones.  A call runs in one Python frame (plus `_check`, where a
-class checks its fields): a hit is one table lookup, and a miss fills the
-new term through its slot descriptors.  Parsing fresh input builds mostly
-new terms, so what it pays for is the miss.
+A hash-consed class derives from `Value` and lists its fields once, in its
+`__slots__`, and `_hash_consed` generates its constructor, `__new__`, whose
+parameters are those fields, so Python binds positional, keyword and mixed
+calls and refuses bad ones.  Defaults of its last fields, if any, are its
+`_defaults` tuple.  Fields key the table, so they must be hashable: a list
+where a tuple belongs raises `TypeError`.  A call runs in one Python frame
+(plus `_check`, where a class checks its fields): a hit is one table
+lookup, and a miss fills the new term through its slot descriptors.
+Parsing fresh input builds mostly new terms, so it pays for the miss.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import enum
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
 
 
 class AtomKind(enum.Enum):
@@ -122,14 +125,14 @@ def _hash_consed(cls):
     fields if there is one, so identity equality and `object.__hash__` are
     value equality and a hash of it.
 
-    cls lists its fields in its `__slots__`.  Its constructor is generated
-    with one parameter per field: a hit is one lookup, and a miss sets the
-    fields through their slot descriptors in the `__new__` frame, then runs
-    `_check`, if cls has one.  A new term enters its table by `setdefault`,
-    one step, so threads that race to build a term all get the one that
-    entered first; a term whose `_check` raised never enters.  Terms are
-    read-only, show their fields in `repr`, and pickle and copy as the
-    canonical term."""
+    cls lists its fields in its `__slots__`, and its `_defaults`, if any,
+    default the last fields.  Its generated constructor has one parameter
+    per field: a hit is one lookup, and a miss sets the fields through their
+    slot descriptors in the `__new__` frame, then runs `_check`, if cls has
+    one.  A new term enters its table by `setdefault`, one step, so threads
+    that race to build a term all get the one that entered first; a term
+    whose `_check` raised never enters.  Terms are read-only, show their
+    fields in `repr`, and pickle and copy as the canonical term."""
     names = list(cls.__slots__)
     table = _TABLES[cls] = {}
     cells = {f"_set{i}": cls.__dict__[name].__set__ for i, name in enumerate(names)}
@@ -150,6 +153,7 @@ def _hash_consed(cls):
         _remove_dead_weakref, **cells,
     )
     __new__.__qualname__ = f"{cls.__qualname__}.__new__"
+    __new__.__defaults__ = cls.__dict__.get("_defaults")
     cls.__new__ = staticmethod(__new__)
     cls.__setattr__, cls.__delattr__, cls.__repr__ = _setattr, _delattr, _repr
     # pickles and copies are the canonical term
@@ -157,10 +161,16 @@ def _hash_consed(cls):
     return cls
 
 
-class Term:
-    """Base class for instance terms."""
+class Value:
+    """Base class of every hash-consed class: its table holds terms weakly."""
 
     __slots__ = ("__weakref__",)
+
+
+class Term(Value):
+    """Base class for instance terms."""
+
+    __slots__ = ()
 
 
 @_hash_consed
@@ -212,10 +222,10 @@ _KIND_TO_BASIC = {
 }
 
 
-class TTerm:
+class TTerm(Value):
     """Base class for typed terms."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ()
 
 
 @_hash_consed
@@ -238,24 +248,22 @@ class TEnc(TTerm):
     __slots__ = {"body": "a TTerm", "func": "a FuncName"}
 
 
-@dataclass(frozen=True, slots=True)
-class SignedTerm:
-    sign: int
-    payload: Term
+@_hash_consed
+class SignedTerm(Value):
+    __slots__ = {"sign": "+1 or -1", "payload": "a nonempty Term"}
 
-    def __post_init__(self):
+    def _check(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if isinstance(self.payload, Empty):
             raise ValueError("signed terms carry nonempty payloads")
 
 
-@dataclass(frozen=True, slots=True)
-class SignedTTerm:
-    sign: int
-    payload: TTerm
+@_hash_consed
+class SignedTTerm(Value):
+    __slots__ = {"sign": "+1 or -1", "payload": "a nonempty TTerm"}
 
-    def __post_init__(self):
+    def _check(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if isinstance(self.payload, TEmpty):

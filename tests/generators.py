@@ -28,7 +28,7 @@ from spa.costs import (
 )
 from spa.parser import Message, ProtocolSpec
 from spa.sizes import AsymSize, HashSize, SizeModel, Sum, TypeSize, as_multiset, ssum
-from spa.strands import KStrand
+from spa.strands import Classifier, KStrand, StrandSpace, TStrand
 from spa.terms import (
     Atom,
     AtomKind,
@@ -39,6 +39,7 @@ from spa.terms import (
     FuncName,
     Pair,
     SignedTerm,
+    SignedTTerm,
     TEmpty,
     TEnc,
     TPair,
@@ -233,13 +234,24 @@ def denormal_cost_expr(rng: random.Random, e: CostExpr) -> CostExpr:
 
 
 def hashed_terms() -> list:
-    """Cost terms over size expressions, and an overhead term."""
+    """Cost terms over size expressions, an overhead term, a cost
+    expression, an assumption set, a knowledge strand, a typed strand and a
+    strand space over them: hash-consed values built from other ones."""
     sr, sn, sk = (TypeSize(b) for b in (BasicTT.R, BasicTT.N, BasicTT.K))
+    a = Atom(AtomKind.PARTICIPANT, "A")
+    na = Atom(AtomKind.NONCE, "N_a")
+    kstrand = KStrand((a,), a, (SignedTerm(1, na),), frozenset({na}))
+    tstrand = TStrand(Classifier.C_N, a, (SignedTTerm(1, Basic(BasicTT.N)),))
     return [
         App(CostFunc.F_H, (ssum([sn, sn, sr]),)),
         App(CostFunc.F_C, (sn, sr)),
         App(CostFunc.F_PK, (AsymSize(ssum([sn, sk])),)),
         Overhead(-1),
+        cost_expr([App(CostFunc.F_NG, (sn,)), (Overhead(1), 2)]),
+        AssumptionSet(dominance=((CostFunc.F_PK, CostFunc.F_H),), max_bytes=512.0),
+        kstrand,
+        tstrand,
+        StrandSpace((kstrand, tstrand), (((0, 1), (1, 1)),)),
     ]
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output contracts and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -332,6 +333,36 @@ def test_import_does_not_build_parser():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out == "0\n"
+
+
+def test_import_leaves_out_dataclasses_inspect_and_typing():
+    # -S: no site hook (an editable install's .pth file, say) imports them
+    # first; loading a config reads every record type it builds
+    probe = (
+        "import sys, spa, spa.cli; spa.load_config(sys.argv[1]); "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe, DEFAULT_CONFIG], cwd=ROOT / "src",
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n"
+
+
+def test_unencodable_output_is_one_io_error_line():
+    # strands render with angle brackets, which ASCII cannot encode; UTF-8
+    # output is the bytes the CLI writes in process
+    argv = [sys.executable, "-m", "spa.cli", "model", KEY_WRAP]
+    code, out, _ = run_cli(*argv[3:])
+    assert code == 0
+    cases = {
+        "ascii": (1, b"", b"IOError: the output cannot be encoded as ascii\n"),
+        "utf-8": (0, out.encode(), b""),
+    }
+    for encoding, want in cases.items():
+        env = {**os.environ, "PYTHONIOENCODING": encoding}
+        got = subprocess.run(argv, cwd=ROOT / "src", env=env, capture_output=True)
+        assert (got.returncode, got.stdout, got.stderr) == want
 
 
 def test_raw_and_simplified_exclusive():

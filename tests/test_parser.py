@@ -3,7 +3,6 @@
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +19,7 @@ from spa.errors import (
     UndeclaredIdentifier,
     Ungeneratable,
 )
-from spa.parser import _line_col, _offsets, _token_texts
+from spa.parser import ProtocolSpec, _line_col, _offsets, _token_texts
 from spa.strands import render_kstrand
 from spa.terms import Atom, AtomKind, Enc, FuncName, Pair, pair_of
 
@@ -323,10 +322,10 @@ def test_projection_matches_reference():
     draws = _draws()
     specs = [chain_spec(n, w) for n in range(1, 25) for w in (4, 8)] + draws
     specs += [
-        replace(spec, knowledge={
+        ProtocolSpec(spec.name, spec.roles, spec.decls, {
             label: tuple(e for e in entries if rng.random() < 0.5)
             for label, entries in spec.knowledge.items()
-        })
+        }, spec.messages, spec.fresh)
         for spec in draws
     ]
     cases = [(parse(read(path)), read(path)) for path in CORPUS]

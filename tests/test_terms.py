@@ -18,6 +18,7 @@ import spa
 from spa import parse
 from spa.costs import (
     App,
+    AssumptionSet,
     CostExpr,
     CostFunc,
     LambdaC,
@@ -28,7 +29,8 @@ from spa.costs import (
     simplify,
 )
 from spa.sizes import AsymSize, HashSize, Sum, TypeSize, as_multiset, delta, ssum
-from spa.strands import Classifier
+from spa.parser import Message
+from spa.strands import Classifier, KStrand, Op, StrandSpace, TStrand
 from spa.terms import (
     Atom,
     AtomKind,
@@ -286,6 +288,14 @@ def test_keywords_bind_like_positions():
         Atom(AtomKind.NONCE, name="N_a")
 
 
+def _any_payload(t, seq):
+    return True
+
+
+_B = Atom(AtomKind.PARTICIPANT, "B")
+_KSTRAND = KStrand((A, NA), A, (SignedTerm(1, NA),), frozenset({NA}))
+_TSTRAND = TStrand(Classifier.C_N, A, (SignedTTerm(1, Basic(BasicTT.N)),))
+
 # fields of one term per hash-consed class, and for each class that checks
 # its fields, fields it refuses
 _CTOR_FIELDS = {
@@ -305,12 +315,27 @@ _CTOR_FIELDS = {
     LambdaC: (),
     LambdaP: (),
     Overhead: (-1,),
+    SignedTerm: (-1, Pair(A, NA)),
+    SignedTTerm: (1, TPair(Basic(BasicTT.R), Basic(BasicTT.N))),
+    KStrand: ((A, NA), A, (SignedTerm(1, NA),), frozenset({NA})),
+    TStrand: (Classifier.C_N, A, (SignedTTerm(1, Basic(BasicTT.N)),)),
+    StrandSpace: ((_KSTRAND, _TSTRAND), (((0, 1), (1, 1)),)),
+    Op: ((1,), CostFunc.F_NG, (1,), 1, _any_payload, "anything"),
+    Message: (A, _B, Pair(A, NA)),
+    CostExpr: (((LambdaC(), 2), (Overhead(-1), 1)),),
+    AssumptionSet: (False, ((CostFunc.F_PK, CostFunc.F_H),), True, 512.0),
 }
 _REFUSED = {
     Atom: (AtomKind.NONCE, "2ctor"),
     Enc: (NA, FuncName.H, K),
     App: (CostFunc.F_C, (TypeSize(BasicTT.N),)),
     Overhead: (0,),
+    SignedTerm: (0, NA),
+    SignedTTerm: (1, TEmpty()),
+    KStrand: ((NA,), A, (SignedTerm(1, NA),), frozenset()),
+    TStrand: (Classifier.C_N, A, ()),
+    CostExpr: (((LambdaC(), 0),),),
+    AssumptionSet: (True, ((CostFunc.F_H, CostFunc.F_H),), True, 4096.0),
 }
 
 
@@ -320,8 +345,9 @@ def test_every_hash_consed_class_has_constructor_cases():
 
 @pytest.mark.parametrize("cls", list(_CTOR_FIELDS), ids=lambda cls: cls.__name__)
 def test_constructor_contract(cls):
-    """Positional, keyword and mixed calls give one term; a call of the
-    wrong arity, with an unknown or repeated keyword or with fields `_check`
+    """Positional, keyword and mixed calls give one term, and omitting the
+    fields a class defaults passes their defaults; a call of the wrong
+    arity, with an unknown or repeated keyword or with fields `_check`
     refuses raises and enters nothing.  Terms are read-only and show their
     fields in `repr`."""
     values = _CTOR_FIELDS[cls]
@@ -332,6 +358,9 @@ def test_constructor_contract(cls):
     assert cls(**dict(zip(names, values))) is t
     for cut in range(1, len(values)):
         assert cls(*values[:cut], **dict(zip(names[cut:], values[cut:]))) is t
+    defaults = cls.__dict__.get("_defaults", ())
+    required = len(values) - len(defaults)
+    assert cls(*values[:required]) is cls(*values[:required], *defaults)
     before = set(table)
     assert table[values]() is t
     assert repr(t) == f"{cls.__name__}(" + ", ".join(
@@ -344,8 +373,10 @@ def test_constructor_contract(cls):
             delattr(t, name)
     assert [getattr(t, name) for name in names] == list(values)
     calls = [(values + (values[:1] or (A,)), {}), (values, {"bogus": 1})]
+    if required:
+        calls.append((values[:required - 1], {}))
     if values:
-        calls += [(values[:-1], {}), (values, {names[0]: values[0]})]
+        calls.append((values, {names[0]: values[0]}))
     for args, named in calls:
         with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__new__\(\) "):
             cls(*args, **named)
