@@ -57,8 +57,6 @@ def _load_spec(path: str) -> ProtocolSpec:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        raise _CliError(1, f"IOError: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise _CliError(
             2, f"ParseError: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
@@ -74,8 +72,6 @@ def _load_model(path: str | None):
         return None, DEFAULT_ASSUMPTIONS
     try:
         return load_config(path)
-    except OSError as exc:
-        raise _CliError(1, f"IOError: {exc}") from exc
     except ConfigError as exc:
         raise _CliError(4, f"ConfigError: {exc}") from exc
 

@@ -115,13 +115,11 @@ def _parse_assumptions(raw) -> AssumptionSet:
     if raw is None:
         return DEFAULT_ASSUMPTIONS
     data = _mapping(raw, "assumptions")
-    allowed = ("ignore_overhead", "dominance", "monotone", "max_bytes")
+    allowed = ("ignore_overhead", "dominance", "max_bytes")
     _check_keys(data, allowed, (), "assumptions")
     kwargs = {}
     if "ignore_overhead" in data:
         kwargs["ignore_overhead"] = _flag(data, "ignore_overhead", "assumptions")
-    if "monotone" in data:
-        kwargs["monotone"] = _flag(data, "monotone", "assumptions")
     if "max_bytes" in data:
         kwargs["max_bytes"] = _number(data, "max_bytes", "assumptions")
     if "dominance" in data:

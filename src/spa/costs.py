@@ -22,12 +22,9 @@ from functools import cache
 
 from .errors import InvalidOpStrand, ShapeViolation
 from .sizes import (
-    SizeExpr,
     SizeModel,
     Sum,
     TypeSize,
-    addend_count,
-    as_multiset,
     contains_hash,
     delta,
     eval_size,
@@ -123,13 +120,8 @@ def _item_key(item: tuple):
     """Canonical-order key of a (term, multiplicity) pair."""
     term = item[0]
     if isinstance(term, App):
-        func = term.func
-        rank = _FUNC_RANK[func]
-        if func is CostFunc.F_C:
-            return (1, rank)
-        if func is CostFunc.F_P:
-            return (4, rank)
-        arg = term.args[0]  # every other function takes one argument
+        rank = _FUNC_RANK[term.func]
+        arg = term.args[0]  # f_c and f_p are folded before ordering
         if isinstance(arg, TypeSize):
             return (0, rank)
         return (3 if contains_hash(arg) else 2, rank)
@@ -214,7 +206,7 @@ def expand_one(term: App) -> list[tuple[CostTerm, int]] | None:
     arg = term.args[0]
     if not isinstance(arg, Sum):
         return None
-    k = addend_count(arg)
+    k = sum(coeff for coeff, _ in arg.items)
     if k < 2:
         return None
     parts: list[tuple[CostTerm, int]] = [
@@ -283,9 +275,9 @@ class Affine:
 
 @_hash_consed
 class AssumptionSet(Value):
-    __slots__ = ("ignore_overhead", "dominance", "monotone", "max_bytes")
+    __slots__ = ("ignore_overhead", "dominance", "max_bytes")
     _defaults = (True, ((CostFunc.F_PK, CostFunc.F_H), (CostFunc.F_PK, CostFunc.F_SK)),
-                 True, 4096.0)
+                 4096.0)
 
     def _check(self):
         if any(g is f for g, f in self.closure()):
@@ -423,30 +415,6 @@ def _cancel(left: dict, right: dict, steps: list):
                 del right[term]
 
 
-def _strictly_dominates(g: CostTerm, f: CostTerm, assume: AssumptionSet, closure) -> bool:
-    """True when g's value strictly exceeds f's in every admissible model."""
-    gf, ff = g.func, f.func
-    if gf is None or ff is None:
-        return False
-    if (gf, ff) in closure:
-        return True
-    if (
-        assume.monotone
-        and gf is ff
-        and isinstance(g, App)
-        and isinstance(f, App)
-        and len(g.args) == 1
-        and len(f.args) == 1
-    ):
-        small = as_multiset(f.args[0])
-        big = as_multiset(g.args[0])
-        if all(big.get(u, 0) >= c for u, c in small.items()) and sum(
-            big.values()
-        ) > sum(small.values()):
-            return True
-    return False
-
-
 def _saturating_match(small: dict, big: dict, dominates) -> list | None:
     """Injective assignment of every instance in `small` to a dominating
     instance in `big`; None when impossible.  Capacitated bipartite matching
@@ -487,8 +455,8 @@ def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTION
 
     Pipeline: cancel structurally equal terms, expand additivity on the
     residuals, cancel again, drop overhead when assumed insignificant, then
-    discharge what remains through dominance or monotone subsumption.
-    Returns Indeterminate rather than guessing.
+    discharge what remains through dominance between functions.  Returns
+    Indeterminate rather than guessing.
 
     Each step is recorded as a tuple, its kind first ("cancel", "expand",
     "drop overhead", "residue", "empty", "dominance", "verdict") and then
@@ -527,7 +495,9 @@ def _decide(left: dict, right: dict, assume: AssumptionSet, steps: list) -> Verd
     closure = assume.closure()
 
     def dominates(g, f):
-        return _strictly_dominates(g, f, assume, closure)
+        # after expansion every argument is one unit or zero, so only
+        # the functions can order two applications
+        return (g.func, f.func) in closure
 
     if not left:
         steps.append(("empty", "left"))

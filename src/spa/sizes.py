@@ -90,18 +90,6 @@ def add(a: SizeExpr, b: SizeExpr) -> SizeExpr:
     return ssum([a, b])
 
 
-def as_multiset(e: SizeExpr) -> dict[SizeExpr, int]:
-    """Units with coefficients; zero maps to the empty dict."""
-    if isinstance(e, Sum):
-        return {unit: coeff for coeff, unit in e.items}
-    return {e: 1}
-
-
-def addend_count(e: SizeExpr) -> int:
-    """Number of unit addends counting coefficients (2|n| + |r| has three)."""
-    return sum(as_multiset(e).values())
-
-
 def delta(t: TTerm, memo: dict | None = None) -> SizeExpr:
     """Symbolic size of a typed term.
 

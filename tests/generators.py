@@ -27,7 +27,7 @@ from spa.costs import (
     cost_expr,
 )
 from spa.parser import Message, ProtocolSpec
-from spa.sizes import AsymSize, HashSize, SizeModel, Sum, TypeSize, as_multiset, ssum
+from spa.sizes import AsymSize, HashSize, SizeModel, Sum, TypeSize, ssum
 from spa.strands import Classifier, KStrand, StrandSpace, TStrand
 from spa.terms import (
     Atom,
@@ -210,11 +210,17 @@ def random_size_expr(rng: random.Random):
     return ssum(parts)
 
 
+def sum_items(e) -> tuple:
+    """The (coefficient, unit) pairs of a size expression; a lone unit is
+    one pair with coefficient 1, zero has none."""
+    return e.items if isinstance(e, Sum) else ((1, e),)
+
+
 def denormal_size(rng: random.Random, e):
     """A sum equal to e in value but not in normal form: units reordered,
     coefficients split into repeated units, a lone unit wrapped in a sum."""
     parts = []
-    for unit, coeff in as_multiset(e).items():
+    for coeff, unit in sum_items(e):
         if coeff > 1 and rng.random() < 0.5:
             parts += [(coeff - 1, unit), (1, unit)]
         else:

@@ -6,9 +6,10 @@ every application and sum it is given (normalizing through `ssum`), the
 canonical order is the old key with its generic argument scan, and the
 dominance closure is worked out again on every call.  It shares with the
 library only the rules that did not change: merging (`cost_expr`), the
-additivity law (`expand_one`), term rendering, dominance between two terms
-and the matching.  It is kept only so that tests can require the library's
-`compare` to return the same verdict, residuals and trace.
+additivity law (`expand_one`), term rendering and the matching; it states
+dominance between two terms itself.  It is kept only so that tests can
+require the library's `compare` to return the same verdict, residuals and
+trace.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from spa.costs import (
     Verdict,
     _FUNC_RANK,
     _saturating_match,
-    _strictly_dominates,
     _transitive_closure,
     cost_expr,
     expand_one,
@@ -139,7 +139,8 @@ def _decide(left: dict, right: dict, assume, trace: list) -> Verdict:
     closure = _transitive_closure(assume.dominance)
 
     def dominates(g, f):
-        return _strictly_dominates(g, f, assume, closure)
+        # expanded applications take one unit each: only functions compare
+        return (g.func, f.func) in closure
 
     if not left:
         trace.append("left residual empty; right residual is strictly positive")

@@ -53,6 +53,16 @@ def test_unknown_key_named():
     assert "typo" in str(exc.value)
 
 
+def test_monotone_is_an_unknown_key():
+    # the key left the schema: a config that still sets it is refused by
+    # name rather than read and ignored
+    data = variant()
+    data["assumptions"]["monotone"] = True
+    with pytest.raises(ConfigError) as exc:
+        parse_config(data)
+    assert str(exc.value) == "unknown key 'monotone' in assumptions"
+
+
 def test_missing_key_named():
     data = variant()
     del data["lambda_c"]
@@ -169,7 +179,7 @@ def test_bad_json_is_config_error(tmp_path):
 @pytest.mark.parametrize("text, key", [
     ('"lambda_c": 0.1', "lambda_c"),
     ('"sizes": {"r": 8', "r"),
-    ('"monotone": true', "monotone"),
+    ('"ignore_overhead": true', "ignore_overhead"),
 ], ids=["top", "sizes", "assumptions"])
 def test_duplicate_key_is_config_error(tmp_path, text, key):
     """A repeated key in any object is refused, not read last-wins."""

@@ -39,13 +39,13 @@ from spa.costs import (
     LambdaP,
     Overhead,
     Verdict,
-    _strictly_dominates,
+    _expand,
     cost_expr,
     expand_one,
     render_cost_term,
 )
 from spa.errors import InvalidOpStrand, Ungeneratable, Unrecoverable
-from spa.sizes import HashSize, SizeModel, TypeSize, render_size, ssum
+from spa.sizes import ZERO, HashSize, SizeModel, Sum, TypeSize, render_size, ssum
 from spa.strands import Classifier, StrandSpace, TStrand
 from spa.terms import (
     Atom,
@@ -638,34 +638,51 @@ def test_dominance_covers_lambda_constants():
     assert res.verdict is Verdict.LESS
 
 
-def test_strictly_dominates():
-    assume = DEFAULT_ASSUMPTIONS
-    closure = assume.closure()
-    fh_n = app(CostFunc.F_H, SN)
-    fpk_n = app(CostFunc.F_PK, SN)
-    fpk_r = app(CostFunc.F_PK, SR)
-    assert _strictly_dominates(fpk_n, fh_n, assume, closure)
-    assert _strictly_dominates(fpk_r, fh_n, assume, closure)  # any sizes
-    assert not _strictly_dominates(fh_n, fpk_n, assume, closure)
-    # monotone: strictly wider argument multiset of the same function
-    wide = app(CostFunc.F_H, SN, SR)
-    assert _strictly_dominates(wide, fh_n, assume, closure)
-    assert not _strictly_dominates(fh_n, wide, assume, closure)
-    assert not _strictly_dominates(fh_n, fh_n, assume, closure)
-    # incomparable multisets
-    fh_r = app(CostFunc.F_H, SR)
-    assert not _strictly_dominates(fh_r, fh_n, assume, closure)
-    # overhead never participates
-    assert not _strictly_dominates(Overhead(1), fh_n, assume, closure)
-    assert not _strictly_dominates(fh_n, Overhead(1), assume, closure)
+def _verdict(g, f, assume=DEFAULT_ASSUMPTIONS) -> Verdict:
+    return compare(cost_expr([g]), cost_expr([f]), assume).verdict
 
 
-def test_strictly_dominates_monotone_off():
-    assume = AssumptionSet(monotone=False)
-    closure = assume.closure()
-    wide = app(CostFunc.F_H, SN, SR)
-    narrow = app(CostFunc.F_H, SN)
-    assert not _strictly_dominates(wide, narrow, assume, closure)
+def test_dominance_is_by_function():
+    fh_n, fh_r = app(CostFunc.F_H, SN), app(CostFunc.F_H, SR)
+    fpk_n, fpk_r = app(CostFunc.F_PK, SN), app(CostFunc.F_PK, SR)
+    assert _verdict(fpk_n, fh_n) is Verdict.GREATER
+    assert _verdict(fpk_r, fh_n) is Verdict.GREATER  # any sizes
+    assert _verdict(fh_n, fpk_r) is Verdict.LESS
+    # one function on two units, or no declared pair: nothing orders them
+    assert _verdict(fh_r, fh_n) is Verdict.INDETERMINATE
+    assert _verdict(fpk_n, fh_n, AssumptionSet(dominance=())) is Verdict.INDETERMINATE
+
+
+def test_wider_argument_is_greater_by_expansion():
+    wide, narrow = app(CostFunc.F_H, SN, SR), app(CostFunc.F_H, SN)
+    res = compare(cost_expr([wide]), cost_expr([narrow]))
+    assert res.verdict is Verdict.GREATER
+    assert res.residual_line() == "f_h(|r|) > 0"
+    # kept, the overhead the expansion leaves cannot be discharged
+    res = compare(cost_expr([wide]), cost_expr([narrow]), AssumptionSet(ignore_overhead=False))
+    assert res.verdict is Verdict.INDETERMINATE
+    assert res.residual_line() == "f_h(|r|) - Ov_h ? 0"
+
+
+def test_application_to_zero_is_not_dominated():
+    # f_h(|n|) exceeds f_h(0) only when beta_h > 0, which a config may deny
+    res = compare(cost_expr([app(CostFunc.F_H, SN)]), cost_expr([app(CostFunc.F_H)]))
+    assert res.verdict is Verdict.INDETERMINATE
+    assert res.residual_line() == "f_h(|n|) ? f_h(0)"
+
+
+def test_expanded_arguments_are_single_units():
+    # dominance by function alone rests on this: what `compare` matches
+    # applies each function to one unit that is not a sum, or to zero
+    rng = random.Random(0xA1)
+    apps = 0
+    for e in _role_costs() + [random_cost_expr(rng) for _ in range(500)]:
+        for term in _expand(simplify(e).terms):
+            if isinstance(term, App):
+                (arg,) = term.args
+                assert arg is ZERO or not isinstance(arg, Sum), render_cost_term(term)
+                apps += 1
+    assert apps > 1000
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)

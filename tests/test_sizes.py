@@ -15,8 +15,6 @@ from spa.sizes import (
     Sum,
     TypeSize,
     add,
-    addend_count,
-    as_multiset,
     contains_hash,
     delta,
     eval_size,
@@ -26,7 +24,7 @@ from spa.sizes import (
 )
 from spa.terms import Basic, BasicTT, FuncName, TEmpty, TEnc, TPair
 
-from .generators import denormal_size, random_size_expr, random_tterm
+from .generators import denormal_size, random_size_expr, random_tterm, sum_items
 
 R, N, K, M = (Basic(tt) for tt in BasicTT)
 SR, SN = TypeSize(BasicTT.R), TypeSize(BasicTT.N)
@@ -74,15 +72,6 @@ def test_ssum_collapses_singleton():
 def test_nested_sums_flatten():
     inner = ssum([SN, SR])
     assert ssum([inner, SN]) == Sum(((2, SN), (1, SR)))
-
-
-def test_as_multiset_and_addend_count():
-    e = ssum([SN, SN, SR])
-    assert as_multiset(e) == {SN: 2, SR: 1}
-    assert addend_count(e) == 3
-    assert as_multiset(SN) == {SN: 1}
-    assert as_multiset(ZERO) == {}
-    assert addend_count(ZERO) == 0
 
 
 def test_contains_hash():
@@ -159,7 +148,7 @@ def test_normalize_keeps_normal_sums():
     kept = rebuilt = 0
     for _ in range(500):
         e = random_size_expr(rng)
-        backwards = Sum(tuple((c, u) for u, c in reversed(as_multiset(e).items())))
+        backwards = Sum(tuple(reversed(sum_items(e))))
         for x in (e, denormal_size(rng, e), backwards):
             got = normalize(x)
             assert got == ssum([x])

@@ -28,7 +28,7 @@ from spa.costs import (
     cost_expr,
     simplify,
 )
-from spa.sizes import AsymSize, HashSize, Sum, TypeSize, as_multiset, delta, ssum
+from spa.sizes import AsymSize, HashSize, Sum, TypeSize, delta, ssum
 from spa.parser import Message
 from spa.strands import Classifier, KStrand, Op, StrandSpace, TStrand
 from spa.terms import (
@@ -53,7 +53,7 @@ from spa.terms import (
     type_erase,
 )
 
-from .generators import random_spec
+from .generators import random_spec, sum_items
 from .helpers import CORPUS, ROOT, read
 from .naive_extraction import contains
 
@@ -268,7 +268,7 @@ def test_equal_terms_are_one_object(t, rnd):
     total = ssum(parts)
     shuffled = rnd.sample(parts, len(parts))
     assert ssum(list(map(rebuild_size, shuffled))) is ssum(shuffled)
-    assert as_multiset(ssum(shuffled)) == as_multiset(total)
+    assert set(sum_items(ssum(shuffled))) == set(sum_items(total))
     cost = cost_expr(
         [App(CostFunc.F_C, (size, total)), LambdaC(), LambdaP(), Overhead(-1)]
         + [App(CostFunc.F_SK, (p,)) for p in shuffled]
@@ -323,7 +323,7 @@ _CTOR_FIELDS = {
     Op: ((1,), CostFunc.F_NG, (1,), 1, _any_payload, "anything"),
     Message: (A, _B, Pair(A, NA)),
     CostExpr: (((LambdaC(), 2), (Overhead(-1), 1)),),
-    AssumptionSet: (False, ((CostFunc.F_PK, CostFunc.F_H),), True, 512.0),
+    AssumptionSet: (False, ((CostFunc.F_PK, CostFunc.F_H),), 512.0),
 }
 _REFUSED = {
     Atom: (AtomKind.NONCE, "2ctor"),
@@ -335,7 +335,7 @@ _REFUSED = {
     KStrand: ((NA,), A, (SignedTerm(1, NA),), frozenset()),
     TStrand: (Classifier.C_N, A, ()),
     CostExpr: (((LambdaC(), 0),),),
-    AssumptionSet: (True, ((CostFunc.F_H, CostFunc.F_H),), True, 4096.0),
+    AssumptionSet: (True, ((CostFunc.F_H, CostFunc.F_H),), 4096.0),
 }
 
 
