@@ -108,12 +108,12 @@ def parse_config(data) -> tuple[CostModel, AssumptionSet]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    return model, _parse_assumptions(top.get("assumptions"))
+    if "assumptions" not in top:
+        return model, DEFAULT_ASSUMPTIONS
+    return model, _parse_assumptions(top["assumptions"])
 
 
 def _parse_assumptions(raw) -> AssumptionSet:
-    if raw is None:
-        return DEFAULT_ASSUMPTIONS
     data = _mapping(raw, "assumptions")
     allowed = ("ignore_overhead", "dominance", "max_bytes")
     _check_keys(data, allowed, (), "assumptions")

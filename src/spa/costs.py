@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 from functools import cache
 
-from .errors import InvalidOpStrand, ShapeViolation
 from .sizes import (
     SizeModel,
     Sum,
@@ -155,14 +154,11 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
     groups: dict[TStrand, int] = {}  # strand -> its number of positions
     for s in space.strands:
         if not isinstance(s, TStrand):
-            raise InvalidOpStrand(f"not a typed strand: {s!r}")
+            raise TypeError(f"not a typed strand: {s!r}")
         if s.classifier is Classifier.C_P:
             continue
         if s not in groups:
-            try:
-                validate_op_strand(s)
-            except ShapeViolation as exc:
-                raise InvalidOpStrand(str(exc)) from exc
+            validate_op_strand(s)
             groups[s] = 0
         groups[s] += 1
     memo: dict = {}
@@ -216,17 +212,16 @@ def expand_one(term: App) -> list[tuple[CostTerm, int]] | None:
     return parts
 
 
-def _expand(terms, steps: list | None = None, label: str = "") -> dict:
+def _expand(terms, steps: list, label: str) -> dict:
     """Apply `expand_one` to every term, merging the results in
-    first-occurrence order; each rewrite is recorded in `steps` if given."""
+    first-occurrence order; each rewrite is recorded in `steps`."""
     out: dict = {}
     for term, mult in terms:
         parts = expand_one(term) if isinstance(term, App) else None
         if parts is None:
             out[term] = out.get(term, 0) + mult
             continue
-        if steps is not None:
-            steps.append(("expand", label, term, parts))
+        steps.append(("expand", label, term, parts))
         for t, m in parts:
             out[t] = out.get(t, 0) + m * mult
     return out

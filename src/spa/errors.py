@@ -45,9 +45,5 @@ class ShapeViolation(SpaError):
     """An operation strand does not match its classifier's shape."""
 
 
-class InvalidOpStrand(SpaError):
-    """Costing was asked for a malformed operation strand."""
-
-
 class ConfigError(SpaError):
     """Malformed cost-model configuration."""

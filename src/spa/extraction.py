@@ -51,7 +51,7 @@ from .terms import (
     Enc,
     FuncName,
     Pair,
-    SignedTTerm,
+    SignedTerm,
     Term,
     TEnc,
     TPair,
@@ -76,13 +76,13 @@ _GEN_CLASSIFIER = {
 class Extraction:
     __slots__ = ("process", "ops", "inputs", "made")
 
-    def __init__(self, process: TStrand, ops: tuple, inputs: tuple = (), made: dict | None = None):
+    def __init__(self, process: TStrand, ops: tuple, inputs: tuple, made: dict):
         self.process = process
         self.ops = ops
         # dataflow bookkeeping, read only by `comm`: each op's input instance
         # terms, and each known term -> the index of the op that made it, or None
         self.inputs = inputs
-        self.made = {} if made is None else made
+        self.made = made
 
     def __eq__(self, other):
         if type(other) is not Extraction:
@@ -209,7 +209,7 @@ class _State:
         if strand is None:
             events = zip(OPS[classifier].signs, payloads, strict=True)
             strand = self.strands[key] = TStrand(
-                classifier, self.participant, tuple(SignedTTerm(*e) for e in events)
+                classifier, self.participant, tuple(SignedTerm(*e) for e in events)
             )
         self.ops.append(strand)
         self.inputs.append(inputs)
@@ -242,7 +242,7 @@ def extract(s: KStrand) -> Extraction:
             erased = state.erase(event.payload)
         else:
             erased = _construct(event.payload, state)
-        process_seq.append(SignedTTerm(event.sign, erased))
+        process_seq.append(SignedTerm(event.sign, erased))
     process = TStrand(Classifier.C_P, s.participant, tuple(process_seq))
     return Extraction(process, tuple(state.ops), tuple(state.inputs), state.knowledge)
 

@@ -86,10 +86,6 @@ def normalize(e: SizeExpr) -> SizeExpr:
     return ssum([e])
 
 
-def add(a: SizeExpr, b: SizeExpr) -> SizeExpr:
-    return ssum([a, b])
-
-
 def delta(t: TTerm, memo: dict | None = None) -> SizeExpr:
     """Symbolic size of a typed term.
 
@@ -105,7 +101,7 @@ def delta(t: TTerm, memo: dict | None = None) -> SizeExpr:
     elif isinstance(t, Basic):
         e = TypeSize(t.tt)
     elif isinstance(t, TPair):
-        e = add(delta(t.left, memo), delta(t.right, memo))
+        e = ssum([delta(t.left, memo), delta(t.right, memo)])
     elif isinstance(t, TEnc):
         # symmetric ciphertexts are as large as their cleartext, digests are
         # constant, asymmetric ciphertexts an opaque function of the cleartext

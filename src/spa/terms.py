@@ -60,15 +60,7 @@ _TABLES: dict[type, dict] = {}
 
 
 class _Ref(weakref.ref):
-    __slots__ = ("table", "key")
-
-
-def _drop(ref: _Ref, remove=_remove_dead_weakref) -> None:
-    # `remove` is bound here, since module teardown may clear the global
-    # first.  It is the C helper WeakValueDictionary uses: it deletes the
-    # entry only while it holds a dead reference, in one step, so it never
-    # drops a term another thread built after this one died.
-    remove(ref.table, ref.key)
+    __slots__ = ("key",)
 
 
 # Source of the constructor `_hash_consed` gives a class, made by a
@@ -78,9 +70,15 @@ def _drop(ref: _Ref, remove=_remove_dead_weakref) -> None:
 # kind)` and so on, each `_setN` the `__set__` of a field's slot
 # descriptor, then runs `_check(_t)`, the class's `_check`, if it has one.
 # Every other name is underscored, so no field shadows it (`Enc` has a
-# field `key`).
+# field `key`).  `_drop`, the callback of a term's `_Ref`, removes its
+# entry with `_remove`, the C helper WeakValueDictionary uses: it deletes
+# the entry only while it holds a dead reference, in one step, so it never
+# drops a term another thread built after this one died.
 _NEW = """\
-def _constructor(_new, _get, _setdefault, _table, _Ref, _drop, _remove{cells}):
+def _constructor(_new, _get, _setdefault, _table, _Ref, _remove{cells}):
+    def _drop(_ref):
+        _remove(_table, _ref.key)
+
     def __new__(_cls{params}):
         _key = ({key})
         _ref = _get(_key)
@@ -89,7 +87,7 @@ def _constructor(_new, _get, _setdefault, _table, _Ref, _drop, _remove{cells}):
         _t = _new(_cls)
 {fields}
         _entry = _Ref(_t, _drop)
-        _entry.table, _entry.key = _table, _key
+        _entry.key = _key
         while (_ref := _setdefault(_key, _entry)) is not _entry:
             if (_live := _ref()) is not None:
                 return _live
@@ -149,7 +147,7 @@ def _hash_consed(cls):
     made = {}
     exec(compile(src, "<hash-consed>", "exec"), globals(), made)
     __new__ = made["_constructor"](
-        object.__new__, table.get, table.setdefault, table, _Ref, _drop,
+        object.__new__, table.get, table.setdefault, table, _Ref,
         _remove_dead_weakref, **cells,
     )
     __new__.__qualname__ = f"{cls.__qualname__}.__new__"
@@ -250,23 +248,12 @@ class TEnc(TTerm):
 
 @_hash_consed
 class SignedTerm(Value):
-    __slots__ = {"sign": "+1 or -1", "payload": "a nonempty Term"}
+    __slots__ = {"sign": "+1 or -1", "payload": "a nonempty Term or TTerm"}
 
     def _check(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if isinstance(self.payload, Empty):
-            raise ValueError("signed terms carry nonempty payloads")
-
-
-@_hash_consed
-class SignedTTerm(Value):
-    __slots__ = {"sign": "+1 or -1", "payload": "a nonempty TTerm"}
-
-    def _check(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if isinstance(self.payload, TEmpty):
+        if isinstance(self.payload, (Empty, TEmpty)):
             raise ValueError("signed terms carry nonempty payloads")
 
 
@@ -364,5 +351,5 @@ def render_tterm(t: TTerm) -> str:
 
 
 def render_signed(st) -> str:
-    body = render_term(st.payload) if isinstance(st, SignedTerm) else render_tterm(st.payload)
+    body = render_term(st.payload) if isinstance(st.payload, Term) else render_tterm(st.payload)
     return ("+" if st.sign > 0 else "-") + body

@@ -39,7 +39,6 @@ from spa.terms import (
     FuncName,
     Pair,
     SignedTerm,
-    SignedTTerm,
     TEmpty,
     TEnc,
     TPair,
@@ -247,7 +246,7 @@ def hashed_terms() -> list:
     a = Atom(AtomKind.PARTICIPANT, "A")
     na = Atom(AtomKind.NONCE, "N_a")
     kstrand = KStrand((a,), a, (SignedTerm(1, na),), frozenset({na}))
-    tstrand = TStrand(Classifier.C_N, a, (SignedTTerm(1, Basic(BasicTT.N)),))
+    tstrand = TStrand(Classifier.C_N, a, (SignedTerm(1, Basic(BasicTT.N)),))
     return [
         App(CostFunc.F_H, (ssum([sn, sn, sr]),)),
         App(CostFunc.F_C, (sn, sr)),

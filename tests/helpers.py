@@ -45,4 +45,4 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
 def expand_additivity(e: CostExpr) -> CostExpr:
     """Rewrite every application over a sum into per-addend applications
     minus the per-term overhead, as `compare` does to both sides."""
-    return _canonical(_expand(e.terms).items())
+    return _canonical(_expand(e.terms, [], "").items())

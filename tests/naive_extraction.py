@@ -22,7 +22,7 @@ from spa.terms import (
     Enc,
     FuncName,
     Pair,
-    SignedTTerm,
+    SignedTerm,
     Term,
     type_erase,
 )
@@ -51,7 +51,7 @@ class _State:
     def learn(self, t: Term, node=None) -> None:
         self.knowledge.setdefault(t, node)
 
-    def emit(self, classifier: Classifier, inputs: tuple, *events: SignedTTerm) -> int:
+    def emit(self, classifier: Classifier, inputs: tuple, *events: SignedTerm) -> int:
         """Append an operation consuming the terms `inputs` (its first
         events), draw an edge into each input made by an earlier operation,
         and return the new strand's position in the space."""
@@ -72,9 +72,9 @@ def naive_extract(s: KStrand) -> tuple[Extraction, tuple]:
             state.learn(event.payload)
         else:
             _construct(event.payload, state)
-        process_seq.append(SignedTTerm(event.sign, type_erase(event.payload)))
+        process_seq.append(SignedTerm(event.sign, type_erase(event.payload)))
     process = TStrand(Classifier.C_P, s.participant, tuple(process_seq))
-    return Extraction(process, tuple(state.ops)), tuple(state.comm)
+    return Extraction(process, tuple(state.ops), (), {}), tuple(state.comm)
 
 
 def contains(t: Term, sub: Term) -> bool:
@@ -100,7 +100,7 @@ def _construct(t: Term, state: _State) -> None:
                     f"{state.participant.label} holds {t.label} only sealed "
                     "inside terms it cannot open"
                 )
-            at = state.emit(_GEN_CLASSIFIER[t.kind], (), SignedTTerm(1, type_erase(t)))
+            at = state.emit(_GEN_CLASSIFIER[t.kind], (), SignedTerm(1, type_erase(t)))
             state.learn(t, (at, 1))
             return
         raise Ungeneratable(
@@ -113,9 +113,9 @@ def _construct(t: Term, state: _State) -> None:
         at = state.emit(
             Classifier.C_C,
             (t.left, t.right),
-            SignedTTerm(-1, type_erase(t.left)),
-            SignedTTerm(-1, type_erase(t.right)),
-            SignedTTerm(1, type_erase(t)),
+            SignedTerm(-1, type_erase(t.left)),
+            SignedTerm(-1, type_erase(t.right)),
+            SignedTerm(1, type_erase(t)),
         )
         state.learn(t, (at, 3))
         return
@@ -126,8 +126,8 @@ def _construct(t: Term, state: _State) -> None:
     at = state.emit(
         _ENC_CLASSIFIER[t.func],
         (t.body,),
-        SignedTTerm(-1, type_erase(t.body)),
-        SignedTTerm(1, type_erase(t)),
+        SignedTerm(-1, type_erase(t.body)),
+        SignedTerm(1, type_erase(t)),
     )
     state.learn(t, (at, 2))
 
@@ -143,9 +143,9 @@ def _recover(target: Term, state: _State) -> bool:
                     at = state.emit(
                         Classifier.C_I,
                         (step,),
-                        SignedTTerm(-1, type_erase(step)),
-                        SignedTTerm(1, type_erase(step.left)),
-                        SignedTTerm(1, type_erase(step.right)),
+                        SignedTerm(-1, type_erase(step)),
+                        SignedTerm(1, type_erase(step.left)),
+                        SignedTerm(1, type_erase(step.right)),
                     )
                     state.learn(step.left, (at, 2))
                     state.learn(step.right, (at, 3))
@@ -154,8 +154,8 @@ def _recover(target: Term, state: _State) -> bool:
                     at = state.emit(
                         Classifier.C_D,
                         (step,),
-                        SignedTTerm(-1, type_erase(step)),
-                        SignedTTerm(1, type_erase(step.body)),
+                        SignedTerm(-1, type_erase(step)),
+                        SignedTerm(1, type_erase(step.body)),
                     )
                     state.learn(step.body, (at, 2))
         return True

@@ -12,8 +12,8 @@ the library's pricing to return the same cost expressions.
 from __future__ import annotations
 
 from spa.costs import App, CostFunc, cost_expr
-from spa.errors import InvalidOpStrand, ShapeViolation
-from spa.sizes import ZERO, AsymSize, HashSize, TypeSize, add
+from spa.errors import ShapeViolation
+from spa.sizes import ZERO, AsymSize, HashSize, TypeSize, ssum
 from spa.strands import Classifier, TStrand, validate_op_strand
 from spa.terms import Basic, FuncName, TEmpty, TEnc, TPair
 
@@ -25,7 +25,7 @@ def naive_delta(t):
     if isinstance(t, Basic):
         return TypeSize(t.tt)
     if isinstance(t, TPair):
-        return add(naive_delta(t.left), naive_delta(t.right))
+        return ssum([naive_delta(t.left), naive_delta(t.right)])
     if isinstance(t, TEnc):
         if t.func is FuncName.SK:
             return naive_delta(t.body)
@@ -41,13 +41,10 @@ def naive_cost_of_space(space):
     proc_terms = []
     for s in space.strands:
         if not isinstance(s, TStrand):
-            raise InvalidOpStrand(f"not a typed strand: {s!r}")
+            raise TypeError(f"not a typed strand: {s!r}")
         if s.classifier is Classifier.C_P:
             continue
-        try:
-            validate_op_strand(s)
-        except ShapeViolation as exc:
-            raise InvalidOpStrand(str(exc)) from exc
+        validate_op_strand(s)
         op_terms.append(_op_cost(s))
         for ev in s.seq:
             if ev.sign > 0:
@@ -74,4 +71,4 @@ def _op_cost(s):
         ))
     if c is Classifier.C_I:
         return App(CostFunc.F_S, (naive_delta(s.seq[0].payload),))
-    raise InvalidOpStrand(f"cannot cost classifier {c.value}")
+    raise ShapeViolation(f"cannot cost classifier {c.value}")

@@ -12,7 +12,7 @@ from spa.costs import DEFAULT_ASSUMPTIONS, CostFunc
 from spa.errors import ConfigError
 from spa.terms import BasicTT
 
-from .helpers import DEFAULT_CONFIG, read
+from .helpers import DEFAULT_CONFIG, X509_MODIFIED, X509_ORIGINAL, read, run_cli
 
 BASE = json.loads(read(DEFAULT_CONFIG))
 
@@ -40,6 +40,20 @@ def test_assumptions_default_when_absent():
     del data["assumptions"]
     _, assume = parse_config(data)
     assert assume == DEFAULT_ASSUMPTIONS
+
+
+def test_assumptions_null_is_refused(tmp_path):
+    # only an absent section takes the defaults; null is a value of the
+    # wrong type, refused like `"assumptions": []` or `"s_asym": null`
+    for bad in (None, []):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(variant(assumptions=bad))
+        assert str(exc.value) == "assumptions must be an object"
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(variant(assumptions=None)), encoding="utf-8")
+    code, out, err = run_cli("compare", X509_MODIFIED, X509_ORIGINAL, "--config", str(path))
+    assert (code, out) == (4, "")
+    assert err == "ConfigError: assumptions must be an object\n"
 
 
 def test_top_level_must_be_object():

@@ -2,6 +2,7 @@
 comparison."""
 
 import copy
+import itertools
 import math
 import os
 import pickle
@@ -40,20 +41,22 @@ from spa.costs import (
     Overhead,
     Verdict,
     _expand,
+    _saturating_match,
+    _transitive_closure,
     cost_expr,
     expand_one,
     render_cost_term,
 )
-from spa.errors import InvalidOpStrand, Ungeneratable, Unrecoverable
+from spa.errors import ShapeViolation, Ungeneratable, Unrecoverable
 from spa.sizes import ZERO, HashSize, SizeModel, Sum, TypeSize, render_size, ssum
-from spa.strands import Classifier, StrandSpace, TStrand
+from spa.strands import Classifier, KStrand, StrandSpace, TStrand
 from spa.terms import (
     Atom,
     AtomKind,
     Basic,
     BasicTT,
     FuncName,
-    SignedTTerm,
+    SignedTerm,
     TEnc,
     TPair,
 )
@@ -168,7 +171,7 @@ def test_pricing_matches_memo_free_reference():
 
 
 def op(classifier, *events):
-    return TStrand(classifier, PA, tuple(SignedTTerm(sign, t) for sign, t in events))
+    return TStrand(classifier, PA, tuple(SignedTerm(sign, t) for sign, t in events))
 
 
 def priced(*strands):
@@ -217,20 +220,27 @@ def test_malformed_strand_after_a_well_formed_twin_is_refused():
     # same classifier and input as `good`, but the output wraps another term
     bad = op(Classifier.C_E, (-1, n), (1, TEnc(k, FuncName.SK)))
     cost_of_space(StrandSpace((good, good)))
-    with pytest.raises(InvalidOpStrand, match="C_E: position 2"):
+    with pytest.raises(ShapeViolation, match="C_E: position 2"):
         cost_of_space(StrandSpace((good, bad)))
-    with pytest.raises(InvalidOpStrand, match="C_N: position 1"):
+    with pytest.raises(ShapeViolation, match="C_N: position 1"):
         cost_of_space(StrandSpace((
             op(Classifier.C_N, (1, n)), op(Classifier.C_N, (-1, n)),
         )))
+    # a knowledge strand, or anything else that is not a typed strand
+    kstrand = KStrand((PA,), PA, (SignedTerm(1, PA),))
+    for space in (StrandSpace((good, kstrand)), StrandSpace((good, n))):
+        with pytest.raises(TypeError, match="not a typed strand"):
+            cost_of_space(space)
+        with pytest.raises(TypeError, match="not a typed strand"):
+            naive_cost_of_space(space)
 
 
 def test_shared_sequence_is_validated_under_each_classifier():
     n = Basic(BasicTT.N)
-    seq = (SignedTTerm(-1, n), SignedTTerm(1, TEnc(n, FuncName.SK)))
+    seq = (SignedTerm(-1, n), SignedTerm(1, TEnc(n, FuncName.SK)))
     wrap = TStrand(Classifier.C_E, PA, seq)
     cost_of_space(StrandSpace((wrap, wrap, TStrand(Classifier.C_E, PA, seq))))
-    with pytest.raises(InvalidOpStrand, match="C_H: position 2"):
+    with pytest.raises(ShapeViolation, match="C_H: position 2"):
         cost_of_space(StrandSpace((wrap, TStrand(Classifier.C_H, PA, seq))))
 
 
@@ -241,16 +251,16 @@ def test_shared_and_unshared_sequences_price_strand_by_strand():
         # fresh sequence objects on every call: equal to the last call's, not identical
         nk = TPair(n, k)
         return [
-            (Classifier.C_N, (SignedTTerm(1, Basic(BasicTT.N)),)),
-            (Classifier.C_E, (SignedTTerm(-1, nk), SignedTTerm(1, TEnc(nk, FuncName.SK)))),
-            (Classifier.C_D, (SignedTTerm(-1, TEnc(nk, FuncName.SK)), SignedTTerm(1, nk))),
-            (Classifier.C_C, (SignedTTerm(-1, n), SignedTTerm(-1, k), SignedTTerm(1, nk))),
-            (Classifier.C_I, (SignedTTerm(-1, nk), SignedTTerm(1, n), SignedTTerm(1, k))),
-            (Classifier.C_H, (SignedTTerm(-1, m), SignedTTerm(1, TEnc(m, FuncName.H)))),
+            (Classifier.C_N, (SignedTerm(1, Basic(BasicTT.N)),)),
+            (Classifier.C_E, (SignedTerm(-1, nk), SignedTerm(1, TEnc(nk, FuncName.SK)))),
+            (Classifier.C_D, (SignedTerm(-1, TEnc(nk, FuncName.SK)), SignedTerm(1, nk))),
+            (Classifier.C_C, (SignedTerm(-1, n), SignedTerm(-1, k), SignedTerm(1, nk))),
+            (Classifier.C_I, (SignedTerm(-1, nk), SignedTerm(1, n), SignedTerm(1, k))),
+            (Classifier.C_H, (SignedTerm(-1, m), SignedTerm(1, TEnc(m, FuncName.H)))),
         ]
 
     rng = random.Random(0x5AE)
-    process = TStrand(Classifier.C_P, PA, (SignedTTerm(1, n),))
+    process = TStrand(Classifier.C_P, PA, (SignedTerm(1, n),))
     chain = [s for spec in (chain_spec(5, 2), chain_spec(8, 3)) for s in project(spec).strands]
     for _ in range(200):
         shared = seqs()
@@ -421,6 +431,69 @@ def test_closure_is_transitive():
     a = AssumptionSet(dominance=((CostFunc.F_PK, CostFunc.F_H),
                                  (CostFunc.F_H, CostFunc.F_S)))
     assert (CostFunc.F_PK, CostFunc.F_S) in a.closure()
+
+
+def _hall(small: dict, big: dict, pairs) -> bool:
+    # every set of small terms has at least as many big copies among its
+    # partners in `pairs` as it has copies itself
+    groups = (g for r in range(1, len(small) + 1) for g in itertools.combinations(small, r))
+    return all(
+        sum(small[s] for s in group) <= sum(big[b] for b in {b for s, b in pairs if s in group})
+        for group in groups
+    )
+
+
+def test_saturating_match_exactly_when_hall_holds():
+    rng = random.Random(0x4A11)
+    matched = 0
+    for _ in range(2000):
+        small = {("s", i): rng.randint(1, 3) for i in range(rng.randint(1, 4))}
+        big = {("b", j): rng.randint(1, 3) for j in range(rng.randint(1, 4))}
+        p = rng.random()
+        edges = {(s, b) for s in small for b in big if rng.random() < p}
+        match = _saturating_match(small, big, lambda b, s: (s, b) in edges)
+        assert (match is not None) == _hall(small, big, edges)
+        if match is None:
+            continue
+        matched += 1
+        assert set(match) <= edges
+        assert {s for s, _ in match} == set(small)
+        assert _hall(small, big, match)
+        for b, copies in big.items():
+            assert sum(1 for _, b2 in match if b2 == b) <= copies
+    assert 400 < matched < 1600
+
+
+def test_closure_is_reachability_and_only_cycles_are_refused():
+    rng = random.Random(0xC105)
+    refused = 0
+    for _ in range(2000):
+        nodes = rng.sample(list(CostFunc), rng.randint(2, 5))
+        pairs = tuple(dict.fromkeys(
+            (rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, 6))
+        ))
+        reach = set()
+        for a in nodes:
+            stack = [d for c, d in pairs if c is a]
+            while stack:
+                b = stack.pop()
+                if (a, b) not in reach:
+                    reach.add((a, b))
+                    stack.extend(d for c, d in pairs if c is b)
+        assert _transitive_closure(pairs) == reach
+        # acyclic exactly when nodes without a greater one can be peeled off
+        # until none is left
+        left = set(nodes)
+        while peel := {b for b in left if not any(c in left and d is b for c, d in pairs)}:
+            left -= peel
+        try:
+            AssumptionSet(dominance=pairs)
+        except ValueError:
+            refused += 1
+            assert left
+        else:
+            assert not left
+    assert 400 < refused < 1600
 
 
 def test_compare_equal_modulo_order():
@@ -677,7 +750,7 @@ def test_expanded_arguments_are_single_units():
     rng = random.Random(0xA1)
     apps = 0
     for e in _role_costs() + [random_cost_expr(rng) for _ in range(500)]:
-        for term in _expand(simplify(e).terms):
+        for term in _expand(simplify(e).terms, [], ""):
             if isinstance(term, App):
                 (arg,) = term.args
                 assert arg is ZERO or not isinstance(arg, Sum), render_cost_term(term)

@@ -14,7 +14,6 @@ from spa.sizes import (
     SizeModel,
     Sum,
     TypeSize,
-    add,
     contains_hash,
     delta,
     eval_size,
@@ -41,11 +40,11 @@ MODEL = SizeModel(
 def test_delta_basics():
     assert delta(TEmpty()) == ZERO
     assert delta(N) == TypeSize(BasicTT.N)
-    assert delta(TPair(R, N)) == add(SR, SN)
+    assert delta(TPair(R, N)) == ssum([SR, SN])
 
 
 def test_delta_ciphertexts():
-    for body, size in ((N, SN), (TPair(N, R), add(SN, SR))):
+    for body, size in ((N, SN), (TPair(N, R), ssum([SN, SR]))):
         assert delta(TEnc(body, FuncName.SK)) == size  # transparent
         assert delta(TEnc(body, FuncName.H)) == HashSize()
         assert delta(TEnc(body, FuncName.PK)) == AsymSize(size)
@@ -118,7 +117,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 def test_delta_pair_additivity(seed):
     rng = random.Random(seed)
     a, b = random_tterm(rng), random_tterm(rng)
-    assert normalize(delta(TPair(a, b))) == add(delta(a), delta(b))
+    assert normalize(delta(TPair(a, b))) == ssum([delta(a), delta(b)])
 
 
 @given(seeds)
@@ -165,6 +164,6 @@ def test_normalize_keeps_normal_sums():
 def test_eval_respects_addition(seed):
     rng = random.Random(seed)
     a, b = delta(random_tterm(rng)), delta(random_tterm(rng))
-    lhs = eval_size(add(a, b), MODEL)
+    lhs = eval_size(ssum([a, b]), MODEL)
     rhs = eval_size(a, MODEL) + eval_size(b, MODEL)
     assert math.isclose(lhs, rhs, rel_tol=1e-12)

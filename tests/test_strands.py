@@ -24,7 +24,6 @@ from spa.terms import (
     Basic,
     BasicTT,
     FuncName,
-    SignedTTerm,
     SignedTerm,
     TEnc,
     TPair,
@@ -67,12 +66,12 @@ def test_tstrand_validated():
     with pytest.raises(ValueError):
         TStrand(Classifier.C_N, A, ())
     with pytest.raises(ValueError):
-        TStrand(Classifier.C_N, NA, (SignedTTerm(1, n),))
+        TStrand(Classifier.C_N, NA, (SignedTerm(1, n),))
 
 
 def test_succession_edges():
     s = kstrand(SignedTerm(1, NA), SignedTerm(-1, K), SignedTerm(1, K))
-    t = TStrand(Classifier.C_N, A, (SignedTTerm(1, n),))
+    t = TStrand(Classifier.C_N, A, (SignedTerm(1, n),))
     succ, comm = edges(StrandSpace((s, t)))
     assert succ == [((0, 1), (0, 2)), ((0, 2), (0, 3))]
     assert comm == ()
@@ -88,7 +87,7 @@ def test_communication_edges_are_the_recorded_ones():
 
 
 def test_one_strand_object_at_two_positions():
-    t = TStrand(Classifier.C_H, A, (SignedTTerm(-1, n), SignedTTerm(1, TEnc(n, FuncName.H))))
+    t = TStrand(Classifier.C_H, A, (SignedTerm(-1, n), SignedTerm(1, TEnc(n, FuncName.H))))
     succ, _ = edges(StrandSpace((t, t)))
     assert succ == [((0, 1), (0, 2)), ((1, 1), (1, 2))]
 
@@ -139,51 +138,51 @@ def _op(classifier, *events):
 
 
 def test_op_shapes_accepted():
-    validate_op_strand(_op(Classifier.C_E, SignedTTerm(-1, n),
-                           SignedTTerm(1, TEnc(n, FuncName.SK))))
-    validate_op_strand(_op(Classifier.C_D, SignedTTerm(-1, TEnc(n, FuncName.SK)),
-                           SignedTTerm(1, n)))
-    validate_op_strand(_op(Classifier.C_H, SignedTTerm(-1, n),
-                           SignedTTerm(1, TEnc(n, FuncName.H))))
-    validate_op_strand(_op(Classifier.C_PK, SignedTTerm(-1, n),
-                           SignedTTerm(1, TEnc(n, FuncName.PK))))
-    validate_op_strand(_op(Classifier.C_PVK, SignedTTerm(-1, n),
-                           SignedTTerm(1, TEnc(n, FuncName.PVK))))
-    validate_op_strand(_op(Classifier.C_K, SignedTTerm(1, k)))
-    validate_op_strand(_op(Classifier.C_N, SignedTTerm(1, n)))
-    validate_op_strand(_op(Classifier.C_C, SignedTTerm(-1, n), SignedTTerm(-1, r),
-                           SignedTTerm(1, TPair(n, r))))
-    validate_op_strand(_op(Classifier.C_I, SignedTTerm(-1, TPair(n, r)),
-                           SignedTTerm(1, n), SignedTTerm(1, r)))
+    validate_op_strand(_op(Classifier.C_E, SignedTerm(-1, n),
+                           SignedTerm(1, TEnc(n, FuncName.SK))))
+    validate_op_strand(_op(Classifier.C_D, SignedTerm(-1, TEnc(n, FuncName.SK)),
+                           SignedTerm(1, n)))
+    validate_op_strand(_op(Classifier.C_H, SignedTerm(-1, n),
+                           SignedTerm(1, TEnc(n, FuncName.H))))
+    validate_op_strand(_op(Classifier.C_PK, SignedTerm(-1, n),
+                           SignedTerm(1, TEnc(n, FuncName.PK))))
+    validate_op_strand(_op(Classifier.C_PVK, SignedTerm(-1, n),
+                           SignedTerm(1, TEnc(n, FuncName.PVK))))
+    validate_op_strand(_op(Classifier.C_K, SignedTerm(1, k)))
+    validate_op_strand(_op(Classifier.C_N, SignedTerm(1, n)))
+    validate_op_strand(_op(Classifier.C_C, SignedTerm(-1, n), SignedTerm(-1, r),
+                           SignedTerm(1, TPair(n, r))))
+    validate_op_strand(_op(Classifier.C_I, SignedTerm(-1, TPair(n, r)),
+                           SignedTerm(1, n), SignedTerm(1, r)))
 
 
 # (strand, its ShapeViolation message)
 REJECTED = [
-    (_op(Classifier.C_E, SignedTTerm(-1, n), SignedTTerm(1, TEnc(n, FuncName.PK))),
+    (_op(Classifier.C_E, SignedTerm(-1, n), SignedTerm(1, TEnc(n, FuncName.PK))),
      "C_E: position 2 must be the input wrapped with sk"),  # wrong function
-    (_op(Classifier.C_H, SignedTTerm(-1, n), SignedTTerm(1, TEnc(k, FuncName.H))),
+    (_op(Classifier.C_H, SignedTerm(-1, n), SignedTerm(1, TEnc(k, FuncName.H))),
      "C_H: position 2 must be the input wrapped with h"),  # body mismatch
-    (_op(Classifier.C_K, SignedTTerm(1, k), SignedTTerm(1, k)),
+    (_op(Classifier.C_K, SignedTerm(1, k), SignedTerm(1, k)),
      "C_K: position 0 must be a sequence of 1 events"),  # wrong arity
-    (_op(Classifier.C_I, SignedTTerm(-1, TPair(n, r))),
+    (_op(Classifier.C_I, SignedTerm(-1, TPair(n, r))),
      "C_I: position 0 must be a sequence of 3 events"),
-    (_op(Classifier.C_N, SignedTTerm(1, k)),
+    (_op(Classifier.C_N, SignedTerm(1, k)),
      "C_N: position 1 must be a nonce type"),  # wrong basic type
-    (_op(Classifier.C_K, SignedTTerm(1, n)),
+    (_op(Classifier.C_K, SignedTerm(1, n)),
      "C_K: position 1 must be a key type"),
-    (_op(Classifier.C_K, SignedTTerm(-1, k)),
+    (_op(Classifier.C_K, SignedTerm(-1, k)),
      "C_K: position 1 must be a transmission"),  # reception where transmission expected
-    (_op(Classifier.C_C, SignedTTerm(-1, n), SignedTTerm(1, r), SignedTTerm(1, TPair(n, r))),
+    (_op(Classifier.C_C, SignedTerm(-1, n), SignedTerm(1, r), SignedTerm(1, TPair(n, r))),
      "C_C: position 2 must be a reception"),
-    (_op(Classifier.C_C, SignedTTerm(-1, n), SignedTTerm(-1, r), SignedTTerm(1, TPair(r, n))),
+    (_op(Classifier.C_C, SignedTerm(-1, n), SignedTerm(-1, r), SignedTerm(1, TPair(r, n))),
      "C_C: position 3 must be the pair of the two inputs"),  # pair is not of the inputs
-    (_op(Classifier.C_I, SignedTTerm(-1, TPair(n, r)), SignedTTerm(1, r), SignedTTerm(1, n)),
+    (_op(Classifier.C_I, SignedTerm(-1, TPair(n, r)), SignedTerm(1, r), SignedTerm(1, n)),
      "C_I: position 1 must be the pair of the two outputs"),
-    (_op(Classifier.C_D, SignedTTerm(-1, TEnc(n, FuncName.PK)), SignedTTerm(1, n)),
+    (_op(Classifier.C_D, SignedTerm(-1, TEnc(n, FuncName.PK)), SignedTerm(1, n)),
      "C_D: position 1 must be an sk term whose body is the output"),
-    (_op(Classifier.C_D, SignedTTerm(1, TEnc(n, FuncName.SK)), SignedTTerm(-1, n)),
+    (_op(Classifier.C_D, SignedTerm(1, TEnc(n, FuncName.SK)), SignedTerm(-1, n)),
      "C_D: position 1 must be a reception"),
-    (_op(Classifier.C_PVK, SignedTTerm(-1, n), SignedTTerm(-1, TEnc(n, FuncName.PVK))),
+    (_op(Classifier.C_PVK, SignedTerm(-1, n), SignedTerm(-1, TEnc(n, FuncName.PVK))),
      "C_PVK: position 2 must be a transmission"),
 ]
 
@@ -210,11 +209,11 @@ def test_ops_positions_index_events_of_their_row():
 
 def test_process_strands_have_no_shape():
     with pytest.raises(ValueError):
-        validate_op_strand(_op(Classifier.C_P, SignedTTerm(1, n)))
+        validate_op_strand(_op(Classifier.C_P, SignedTerm(1, n)))
 
 
 def test_render_strands():
     s = KStrand((A, NA), A, (SignedTerm(1, NA),))
     assert render_kstrand(s) == "⟨{A, N_a}, A, ⟨+N_a⟩⟩"
-    t = TStrand(Classifier.C_N, A, (SignedTTerm(1, n),))
+    t = TStrand(Classifier.C_N, A, (SignedTerm(1, n),))
     assert render_tstrand(t) == "⟨C_N, A, ⟨+n⟩⟩"

@@ -40,7 +40,6 @@ from spa.terms import (
     Enc,
     FuncName,
     Pair,
-    SignedTTerm,
     SignedTerm,
     TEmpty,
     TEnc,
@@ -155,9 +154,9 @@ def test_signed_terms_validated():
     with pytest.raises(ValueError):
         SignedTerm(1, Empty())
     with pytest.raises(ValueError):
-        SignedTTerm(2, Basic(BasicTT.N))
+        SignedTerm(2, Basic(BasicTT.N))
     with pytest.raises(ValueError):
-        SignedTTerm(-1, TEmpty())
+        SignedTerm(-1, TEmpty())
 
 
 def test_render_term():
@@ -166,6 +165,7 @@ def test_render_term():
     assert render_term(Enc(pair_of([NA, K, A]), FuncName.SK, K)) == "{N_a, K, A}_sk(K)"
     assert render_term(Enc(Pair(A, NA), FuncName.H, Empty())) == "h(A, N_a)"
     assert render_term(Enc(M, FuncName.PK, K)) == "{X_a}_pk(K)"
+    assert render_term(Empty()) == "."
 
 
 def test_render_tterm():
@@ -174,6 +174,7 @@ def test_render_tterm():
     assert render_tterm(TEnc(TPair(TPair(n, k), r), FuncName.SK)) == "{n, k, r}_sk"
     assert render_tterm(TEnc(n, FuncName.H)) == "{n}_h"
     assert render_tterm(n) == "n"
+    assert render_tterm(TEmpty()) == "."
 
 
 _atoms = st.sampled_from([A, NA, K, M])
@@ -294,7 +295,7 @@ def _any_payload(t, seq):
 
 _B = Atom(AtomKind.PARTICIPANT, "B")
 _KSTRAND = KStrand((A, NA), A, (SignedTerm(1, NA),), frozenset({NA}))
-_TSTRAND = TStrand(Classifier.C_N, A, (SignedTTerm(1, Basic(BasicTT.N)),))
+_TSTRAND = TStrand(Classifier.C_N, A, (SignedTerm(1, Basic(BasicTT.N)),))
 
 # fields of one term per hash-consed class, and for each class that checks
 # its fields, fields it refuses
@@ -316,9 +317,8 @@ _CTOR_FIELDS = {
     LambdaP: (),
     Overhead: (-1,),
     SignedTerm: (-1, Pair(A, NA)),
-    SignedTTerm: (1, TPair(Basic(BasicTT.R), Basic(BasicTT.N))),
     KStrand: ((A, NA), A, (SignedTerm(1, NA),), frozenset({NA})),
-    TStrand: (Classifier.C_N, A, (SignedTTerm(1, Basic(BasicTT.N)),)),
+    TStrand: (Classifier.C_N, A, (SignedTerm(1, Basic(BasicTT.N)),)),
     StrandSpace: ((_KSTRAND, _TSTRAND), (((0, 1), (1, 1)),)),
     Op: ((1,), CostFunc.F_NG, (1,), 1, _any_payload, "anything"),
     Message: (A, _B, Pair(A, NA)),
@@ -331,7 +331,6 @@ _REFUSED = {
     App: (CostFunc.F_C, (TypeSize(BasicTT.N),)),
     Overhead: (0,),
     SignedTerm: (0, NA),
-    SignedTTerm: (1, TEmpty()),
     KStrand: ((NA,), A, (SignedTerm(1, NA),), frozenset()),
     TStrand: (Classifier.C_N, A, ()),
     CostExpr: (((LambdaC(), 0),),),
