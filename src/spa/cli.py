@@ -24,6 +24,7 @@ from .config import load_config
 from .costs import (
     DEFAULT_ASSUMPTIONS,
     CostExpr,
+    _eval_terms,
     compare,
     cost_of_space,
     eval_cost,
@@ -243,10 +244,10 @@ def cmd_eval(args) -> int:
     model, _ = _load_model(args.config)
     cost = simplify(_role_cost(spec, args.role))
     value = _evaluate(cost, model, args.config)
-    parts = [_evaluate(CostExpr(((term, mult),)), model, args.config) for term, mult in cost.terms]
     print(f"value: {value:.6f}")
-    for (term, mult), part in zip(cost.terms, parts):
-        print(f"  {render_cost_term(term, mult)} = {part:.6f}")
+    # `_evaluate` found the sum finite, so every term's value is finite too
+    for term, mult in cost.terms:
+        print(f"  {render_cost_term(term, mult)} = {_eval_terms(((term, mult),), model):.6f}")
     return 0
 
 

@@ -11,7 +11,8 @@ by the function enumeration, then first occurrence.
 Cost terms are hash-consed like terms and size expressions (see `terms`):
 equal cost terms are one object, so merging, cancelling and expanding key
 dicts on them by identity, and simplifying a simplified expression gives
-back the terms it was given.  `compare` records its steps as data and
+back the terms it was given without rebuilding any.  `compare` builds no
+`CostExpr` but the two residuals it returns, records its steps as data and
 renders them into the trace only when `CompareResult.trace` is read.
 """
 
@@ -100,19 +101,15 @@ class CostExpr(Value):
             raise ValueError("terms must be distinct")
 
 
-def _merged(items) -> dict:
+def cost_expr(items) -> CostExpr:
+    """Merge (term, multiplicity) or bare terms in first-occurrence order."""
     merged: dict[CostTerm, int] = {}
     for item in items:
         term, mult = item if isinstance(item, tuple) else (item, 1)
         if mult == 0:
             continue
         merged[term] = merged.get(term, 0) + mult
-    return merged
-
-
-def cost_expr(items) -> CostExpr:
-    """Merge (term, multiplicity) or bare terms in first-occurrence order."""
-    return CostExpr(tuple(_merged(items).items()))
+    return CostExpr(tuple(merged.items()))
 
 
 def _item_key(item: tuple):
@@ -129,10 +126,6 @@ def _item_key(item: tuple):
     if isinstance(term, LambdaP):
         return (4, -1)
     return (5, -term.sign)
-
-
-def _canonical(items) -> CostExpr:
-    return CostExpr(tuple(sorted(_merged(items).items(), key=_item_key)))
 
 
 def cost_of_space(space: StrandSpace) -> CostExpr:
@@ -182,16 +175,26 @@ def _op_cost(s: TStrand, memo: dict) -> CostTerm:
 def simplify(e: CostExpr) -> CostExpr:
     """Fold concatenation and processing applications into their constants,
     normalize arguments, merge like terms, order canonically."""
-    out = []
-    for term, mult in e.terms:
+    return CostExpr(tuple(_simplified(e.terms).items()))
+
+
+def _simplified(terms) -> dict:
+    """`simplify`'s terms as a dict in canonical order, built without a
+    `CostExpr`.  An application is rebuilt only when normalizing changes its
+    argument; every application left unfolded has one (see `App._check`)."""
+    merged: dict[CostTerm, int] = {}
+    for term, mult in terms:
         if isinstance(term, App):
             folded = _FOLDED.get(term.func)
             if folded is not None:
                 term = folded
             else:
-                term = App(term.func, tuple(map(normalize, term.args)))
-        out.append((term, mult))
-    return _canonical(out)
+                arg = term.args[0]
+                normal = normalize(arg)
+                if normal is not arg:
+                    term = App(term.func, (normal,))
+        merged[term] = merged.get(term, 0) + mult
+    return dict(sorted(merged.items(), key=_item_key))
 
 
 def expand_one(term: App) -> list[tuple[CostTerm, int]] | None:
@@ -318,8 +321,14 @@ class CostModel:
 
 
 def eval_cost(e: CostExpr, model: CostModel) -> float:
+    return _eval_terms(e.terms, model)
+
+
+def _eval_terms(terms, model: CostModel) -> float:
+    """Value of (term, multiplicity) pairs under `model`: `eval_cost`'s rule,
+    which `spa eval` also applies to each term on its own."""
     total = 0.0
-    for term, mult in e.terms:
+    for term, mult in terms:
         func = term.func
         if func is CostFunc.F_C:
             value = model.lambda_c
@@ -446,12 +455,13 @@ def _saturating_match(small: dict, big: dict, dominates) -> list | None:
 
 
 def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTIONS) -> CompareResult:
-    """Decide the order of two simplified cost expressions.
+    """Decide the order of two cost expressions, raw or simplified.
 
-    Pipeline: cancel structurally equal terms, expand additivity on the
-    residuals, cancel again, drop overhead when assumed insignificant, then
-    discharge what remains through dominance between functions.  Returns
-    Indeterminate rather than guessing.
+    Pipeline: canonicalize each side once, as `simplify` does; cancel
+    structurally equal terms, expand additivity on the residuals, cancel
+    again, drop overhead when assumed insignificant, then discharge what
+    remains through dominance between functions.  Returns Indeterminate
+    rather than guessing.
 
     Each step is recorded as a tuple, its kind first ("cancel", "expand",
     "drop overhead", "residue", "empty", "dominance", "verdict") and then
@@ -459,8 +469,8 @@ def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTION
     read, so a caller that reads only the verdict pays for no rendering.
     """
     steps: list[tuple] = []
-    left = dict(simplify(a).terms)
-    right = dict(simplify(b).terms)
+    left = _simplified(a.terms)
+    right = _simplified(b.terms)
 
     _cancel(left, right, steps)
     left = _expand(left.items(), steps, "left")
@@ -474,9 +484,13 @@ def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTION
 
     verdict = _decide(left, right, assume, steps)
     steps.append(("verdict", verdict))
-    return CompareResult(
-        verdict, _canonical(left.items()), _canonical(right.items()), tuple(steps)
-    )
+    return CompareResult(verdict, _residual(left), _residual(right), tuple(steps))
+
+
+def _residual(side: dict) -> CostExpr:
+    # a side's terms are merged already; a part with multiplicity zero comes
+    # only from a sum argument with a zero coefficient, and is left out
+    return CostExpr(tuple(sorted([tm for tm in side.items() if tm[1]], key=_item_key)))
 
 
 def _decide(left: dict, right: dict, assume: AssumptionSet, steps: list) -> Verdict:

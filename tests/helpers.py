@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from spa.cli import main
-from spa.costs import CostExpr, _canonical, _expand
+from spa.costs import CostExpr, _expand, _simplified
 
 ROOT = Path(__file__).resolve().parent.parent
 PROTOCOLS = ROOT / "protocols"
@@ -45,4 +45,4 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
 def expand_additivity(e: CostExpr) -> CostExpr:
     """Rewrite every application over a sum into per-addend applications
     minus the per-term overhead, as `compare` does to both sides."""
-    return _canonical(_expand(e.terms, [], "").items())
+    return CostExpr(tuple(_simplified(_expand(e.terms, [], "").items()).items()))

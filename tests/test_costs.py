@@ -606,6 +606,35 @@ def test_compare_matches_eager_reference():
     assert seen == kinds and cases > 2000
 
 
+def test_compare_builds_only_its_residuals(monkeypatch):
+    # each side is canonicalized once into compare's working dicts, and an
+    # application whose argument is normal already is not rebuilt
+    made = {CostExpr: [], App: []}
+    for cls, out in made.items():
+        def counted(cls, *args, _new=cls.__new__, _out=out, **kwargs):
+            value = _new(cls, *args, **kwargs)
+            _out.append(value)
+            return value
+
+        monkeypatch.setattr(cls, "__new__", staticmethod(counted))
+    exprs, apps = made[CostExpr], made[App]
+    cases = list(_compare_cases())
+    for a, b, assume in cases:
+        before = len(exprs)
+        res = compare(a, b, assume)
+        assert exprs[before:] == [res.left_residual, res.right_residual]
+    for a, _, _ in cases:
+        e = simplify(a)
+        before = len(apps)
+        assert simplify(e) is e
+        assert len(apps) == before
+    f_h_n = App(CostFunc.F_H, (SN,))
+    e = cost_expr([f_h_n, App(CostFunc.F_H, (Sum(((1, SN),)),))])  # denormal sum
+    before = len(apps)
+    assert simplify(e).terms == ((f_h_n, 2),)
+    assert apps[before:] == [f_h_n]
+
+
 def test_dominance_lines_read_as_the_verdict():
     # the dominating term comes first under Greater, as in the residual line
     seen = set()
