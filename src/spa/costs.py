@@ -6,7 +6,8 @@ per-operation cost functions, the concatenation and processing constants L_C
 and L_P, and signed overhead constants Ov_h.  Canonical order groups terms
 as: applications to a single type size, L_C, remaining applications without
 S_hash in the argument, applications with S_hash, L_P, overhead; ties break
-by the function enumeration, then first occurrence.
+by the function enumeration, then first occurrence.  Each cost term stores
+its order key in `_order` when it is first built, so sorting reads it.
 
 Cost terms are hash-consed like terms and size expressions (see `terms`):
 equal cost terms are one object, so merging, cancelling and expanding key
@@ -20,22 +21,18 @@ from __future__ import annotations
 
 import enum
 from functools import cache
+from operator import attrgetter
 
-from .sizes import (
-    SizeModel,
-    Sum,
-    TypeSize,
-    contains_hash,
-    delta,
-    eval_size,
-    normalize,
-    render_size,
-)
+from .sizes import SizeModel, Sum, TypeSize, contains_hash, delta, eval_size, render_size
 from .strands import OPS, Classifier, CostFunc, StrandSpace, TStrand, validate_op_strand
 from .terms import Value, _hash_consed
 
 
 _FUNC_RANK = {f: i for i, f in enumerate(CostFunc)}
+# every order key an application can take, built once: terms share them, so
+# storing a term's key allocates nothing
+_APP_ORDER = {(group, f): (group, rank) for group in (0, 2, 3) for f, rank in _FUNC_RANK.items()}
+_ORDER = attrgetter("_order")
 
 # functions whose argument obeys the additivity law
 EXPANDABLE = (
@@ -49,7 +46,12 @@ EXPANDABLE = (
 
 
 class CostTerm(Value):
-    __slots__ = ()
+    # the canonical-order key, set once when the term is first built: not a
+    # field, so it neither keys the table nor pickles
+    __slots__ = ("_order",)
+
+
+_set_order = CostTerm._order.__set__
 
 
 @_hash_consed
@@ -60,6 +62,13 @@ class App(CostTerm):
         want = 2 if self.func is CostFunc.F_C else 1
         if len(self.args) != want:
             raise ValueError(f"{self.func.value} takes {want} argument(s)")
+        folded = _FOLDED.get(self.func)
+        if folded is not None:  # f_c and f_p are folded before any sort
+            _set_order(self, folded._order)
+            return
+        arg = self.args[0]
+        group = 0 if isinstance(arg, TypeSize) else 3 if contains_hash(arg) else 2
+        _set_order(self, _APP_ORDER[group, self.func])
 
 
 # L_C and L_P are the flat constants f_c and f_p fold into.  Each names the
@@ -69,12 +78,14 @@ class App(CostTerm):
 class LambdaC(CostTerm):
     __slots__ = ()
     func = CostFunc.F_C
+    _order = (1, -1)
 
 
 @_hash_consed
 class LambdaP(CostTerm):
     __slots__ = ()
     func = CostFunc.F_P
+    _order = (4, -1)
 
 
 _FOLDED = {cls.func: cls() for cls in (LambdaC, LambdaP)}
@@ -88,6 +99,7 @@ class Overhead(CostTerm):
     def _check(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        _set_order(self, (5, -self.sign))
 
 
 @_hash_consed
@@ -110,22 +122,6 @@ def cost_expr(items) -> CostExpr:
             continue
         merged[term] = merged.get(term, 0) + mult
     return CostExpr(tuple(merged.items()))
-
-
-def _item_key(item: tuple):
-    """Canonical-order key of a (term, multiplicity) pair."""
-    term = item[0]
-    if isinstance(term, App):
-        rank = _FUNC_RANK[term.func]
-        arg = term.args[0]  # f_c and f_p are folded before ordering
-        if isinstance(arg, TypeSize):
-            return (0, rank)
-        return (3 if contains_hash(arg) else 2, rank)
-    if isinstance(term, LambdaC):
-        return (1, -1)
-    if isinstance(term, LambdaP):
-        return (4, -1)
-    return (5, -term.sign)
 
 
 def cost_of_space(space: StrandSpace) -> CostExpr:
@@ -174,27 +170,19 @@ def _op_cost(s: TStrand, memo: dict) -> CostTerm:
 
 def simplify(e: CostExpr) -> CostExpr:
     """Fold concatenation and processing applications into their constants,
-    normalize arguments, merge like terms, order canonically."""
+    merge like terms, order canonically."""
     return CostExpr(tuple(_simplified(e.terms).items()))
 
 
 def _simplified(terms) -> dict:
     """`simplify`'s terms as a dict in canonical order, built without a
-    `CostExpr`.  An application is rebuilt only when normalizing changes its
-    argument; every application left unfolded has one (see `App._check`)."""
+    `CostExpr`.  Arguments are normal sums already (see `sizes.Sum`), so
+    no application is rebuilt."""
     merged: dict[CostTerm, int] = {}
     for term, mult in terms:
-        if isinstance(term, App):
-            folded = _FOLDED.get(term.func)
-            if folded is not None:
-                term = folded
-            else:
-                arg = term.args[0]
-                normal = normalize(arg)
-                if normal is not arg:
-                    term = App(term.func, (normal,))
+        term = _FOLDED.get(term.func, term)
         merged[term] = merged.get(term, 0) + mult
-    return dict(sorted(merged.items(), key=_item_key))
+    return {term: merged[term] for term in sorted(merged, key=_ORDER)}
 
 
 def expand_one(term: App) -> list[tuple[CostTerm, int]] | None:
@@ -488,9 +476,8 @@ def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTION
 
 
 def _residual(side: dict) -> CostExpr:
-    # a side's terms are merged already; a part with multiplicity zero comes
-    # only from a sum argument with a zero coefficient, and is left out
-    return CostExpr(tuple(sorted([tm for tm in side.items() if tm[1]], key=_item_key)))
+    # a side's terms are merged already, each with multiplicity >= 1
+    return CostExpr(tuple([(term, side[term]) for term in sorted(side, key=_ORDER)]))
 
 
 def _decide(left: dict, right: dict, assume: AssumptionSet, steps: list) -> Verdict:

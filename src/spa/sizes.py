@@ -2,10 +2,12 @@
 
 A size expression is a type-size symbol (|r|, |n|, |k|, |m|), the hash output
 constant S_hash, an asymmetric-ciphertext application S_asym(x), or a flat
-coefficient-weighted sum of those units.  Normal form: sums are flat, units
-merged, ordered by descending coefficient with first-occurrence ties; a
-single unit with coefficient 1 collapses to the bare unit; the empty sum is
-size zero.
+coefficient-weighted sum of those units.  Every `Sum` is in normal form,
+which its constructor checks: integer coefficients of at least 1 that never
+increase, distinct units that are not sums, and never a single unit with
+coefficient 1 (that is the bare unit).  The empty sum is size zero.  `ssum`
+builds the normal form of any sum, ordering units by descending coefficient
+with first-occurrence ties.
 
 Size expressions are hash-consed like terms (see `terms`): equal size
 expressions are one object, so they hash and compare by identity.
@@ -45,15 +47,31 @@ class AsymSize(SizeExpr):
 
 @_hash_consed
 class Sum(SizeExpr):
-    __slots__ = {"items": "(coefficient, non-Sum unit) pairs"}
+    __slots__ = {"items": "(coefficient, non-Sum unit) pairs, in normal form"}
+
+    def _check(self):
+        # a lone unit with coefficient 1 is the bare unit, not a sum
+        low = 2 if len(self.items) == 1 else 1
+        top = None  # the coefficient before this one
+        units = set()
+        for coeff, unit in self.items:
+            if (
+                type(coeff) is not int
+                or not low <= coeff <= (top or coeff)
+                or unit in units
+                or isinstance(unit, Sum)
+            ):
+                raise ValueError(f"not a normal sum: {self.items!r}")
+            top = coeff
+            units.add(unit)
 
 
 ZERO = Sum(())
 
 
 def ssum(parts) -> SizeExpr:
-    """Normalized sum of size expressions (units keep first-occurrence order,
-    sorted by descending coefficient; stable)."""
+    """The normal form of the sum of size expressions (units keep
+    first-occurrence order, sorted by descending coefficient; stable)."""
     merged: dict[SizeExpr, int] = {}
     for part in parts:
         if isinstance(part, Sum):
@@ -67,23 +85,6 @@ def ssum(parts) -> SizeExpr:
     if len(items) == 1 and items[0][1] == 1:
         return items[0][0]
     return Sum(tuple((coeff, unit) for unit, coeff in items))
-
-
-def normalize(e: SizeExpr) -> SizeExpr:
-    """Normal form of e.  An e that is already normal (a unit, or a sum of
-    distinct units with non-increasing coefficients that is not a lone unit
-    with coefficient 1) is returned without rebuilding it."""
-    if not isinstance(e, Sum):
-        return e
-    items = e.items
-    if len(items) == 1:
-        if items[0][0] != 1:
-            return e
-    elif all(a[0] >= b[0] for a, b in zip(items, items[1:])) and len(
-        {unit for _, unit in items}
-    ) == len(items):
-        return e
-    return ssum([e])
 
 
 def delta(t: TTerm, memo: dict | None = None) -> SizeExpr:

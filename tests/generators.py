@@ -215,9 +215,42 @@ def sum_items(e) -> tuple:
     return e.items if isinstance(e, Sum) else ((1, e),)
 
 
-def denormal_size(rng: random.Random, e):
-    """A sum equal to e in value but not in normal form: units reordered,
-    coefficients split into repeated units, a lone unit wrapped in a sum."""
+def normal_items(items) -> bool:
+    """Whether (coefficient, unit) pairs are in normal form, stated here
+    apart from `Sum`'s own check: integer coefficients of at least 1 that
+    never increase, distinct units that are not sums, and not one unit with
+    coefficient 1."""
+    coeffs = [coeff for coeff, _ in items]
+    units = [unit for _, unit in items]
+    return (
+        all(type(c) is int and c >= 1 for c in coeffs)
+        and all(a >= b for a, b in zip(coeffs, coeffs[1:]))
+        and len(set(units)) == len(units)
+        and not any(isinstance(u, Sum) for u in units)
+        and coeffs != [1]
+    )
+
+
+def normal_form(items):
+    """The normal size of (coefficient, unit) pairs with integer
+    coefficients, a nested sum counting as its own units."""
+    return ssum([unit for coeff, unit in items for _ in range(coeff)])
+
+
+def refused(items) -> tuple:
+    """items, once `Sum` has refused to build them."""
+    try:
+        Sum(items)
+    except ValueError:
+        return items
+    raise AssertionError(f"Sum accepted the non-normal {items!r}")
+
+
+def denormal_size(rng: random.Random, e) -> tuple:
+    """(coefficient, unit) pairs equal to e in value but not in normal form,
+    so `Sum` refuses them: units reordered and coefficients split into
+    repeated units.  Pairs that are still normal after that (the empty sum
+    among them) become a nested sum: one coefficient-1 unit, their sum."""
     parts = []
     for coeff, unit in sum_items(e):
         if coeff > 1 and rng.random() < 0.5:
@@ -225,15 +258,21 @@ def denormal_size(rng: random.Random, e):
         else:
             parts.append((coeff, unit))
     rng.shuffle(parts)
-    return Sum(tuple(parts))
+    if normal_items(parts):
+        return ((1, Sum(tuple(parts))),)
+    return tuple(parts)
 
 
 def denormal_cost_expr(rng: random.Random, e: CostExpr) -> CostExpr:
-    """e with about half its applications given non-normal arguments."""
+    """e with about half its applications' arguments drawn by
+    `denormal_size`: each draw is checked to be refused, and the
+    application takes its normal form instead, which is what `compare` and
+    `simplify` made of such an argument when `Sum` accepted it."""
     items = []
     for term, mult in e.terms:
         if isinstance(term, App) and rng.random() < 0.5:
-            term = App(term.func, tuple(denormal_size(rng, a) for a in term.args))
+            args = (normal_form(refused(denormal_size(rng, a))) for a in term.args)
+            term = App(term.func, tuple(args))
         items.append((term, mult))
     return cost_expr(items)
 
@@ -416,7 +455,10 @@ def decisive_pair(rng: random.Random, assume: AssumptionSet):
     if kind == "dominated":
         # single-unit extras: expansion must not skew the instance counts,
         # since n dominated terms are only below n dominating ones
-        greater, lesser = rng.choice(tuple(assume.closure()))
+        # sorted: a frozenset of enum members iterates in identity-hash
+        # order, which differs from process to process
+        pairs = sorted(assume.closure(), key=lambda pair: [f.value for f in pair])
+        greater, lesser = rng.choice(pairs)
         count = rng.randint(1, 2)
         for _ in range(count):
             left.append((_extra_term(rng, lesser, assume, narrow=True), 1))

@@ -341,12 +341,22 @@ def test_simplify_folds_constants():
     assert render_cost(simplify(e)) == "L_C + 2*L_P"
 
 
-def test_simplify_merges_equal_args_after_normalization():
-    from spa.sizes import Sum
-
+def test_equal_arguments_are_one_application():
+    # a lone unit has one form, so two applications of a function to it are
+    # one term before any simplification; the sum form of it is refused
+    with pytest.raises(ValueError, match="not a normal sum"):
+        Sum(((1, SN),))
     a = App(CostFunc.F_H, (SN,))
-    b = App(CostFunc.F_H, (Sum(((1, SN),)),))  # denormal singleton sum
+    b = App(CostFunc.F_H, (ssum([SN]),))
+    assert a is b
     assert render_cost(simplify(cost_expr([a, b]))) == "2*f_h(|n|)"
+
+
+def test_non_normal_sum_is_refused_before_compare():
+    # f_sk(3|n| - |r|) against 0 used to raise "multiplicities must be
+    # positive" from inside compare; the argument cannot be built now
+    with pytest.raises(ValueError, match="not a normal sum"):
+        cost_expr([App(CostFunc.F_SK, (Sum(((3, SN), (-1, SR))),))])
 
 
 def test_equal_coefficient_units_keep_occurrence_order():
@@ -607,8 +617,8 @@ def test_compare_matches_eager_reference():
 
 
 def test_compare_builds_only_its_residuals(monkeypatch):
-    # each side is canonicalized once into compare's working dicts, and an
-    # application whose argument is normal already is not rebuilt
+    # each side is canonicalized once into compare's working dicts, and no
+    # application is rebuilt: every argument is normal already
     made = {CostExpr: [], App: []}
     for cls, out in made.items():
         def counted(cls, *args, _new=cls.__new__, _out=out, **kwargs):
@@ -629,10 +639,10 @@ def test_compare_builds_only_its_residuals(monkeypatch):
         assert simplify(e) is e
         assert len(apps) == before
     f_h_n = App(CostFunc.F_H, (SN,))
-    e = cost_expr([f_h_n, App(CostFunc.F_H, (Sum(((1, SN),)),))])  # denormal sum
+    e = cost_expr([f_h_n, App(CostFunc.F_C, (SN, SR)), (f_h_n, 2)])
     before = len(apps)
-    assert simplify(e).terms == ((f_h_n, 2),)
-    assert apps[before:] == [f_h_n]
+    assert simplify(e).terms == ((f_h_n, 3), (LambdaC(), 1))
+    assert apps[before:] == []
 
 
 def test_dominance_lines_read_as_the_verdict():
@@ -691,12 +701,12 @@ _PICKLE_HASHED = (
 )
 
 
-def _pickled_elsewhere() -> list:
+def _pickled_elsewhere(source: str = _PICKLE_HASHED) -> list:
     # another interpreter gives its objects other identity hashes, so a hash
     # carried over in the pickle would not match this process's
     src = str(Path(spa.costs.__file__).resolve().parent.parent)
     out = subprocess.run(
-        [sys.executable, "-c", _PICKLE_HASHED], check=True, capture_output=True,
+        [sys.executable, "-c", source], check=True, capture_output=True,
         cwd=ROOT, env={**os.environ, "PYTHONPATH": src},
     ).stdout
     return pickle.loads(out)
@@ -719,6 +729,76 @@ def test_cached_hashes_are_rebuilt_not_carried(how):
         assert t == twin and hash(t) == hash(twin)
         assert t is twin
         assert table[t] == i and {t: i}[twin] == i
+
+
+def _order_from_scratch(term) -> tuple:
+    """A cost term's canonical-order key, worked out from the class order
+    the `costs` docstring states: (class, function position)."""
+    if isinstance(term, App):
+        if term.func in (CostFunc.F_C, CostFunc.F_P):  # as the constant it folds into
+            return _order_from_scratch(LambdaC() if term.func is CostFunc.F_C else LambdaP())
+        arg = term.args[0]
+        if isinstance(arg, TypeSize):
+            group = 0
+        else:
+            group = 3 if "S_hash" in render_size(arg) else 2
+        return (group, list(CostFunc).index(term.func))
+    if isinstance(term, LambdaC):
+        return (1, -1)
+    if isinstance(term, LambdaP):
+        return (4, -1)
+    assert isinstance(term, Overhead)
+    return (5, -term.sign)
+
+
+def _cost_terms(values) -> list:
+    out = []
+    for value in values:
+        if isinstance(value, CostExpr):
+            out.extend(term for term, _ in value.terms)
+        elif isinstance(value, spa.costs.CostTerm):
+            out.append(value)
+    return out
+
+
+def test_order_key_is_stored_at_construction():
+    rng = random.Random(0x0DE)
+    exprs = _role_costs() + [random_cost_expr(rng) for _ in range(500)]
+    exprs += [simplify(e) for e in exprs]
+    terms = _cost_terms(exprs)
+    terms += [t for e in exprs for t in _expand(e.terms, [], "")]
+    groups = set()
+    for term in terms:
+        assert term._order == _order_from_scratch(term), render_cost_term(term)
+        groups.add(term._order[0])
+    assert groups == {0, 1, 2, 3, 4, 5}
+
+
+_PICKLE_COSTS = (
+    "import pickle, random, sys; "
+    "from tests.generators import hashed_terms, random_cost_expr; "
+    "values = hashed_terms() + [random_cost_expr(random.Random(i)) for i in range(100)]; "
+    "sys.stdout.buffer.write(pickle.dumps(values))"
+)
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle", "subprocess"])
+def test_order_key_survives_round_trips(how):
+    # the key is not a field and never pickles: a term built again from its
+    # fields, here or in another interpreter, works it out again
+    def made():
+        return hashed_terms() + [random_cost_expr(random.Random(i)) for i in range(100)]
+
+    values = {
+        "copy": lambda: [copy.copy(v) for v in made()],
+        "deepcopy": lambda: copy.deepcopy(made()),
+        "pickle": lambda: pickle.loads(pickle.dumps(made())),
+        "subprocess": lambda: _pickled_elsewhere(_PICKLE_COSTS),
+    }[how]()
+    terms = _cost_terms(values)
+    assert len(terms) > 200
+    for term in terms:
+        assert term._order == _order_from_scratch(term), render_cost_term(term)
 
 
 def test_assumption_closure_is_kept_but_not_compared():

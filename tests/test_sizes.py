@@ -17,16 +17,23 @@ from spa.sizes import (
     contains_hash,
     delta,
     eval_size,
-    normalize,
     render_size,
     ssum,
 )
 from spa.terms import Basic, BasicTT, FuncName, TEmpty, TEnc, TPair
 
-from .generators import denormal_size, random_size_expr, random_tterm, sum_items
+from .generators import (
+    denormal_size,
+    normal_form,
+    normal_items,
+    random_size_expr,
+    random_tterm,
+    sum_items,
+)
 
 R, N, K, M = (Basic(tt) for tt in BasicTT)
 SR, SN = TypeSize(BasicTT.R), TypeSize(BasicTT.N)
+SH = HashSize()
 
 MODEL = SizeModel(
     sizes={BasicTT.R: 8, BasicTT.N: 16, BasicTT.K: 16, BasicTT.M: 100},
@@ -73,6 +80,53 @@ def test_nested_sums_flatten():
     assert ssum([inner, SN]) == Sum(((2, SN), (1, SR)))
 
 
+def test_normal_sums_are_accepted():
+    assert Sum(()) is ZERO
+    for items in (((1, SN), (1, SR)), ((2, SN),), ((3, SN), (3, SH), (1, AsymSize(SR)))):
+        assert Sum(items).items == items
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        ((2, SN), (0, SR)),  # zero coefficient
+        ((3, SN), (-1, SR)),  # negative coefficient
+        ((2.0, SN),),  # float coefficient
+        ((True, SN), (True, SR)),  # bool coefficient
+        ((1, SN), (2, SR)),  # coefficients increase
+        ((1, SN), (1, SN)),  # repeated unit
+        ((2, SN), (1, SN)),  # repeated unit, coefficients in order
+        ((1, SN), (1, Sum(((2, SR),)))),  # nested sum
+        ((1, SN),),  # a lone unit with coefficient 1 is the bare unit
+    ],
+)
+def test_non_normal_sums_are_refused(items):
+    assert not normal_items(items)
+    with pytest.raises(ValueError, match="not a normal sum"):
+        Sum(items)
+
+
+def test_denormal_sums_are_refused():
+    # each draw of the generator equals its source in value and is refused
+    # when built; all three of its kinds of draw occur
+    rng = random.Random(0x50B)
+    kinds = set()
+    for _ in range(500):
+        e = random_size_expr(rng)
+        items = denormal_size(rng, e)
+        assert not normal_items(items)
+        with pytest.raises(ValueError, match="not a normal sum"):
+            Sum(items)
+        assert set(sum_items(normal_form(items))) == set(sum_items(e))
+        if isinstance(items[0][1], Sum):
+            kinds.add("nested")
+        elif len({unit for _, unit in items}) < len(items):
+            kinds.add("repeated")
+        else:
+            kinds.add("reordered or lone")
+    assert kinds == {"nested", "repeated", "reordered or lone"}
+
+
 def test_contains_hash():
     assert contains_hash(HashSize())
     assert contains_hash(ssum([SN, HashSize()]))
@@ -117,7 +171,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 def test_delta_pair_additivity(seed):
     rng = random.Random(seed)
     a, b = random_tterm(rng), random_tterm(rng)
-    assert normalize(delta(TPair(a, b))) == ssum([delta(a), delta(b)])
+    assert delta(TPair(a, b)) is ssum([delta(a), delta(b)])
 
 
 @given(seeds)
@@ -134,30 +188,24 @@ def test_delta_sk_transparent(seed):
 
 
 @given(seeds)
-def test_normalize_idempotent(seed):
+def test_ssum_of_a_normal_size_is_itself(seed):
     rng = random.Random(seed)
     e = delta(random_tterm(rng))
-    assert normalize(e) == normalize(normalize(e))
+    assert ssum([e]) is e
 
 
-def test_normalize_keeps_normal_sums():
-    # normalize agrees with ssum, and returns its argument exactly when that
-    # is already what ssum would build
-    rng = random.Random(0x50B)
-    kept = rebuilt = 0
-    for _ in range(500):
-        e = random_size_expr(rng)
-        backwards = Sum(tuple(reversed(sum_items(e))))
-        for x in (e, denormal_size(rng, e), backwards):
-            got = normalize(x)
-            assert got == ssum([x])
-            if ssum([x]) == x:
-                assert got is x
-                kept += 1
-            else:
-                rebuilt += 1
-    assert kept > 500 and rebuilt > 300
-    assert normalize(SR) is SR and normalize(ZERO) is ZERO
+@given(seeds)
+def test_every_ssum_result_is_normal(seed):
+    # ssum over normal sums, units and repeats builds only sums that the
+    # constructor accepts, and building one again gives the same object
+    rng = random.Random(seed)
+    parts = [random_size_expr(rng) for _ in range(rng.randint(0, 4))]
+    parts += [rng.choice(parts + [SN, SH])] * rng.randint(0, 3)
+    e = ssum(parts)
+    if isinstance(e, Sum):
+        assert normal_items(e.items)
+        assert Sum(e.items) is e
+    assert ssum([e]) is e
 
 
 @given(seeds)
