@@ -13,14 +13,15 @@ Cost terms are hash-consed like terms and size expressions (see `terms`):
 equal cost terms are one object, so merging, cancelling and expanding key
 dicts on them by identity, and simplifying a simplified expression gives
 back the terms it was given without rebuilding any.  `compare` builds no
-`CostExpr` but the two residuals it returns, records its steps as data and
-renders them into the trace only when `CompareResult.trace` is read.
+`CostExpr`: it decides dominance on per-function counts and records its
+steps as data.  Its `CompareResult` builds the residuals, the term-level
+dominance pairs and the trace's text when they are first read.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cache
+import math
 from operator import attrgetter
 
 from .sizes import SizeModel, Sum, TypeSize, contains_hash, delta, eval_size, render_size
@@ -250,8 +251,9 @@ class Affine:
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: float, beta: float):
-        if alpha < 0 or beta < 0:
-            raise ValueError("affine coefficients must be nonnegative")
+        # written so that NaN fails too
+        if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
+            raise ValueError("affine coefficients must be finite and nonnegative")
         self.alpha = alpha
         self.beta = beta
 
@@ -259,23 +261,33 @@ class Affine:
         return self.alpha + self.beta * x
 
 
+class _Dominance(Value):
+    # the transitive closure of an assumption set's dominance pairs, set
+    # once when the set is first built: not a field, as `CostTerm._order`
+    __slots__ = ("_closure",)
+
+
+_set_closure = _Dominance._closure.__set__
+
+
 @_hash_consed
-class AssumptionSet(Value):
+class AssumptionSet(_Dominance):
     __slots__ = ("ignore_overhead", "dominance", "max_bytes")
     _defaults = (True, ((CostFunc.F_PK, CostFunc.F_H), (CostFunc.F_PK, CostFunc.F_SK)),
                  4096.0)
 
     def _check(self):
-        if any(g is f for g, f in self.closure()):
+        closure = _transitive_closure(self.dominance)
+        if any(g is f for g, f in closure):
             raise ValueError("dominance must be irreflexive and acyclic")
         if not self.max_bytes > 0:
             raise ValueError("max_bytes must be positive")
+        _set_closure(self, closure)
 
     def closure(self) -> frozenset:
-        return _transitive_closure(self.dominance)
+        return self._closure
 
 
-@cache
 def _transitive_closure(pairs) -> frozenset:
     closure = set(pairs)
     changed = True
@@ -299,8 +311,8 @@ class CostModel:
                  size_model: SizeModel):
         if set(funcs) != set(EXPANDABLE):
             raise ValueError("funcs must cover exactly the size-dependent functions")
-        if lambda_c < 0 or lambda_p < 0 or ov_h < 0:
-            raise ValueError("constants must be nonnegative")
+        if not all(0 <= c < math.inf for c in (lambda_c, lambda_p, ov_h)):
+            raise ValueError("constants must be finite and nonnegative")
         self.funcs = funcs  # CostFunc -> Affine, for the six size-dependent functions
         self.lambda_c = lambda_c
         self.lambda_p = lambda_p
@@ -376,18 +388,61 @@ def _render_step(step: tuple) -> str:
 
 
 class CompareResult:
-    __slots__ = ("verdict", "left_residual", "right_residual", "_steps")
+    """What `compare` decided, and what it kept to explain it.
 
-    def __init__(self, verdict, left_residual, right_residual, steps):
+    `verdict` is set when `compare` returns.  The residuals, the term-level
+    dominance pairs and the trace are built from `compare`'s final working
+    dicts, closure and recorded steps on first read, and kept."""
+
+    __slots__ = ("verdict", "_left", "_right", "_closure", "_steps",
+                 "_left_residual", "_right_residual", "_trace")
+
+    def __init__(self, verdict, left: dict, right: dict, closure, steps):
         self.verdict = verdict
-        self.left_residual = left_residual
-        self.right_residual = right_residual
-        self._steps = steps  # what `compare` did, rendered by `trace`
+        self._left = left  # the residual sides, term -> multiplicity
+        self._right = right
+        self._closure = closure  # the dominance relation `_decide` read
+        self._steps = steps  # what `compare` did before dominance and the verdict
+        self._left_residual = self._right_residual = self._trace = None
+
+    @property
+    def left_residual(self) -> CostExpr:
+        if self._left_residual is None:
+            self._left_residual = _residual(self._left)
+        return self._left_residual
+
+    @property
+    def right_residual(self) -> CostExpr:
+        if self._right_residual is None:
+            self._right_residual = _residual(self._right)
+        return self._right_residual
 
     @property
     def trace(self) -> tuple[str, ...]:
-        """The steps `compare` took, one line each, rendered on every read."""
-        return tuple(map(_render_step, self._steps))
+        """The steps `compare` took, one line each."""
+        if self._trace is None:
+            steps = (*self._steps, *self._dominance(), ("verdict", self.verdict))
+            self._trace = tuple(map(_render_step, steps))
+        return self._trace
+
+    def _dominance(self) -> list:
+        """The term-level pairs behind a verdict that dominance decided:
+        the matching `_decide` ran on per-function counts, run on terms."""
+        left, right, closure = self._left, self._right, self._closure
+        if not (left and right):
+            return []
+
+        def dominates(g, f):
+            return (g.func, f.func) in closure
+
+        if self.verdict is Verdict.LESS:
+            match = _saturating_match(left, right, dominates)
+            return [("dominance", s, "<", b) for s, b in match]
+        if self.verdict is Verdict.GREATER:
+            # left terms dominate, and each line reads in residual order
+            match = _saturating_match(right, left, dominates)
+            return [("dominance", b, ">", s) for s, b in match]
+        return []
 
     def residual_line(self) -> str:
         op = _VERDICT_OP[self.verdict]
@@ -453,8 +508,10 @@ def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTION
 
     Each step is recorded as a tuple, its kind first ("cancel", "expand",
     "drop overhead", "residue", "empty", "dominance", "verdict") and then
-    the terms it concerns; `CompareResult.trace` renders them to text when
-    read, so a caller that reads only the verdict pays for no rendering.
+    the terms it concerns.  Dominance is decided on per-function counts;
+    the term-level pairs that explain it, the residual `CostExpr`s and the
+    trace's text are built only when `CompareResult` is asked for them, so
+    a caller that reads only the verdict builds none of them.
     """
     steps: list[tuple] = []
     left = _simplified(a.terms)
@@ -470,9 +527,9 @@ def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTION
             for term in [t for t in side if isinstance(t, Overhead)]:
                 steps.append(("drop overhead", label, term, side.pop(term)))
 
-    verdict = _decide(left, right, assume, steps)
-    steps.append(("verdict", verdict))
-    return CompareResult(verdict, _residual(left), _residual(right), tuple(steps))
+    closure = assume.closure()
+    verdict = _decide(left, right, closure, steps)
+    return CompareResult(verdict, left, right, closure, steps)
 
 
 def _residual(side: dict) -> CostExpr:
@@ -480,34 +537,40 @@ def _residual(side: dict) -> CostExpr:
     return CostExpr(tuple([(term, side[term]) for term in sorted(side, key=_ORDER)]))
 
 
-def _decide(left: dict, right: dict, assume: AssumptionSet, steps: list) -> Verdict:
+def _per_func(side: dict) -> dict:
+    """A residual side's multiplicities summed per cost function; overhead
+    terms count under None."""
+    counts: dict = {}
+    for term, mult in side.items():
+        counts[term.func] = counts.get(term.func, 0) + mult
+    return counts
+
+
+def _decide(left: dict, right: dict, closure, steps: list) -> Verdict:
+    """The verdict on the residual sides.  After expansion every argument
+    is one unit or zero, so only functions order two applications: all
+    terms of one function share their dominance edges, and a saturating
+    match of terms exists exactly when one of per-function counts does
+    (Hall's condition).  `CompareResult` finds the pairs of terms when its
+    trace is read."""
     if not left and not right:
         return Verdict.EQUAL
-    if any(isinstance(t, Overhead) for t in left) or any(
-        isinstance(t, Overhead) for t in right
-    ):
+    lc, rc = _per_func(left), _per_func(right)
+    if None in lc or None in rc:
         steps.append(("residue",))
         return Verdict.INDETERMINATE
-    closure = assume.closure()
-
-    def dominates(g, f):
-        # after expansion every argument is one unit or zero, so only
-        # the functions can order two applications
-        return (g.func, f.func) in closure
-
     if not left:
         steps.append(("empty", "left"))
         return Verdict.LESS
     if not right:
         steps.append(("empty", "right"))
         return Verdict.GREATER
-    match = _saturating_match(left, right, dominates)
-    if match is not None:
-        steps.extend(("dominance", s, "<", b) for s, b in match)
+
+    def dominates(g, f):
+        return (g, f) in closure
+
+    if _saturating_match(lc, rc, dominates) is not None:
         return Verdict.LESS
-    match = _saturating_match(right, left, dominates)
-    if match is not None:
-        # left terms dominate, and each line reads in residual order
-        steps.extend(("dominance", b, ">", s) for s, b in match)
+    if _saturating_match(rc, lc, dominates) is not None:
         return Verdict.GREATER
     return Verdict.INDETERMINATE

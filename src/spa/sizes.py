@@ -154,8 +154,8 @@ class SizeModel:
         if set(sizes) != set(BasicTT):
             raise ValueError("sizes must cover r, n, k, m")
         values = list(sizes.values()) + [s_hash, blk_in, blk_out, pad]
-        if any(v <= 0 for v in values):
-            raise ValueError("size-model values must be positive")
+        if not all(0 < v < math.inf for v in values):  # NaN fails too
+            raise ValueError("size-model values must be finite and positive")
         if blk_in <= pad:
             raise ValueError("blk_in must exceed pad")
         self.sizes = sizes  # BasicTT -> bytes

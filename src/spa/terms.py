@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import re
 import weakref
+from functools import cache
 from _weakref import _remove_dead_weakref
 
 
@@ -63,19 +64,20 @@ class _Ref(weakref.ref):
     __slots__ = ("key",)
 
 
-# Source of the constructor `_hash_consed` gives a class, made by a
-# factory whose parameters it reads as closure cells.  Its parameters after
-# `_cls`, `{params}`, are the class's fields, in `__slots__` order, and
-# `{key}` is the tuple of them.  `{fields}` fills a new term, `_set0(_t,
-# kind)` and so on, each `_setN` the `__set__` of a field's slot
-# descriptor, then runs `_check(_t)`, the class's `_check`, if it has one.
-# Every other name is underscored, so no field shadows it (`Enc` has a
-# field `key`).  `_drop`, the callback of a term's `_Ref`, removes its
+# Source of the constructor `_hash_consed` gives every class with a given
+# number of fields, made by a factory whose parameters it reads as closure
+# cells.  Its parameters after `_cls` are the fields, in `__slots__` order,
+# under the generic names `_0`, `_1` and so on; `_hash_consed` renames them
+# to the field names in each class's copy of the code, so Python binds
+# keywords and words its binding errors by field.  `{fields}` fills a new
+# term, `_set0(_t, _0)` and so on, each `_setN` the `__set__` of a field's
+# slot descriptor, then it runs `_check(_t)`, the class's `_check`, unless
+# that cell is None.  `_drop`, the callback of a term's `_Ref`, removes its
 # entry with `_remove`, the C helper WeakValueDictionary uses: it deletes
 # the entry only while it holds a dead reference, in one step, so it never
 # drops a term another thread built after this one died.
 _NEW = """\
-def _constructor(_new, _get, _setdefault, _table, _Ref, _remove{cells}):
+def _constructor(_new, _get, _setdefault, _table, _Ref, _remove, _check{cells}):
     def _drop(_ref):
         _remove(_table, _ref.key)
 
@@ -86,6 +88,8 @@ def _constructor(_new, _get, _setdefault, _table, _Ref, _remove{cells}):
             return _t
         _t = _new(_cls)
 {fields}
+        if _check is not None:
+            _check(_t)
         _entry = _Ref(_t, _drop)
         _entry.key = _key
         while (_ref := _setdefault(_key, _entry)) is not _entry:
@@ -95,6 +99,21 @@ def _constructor(_new, _get, _setdefault, _table, _Ref, _remove{cells}):
         return _t
     return __new__
 """
+
+
+@cache
+def _constructor(arity: int):
+    """The factory of `_NEW` for `arity` fields, compiled once per arity."""
+    indices = range(arity)
+    src = _NEW.format(
+        cells="".join(f", _set{i}" for i in indices),
+        params="".join(f", _{i}" for i in indices),
+        key="".join(f"_{i}, " for i in indices),
+        fields="\n".join(f"        _set{i}(_t, _{i})" for i in indices),
+    )
+    made = {}
+    exec(compile(src, "<hash-consed>", "exec"), {}, made)
+    return made["_constructor"]
 
 
 def _reduce(t):
@@ -131,24 +150,16 @@ def _hash_consed(cls):
     that race to build a term all get the one that entered first; a term
     whose `_check` raised never enters.  Terms are read-only, show their
     fields in `repr`, and pickle and copy as the canonical term."""
-    names = list(cls.__slots__)
+    names = tuple(cls.__slots__)
     table = _TABLES[cls] = {}
-    cells = {f"_set{i}": cls.__dict__[name].__set__ for i, name in enumerate(names)}
-    lines = [f"        _set{i}(_t, {name})" for i, name in enumerate(names)]
-    if "_check" in cls.__dict__:
-        cells["_check"] = cls._check
-        lines.append("        _check(_t)")
-    src = _NEW.format(
-        cells="".join(", " + cell for cell in cells),
-        params="".join(", " + name for name in names),
-        key="".join(name + ", " for name in names),
-        fields="\n".join(lines),
-    )
-    made = {}
-    exec(compile(src, "<hash-consed>", "exec"), globals(), made)
-    __new__ = made["_constructor"](
+    __new__ = _constructor(len(names))(
         object.__new__, table.get, table.setdefault, table, _Ref,
-        _remove_dead_weakref, **cells,
+        _remove_dead_weakref, cls.__dict__.get("_check"),
+        *[cls.__dict__[name].__set__ for name in names],
+    )
+    code = __new__.__code__
+    __new__.__code__ = code.replace(
+        co_varnames=("_cls", *names) + code.co_varnames[1 + len(names):]
     )
     __new__.__qualname__ = f"{cls.__qualname__}.__new__"
     __new__.__defaults__ = cls.__dict__.get("_defaults")

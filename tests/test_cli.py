@@ -349,6 +349,29 @@ def test_import_leaves_out_dataclasses_inspect_and_typing():
     assert out == "[]\n"
 
 
+def test_import_compiles_one_constructor_per_field_count():
+    # hash-consed classes with equal numbers of fields share one compiled
+    # constructor, whatever their field names
+    probe = (
+        "import builtins, sys\n"
+        "compile = builtins.compile; names = []\n"
+        "def counted(source, filename, *args, **kwargs):\n"
+        "    names.append(filename)\n"
+        "    return compile(source, filename, *args, **kwargs)\n"
+        "builtins.compile = counted\n"
+        "import spa, spa.cli; spa.load_config(sys.argv[1])\n"
+        "from spa.terms import _TABLES\n"
+        "print(names.count('<hash-consed>'), len({len(c.__slots__) for c in _TABLES}),"
+        " len(_TABLES))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe, DEFAULT_CONFIG], cwd=ROOT / "src",
+        capture_output=True, text=True, check=True,
+    ).stdout
+    compiled, field_counts, classes = map(int, out.split())
+    assert compiled == field_counts < classes
+
+
 def test_unencodable_output_is_one_io_error_line():
     # strands render with angle brackets, which ASCII cannot encode; UTF-8
     # output is the bytes the CLI writes in process

@@ -48,7 +48,7 @@ from spa.costs import (
     render_cost_term,
 )
 from spa.errors import ShapeViolation, Ungeneratable, Unrecoverable
-from spa.sizes import ZERO, HashSize, SizeModel, Sum, TypeSize, render_size, ssum
+from spa.sizes import ZERO, AsymSize, HashSize, SizeModel, Sum, TypeSize, render_size, ssum
 from spa.strands import Classifier, KStrand, StrandSpace, TStrand
 from spa.terms import (
     Atom,
@@ -429,6 +429,32 @@ def test_affine_and_model_validation():
         model(ov=-1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_model_constructors_refuse_non_finite_numbers(bad):
+    # `x < 0` is false for NaN, so a sign test alone let NaN through and
+    # eval_cost returned nan
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        Affine(bad, 1)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        Affine(1, bad)
+    for name in ("lambda_c", "lambda_p", "ov_h"):
+        good = model()
+        kwargs = {"funcs": good.funcs, "lambda_c": 0.1, "lambda_p": 0.05, "ov_h": 0.25,
+                  "size_model": good.size_model, name: bad}
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            CostModel(**kwargs)
+    good = {"sizes": _sizes(), "s_hash": 20, "blk_in": 117, "blk_out": 128, "pad": 11}
+    cases = [{**good, name: bad} for name in ("s_hash", "blk_in", "blk_out", "pad")]
+    cases += [{**good, "sizes": {**_sizes(), tt: bad}} for tt in BasicTT]
+    for kwargs in cases:
+        with pytest.raises(ValueError, match="finite and positive"):
+            SizeModel(**kwargs)
+    # zero stays accepted where the bound is nonnegative
+    zero = CostModel(funcs={f: Affine(0, 0) for f in EXPANDABLE}, lambda_c=0, lambda_p=0,
+                     ov_h=0, size_model=model().size_model)
+    assert eval_cost(cost_expr([app(CostFunc.F_H, SN), LambdaC(), Overhead(1)]), zero) == 0
+
+
 def test_assumption_set_rejects_cycles():
     with pytest.raises(ValueError):
         AssumptionSet(dominance=((CostFunc.F_PK, CostFunc.F_H),
@@ -472,6 +498,48 @@ def test_saturating_match_exactly_when_hall_holds():
         for b, copies in big.items():
             assert sum(1 for _, b2 in match if b2 == b) <= copies
     assert 400 < matched < 1600
+
+
+def _per_function(side: dict) -> dict:
+    counts: dict = {}
+    for term, mult in side.items():
+        counts[term.func] = counts.get(term.func, 0) + mult
+    return counts
+
+
+_ARGS = (SN, SR, HashSize(), AsymSize(SN), AsymSize(SR))
+
+
+def _random_residual(rng: random.Random) -> dict:
+    side = {}
+    for _ in range(rng.randint(1, 8)):
+        func = rng.choice(list(CostFunc))
+        if func is CostFunc.F_C:
+            term = LambdaC()
+        elif func is CostFunc.F_P:
+            term = LambdaP()
+        else:
+            term = App(func, (rng.choice(_ARGS),))
+        side[term] = side.get(term, 0) + rng.randint(1, 3)
+    return side
+
+
+def test_matching_per_function_agrees_with_matching_terms():
+    # dominance reads only functions, so terms of one function share their
+    # edges, and a saturating match of terms exists exactly when one of
+    # per-function counts does
+    rng = random.Random(0xC1A55)
+    matched = 0
+    for _ in range(3000):
+        relation = {(g, f) for g in CostFunc for f in CostFunc if rng.random() < 0.3}
+        small, big = _random_residual(rng), _random_residual(rng)
+        by_term = _saturating_match(small, big, lambda b, s: (b.func, s.func) in relation)
+        by_func = _saturating_match(
+            _per_function(small), _per_function(big), lambda g, f: (g, f) in relation
+        )
+        assert (by_term is None) == (by_func is None)
+        matched += by_term is not None
+    assert 300 < matched < 2700
 
 
 def test_closure_is_reachability_and_only_cycles_are_refused():
@@ -618,7 +686,9 @@ def test_compare_matches_eager_reference():
 
 def test_compare_builds_only_its_residuals(monkeypatch):
     # each side is canonicalized once into compare's working dicts, and no
-    # application is rebuilt: every argument is normal already
+    # application is rebuilt: every argument is normal already.  compare
+    # itself builds no CostExpr; reading the residuals builds the two the
+    # eager reference returns, once
     made = {CostExpr: [], App: []}
     for cls, out in made.items():
         def counted(cls, *args, _new=cls.__new__, _out=out, **kwargs):
@@ -630,9 +700,14 @@ def test_compare_builds_only_its_residuals(monkeypatch):
     exprs, apps = made[CostExpr], made[App]
     cases = list(_compare_cases())
     for a, b, assume in cases:
+        _, left, right, _ = naive_compare(a, b, assume)
         before = len(exprs)
         res = compare(a, b, assume)
-        assert exprs[before:] == [res.left_residual, res.right_residual]
+        assert exprs[before:] == []
+        assert (res.left_residual, res.right_residual) == (left, right)
+        assert exprs[before:] == [left, right]
+        assert (res.left_residual, res.right_residual) == (left, right)
+        assert len(exprs) == before + 2
     for a, _, _ in cases:
         e = simplify(a)
         before = len(apps)
@@ -684,6 +759,34 @@ def test_trace_rendered_only_when_read(monkeypatch):
     assert rendered and trace == naive_compare(a, b, AssumptionSet())[3]
     assert any(line.startswith("expand") for line in trace)
     assert any(line.startswith("dominance") for line in trace)
+
+
+def test_term_pairs_are_matched_only_when_the_trace_is_read(monkeypatch):
+    # compare matches per-function counts; the term-level matching the
+    # dominance lines show runs on the first read of the trace, once
+    keys = []
+    match = spa.costs._saturating_match
+
+    def recorded(small, big, dominates):
+        keys.append(type(next(iter(small))))
+        return match(small, big, dominates)
+
+    monkeypatch.setattr(spa.costs, "_saturating_match", recorded)
+    explained = 0
+    for a, b, assume in _compare_cases():
+        keys.clear()
+        res = compare(a, b, assume)
+        assert set(keys) <= {CostFunc}
+        keys.clear()
+        trace = res.trace
+        dominance = any(line.startswith("dominance: ") for line in trace)
+        assert len(keys) == dominance and CostFunc not in keys
+        explained += dominance
+        left, right = res.left_residual, res.right_residual
+        assert res.trace is trace and res.trace == trace
+        assert res.left_residual is left and res.right_residual is right
+        assert len(keys) == dominance
+    assert explained > 100
 
 
 def test_simplify_keeps_simplified_terms():
@@ -812,6 +915,16 @@ def test_assumption_closure_is_kept_but_not_compared():
     for back in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
         assert back == a and hash(back) == hash(a)
         assert back.closure() == a.closure()
+    # the closure is set by `_check`, so a set that another interpreter
+    # pickled and this one has not built gets it when it is unpickled
+    source = (
+        "import pickle, sys; from spa.costs import AssumptionSet, CostFunc as F; "
+        "sys.stdout.buffer.write(pickle.dumps(AssumptionSet(dominance=("
+        "(F.F_NG, F.F_KG), (F.F_KG, F.F_S), (F.F_S, F.F_C)))))"
+    )
+    back = _pickled_elsewhere(source)
+    assert back.closure() == _transitive_closure(back.dominance)
+    assert len(back.closure()) == 6
 
 
 def test_dominance_covers_lambda_constants():

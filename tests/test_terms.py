@@ -379,6 +379,10 @@ def test_constructor_contract(cls):
     for args, named in calls:
         with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__new__\(\) "):
             cls(*args, **named)
+    if required:  # binding errors name the field, not a generated parameter
+        missing = f"missing 1 required positional argument: '{names[required - 1]}'"
+        with pytest.raises(TypeError, match=f"{missing}$"):
+            cls(*values[:required - 1])
     if cls in _REFUSED:
         with pytest.raises(ValueError):
             cls(*_REFUSED[cls])
