@@ -97,6 +97,11 @@ class Overhead(CostTerm):
     __slots__ = {"sign": "+1 or -1"}
     func = None  # no function applied
 
+    def __new__(cls, sign):
+        if type(sign) is not int:  # True == 1 would find a live term
+            raise ValueError("sign must be +1 or -1")
+        return cls._new(cls, sign)
+
     def _check(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
@@ -137,7 +142,7 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
     One strand object may stand at several positions of a space, as
     `extract`'s operations of one shape do.  Each strand object is
     validated and priced once, with its number of positions as
-    multiplicity, and every typed subterm is sized once per call.
+    multiplicity; `sizes.delta` sizes each typed term once while it lives.
     `cost_expr` merges equal terms at their first position, so the result
     equals pricing strand by strand.
     """
@@ -151,22 +156,17 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
             validate_op_strand(s)
             groups[s] = 0
         groups[s] += 1
-    memo: dict = {}
     ops = []
     procs: dict = {}  # positive typed payload -> count
     for s, n in groups.items():
-        ops.append((_op_cost(s, memo), n))
+        op = OPS[s.classifier]
+        ops.append((App(op.cost, tuple([delta(s.seq[i - 1].payload) for i in op.sized])), n))
         for ev in s.seq:
             if ev.sign > 0:
                 procs[ev.payload] = procs.get(ev.payload, 0) + n
     return cost_expr(
-        ops + [(App(CostFunc.F_P, (delta(t, memo),)), n) for t, n in procs.items()]
+        ops + [(App(CostFunc.F_P, (delta(t),)), n) for t, n in procs.items()]
     )
-
-
-def _op_cost(s: TStrand, memo: dict) -> CostTerm:
-    op = OPS[s.classifier]
-    return App(op.cost, tuple([delta(s.seq[i - 1].payload, memo) for i in op.sized]))
 
 
 def simplify(e: CostExpr) -> CostExpr:
@@ -280,8 +280,8 @@ class AssumptionSet(_Dominance):
         closure = _transitive_closure(self.dominance)
         if any(g is f for g, f in closure):
             raise ValueError("dominance must be irreflexive and acyclic")
-        if not self.max_bytes > 0:
-            raise ValueError("max_bytes must be positive")
+        if not 0 < self.max_bytes < math.inf:  # NaN fails too
+            raise ValueError("max_bytes must be finite and positive")
         _set_closure(self, closure)
 
     def closure(self) -> frozenset:

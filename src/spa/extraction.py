@@ -8,9 +8,11 @@ keys), generate (nonces and keys only), otherwise fail.  Every operation
 emits one classifier strand over type-erased terms, and every term built,
 received, or recovered joins the knowledge set, so nothing is ever built
 twice.  Terms are hash-consed process-wide and held weakly (see `terms`),
-so equal typed terms are one object, and operations of one shape
-(classifier and typed payloads) share one strand object, built on its
-first use.  Pricing handles a shared strand once.
+so equal typed terms are one object; each instance term carries its typed
+term from construction, so extraction erases nothing and builds no typed
+term.  Operations of one shape (classifier and typed payloads) share one
+strand object, built on its first use.  Pricing handles a shared strand
+once.
 
 Dataflow is recorded, not guessed.  The knowledge set maps each term to
 the operation that made it (None for a term from outside: initial
@@ -53,11 +55,8 @@ from .terms import (
     Pair,
     SignedTerm,
     Term,
-    TEnc,
-    TPair,
     TTerm,
     atoms_of,
-    type_erase,
 )
 
 _ENC_CLASSIFIER = {
@@ -133,8 +132,6 @@ class _State:
         # ranks are one preorder count over all walked entries, so comparing
         # two ranks compares entry order first, then position in the entry
         self.next_rank = 0
-        # type_erase's memo: each term is erased once per extraction
-        self.erased: dict = {}
         # (classifier, *typed payloads) -> the one strand every operation
         # of that shape shares
         self.strands: dict[tuple, TStrand] = {}
@@ -185,22 +182,6 @@ class _State:
                         rank += _span(t.body)
         return rank
 
-    def path_to(self, target: Term) -> list[Term] | None:
-        """Containers from the target's first exposing entry down to the
-        target inclusive; None when nothing exposes it."""
-        if target not in self.exposed:
-            return None
-        path = [target]
-        container = self.exposed[target][1]
-        while container is not None:
-            path.append(container)
-            container = self.exposed[container][1]
-        path.reverse()
-        return path
-
-    def erase(self, t: Term) -> TTerm:
-        return type_erase(t, self.erased)
-
     def emit(self, classifier: Classifier, inputs: tuple[Term, ...], *payloads: TTerm) -> int:
         """Append an operation strand over typed payloads that consumes the
         instance terms `inputs`; return its index."""
@@ -235,23 +216,23 @@ def _span(t: Term) -> int:
 def extract(s: KStrand) -> Extraction:
     """Process strand plus operation strands for one participant."""
     state = _State(s)
-    process_seq = []
     for event in s.seq:
         if event.sign < 0:
             state.learn(event.payload)
-            erased = state.erase(event.payload)
         else:
-            erased = _construct(event.payload, state)
-        process_seq.append(SignedTerm(event.sign, erased))
-    process = TStrand(Classifier.C_P, s.participant, tuple(process_seq))
+            _construct(event.payload, state)
+    seq = tuple(SignedTerm(event.sign, event.payload._typed) for event in s.seq)
+    process = TStrand(Classifier.C_P, s.participant, seq)
     return Extraction(process, tuple(state.ops), tuple(state.inputs), state.knowledge)
 
 
-def _construct(t: Term, state: _State) -> TTerm:
-    """Make t known, emitting the operations that build it; return its
-    typed term."""
-    if t in state.knowledge or _recover(t, state):
-        return state.erase(t)
+def _construct(t: Term, state: _State) -> None:
+    """Make t known, emitting the operations that build it."""
+    if t in state.knowledge:
+        return
+    if t in state.exposed:
+        _recover(t, state)
+        return
     if isinstance(t, Atom):
         if t.kind in _GEN_CLASSIFIER:
             if t in state.atoms:
@@ -259,43 +240,43 @@ def _construct(t: Term, state: _State) -> TTerm:
                     f"{state.participant.label} holds {t.label} only sealed "
                     "inside terms it cannot open"
                 )
-            erased = state.erase(t)
-            state.learn(t, state.emit(_GEN_CLASSIFIER[t.kind], (), erased))
-            return erased
+            state.learn(t, state.emit(_GEN_CLASSIFIER[t.kind], (), t._typed))
+            return
         raise Ungeneratable(
             f"{state.participant.label} does not hold {t.label} and "
             f"{t.kind.value} atoms cannot be generated"
         )
     if isinstance(t, Pair):
-        left = _construct(t.left, state)
-        right = _construct(t.right, state)
-        erased = state.erased[t] = TPair(left, right)
-        by = state.emit(Classifier.C_C, (t.left, t.right), left, right, erased)
+        _construct(t.left, state)
+        _construct(t.right, state)
+        by = state.emit(Classifier.C_C, (t.left, t.right), t.left._typed, t.right._typed, t._typed)
     else:
         assert isinstance(t, Enc)
         if t.func is not FuncName.H:
             _construct(t.key, state)
-        body = _construct(t.body, state)
-        erased = state.erased[t] = TEnc(body, t.func)
-        by = state.emit(_ENC_CLASSIFIER[t.func], (t.body,), body, erased)
+        _construct(t.body, state)
+        by = state.emit(_ENC_CLASSIFIER[t.func], (t.body,), t.body._typed, t._typed)
     state.learn(t, by, walk=False)
-    return erased
 
 
-def _recover(target: Term, state: _State) -> bool:
-    """Split/decrypt a path from known material down to the target.
+def _recover(target: Term, state: _State) -> None:
+    """Split/decrypt the path from the target's first exposing entry down
+    to the target, which `state.exposed` holds.
 
     The path is read from the index before any step runs, so it is the one
     the knowledge exposes at that moment; steps whose outputs are already
     known emit nothing.
     """
-    path = state.path_to(target)
-    if path is None:
-        return False
+    path = [target]
+    container = state.exposed[target][1]
+    while container is not None:
+        path.append(container)
+        container = state.exposed[container][1]
+    path.reverse()
     for step, child in zip(path, path[1:]):
         if child in state.knowledge:
             continue
-        erased = state.erase(step)
+        erased = step._typed
         if isinstance(step, Pair):
             by = state.emit(Classifier.C_I, (step,), erased, erased.left, erased.right)
             state.learn(step.left, by, walk=False)
@@ -303,4 +284,3 @@ def _recover(target: Term, state: _State) -> bool:
         else:
             by = state.emit(Classifier.C_D, (step,), erased, erased.body)
             state.learn(step.body, by, walk=False)
-    return True

@@ -46,8 +46,9 @@ from .terms import (
 # Deepest nesting a term may have.  Each pair, cipher and hash around a
 # basic value is one level, so a list of k components nests k - 1 levels.
 # The parser recurses twice per bracket level (`term` and `run`), and
-# `type_erase`, `delta`, extraction's `_construct` and `render_term` once
-# per level; the cap keeps them all far from Python's recursion limit.
+# `delta`, extraction's `_construct` and `render_term` once per level (a
+# term's typed term is built without recursion, from its children's); the
+# cap keeps them all far from Python's recursion limit.
 MAX_NESTING = 256
 
 RESERVED = {

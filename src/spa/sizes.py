@@ -12,11 +12,10 @@ with first-occurrence ties.
 Size expressions are hash-consed like terms (see `terms`): equal size
 expressions are one object, so they hash and compare by identity.
 
-`delta` takes an optional memo dict from typed terms to their sizes.  A
-caller that sizes many terms sharing subterms passes one dict to every
-call, so each distinct typed subterm is sized once: `cost_of_space` keeps
-one per call, which makes pricing linear in the distinct subterms of a
-space rather than quadratic in nesting depth.  No memo outlives its caller.
+`delta` keeps each typed term's size on the term (`TTerm._size`), so a
+typed term is sized once while it lives, whoever asks: pricing is linear
+in the distinct subterms of a space rather than quadratic in nesting
+depth.  A size lives as long as its typed term.
 """
 
 from __future__ import annotations
@@ -24,6 +23,8 @@ from __future__ import annotations
 import math
 
 from .terms import Basic, BasicTT, FuncName, TEmpty, TEnc, TPair, TTerm, Value, _hash_consed
+
+_set_size = TTerm._size.__set__
 
 
 class SizeExpr(Value):
@@ -49,6 +50,14 @@ class AsymSize(SizeExpr):
 class Sum(SizeExpr):
     __slots__ = {"items": "(coefficient, non-Sum unit) pairs, in normal form"}
 
+    def __new__(cls, items):
+        # True == 1 and 2.0 == 2 would find a live sum; `ssum` builds ints
+        # and calls `_new`
+        for coeff, _ in items:
+            if type(coeff) is not int:
+                raise ValueError(f"not a normal sum: {items!r}")
+        return cls._new(cls, items)
+
     def _check(self):
         # a lone unit with coefficient 1 is the bare unit, not a sum
         low = 2 if len(self.items) == 1 else 1
@@ -56,8 +65,7 @@ class Sum(SizeExpr):
         units = set()
         for coeff, unit in self.items:
             if (
-                type(coeff) is not int
-                or not low <= coeff <= (top or coeff)
+                not low <= coeff <= (top or coeff)
                 or unit in units
                 or isinstance(unit, Sum)
             ):
@@ -67,6 +75,7 @@ class Sum(SizeExpr):
 
 
 ZERO = Sum(())
+_sum = Sum._new
 
 
 def ssum(parts) -> SizeExpr:
@@ -84,38 +93,33 @@ def ssum(parts) -> SizeExpr:
         return ZERO
     if len(items) == 1 and items[0][1] == 1:
         return items[0][0]
-    return Sum(tuple((coeff, unit) for unit, coeff in items))
+    return _sum(Sum, tuple((coeff, unit) for unit, coeff in items))
 
 
-def delta(t: TTerm, memo: dict | None = None) -> SizeExpr:
-    """Symbolic size of a typed term.
-
-    `memo`, when given, maps typed terms already sized to their sizes and is
-    extended with every subterm sized here.
-    """
-    if memo is not None:
-        e = memo.get(t)
-        if e is not None:
-            return e
+def delta(t: TTerm) -> SizeExpr:
+    """Symbolic size of a typed term, computed once and kept on the term."""
+    try:
+        return t._size
+    except AttributeError:  # not sized yet, or not a typed term
+        pass
     if isinstance(t, TEmpty):
         e = ZERO
     elif isinstance(t, Basic):
         e = TypeSize(t.tt)
     elif isinstance(t, TPair):
-        e = ssum([delta(t.left, memo), delta(t.right, memo)])
+        e = ssum([delta(t.left), delta(t.right)])
     elif isinstance(t, TEnc):
         # symmetric ciphertexts are as large as their cleartext, digests are
         # constant, asymmetric ciphertexts an opaque function of the cleartext
         if t.func is FuncName.SK:
-            e = delta(t.body, memo)
+            e = delta(t.body)
         elif t.func is FuncName.H:
             e = HashSize()
         else:
-            e = AsymSize(delta(t.body, memo))
+            e = AsymSize(delta(t.body))
     else:
         raise TypeError(f"not a typed term: {t!r}")
-    if memo is not None:
-        memo[t] = e
+    _set_size(t, e)
     return e
 
 

@@ -8,11 +8,13 @@ key slot so the encryption constructor stays uniform.
 Terms are hash-consed process-wide: each class keeps a table from fields
 to the live term with those fields, held weakly, and its constructor
 returns that term when there is one.  Equal terms are one object, so
-every term hash and comparison is by identity, at C level.  `_hash_consed`
-is the one identity rule of the package.  Every immutable value of the
-model goes through it: terms and signed terms here, size expressions
-(`sizes`), strands, strand spaces and `Op` rows (`strands`), messages
-(`parser`), and cost terms, cost expressions and assumption sets (`costs`).
+every term hash and comparison is by identity, at C level.  An instance
+term keeps its typed term (`Term._typed`), built from its children's on
+the table miss, so `type_erase` reads it.  `_hash_consed` is the one
+identity rule of the package.  Every immutable value of the model goes
+through it: terms and signed terms here, size expressions (`sizes`),
+strands, strand spaces and `Op` rows (`strands`), messages (`parser`),
+and cost terms, cost expressions and assumption sets (`costs`).
 
 A hash-consed class derives from `Value` and lists its fields once, in its
 `__slots__`, and `_hash_consed` generates its constructor, `__new__`, whose
@@ -148,8 +150,11 @@ def _hash_consed(cls):
     slot descriptors in the `__new__` frame, then runs `_check`, if cls has
     one.  A new term enters its table by `setdefault`, one step, so threads
     that race to build a term all get the one that entered first; a term
-    whose `_check` raised never enters.  Terms are read-only, show their
-    fields in `repr`, and pickle and copy as the canonical term."""
+    whose `_check` raised never enters.  A hit skips `_check`, and `True ==
+    1 == 1.0`, so a cls whose fields may hold such numbers defines `__new__`
+    to refuse them on every call; it calls the generated one, `cls._new`.
+    Terms are read-only, show their fields in `repr`, and pickle and copy
+    as the canonical term."""
     names = tuple(cls.__slots__)
     table = _TABLES[cls] = {}
     __new__ = _constructor(len(names))(
@@ -163,7 +168,10 @@ def _hash_consed(cls):
     )
     __new__.__qualname__ = f"{cls.__qualname__}.__new__"
     __new__.__defaults__ = cls.__dict__.get("_defaults")
-    cls.__new__ = staticmethod(__new__)
+    if "__new__" in cls.__dict__:
+        cls._new = staticmethod(__new__)
+    else:
+        cls.__new__ = staticmethod(__new__)
     cls.__setattr__, cls.__delattr__, cls.__repr__ = _setattr, _delattr, _repr
     # pickles and copies are the canonical term
     cls.__reduce__, cls.__copy__, cls.__deepcopy__ = _reduce, _same, _same
@@ -177,14 +185,21 @@ class Value:
 
 
 class Term(Value):
-    """Base class for instance terms."""
+    """Base class for instance terms.  `_typed`, not a field, is the
+    term's typed term, set when the term is first built."""
 
-    __slots__ = ()
+    __slots__ = ("_typed",)
+
+
+_set_typed = Term._typed.__set__
 
 
 @_hash_consed
 class Empty(Term):
     __slots__ = ()
+
+    def _check(self):
+        _set_typed(self, TEmpty())
 
 
 @_hash_consed
@@ -194,11 +209,20 @@ class Atom(Term):
     def _check(self):
         if not _IDENT_RE.match(self.label):
             raise ValueError(f"bad atom label: {self.label!r}")
+        if type(self.kind) is not AtomKind:
+            raise TypeError(f"not an atom kind: {self.kind!r}")
+        _set_typed(self, _KIND_TO_BASIC[self.kind])
 
 
 @_hash_consed
 class Pair(Term):
     __slots__ = {"left": "a Term", "right": "a Term"}
+
+    def _check(self):
+        try:  # children are built first, so theirs are set
+            _set_typed(self, TPair(self.left._typed, self.right._typed))
+        except AttributeError:
+            raise TypeError(f"pair parts must be terms: {self.left!r}, {self.right!r}") from None
 
 
 @_hash_consed
@@ -212,6 +236,10 @@ class Enc(Term):
         else:
             if not (isinstance(self.key, Atom) and self.key.kind is AtomKind.KEY):
                 raise ValueError(f"{self.func.value} key must be a key atom")
+        try:
+            _set_typed(self, TEnc(self.body._typed, self.func))
+        except AttributeError:
+            raise TypeError(f"cipher body must be a term: {self.body!r}") from None
 
 
 class BasicTT(enum.Enum):
@@ -223,18 +251,11 @@ class BasicTT(enum.Enum):
     M = "m"
 
 
-_KIND_TO_BASIC = {
-    AtomKind.PARTICIPANT: BasicTT.R,
-    AtomKind.NONCE: BasicTT.N,
-    AtomKind.KEY: BasicTT.K,
-    AtomKind.USERDATA: BasicTT.M,
-}
-
-
 class TTerm(Value):
-    """Base class for typed terms."""
+    """Base class for typed terms.  `_size`, not a field, is the term's
+    symbolic size, which `sizes.delta` sets when it first sizes the term."""
 
-    __slots__ = ()
+    __slots__ = ("_size",)
 
 
 @_hash_consed
@@ -257,9 +278,17 @@ class TEnc(TTerm):
     __slots__ = {"body": "a TTerm", "func": "a FuncName"}
 
 
+_KIND_TO_BASIC = {kind: Basic(tt) for kind, tt in zip(AtomKind, BasicTT)}  # r, n, k, m
+
+
 @_hash_consed
 class SignedTerm(Value):
     __slots__ = {"sign": "+1 or -1", "payload": "a nonempty Term or TTerm"}
+
+    def __new__(cls, sign, payload):
+        if type(sign) is not int:  # True == 1 would find a live term
+            raise ValueError("sign must be +1 or -1")
+        return cls._new(cls, sign, payload)
 
     def _check(self):
         if self.sign not in (1, -1):
@@ -279,29 +308,13 @@ def pair_of(parts) -> Term:
     return out
 
 
-def type_erase(t: Term, memo: dict | None = None) -> TTerm:
+def type_erase(t: Term) -> TTerm:
     """Map an instance term to its typed term: labels and keys are dropped.
-
-    `memo`, when given, maps terms already erased to their results and is
-    extended with every subterm erased here, so no term is walked twice.
-    """
-    if memo is None:
-        memo = {}
-    e = memo.get(t)
-    if e is not None:
-        return e
-    if isinstance(t, Atom):
-        e = Basic(_KIND_TO_BASIC[t.kind])
-    elif isinstance(t, Pair):
-        e = TPair(type_erase(t.left, memo), type_erase(t.right, memo))
-    elif isinstance(t, Enc):
-        e = TEnc(type_erase(t.body, memo), t.func)
-    elif isinstance(t, Empty):
-        e = TEmpty()
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    memo[t] = e
-    return e
+    Every term keeps its typed term from construction (see `Term`)."""
+    try:
+        return t._typed
+    except AttributeError:
+        raise TypeError(f"not a term: {t!r}") from None
 
 
 def atoms_of(t: Term):

@@ -487,7 +487,7 @@ def test_non_finite_config_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("old, new, message", [
     ('"lambda_c": 0.1,', '"lambda_c": 0.1, "lambda_c": 1e6,', "{cfg}: duplicate key 'lambda_c'"),
-    ('"max_bytes": 4096', '"max_bytes": 0', "max_bytes must be positive"),
+    ('"max_bytes": 4096', '"max_bytes": 0', "max_bytes must be finite and positive"),
 ], ids=["duplicate-key", "max-bytes"])
 def test_ill_formed_config_is_config_error(tmp_path, old, new, message):
     cfg = tmp_path / "cfg.json"

@@ -211,7 +211,7 @@ def test_max_bytes_must_be_positive(bad):
     data["assumptions"]["max_bytes"] = bad
     with pytest.raises(ConfigError) as exc:
         parse_config(data)
-    assert str(exc.value) == "max_bytes must be positive"
+    assert str(exc.value) == "max_bytes must be finite and positive"
     data["assumptions"]["max_bytes"] = 1e-9
     assert parse_config(data)[1].max_bytes == 1e-9
 

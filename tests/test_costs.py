@@ -306,30 +306,55 @@ def typed_subterms(t, into: set) -> set:
     return into
 
 
+def counting_ssum(monkeypatch) -> list:
+    """Count `sizes.ssum` calls from here on: the list's one item."""
+    calls = [0]
+    real_ssum = sizes.ssum
+
+    def counted(parts):
+        calls[0] += 1
+        return real_ssum(parts)
+
+    monkeypatch.setattr(sizes, "ssum", counted)
+    return calls
+
+
 def test_pricing_is_linear_in_distinct_subterms(monkeypatch):
-    # A sends a 256-component list: its 255 concatenations take nested
-    # inputs, so memo-free sizing sums about k^2 times
-    nonces = ", ".join(f"N{i}" for i in range(256))
+    # A sends a 256-component list of nonces and data: its 255
+    # concatenations take nested inputs, so sizing every input afresh sums
+    # about k^2 times.  No other test builds this typed shape, so none of
+    # its pairs is sized before this call
+    parts = ", ".join(f"N{i}, D{i}" for i in range(128))
+    nonces = ", ".join(f"N{i}" for i in range(128))
+    data = ", ".join(f"D{i}" for i in range(128))
     spec = parse(
-        f"protocol wide {{ roles A, B; nonce {nonces}; knows A: B, {nonces}; "
-        f"knows B: A; A -> B: {nonces}; }}"
+        f"protocol wide {{ roles A, B; nonce {nonces}; data {data}; "
+        f"knows A: B, {parts}; knows B: A; A -> B: {parts}; }}"
     )
     space = extract(project(spec).strands[0]).space()
     distinct: set = set()
     for s in space.strands:
         for ev in s.seq:
             typed_subterms(ev.payload, distinct)
-    calls = 0
-    real_ssum = sizes.ssum
-
-    def counting_ssum(parts):
-        nonlocal calls
-        calls += 1
-        return real_ssum(parts)
-
-    monkeypatch.setattr(sizes, "ssum", counting_ssum)
+    pairs = [t for t in distinct if isinstance(t, TPair)]
+    assert len(pairs) == 255 and not any(hasattr(t, "_size") for t in pairs)
+    calls = counting_ssum(monkeypatch)
     cost_of_space(space)
-    assert 0 < calls <= 2 * len(distinct), (calls, len(distinct))
+    # each pair is sized by one sum, once
+    assert calls[0] == len(pairs) <= 2 * len(distinct), (calls, len(distinct))
+
+
+def test_pricing_a_space_again_sizes_nothing(monkeypatch):
+    # sizes are kept on their typed terms, so pricing a space a second time
+    # reads them all
+    for spec in [chain_spec(12, 4)] + [parse(read(path)) for path in CORPUS]:
+        for s in project(spec).strands:
+            space = extract(s).space()
+            first = cost_of_space(space)
+            calls = counting_ssum(monkeypatch)
+            assert cost_of_space(space) is first
+            assert calls[0] == 0
+            monkeypatch.undo()
 
 
 def test_simplify_folds_constants():
@@ -449,6 +474,8 @@ def test_model_constructors_refuse_non_finite_numbers(bad):
     for kwargs in cases:
         with pytest.raises(ValueError, match="finite and positive"):
             SizeModel(**kwargs)
+    with pytest.raises(ValueError, match="max_bytes must be finite and positive"):
+        AssumptionSet(max_bytes=bad)
     # zero stays accepted where the bound is nonnegative
     zero = CostModel(funcs={f: Affine(0, 0) for f in EXPANDABLE}, lambda_c=0, lambda_p=0,
                      ov_h=0, size_model=model().size_model)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spa.extraction
 from spa import extract, parse, project
 from spa.errors import Ungeneratable, Unrecoverable
 from spa.oracle import op_count_oracle
@@ -19,6 +20,8 @@ from spa.terms import (
     FuncName,
     Pair,
     SignedTerm,
+    TEnc,
+    TPair,
     pair_of,
     type_erase,
 )
@@ -89,6 +92,29 @@ def test_memoization_no_rebuild():
     t = Pair(NA, K)
     s = KStrand((A, NA, K), A, (SignedTerm(1, t), SignedTerm(1, t)))
     assert extract(s).op_counts() == Counter({Classifier.C_C: 1})
+
+
+def test_extract_builds_no_typed_terms(monkeypatch):
+    # every instance term carries its typed term, so extraction erases by
+    # reading it and never calls a typed constructor
+    strands = [s for spec in [chain_spec(8, 4)] + [parse(read(p)) for p in CORPUS]
+               for s in project(spec).strands]
+    built = []
+    for cls in (TPair, TEnc):
+        new = cls.__new__
+
+        def counted(cls, *fields, _new=new):
+            built.append(cls)
+            return _new(cls, *fields)
+
+        monkeypatch.setattr(cls, "__new__", staticmethod(counted))
+    TPair(type_erase(NA), type_erase(K))  # the count sees a direct call
+    assert built == [TPair]
+    built.clear()
+    for s in strands:
+        extract(s)
+    assert built == []
+    assert not hasattr(spa.extraction, "TPair") and not hasattr(spa.extraction, "TEnc")
 
 
 def test_pair_chain_concatenations():

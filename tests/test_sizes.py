@@ -106,6 +106,21 @@ def test_non_normal_sums_are_refused(items):
         Sum(items)
 
 
+@pytest.mark.parametrize("items, live", [
+    (((True, SN), (True, SR)), ((1, SN), (1, SR))),
+    (((2.0, SN),), ((2, SN),)),
+    (((3, SN), (1.0, SH)), ((3, SN), (1, SH))),
+], ids=["bool", "float", "mixed"])
+def test_refusal_does_not_depend_on_live_sums(items, live):
+    # items equal a normal sum (True == 1, 2.0 == 2): held alive, that sum
+    # is in the table, and the refusal must not find it there
+    held = Sum(live)
+    assert held.items == items and all(type(c) is int for c, _ in held.items)
+    with pytest.raises(ValueError, match="not a normal sum"):
+        Sum(items)
+    assert Sum(live) is held and ssum([held]) is held
+
+
 def test_denormal_sums_are_refused():
     # each draw of the generator equals its source in value and is refused
     # when built; all three of its kinds of draw occur

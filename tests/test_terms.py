@@ -204,15 +204,31 @@ def test_pair_of_spine_round_trip(parts):
 
 @given(terms())
 def test_type_erase_preserves_shape(t):
+    # each term keeps the typed term it got when first built
     e = type_erase(t)
-    memo = {}
-    assert type_erase(t, memo) == e and memo[t] is type_erase(t, memo)
+    assert type_erase(rebuild(t)) is e
     if isinstance(t, Pair):
-        assert e == TPair(type_erase(t.left), type_erase(t.right))
+        assert e is TPair(type_erase(t.left), type_erase(t.right))
     elif isinstance(t, Enc):
-        assert e == TEnc(type_erase(t.body), t.func)
+        assert e is TEnc(type_erase(t.body), t.func)
     else:
         assert isinstance(e, Basic)
+
+
+def test_terms_of_non_terms_are_refused():
+    cases = [
+        (Pair, (A, "N_a")),
+        (Pair, (None, A)),
+        (Enc, ("N_a", FuncName.H, Empty())),
+        (Enc, ((NA,), FuncName.SK, K)),
+        (Atom, ("nonce", "N_a")),
+    ]
+    for cls, fields in cases:
+        with pytest.raises(TypeError) as exc:
+            cls(*fields)
+        assert "\n" not in str(exc.value)
+    with pytest.raises(TypeError, match="not a term"):
+        type_erase(Basic(BasicTT.N))
 
 
 _RELABEL = {
@@ -232,14 +248,13 @@ def relabel(t):
 
 
 @given(terms(), terms())
-def test_memo_interns_equal_typed_terms(t, u):
-    memo = {}
-    et, eu = type_erase(t, memo), type_erase(u, memo)
+def test_erasure_interns_equal_typed_terms(t, u):
+    # typed terms are hash-consed process-wide: terms that differ only in
+    # labels and keys keep one typed term
+    et, eu = type_erase(t), type_erase(u)
     assert (et == eu) == (et is eu)
-    assert type_erase(relabel(t), memo) is et
-    # the memo only saves walking a term again: typed terms are hash-consed
-    # process-wide, so erasing without it gives the same object
-    assert type_erase(t) is et
+    assert type_erase(relabel(t)) is et
+    assert type_erase(rebuild(t)) is et
 
 
 def rebuild_size(e):
@@ -261,10 +276,10 @@ def test_equal_terms_are_one_object(t, rnd):
     assert rebuild(t) is t
     assert type_erase(t) is type_erase(relabel(t))
     assert relabel(t) is relabel(rebuild(t))
-    # sizes and cost terms are hash-consed too: built again, with or without
-    # a memo, from rebuilt parts or in another order, they are one object
+    # sizes and cost terms are hash-consed too: sized again, built again
+    # from rebuilt parts or in another order, they are one object
     size = delta(type_erase(t))
-    assert delta(type_erase(t), {}) is size and rebuild_size(size) is size
+    assert delta(type_erase(rebuild(t))) is size and rebuild_size(size) is size
     parts = [delta(type_erase(a)) for a in atoms_of(t)] + [size, HashSize()]
     total = ssum(parts)
     shuffled = rnd.sample(parts, len(parts))
@@ -389,6 +404,25 @@ def test_constructor_contract(cls):
         with pytest.raises(ValueError):
             cls(**dict(zip(names, _REFUSED[cls])))
     assert set(table) <= before
+
+
+@pytest.mark.parametrize("cls, bad, good", [
+    (SignedTerm, (True, NA), (1, NA)),
+    (SignedTerm, (-1.0, NA), (-1, NA)),
+    (Overhead, (True,), (1,)),
+    (Overhead, (-1.0,), (-1,)),
+], ids=["signed-bool", "signed-float", "overhead-bool", "overhead-float"])
+def test_refusal_does_not_depend_on_live_terms(cls, bad, good):
+    # a bool or float sign equals an int one, so the equal term, held alive
+    # here, is in the table; it is refused whether or not that term lives
+    held = cls(*good)
+    with pytest.raises(ValueError, match="sign must be"):
+        cls(*bad)
+    assert cls(*good) is held and type(held.sign) is int
+    del held
+    gc.collect()
+    with pytest.raises(ValueError, match="sign must be"):
+        cls(*bad)
 
 
 def test_racing_threads_build_one_term():
