@@ -16,6 +16,13 @@ back the terms it was given without rebuilding any.  `compare` builds no
 `CostExpr`: it decides dominance on per-function counts and records its
 steps as data.  Its `CompareResult` builds the residuals, the term-level
 dominance pairs and the trace's text when they are first read.
+
+A `CostModel`, like its `Affine` prices and its `SizeModel`, is read-only
+and keeps a private table from cost term to value.  `eval_cost` values each
+distinct term once per model, the first time it meets it, and reads the
+table after that, so `spa eval`'s per-term lines and a pair of sides that
+share terms cost one valuation per term.  The table lives and dies with its
+model; nothing is kept at module level.
 """
 
 from __future__ import annotations
@@ -23,10 +30,11 @@ from __future__ import annotations
 import enum
 import math
 from operator import attrgetter
+from types import MappingProxyType
 
 from .sizes import SizeModel, Sum, TypeSize, contains_hash, delta, eval_size, render_size
 from .strands import OPS, Classifier, CostFunc, StrandSpace, TStrand, validate_op_strand
-from .terms import Value, _hash_consed
+from .terms import Frozen, Value, _hash_consed
 
 
 _FUNC_RANK = {f: i for i, f in enumerate(CostFunc)}
@@ -108,9 +116,18 @@ class Overhead(CostTerm):
         _set_order(self, (5, -self.sign))
 
 
+_MINUS_OV = Overhead(-1)  # what each expansion leaves behind
+
+
 @_hash_consed
 class CostExpr(Value):
     __slots__ = {"terms": "a tuple of distinct (CostTerm, multiplicity >= 1) pairs"}
+
+    def __new__(cls, terms):
+        # True == 1 would find a live expression; builders of ints call `_new`
+        for _, mult in terms:
+            _check_mult(mult)
+        return cls._new(cls, terms)
 
     def _check(self):
         if any(mult < 1 for _, mult in self.terms):
@@ -119,15 +136,21 @@ class CostExpr(Value):
             raise ValueError("terms must be distinct")
 
 
+def _check_mult(mult):
+    if type(mult) is not int:
+        raise ValueError(f"multiplicities must be ints: {mult!r}")
+
+
 def cost_expr(items) -> CostExpr:
     """Merge (term, multiplicity) or bare terms in first-occurrence order."""
     merged: dict[CostTerm, int] = {}
     for item in items:
         term, mult = item if isinstance(item, tuple) else (item, 1)
+        _check_mult(mult)
         if mult == 0:
             continue
         merged[term] = merged.get(term, 0) + mult
-    return CostExpr(tuple(merged.items()))
+    return CostExpr._new(CostExpr, tuple(merged.items()))
 
 
 def cost_of_space(space: StrandSpace) -> CostExpr:
@@ -172,7 +195,7 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
 def simplify(e: CostExpr) -> CostExpr:
     """Fold concatenation and processing applications into their constants,
     merge like terms, order canonically."""
-    return CostExpr(tuple(_simplified(e.terms).items()))
+    return CostExpr._new(CostExpr, tuple(_simplified(e.terms).items()))
 
 
 def _simplified(terms) -> dict:
@@ -200,7 +223,7 @@ def expand_one(term: App) -> list[tuple[CostTerm, int]] | None:
     parts: list[tuple[CostTerm, int]] = [
         (App(term.func, (unit,)), coeff) for coeff, unit in arg.items
     ]
-    parts.append((Overhead(-1), k - 1))
+    parts.append((_MINUS_OV, k - 1))
     return parts
 
 
@@ -247,18 +270,16 @@ def render_cost(e: CostExpr) -> str:
     return "".join(pieces)
 
 
-class Affine:
+class Affine(Frozen):
+    """alpha + beta * size: the price of a size-dependent function."""
+
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: float, beta: float):
         # written so that NaN fails too
         if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
             raise ValueError("affine coefficients must be finite and nonnegative")
-        self.alpha = alpha
-        self.beta = beta
-
-    def __call__(self, x: float) -> float:
-        return self.alpha + self.beta * x
+        self._fill(alpha=alpha, beta=beta)
 
 
 class _Dominance(Value):
@@ -304,8 +325,8 @@ def _transitive_closure(pairs) -> frozenset:
 DEFAULT_ASSUMPTIONS = AssumptionSet()
 
 
-class CostModel:
-    __slots__ = ("funcs", "lambda_c", "lambda_p", "ov_h", "size_model")
+class CostModel(Frozen):
+    __slots__ = ("funcs", "lambda_c", "lambda_p", "ov_h", "size_model", "_values")
 
     def __init__(self, funcs: dict, lambda_c: float, lambda_p: float, ov_h: float,
                  size_model: SizeModel):
@@ -313,11 +334,10 @@ class CostModel:
             raise ValueError("funcs must cover exactly the size-dependent functions")
         if not all(0 <= c < math.inf for c in (lambda_c, lambda_p, ov_h)):
             raise ValueError("constants must be finite and nonnegative")
-        self.funcs = funcs  # CostFunc -> Affine, for the six size-dependent functions
-        self.lambda_c = lambda_c
-        self.lambda_p = lambda_p
-        self.ov_h = ov_h
-        self.size_model = size_model
+        # funcs, CostFunc -> Affine for the six size-dependent functions, is
+        # a private copy; _values, cost term -> value, fills in `_eval_terms`
+        self._fill(funcs=MappingProxyType(dict(funcs)), lambda_c=lambda_c,
+                   lambda_p=lambda_p, ov_h=ov_h, size_model=size_model, _values={})
 
 
 def eval_cost(e: CostExpr, model: CostModel) -> float:
@@ -326,18 +346,24 @@ def eval_cost(e: CostExpr, model: CostModel) -> float:
 
 def _eval_terms(terms, model: CostModel) -> float:
     """Value of (term, multiplicity) pairs under `model`: `eval_cost`'s rule,
-    which `spa eval` also applies to each term on its own."""
+    which `spa eval` also applies to each term on its own.  Each distinct
+    term is valued once per model and kept in the model's table."""
+    values = model._values
     total = 0.0
     for term, mult in terms:
-        func = term.func
-        if func is CostFunc.F_C:
-            value = model.lambda_c
-        elif func is CostFunc.F_P:
-            value = model.lambda_p
-        elif func is None:
-            value = term.sign * model.ov_h
-        else:
-            value = model.funcs[func](eval_size(term.args[0], model.size_model))
+        value = values.get(term)
+        if value is None:  # first met under this model
+            func = term.func
+            if func is CostFunc.F_C:
+                value = model.lambda_c
+            elif func is CostFunc.F_P:
+                value = model.lambda_p
+            elif func is None:
+                value = term.sign * model.ov_h
+            else:
+                f = model.funcs[func]
+                value = f.alpha + f.beta * eval_size(term.args[0], model.size_model)
+            values[term] = value
         total += mult * value
     return total
 
@@ -534,7 +560,8 @@ def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTION
 
 def _residual(side: dict) -> CostExpr:
     # a side's terms are merged already, each with multiplicity >= 1
-    return CostExpr(tuple([(term, side[term]) for term in sorted(side, key=_ORDER)]))
+    terms = tuple([(term, side[term]) for term in sorted(side, key=_ORDER)])
+    return CostExpr._new(CostExpr, terms)
 
 
 def _per_func(side: dict) -> dict:

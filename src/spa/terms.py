@@ -139,6 +139,23 @@ def _delattr(t, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
+_object_setattr = object.__setattr__
+
+
+class Frozen:
+    """Base of the read-only objects that are not hash-consed: the cost and
+    size models.  `__init__` sets each field once with `_fill`; assigning
+    or deleting a field afterwards raises, as on a term, so nothing derived
+    from a model's fields can go stale."""
+
+    __slots__ = ()
+    __setattr__, __delattr__ = _setattr, _delattr
+
+    def _fill(self, **fields):
+        for name, value in fields.items():
+            _object_setattr(self, name, value)
+
+
 def _hash_consed(cls):
     """Make constructing a term of cls return the live term with equal
     fields if there is one, so identity equality and `object.__hash__` are
@@ -230,6 +247,8 @@ class Enc(Term):
     __slots__ = {"body": "a Term", "func": "a FuncName", "key": "a key Atom, or Empty for h"}
 
     def _check(self):
+        if type(self.func) is not FuncName:
+            raise TypeError(f"not a cipher function: {self.func!r}")
         if self.func is FuncName.H:
             if not isinstance(self.key, Empty):
                 raise ValueError("hash terms take an empty key")

@@ -8,6 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import spa.config
+import spa.costs
+from spa import parse, simplify
+from spa.cli import _role_cost
+
 from .dotcheck import check_dot
 from .helpers import (
     ANDREW,
@@ -16,6 +21,7 @@ from .helpers import (
     ROOT,
     X509_MODIFIED,
     X509_ORIGINAL,
+    read,
     run_cli,
 )
 
@@ -268,6 +274,41 @@ def test_eval_breakdown():
     assert "  f_pk(|m|) = 1250.000000" in lines
     assert "  f_pk(S_hash) = 450.000000" in lines
     assert "  8*L_P = 0.400000" in lines
+
+
+def test_eval_values_each_distinct_term_once(monkeypatch):
+    # `spa eval` prints the total, then each term's line, and `compare
+    # --config` values both sides under one model: each distinct term is
+    # valued once, when it enters the model's table, and read from it after
+    valued = []
+
+    class Counted(dict):
+        def __setitem__(self, term, value):
+            valued.append(term)
+            super().__setitem__(term, value)
+
+    class Model(spa.costs.CostModel):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            object.__setattr__(self, "_values", Counted())
+
+    monkeypatch.setattr(spa.config, "CostModel", Model)
+    spec = parse(read(X509_ORIGINAL))
+    for label in ("A", "B"):
+        valued.clear()
+        code, out, _ = run_cli("eval", X509_ORIGINAL, "--role", label, "--config", DEFAULT_CONFIG)
+        assert code == 0
+        terms = [term for term, _ in simplify(_role_cost(spec, label)).terms]
+        assert len(out.splitlines()) == 1 + len(terms)
+        assert valued == terms
+    valued.clear()
+    code, _, _ = run_cli("compare", X509_MODIFIED, X509_ORIGINAL, "--config", DEFAULT_CONFIG)
+    assert code == 0
+    sides = [simplify(_role_cost(parse(read(path)), "A")).terms
+             for path in (X509_MODIFIED, X509_ORIGINAL)]
+    assert valued == list(dict.fromkeys(term for side in sides for term, _ in side))
 
 
 def test_extraction_failure_exit_code(tmp_path):

@@ -2,6 +2,7 @@
 comparison."""
 
 import copy
+import gc
 import itertools
 import math
 import os
@@ -9,6 +10,7 @@ import pickle
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -73,6 +75,7 @@ from .generators import (
 )
 from .helpers import CORPUS, KEY_WRAP, ROOT, X509_ORIGINAL, expand_additivity, read
 from .naive_compare import naive_compare
+from .naive_eval import naive_eval_cost, naive_eval_terms
 from .naive_sizes import naive_cost_of_space
 
 SR, SN, SK_, SM = (TypeSize(tt) for tt in BasicTT)
@@ -401,6 +404,22 @@ def test_expand_one():
     assert expand_one(App(CostFunc.F_C, (SN, SR))) is None  # not expandable
 
 
+def test_expansion_builds_no_overhead_term(monkeypatch):
+    # every expansion leaves the one live -Ov_h behind, not a fresh call to
+    # the checking constructor
+    built = []
+    real = Overhead.__new__
+
+    def counted(cls, sign):
+        built.append(sign)
+        return real(cls, sign)
+
+    monkeypatch.setattr(Overhead, "__new__", staticmethod(counted))
+    parts = [expand_one(app(func, SN, SN, SR, HashSize())) for func in EXPANDABLE]
+    assert built == []
+    assert all(p[-1] == (Overhead(-1), 3) for p in parts)
+
+
 def test_expand_additivity_golden():
     e = cost_expr([(app(CostFunc.F_H, SN, SN, SR), 2), LambdaC()])
     got = render_cost(expand_additivity(e))
@@ -480,6 +499,54 @@ def test_model_constructors_refuse_non_finite_numbers(bad):
     zero = CostModel(funcs={f: Affine(0, 0) for f in EXPANDABLE}, lambda_c=0, lambda_p=0,
                      ov_h=0, size_model=model().size_model)
     assert eval_cost(cost_expr([app(CostFunc.F_H, SN), LambdaC(), Overhead(1)]), zero) == 0
+
+
+@pytest.mark.parametrize("mult", [True, 1.0, 2.0, 1.5],
+                         ids=["bool", "float", "float-2", "fraction"])
+def test_cost_expr_refuses_non_int_multiplicities(mult):
+    # True == 1 and 2.0 == 2 would find a live expression: the int one, held
+    # alive here, is in the table, and the refusal must not find it there
+    live = ((LambdaC(), 1), (Overhead(-1), int(mult)))
+    held = CostExpr(live)
+    bad = ((LambdaC(), 1), (Overhead(-1), mult))
+    for build in (CostExpr, cost_expr):
+        with pytest.raises(ValueError, match="^multiplicities must be ints: "):
+            build(bad)
+    assert CostExpr(live) is held and all(type(m) is int for _, m in held.terms)
+    del held
+    gc.collect()
+    with pytest.raises(ValueError, match="^multiplicities must be ints: "):
+        CostExpr(bad)
+    # cost_expr skips a zero multiplicity, but not one that only equals zero
+    assert cost_expr([(LambdaC(), 0)]).terms == ()
+    with pytest.raises(ValueError, match="^multiplicities must be ints: "):
+        cost_expr([(LambdaC(), 0.0)])
+
+
+def test_models_are_read_only():
+    # a model keeps a table of the values it computed, so no field may be
+    # rebound and the dicts a caller passed in are copied, not kept
+    funcs = {f: Affine(1.0, 0.1) for f in EXPANDABLE}
+    sizes_in = _sizes()
+    sm = SizeModel(sizes=sizes_in, s_hash=20, blk_in=117, blk_out=128, pad=11)
+    m = CostModel(funcs=funcs, lambda_c=0.1, lambda_p=0.05, ov_h=0.25, size_model=sm)
+    e = cost_expr([app(CostFunc.F_H, SN, SR), App(CostFunc.F_PK, (AsymSize(SN),)),
+                   LambdaC(), LambdaP(), Overhead(-1)])
+    before = eval_cost(e, m)
+    for obj in (m, sm, funcs[CostFunc.F_H]):
+        for name in type(obj).__slots__ + ("bogus",):
+            with pytest.raises(AttributeError, match="^cannot assign to field"):
+                setattr(obj, name, 1.0)
+            with pytest.raises(AttributeError, match="^cannot delete field"):
+                delattr(obj, name)
+    funcs[CostFunc.F_H] = Affine(100.0, 100.0)
+    sizes_in[BasicTT.N] = 1000
+    with pytest.raises(TypeError):
+        m.funcs[CostFunc.F_H] = Affine(0, 0)
+    with pytest.raises(TypeError):
+        sm.sizes[BasicTT.N] = 1
+    assert m.funcs[CostFunc.F_H].alpha == 1.0 and sm.sizes[BasicTT.N] == 16
+    assert eval_cost(e, m) == before == naive_eval_cost(e, m)
 
 
 def test_assumption_set_rejects_cycles():
@@ -715,15 +782,19 @@ def test_compare_builds_only_its_residuals(monkeypatch):
     # each side is canonicalized once into compare's working dicts, and no
     # application is rebuilt: every argument is normal already.  compare
     # itself builds no CostExpr; reading the residuals builds the two the
-    # eager reference returns, once
+    # eager reference returns, once.  CostExpr's own builders skip its
+    # multiplicity guard and call the generated constructor, `_new`, which
+    # its `__new__` calls too
     made = {CostExpr: [], App: []}
     for cls, out in made.items():
-        def counted(cls, *args, _new=cls.__new__, _out=out, **kwargs):
+        name = "_new" if cls is CostExpr else "__new__"
+
+        def counted(cls, *args, _new=getattr(cls, name), _out=out, **kwargs):
             value = _new(cls, *args, **kwargs)
             _out.append(value)
             return value
 
-        monkeypatch.setattr(cls, "__new__", staticmethod(counted))
+        monkeypatch.setattr(cls, name, staticmethod(counted))
     exprs, apps = made[CostExpr], made[App]
     cases = list(_compare_cases())
     for a, b, assume in cases:
@@ -1044,3 +1115,51 @@ def test_eval_preserved_by_rewrites(seed):
     base = eval_cost(e, m)
     for rewritten in (simplify(e), expand_additivity(simplify(e))):
         assert math.isclose(eval_cost(rewritten, m), base, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def _draws(seed: int, n: int = 500) -> list:
+    # criterion 7's draws: random expressions, each with its own model
+    rng = random.Random(seed)
+    return [(random_cost_expr(rng), random_eval_model(rng)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("sharing", ["shared", "fresh"])
+def test_eval_matches_the_memo_free_reference_exactly(sharing):
+    # a model's table changes when a value is computed, never which float it
+    # is: every value equals the reference's bit for bit (hex tells -0.0
+    # from 0.0), on first evaluation and read back from the table
+    draws = _draws(0x5EED7)
+    shared = draws[0][1]
+    for e, m in draws:
+        model = shared if sharing == "shared" else m
+        for rewritten in (e, simplify(e), expand_additivity(simplify(e)), e):
+            want = naive_eval_cost(rewritten, model).hex()
+            assert eval_cost(rewritten, model).hex() == want
+    if sharing == "shared":
+        assert len(shared._values) > 500  # the one table kept every term
+
+
+def test_interleaved_models_keep_their_own_values():
+    # two models pricing the same terms, evaluated in turn: each table holds
+    # only its own model's values
+    draws = _draws(0x1E7, 200)
+    m1, m2 = draws[0][1], draws[1][1]
+    for e, _ in draws:
+        for m in (m1, m2, m2, m1):
+            assert eval_cost(e, m).hex() == naive_eval_cost(e, m).hex()
+    assert set(m1._values) == set(m2._values)
+    for m in (m1, m2):
+        for term, value in m._values.items():
+            assert value == naive_eval_terms(((term, 1),), m)
+
+
+def test_a_model_table_dies_with_its_model():
+    # no value outlives its model: a term only the table held is freed
+    term = App(CostFunc.F_PK, (AsymSize(Sum(((7, SM), (3, SK_)))),))
+    m = random_eval_model(random.Random(7))
+    eval_cost(cost_expr([term]), m)
+    assert term in m._values
+    dead = weakref.ref(term)
+    del term, m
+    gc.collect()
+    assert dead() is None

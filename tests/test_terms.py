@@ -222,11 +222,16 @@ def test_terms_of_non_terms_are_refused():
         (Enc, ("N_a", FuncName.H, Empty())),
         (Enc, ((NA,), FuncName.SK, K)),
         (Atom, ("nonce", "N_a")),
+        # a cipher function that is not a FuncName, which rendering reads
+        (Enc, (NA, "sk", K)),
+        (Enc, (NA, None, K)),
     ]
     for cls, fields in cases:
         with pytest.raises(TypeError) as exc:
             cls(*fields)
         assert "\n" not in str(exc.value)
+        if cls is Enc and type(fields[1]) is not FuncName:
+            assert str(exc.value) == f"not a cipher function: {fields[1]!r}"
     with pytest.raises(TypeError, match="not a term"):
         type_erase(Basic(BasicTT.N))
 
