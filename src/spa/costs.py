@@ -22,7 +22,9 @@ and keeps a private table from cost term to value.  `eval_cost` values each
 distinct term once per model, the first time it meets it, and reads the
 table after that, so `spa eval`'s per-term lines and a pair of sides that
 share terms cost one valuation per term.  The table lives and dies with its
-model; nothing is kept at module level.
+model; nothing is kept at module level.  It keeps the terms it holds alive,
+at most `_TABLE_LIMIT` of them: a full table is emptied and fills again.
+A copy or pickle of a model starts with an empty table.
 """
 
 from __future__ import annotations
@@ -325,7 +327,18 @@ def _transitive_closure(pairs) -> frozenset:
 DEFAULT_ASSUMPTIONS = AssumptionSet()
 
 
+# Most terms a model's table holds.  A full table starts again, so a caller
+# that keeps one model and prices ever new expressions keeps at most this
+# many terms alive through it.
+_TABLE_LIMIT = 4096
+
+
 class CostModel(Frozen):
+    """Prices of the cost functions, and the size model their arguments are
+    valued under.  Read-only.  It keeps a private table from each cost term
+    it has valued to the value, which keeps that term alive while it is in
+    the table: at most `_TABLE_LIMIT` terms, until the model dies."""
+
     __slots__ = ("funcs", "lambda_c", "lambda_p", "ov_h", "size_model", "_values")
 
     def __init__(self, funcs: dict, lambda_c: float, lambda_p: float, ov_h: float,
@@ -352,7 +365,9 @@ def _eval_terms(terms, model: CostModel) -> float:
     total = 0.0
     for term, mult in terms:
         value = values.get(term)
-        if value is None:  # first met under this model
+        if value is None:  # first met under this model, or since its table filled
+            if len(values) >= _TABLE_LIMIT:
+                values.clear()
             func = term.func
             if func is CostFunc.F_C:
                 value = model.lambda_c

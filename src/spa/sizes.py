@@ -17,10 +17,9 @@ typed term is sized once while it lives, whoever asks: pricing is linear
 in the distinct subterms of a space rather than quadratic in nesting
 depth.  A size lives as long as its typed term.
 
-A `SizeModel` is read-only and keeps a private table from size expression
-to value: it starts with the four type sizes and S_hash, and `eval_size`
-adds each other expression the first time it values it, so valuing a sum
-reads its units' values.  The table lives and dies with its model.
+A `SizeModel` is read-only and keeps a private copy of the type sizes it
+is given.  `eval_size` keeps no values: it runs when a cost model values an
+application for the first time, and the cost model keeps that value.
 """
 
 from __future__ import annotations
@@ -28,18 +27,8 @@ from __future__ import annotations
 import math
 from types import MappingProxyType
 
-from .terms import (
-    Basic,
-    BasicTT,
-    Frozen,
-    FuncName,
-    TEmpty,
-    TEnc,
-    TPair,
-    TTerm,
-    Value,
-    _hash_consed,
-)
+from .terms import (Basic, BasicTT, Frozen, FuncName, TEmpty, TEnc, TPair, TTerm, Value,
+                    _hash_consed)
 
 _set_size = TTerm._size.__set__
 
@@ -93,9 +82,6 @@ class Sum(SizeExpr):
 
 ZERO = Sum(())
 _sum = Sum._new
-# the units every size model's table starts with
-_TYPE_SIZES = {tt: TypeSize(tt) for tt in BasicTT}
-_HASH_SIZE = HashSize()
 
 
 def ssum(parts) -> SizeExpr:
@@ -172,7 +158,7 @@ def render_size(e: SizeExpr) -> str:
 
 
 class SizeModel(Frozen):
-    __slots__ = ("sizes", "s_hash", "blk_in", "blk_out", "pad", "_values")
+    __slots__ = ("sizes", "s_hash", "blk_in", "blk_out", "pad")
 
     def __init__(self, sizes: dict, s_hash: float, blk_in: float, blk_out: float, pad: float):
         if set(sizes) != set(BasicTT):
@@ -182,25 +168,19 @@ class SizeModel(Frozen):
             raise ValueError("size-model values must be finite and positive")
         if blk_in <= pad:
             raise ValueError("blk_in must exceed pad")
-        # sizes, BasicTT -> bytes, is a private copy; _values, size
-        # expression -> value, fills in `eval_size` and starts with the
-        # units that read a field
-        table = {_TYPE_SIZES[tt]: float(v) for tt, v in sizes.items()}
-        table[_HASH_SIZE] = float(s_hash)
+        # sizes, BasicTT -> bytes, is a private copy
         self._fill(sizes=MappingProxyType(dict(sizes)), s_hash=s_hash, blk_in=blk_in,
-                   blk_out=blk_out, pad=pad, _values=table)
+                   blk_out=blk_out, pad=pad)
 
 
 def eval_size(e: SizeExpr, model: SizeModel) -> float:
-    """Value of a size expression under `model`, computed once per model."""
-    value = model._values.get(e)
-    if value is None:  # first met under this model
-        if isinstance(e, AsymSize):
-            x = eval_size(e.arg, model)
-            value = math.ceil((x + model.pad) / model.blk_in) * model.blk_out
-        elif isinstance(e, Sum):
-            value = float(sum(coeff * eval_size(unit, model) for coeff, unit in e.items))
-        else:
-            raise TypeError(f"not a size expression: {e!r}")
-        model._values[e] = value
-    return value
+    if isinstance(e, TypeSize):
+        return float(model.sizes[e.tt])
+    if isinstance(e, HashSize):
+        return float(model.s_hash)
+    if isinstance(e, AsymSize):
+        x = eval_size(e.arg, model)
+        return math.ceil((x + model.pad) / model.blk_in) * model.blk_out
+    if isinstance(e, Sum):
+        return float(sum(coeff * eval_size(unit, model) for coeff, unit in e.items))
+    raise TypeError(f"not a size expression: {e!r}")

@@ -33,6 +33,7 @@ import enum
 import re
 import weakref
 from functools import cache
+from types import MappingProxyType
 from _weakref import _remove_dead_weakref
 
 
@@ -146,7 +147,13 @@ class Frozen:
     """Base of the read-only objects that are not hash-consed: the cost and
     size models.  `__init__` sets each field once with `_fill`; assigning
     or deleting a field afterwards raises, as on a term, so nothing derived
-    from a model's fields can go stale."""
+    from a model's fields can go stale.
+
+    A subclass lists its constructor's parameters first in its `__slots__`,
+    in order, and then its private fields, whose names start with `_`.  A
+    copy, deep copy or pickle calls the constructor again with the public
+    fields, so a private one, such as a model's table of values, is not
+    carried over and starts afresh."""
 
     __slots__ = ()
     __setattr__, __delattr__ = _setattr, _delattr
@@ -154,6 +161,10 @@ class Frozen:
     def _fill(self, **fields):
         for name, value in fields.items():
             _object_setattr(self, name, value)
+
+    def __reduce__(self):
+        args = [getattr(self, name) for name in type(self).__slots__ if name[0] != "_"]
+        return type(self), tuple(dict(a) if type(a) is MappingProxyType else a for a in args)
 
 
 def _hash_consed(cls):

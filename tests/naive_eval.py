@@ -1,10 +1,11 @@
 """Memo-free reference evaluation for the differential tests.
 
-`naive_eval_terms` and `naive_eval_size` are copies of `_eval_terms` and
-`eval_size` before the models kept a table of values, with the affine
-step `Affine.__call__` did written out: every call walks every term's size
-expression again.  They are kept only so that tests can require the
-library's evaluation to return exactly the same floats.
+`naive_eval_terms` is a copy of `_eval_terms` before cost models kept a
+table of values, with the affine step `Affine.__call__` did written out:
+every call walks every term's size expression again.  `naive_eval_size`
+is a copy of `eval_size`, so that the reference does not change when the
+library does.  They are kept only so that tests can require the library's
+evaluation to return exactly the same floats.
 """
 
 from __future__ import annotations

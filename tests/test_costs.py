@@ -1163,3 +1163,51 @@ def test_a_model_table_dies_with_its_model():
     del term, m
     gc.collect()
     assert dead() is None
+
+
+def test_a_model_keeps_at_most_a_full_table_of_terms():
+    # a caller that keeps one model and prices ever new expressions keeps
+    # alive, through the model, only the terms in its table: a full table
+    # is emptied, and what it held is freed
+    limit = spa.costs._TABLE_LIMIT
+    m = model()
+    dead = []
+    for i in range(limit + 100):
+        e = cost_expr([App(CostFunc.F_H, (Sum(((i + 2, SN),)),))])
+        assert eval_cost(e, m) == naive_eval_cost(e, m)
+        assert len(m._values) == i % limit + 1
+        dead.append(weakref.ref(e.terms[0][0]))
+    del e
+    gc.collect()
+    kept = [ref() for ref in dead if ref() is not None]
+    assert kept == list(m._values) == [ref() for ref in dead[limit:]]
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_models_round_trip_through_their_constructors(how):
+    # a copy is a model with the same numbers, read-only, whose table
+    # starts empty
+    funcs = {f: Affine(1.0 + i, 0.1 * i) for i, f in enumerate(EXPANDABLE)}
+    sm = SizeModel(sizes=_sizes(), s_hash=20, blk_in=117, blk_out=128, pad=11)
+    m = CostModel(funcs=funcs, lambda_c=0.1, lambda_p=0.05, ov_h=0.25, size_model=sm)
+    e = cost_expr([app(CostFunc.F_H, SN, SR), App(CostFunc.F_PK, (AsymSize(SN),)),
+                   LambdaC(), LambdaP(), Overhead(-1)])
+    want = eval_cost(e, m)
+    back = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    }[how](m)
+    assert type(back) is CostModel and back is not m and back._values == {}
+    assert (back.lambda_c, back.lambda_p, back.ov_h) == (0.1, 0.05, 0.25)
+    assert {f: (a.alpha, a.beta) for f, a in back.funcs.items()} == {
+        f: (a.alpha, a.beta) for f, a in funcs.items()}
+    bsm = back.size_model
+    assert dict(bsm.sizes) == _sizes()
+    assert (bsm.s_hash, bsm.blk_in, bsm.blk_out, bsm.pad) == (20, 117, 128, 11)
+    assert eval_cost(e, back) == want
+    for obj in (back, bsm, back.funcs[CostFunc.F_H]):
+        with pytest.raises(AttributeError, match="^cannot assign to field"):
+            obj.alpha = 0.0
+    with pytest.raises(TypeError):
+        back.funcs[CostFunc.F_H] = Affine(0, 0)
