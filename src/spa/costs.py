@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from operator import attrgetter
 from types import MappingProxyType
 
 from .sizes import SizeModel, Sum, TypeSize, contains_hash, delta, eval_size, render_size
 from .strands import OPS, Classifier, CostFunc, StrandSpace, TStrand, validate_op_strand
-from .terms import Frozen, Value, _hash_consed
+from .terms import Frozen, Value, _hash_consed, _object_setattr
 
 
 _FUNC_RANK = {f: i for i, f in enumerate(CostFunc)}
@@ -168,30 +169,28 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
     `extract`'s operations of one shape do.  Each strand object is
     validated and priced once, with its number of positions as
     multiplicity; `sizes.delta` sizes each typed term once while it lives.
-    `cost_expr` merges equal terms at their first position, so the result
-    equals pricing strand by strand.
+    Equal terms merge at their first position, so the result equals pricing
+    strand by strand.
     """
-    groups: dict[TStrand, int] = {}  # strand -> its number of positions
-    for s in space.strands:
+    terms: dict[CostTerm, int] = {}
+    procs: dict = {}  # positive typed payload -> count
+    # Counter keeps first-occurrence order
+    for s, n in Counter(space.strands).items():
         if not isinstance(s, TStrand):
             raise TypeError(f"not a typed strand: {s!r}")
         if s.classifier is Classifier.C_P:
             continue
-        if s not in groups:
-            validate_op_strand(s)
-            groups[s] = 0
-        groups[s] += 1
-    ops = []
-    procs: dict = {}  # positive typed payload -> count
-    for s, n in groups.items():
+        validate_op_strand(s)
         op = OPS[s.classifier]
-        ops.append((App(op.cost, tuple([delta(s.seq[i - 1].payload) for i in op.sized])), n))
+        term = App(op.cost, tuple([delta(s.seq[i - 1].payload) for i in op.sized]))
+        terms[term] = terms.get(term, 0) + n
         for ev in s.seq:
             if ev.sign > 0:
                 procs[ev.payload] = procs.get(ev.payload, 0) + n
-    return cost_expr(
-        ops + [(App(CostFunc.F_P, (delta(t),)), n) for t, n in procs.items()]
-    )
+    for t, n in procs.items():
+        term = App(CostFunc.F_P, (delta(t),))
+        terms[term] = terms.get(term, 0) + n
+    return CostExpr._new(CostExpr, tuple(terms.items()))
 
 
 def simplify(e: CostExpr) -> CostExpr:
@@ -278,10 +277,13 @@ class Affine(Frozen):
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: float, beta: float):
+        if type(alpha) is bool or type(beta) is bool:  # True would pass as 1
+            raise TypeError("affine coefficients must be numbers, not bools")
         # written so that NaN fails too
         if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
             raise ValueError("affine coefficients must be finite and nonnegative")
-        self._fill(alpha=alpha, beta=beta)
+        _object_setattr(self, "alpha", alpha)
+        _object_setattr(self, "beta", beta)
 
 
 class _Dominance(Value):
@@ -298,6 +300,15 @@ class AssumptionSet(_Dominance):
     __slots__ = ("ignore_overhead", "dominance", "max_bytes")
     _defaults = (True, ((CostFunc.F_PK, CostFunc.F_H), (CostFunc.F_PK, CostFunc.F_SK)),
                  4096.0)
+
+    def __new__(cls, ignore_overhead=_defaults[0], dominance=_defaults[1],
+                max_bytes=_defaults[2]):
+        # 1 == True == 1.0 would find a live set, and a hit skips `_check`
+        if type(ignore_overhead) is not bool:
+            raise TypeError(f"ignore_overhead must be a bool: {ignore_overhead!r}")
+        if type(max_bytes) is bool:
+            raise TypeError("max_bytes must be a number, not a bool")
+        return cls._new(cls, ignore_overhead, dominance, max_bytes)
 
     def _check(self):
         closure = _transitive_closure(self.dominance)
@@ -345,12 +356,21 @@ class CostModel(Frozen):
                  size_model: SizeModel):
         if set(funcs) != set(EXPANDABLE):
             raise ValueError("funcs must cover exactly the size-dependent functions")
+        for f in funcs.values():
+            if not isinstance(f, Affine):
+                raise TypeError(f"funcs must map to Affine prices, not {f!r}")
+        if any(type(c) is bool for c in (lambda_c, lambda_p, ov_h)):  # True would pass as 1
+            raise TypeError("constants must be numbers, not bools")
         if not all(0 <= c < math.inf for c in (lambda_c, lambda_p, ov_h)):
             raise ValueError("constants must be finite and nonnegative")
         # funcs, CostFunc -> Affine for the six size-dependent functions, is
         # a private copy; _values, cost term -> value, fills in `_eval_terms`
-        self._fill(funcs=MappingProxyType(dict(funcs)), lambda_c=lambda_c,
-                   lambda_p=lambda_p, ov_h=ov_h, size_model=size_model, _values={})
+        _object_setattr(self, "funcs", MappingProxyType(dict(funcs)))
+        _object_setattr(self, "lambda_c", lambda_c)
+        _object_setattr(self, "lambda_p", lambda_p)
+        _object_setattr(self, "ov_h", ov_h)
+        _object_setattr(self, "size_model", size_model)
+        _object_setattr(self, "_values", {})
 
 
 def eval_cost(e: CostExpr, model: CostModel) -> float:

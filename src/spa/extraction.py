@@ -37,8 +37,9 @@ key atom is learned.  Only terms that arrive from outside (initial
 knowledge, receptions, generated atoms) are walked: split halves,
 decrypted bodies and constructed terms are reachable, at a lower rank,
 from entries already walked.  The same walk collects the atoms it meets;
-only the ciphers it does not enter (sealed `sk` ciphers, asymmetric
-ciphers and hashes) get a walk of their own for atoms.
+the ciphers it does not enter (sealed `sk` ciphers, asymmetric ciphers and
+hashes) get a walk of their own below them, which stops at every known or
+exposed term: its atoms are collected already.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ from .terms import (
     Pair,
     SignedTerm,
     Term,
-    TTerm,
-    atoms_of,
 )
 
 _ENC_CLASSIFIER = {
@@ -132,8 +131,8 @@ class _State:
         # ranks are one preorder count over all walked entries, so comparing
         # two ranks compares entry order first, then position in the entry
         self.next_rank = 0
-        # (classifier, *typed payloads) -> the one strand every operation
-        # of that shape shares
+        # shape key (classifier, *typed payloads) -> the one strand every
+        # operation of that shape shares
         self.strands: dict[tuple, TStrand] = {}
         self.ops: list[TStrand] = []
         self.inputs: list[tuple[Term, ...]] = []  # each op's input terms
@@ -142,9 +141,8 @@ class _State:
 
     def learn(self, t: Term, by: int | None = None, walk: bool = True) -> None:
         """Add t to knowledge, made by op `by` (None: from outside).
-        `walk=False` is for terms reachable from entries already walked:
-        split halves, decrypted bodies, and terms constructed from known
-        parts."""
+        `walk=False` is for split halves and decrypted bodies, which are
+        reachable from entries already walked."""
         if t in self.knowledge:
             return
         self.knowledge[t] = by
@@ -158,13 +156,13 @@ class _State:
         """Index the occurrences under root, root ranked `rank`, and add
         every atom in root to `atoms`; return the rank that follows root's
         subtree."""
-        atoms = self.atoms
+        atoms, knowledge, exposed = self.atoms, self.knowledge, self.exposed
         stack = [(root, container)]
         while stack:
             t, container = stack.pop()
-            best = self.exposed.get(t)
+            best = exposed.get(t)
             if best is None or rank < best[0]:
-                self.exposed[t] = (rank, container)
+                exposed[t] = (rank, container)
             rank += 1
             if isinstance(t, Pair):
                 stack.append((t.right, t))
@@ -172,25 +170,35 @@ class _State:
             elif isinstance(t, Atom):
                 atoms.add(t)
             elif isinstance(t, Enc):
-                if t.func is FuncName.SK and t.key in self.knowledge:
+                if t.func is FuncName.SK and t.key in knowledge:
                     # a held key is in `atoms` already
                     stack.append((t.body, t))
                 else:
-                    atoms.update(atoms_of(t))
+                    # t is exposed now, and so are the terms left on `stack`
+                    parts = [t.key, t.body]
+                    while parts:
+                        u = parts.pop()
+                        if u in knowledge or u in exposed:
+                            continue
+                        if isinstance(u, Atom):
+                            atoms.add(u)
+                        elif isinstance(u, Pair):
+                            parts += (u.left, u.right)
+                        elif isinstance(u, Enc):
+                            parts += (u.key, u.body)
                     if t.func is FuncName.SK:
                         self.sealed.setdefault(t.key, []).append((t, rank))
                         rank += _span(t.body)
         return rank
 
-    def emit(self, classifier: Classifier, inputs: tuple[Term, ...], *payloads: TTerm) -> int:
-        """Append an operation strand over typed payloads that consumes the
-        instance terms `inputs`; return its index."""
-        key = (classifier, *payloads)
+    def emit(self, key: tuple, inputs: tuple[Term, ...]) -> int:
+        """Append the strand of shape `key`, a classifier and its typed
+        payloads, as an op consuming the terms `inputs`; return its index."""
         strand = self.strands.get(key)
         if strand is None:
-            events = zip(OPS[classifier].signs, payloads, strict=True)
+            events = zip(OPS[key[0]].signs, key[1:], strict=True)
             strand = self.strands[key] = TStrand(
-                classifier, self.participant, tuple(SignedTerm(*e) for e in events)
+                key[0], self.participant, tuple(SignedTerm(*e) for e in events)
             )
         self.ops.append(strand)
         self.inputs.append(inputs)
@@ -219,7 +227,7 @@ def extract(s: KStrand) -> Extraction:
     for event in s.seq:
         if event.sign < 0:
             state.learn(event.payload)
-        else:
+        elif event.payload not in state.knowledge:
             _construct(event.payload, state)
     seq = tuple(SignedTerm(event.sign, event.payload._typed) for event in s.seq)
     process = TStrand(Classifier.C_P, s.participant, seq)
@@ -227,9 +235,7 @@ def extract(s: KStrand) -> Extraction:
 
 
 def _construct(t: Term, state: _State) -> None:
-    """Make t known, emitting the operations that build it."""
-    if t in state.knowledge:
-        return
+    """Make t known, emitting the operations that build it; t is not known."""
     if t in state.exposed:
         _recover(t, state)
         return
@@ -240,23 +246,29 @@ def _construct(t: Term, state: _State) -> None:
                     f"{state.participant.label} holds {t.label} only sealed "
                     "inside terms it cannot open"
                 )
-            state.learn(t, state.emit(_GEN_CLASSIFIER[t.kind], (), t._typed))
+            state.learn(t, state.emit((_GEN_CLASSIFIER[t.kind], t._typed), ()))
             return
         raise Ungeneratable(
             f"{state.participant.label} does not hold {t.label} and "
             f"{t.kind.value} atoms cannot be generated"
         )
+    knowledge = state.knowledge
     if isinstance(t, Pair):
-        _construct(t.left, state)
-        _construct(t.right, state)
-        by = state.emit(Classifier.C_C, (t.left, t.right), t.left._typed, t.right._typed, t._typed)
+        if t.left not in knowledge:
+            _construct(t.left, state)
+        if t.right not in knowledge:
+            _construct(t.right, state)
+        by = state.emit((Classifier.C_C, t.left._typed, t.right._typed, t._typed),
+                        (t.left, t.right))
     else:
         assert isinstance(t, Enc)
-        if t.func is not FuncName.H:
+        if t.func is not FuncName.H and t.key not in knowledge:
             _construct(t.key, state)
-        _construct(t.body, state)
-        by = state.emit(_ENC_CLASSIFIER[t.func], (t.body,), t.body._typed, t._typed)
-    state.learn(t, by, walk=False)
+        if t.body not in knowledge:
+            _construct(t.body, state)
+        by = state.emit((_ENC_CLASSIFIER[t.func], t.body._typed, t._typed), (t.body,))
+    # not walked: built from known parts; if t was recovered meanwhile, it stays so
+    knowledge.setdefault(t, by)
 
 
 def _recover(target: Term, state: _State) -> None:
@@ -278,9 +290,9 @@ def _recover(target: Term, state: _State) -> None:
             continue
         erased = step._typed
         if isinstance(step, Pair):
-            by = state.emit(Classifier.C_I, (step,), erased, erased.left, erased.right)
+            by = state.emit((Classifier.C_I, erased, erased.left, erased.right), (step,))
             state.learn(step.left, by, walk=False)
             state.learn(step.right, by, walk=False)
         else:
-            by = state.emit(Classifier.C_D, (step,), erased, erased.body)
+            by = state.emit((Classifier.C_D, erased, erased.body), (step,))
             state.learn(step.body, by, walk=False)

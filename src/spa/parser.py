@@ -9,11 +9,11 @@ are rejected, since nothing can create them; parsing notes each payload's
 atoms as it reads their tokens, finds both in one pass per role over them,
 and keeps the fresh atoms in `ProtocolSpec.fresh`.
 
-Tokenizing is one `re.split` pass that yields the token strings; a token's
-kind shows in its text.  Offsets, lines and columns are worked out only for
-an error, by scanning the source again (`_offsets`).  Terms are read by
-recursive descent over token indices: `_Parser.term` reads one term and
-`_Parser.run` a comma-separated list of them.
+Tokenizing is one `re.findall` pass that yields the token strings; a
+token's kind shows in its text.  Offsets, lines and columns are worked out
+only for an error, by scanning the source again (`_offsets`).  Terms are
+read by recursive descent over token indices: `_Parser.term` reads one term
+and `_Parser.run` a comma-separated list of them.
 """
 
 from __future__ import annotations
@@ -60,11 +60,12 @@ _NOT_NAMES = frozenset(RESERVED | {"", "->", *"{}(),;:"})
 _KIND_WORDS = {"nonce": AtomKind.NONCE, "key": AtomKind.KEY, "data": AtomKind.USERDATA}
 _FUNCS = {"sk": FuncName.SK, "pk": FuncName.PK, "pvk": FuncName.PVK}
 
-# Whitespace and comments are matched too, so that consecutive matches cover
-# the whole source and a gap between them is an unexpected character.  Only a
-# token is captured.  Each alternative is one greedy run with nothing after
-# it, so no input makes the engine backtrack.
-_TOKEN_RE = re.compile(r"\s+|//[^\n]*|([A-Za-z][A-Za-z0-9_]*|->|[{}(),;:])")
+# Each match is a comment, a token, or else one non-space character, which is
+# the lexical error unless it is a token itself (`_ONE_CHAR`); whitespace lies
+# between matches.  Each alternative is one greedy run with nothing after it,
+# so no input makes the engine backtrack.
+_TOKEN_RE = re.compile(r"//[^\n]*|[A-Za-z][A-Za-z0-9_]*|->|\S")
+_ONE_CHAR = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz{}(),;:")
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -75,15 +76,16 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
 def _token_texts(text: str) -> list[str]:
     """The source's tokens as strings, then "" for the end of input.
 
-    One `split` pass: the unmatched gaps sit at the even indices and must all
-    be empty, and the captured tokens at the odd ones (None for whitespace
-    and comments).  A valid token's kind shows in its text: an identifier
-    starts with a letter, and every other token is "->" or one punctuation
-    character."""
-    parts = _TOKEN_RE.split(text)
-    if any(parts[::2]):
-        _offsets(text)  # raises, located at the first gap
-    return [*filter(None, parts[1::2]), ""]
+    One `findall` pass.  A valid token's kind shows in its text: an
+    identifier starts with a letter, and every other token is "->" or one
+    punctuation character."""
+    tokens = _TOKEN_RE.findall(text)
+    if "//" in text:
+        tokens = [t for t in tokens if t[:2] != "//"]
+    if any(len(t) == 1 and t not in _ONE_CHAR for t in set(tokens)):
+        _offsets(text)  # raises, located at the first such character
+    tokens.append("")
+    return tokens
 
 
 def _offsets(text: str) -> list[int]:
@@ -92,16 +94,13 @@ def _offsets(text: str) -> list[int]:
     again for them then; a character that starts no token, whitespace or
     comment is itself the error."""
     offsets = []
-    pos = 0
     for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:
-            break
-        if m.group(1):
-            offsets.append(pos)
-        pos = m.end()
-    if pos != len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))
-    offsets.append(pos)
+        t = m.group()
+        if len(t) == 1 and t not in _ONE_CHAR:
+            raise ParseError(f"unexpected character {t!r}", *_line_col(text, m.start()))
+        if t[:2] != "//":
+            offsets.append(m.start())
+    offsets.append(len(text))
     return offsets
 
 

@@ -28,7 +28,7 @@ import math
 from types import MappingProxyType
 
 from .terms import (Basic, BasicTT, Frozen, FuncName, TEmpty, TEnc, TPair, TTerm, Value,
-                    _hash_consed)
+                    _hash_consed, _object_setattr)
 
 _set_size = TTerm._size.__set__
 
@@ -164,13 +164,18 @@ class SizeModel(Frozen):
         if set(sizes) != set(BasicTT):
             raise ValueError("sizes must cover r, n, k, m")
         values = list(sizes.values()) + [s_hash, blk_in, blk_out, pad]
+        if any(type(v) is bool for v in values):  # True would pass as 1
+            raise TypeError("size-model values must be numbers, not bools")
         if not all(0 < v < math.inf for v in values):  # NaN fails too
             raise ValueError("size-model values must be finite and positive")
         if blk_in <= pad:
             raise ValueError("blk_in must exceed pad")
         # sizes, BasicTT -> bytes, is a private copy
-        self._fill(sizes=MappingProxyType(dict(sizes)), s_hash=s_hash, blk_in=blk_in,
-                   blk_out=blk_out, pad=pad)
+        _object_setattr(self, "sizes", MappingProxyType(dict(sizes)))
+        _object_setattr(self, "s_hash", s_hash)
+        _object_setattr(self, "blk_in", blk_in)
+        _object_setattr(self, "blk_out", blk_out)
+        _object_setattr(self, "pad", pad)
 
 
 def eval_size(e: SizeExpr, model: SizeModel) -> float:

@@ -145,9 +145,9 @@ _object_setattr = object.__setattr__
 
 class Frozen:
     """Base of the read-only objects that are not hash-consed: the cost and
-    size models.  `__init__` sets each field once with `_fill`; assigning
-    or deleting a field afterwards raises, as on a term, so nothing derived
-    from a model's fields can go stale.
+    size models.  `__init__` sets each field once with `_object_setattr`;
+    assigning or deleting a field afterwards raises, as on a term, so
+    nothing derived from a model's fields can go stale.
 
     A subclass lists its constructor's parameters first in its `__slots__`,
     in order, and then its private fields, whose names start with `_`.  A
@@ -157,10 +157,6 @@ class Frozen:
 
     __slots__ = ()
     __setattr__, __delattr__ = _setattr, _delattr
-
-    def _fill(self, **fields):
-        for name, value in fields.items():
-            _object_setattr(self, name, value)
 
     def __reduce__(self):
         args = [getattr(self, name) for name in type(self).__slots__ if name[0] != "_"]

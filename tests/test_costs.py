@@ -473,6 +473,48 @@ def test_affine_and_model_validation():
         model(ov=-1)
 
 
+def test_cost_model_refuses_non_affine_prices():
+    # a float price would pass construction and fail in eval_cost on `.alpha`
+    with pytest.raises(TypeError, match="^funcs must map to Affine prices, not 1.0$"):
+        CostModel({f: 1.0 for f in EXPANDABLE}, 0.1, 0.05, 0.25, model().size_model)
+
+
+def test_model_constructors_refuse_bools():
+    # True == 1 and False == 0 would pass the range checks as numbers
+    with pytest.raises(TypeError, match="^affine coefficients must be numbers, not bools$"):
+        Affine(True, False)
+    with pytest.raises(TypeError, match="^affine coefficients must be numbers, not bools$"):
+        Affine(1.0, False)
+    good = {"sizes": _sizes(), "s_hash": 20, "blk_in": 117, "blk_out": 128, "pad": 11}
+    cases = [{**good, name: True} for name in ("s_hash", "blk_in", "blk_out", "pad")]
+    cases += [{**good, "sizes": {**_sizes(), tt: True}} for tt in BasicTT]
+    for kwargs in cases:
+        with pytest.raises(TypeError, match="^size-model values must be numbers, not bools$"):
+            SizeModel(**kwargs)
+    for name in ("lambda_c", "lambda_p", "ov_h"):
+        kwargs = {"funcs": model().funcs, "lambda_c": 0.1, "lambda_p": 0.05, "ov_h": 0.25,
+                  "size_model": model().size_model, name: False}
+        with pytest.raises(TypeError, match="^constants must be numbers, not bools$"):
+            CostModel(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, live", [
+    ({"max_bytes": True}, {"max_bytes": 1.0}),
+    ({"ignore_overhead": 1}, {"ignore_overhead": True}),
+    ({"ignore_overhead": 0.0}, {"ignore_overhead": False}),
+    ({"ignore_overhead": "no"}, {"ignore_overhead": True}),
+], ids=["bool-bytes", "int-flag", "float-flag", "str-flag"])
+def test_assumption_set_refusal_does_not_depend_on_live_sets(kwargs, live):
+    # kwargs equal the fields of a set held alive (True == 1.0, 1 == True),
+    # which is in the table, or put a string where a bool belongs: the
+    # refusal must not find the live set there
+    held = AssumptionSet(**live)
+    with pytest.raises(TypeError, match="^(ignore_overhead must be a bool: |max_bytes must be "
+                                        "a number, not a bool$)"):
+        AssumptionSet(**kwargs)
+    assert AssumptionSet(**live) is held and held.max_bytes == live.get("max_bytes", 4096.0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_model_constructors_refuse_non_finite_numbers(bad):
     # `x < 0` is false for NaN, so a sign test alone let NaN through and

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spa.extraction
+import spa.terms
 from spa import extract, parse, project
 from spa.errors import Ungeneratable, Unrecoverable
 from spa.oracle import op_count_oracle
@@ -16,6 +17,7 @@ from spa.strands import Classifier, KStrand, render_kstrand, validate_op_strand
 from spa.terms import (
     Atom,
     AtomKind,
+    Empty,
     Enc,
     FuncName,
     Pair,
@@ -181,6 +183,36 @@ def test_sealed_nonce_not_regenerated():
     s = KStrand((B, Enc(NA, FuncName.PK, K)), B, (SignedTerm(1, NA),))
     with pytest.raises(Unrecoverable):
         extract(s)
+
+
+@pytest.mark.parametrize("func", [FuncName.H, FuncName.PK])
+def test_sealed_nonce_beside_exposed_sibling_not_regenerated(func):
+    # the walk for a sealed cipher's atoms starts below the cipher and stops
+    # only at known or exposed terms: D is exposed, the pair (D, N_a) under
+    # the cipher is not, so N_a is found sealed
+    sealed = Enc(Pair(D, NA), func, Empty() if func is FuncName.H else K)
+    s = KStrand((B, Pair(D, sealed)), B, (SignedTerm(1, NA),))
+    with pytest.raises(Unrecoverable, match="^B holds N_a only sealed"):
+        extract(s)
+
+
+def test_extract_walks_no_cipher_whole(monkeypatch):
+    # a sealed cipher's atoms are collected by a walk that stops at known
+    # and exposed terms, never by `atoms_of` over the whole cipher
+    strands = [s for spec in [chain_spec(24, 4)] + [parse(read(p)) for p in CORPUS]
+               for s in project(spec).strands]
+    walk = spa.terms.atoms_of
+    walked = []
+
+    def counted(t):
+        walked.append(t)
+        return walk(t)
+
+    for module in (spa.terms, spa.extraction):
+        monkeypatch.setattr(module, "atoms_of", counted, raising=False)
+    for s in strands:
+        extract(s)
+    assert walked == []
 
 
 def test_data_and_roles_ungeneratable():
