@@ -35,8 +35,8 @@ from collections import Counter
 from operator import attrgetter
 from types import MappingProxyType
 
-from .sizes import SizeModel, Sum, TypeSize, contains_hash, delta, eval_size, render_size
-from .strands import OPS, Classifier, CostFunc, StrandSpace, TStrand, validate_op_strand
+from .sizes import SizeExpr, SizeModel, Sum, TypeSize, contains_hash, delta, eval_size, render_size
+from .strands import OPS, Classifier, CostFunc, StrandSpace, TStrand
 from .terms import Frozen, Value, _hash_consed, _object_setattr
 
 
@@ -55,6 +55,7 @@ EXPANDABLE = (
     CostFunc.F_NG,
     CostFunc.F_S,
 )
+_EXPANDABLE = frozenset(EXPANDABLE)  # the keys of every CostModel's funcs
 
 
 class CostTerm(Value):
@@ -68,7 +69,7 @@ _set_order = CostTerm._order.__set__
 
 @_hash_consed
 class App(CostTerm):
-    __slots__ = {"func": "a CostFunc", "args": "a tuple of SizeExprs"}
+    __slots__ = {"func": CostFunc, "args": tuple[SizeExpr, ...]}
 
     def _check(self):
         want = 2 if self.func is CostFunc.F_C else 1
@@ -105,13 +106,8 @@ _FOLDED = {cls.func: cls() for cls in (LambdaC, LambdaP)}
 
 @_hash_consed
 class Overhead(CostTerm):
-    __slots__ = {"sign": "+1 or -1"}
+    __slots__ = {"sign": int}  # +1 or -1
     func = None  # no function applied
-
-    def __new__(cls, sign):
-        if type(sign) is not int:  # True == 1 would find a live term
-            raise ValueError("sign must be +1 or -1")
-        return cls._new(cls, sign)
 
     def _check(self):
         if self.sign not in (1, -1):
@@ -124,13 +120,7 @@ _MINUS_OV = Overhead(-1)  # what each expansion leaves behind
 
 @_hash_consed
 class CostExpr(Value):
-    __slots__ = {"terms": "a tuple of distinct (CostTerm, multiplicity >= 1) pairs"}
-
-    def __new__(cls, terms):
-        # True == 1 would find a live expression; builders of ints call `_new`
-        for _, mult in terms:
-            _check_mult(mult)
-        return cls._new(cls, terms)
+    __slots__ = {"terms": tuple[tuple[CostTerm, int], ...]}
 
     def _check(self):
         if any(mult < 1 for _, mult in self.terms):
@@ -139,21 +129,17 @@ class CostExpr(Value):
             raise ValueError("terms must be distinct")
 
 
-def _check_mult(mult):
-    if type(mult) is not int:
-        raise ValueError(f"multiplicities must be ints: {mult!r}")
-
-
 def cost_expr(items) -> CostExpr:
     """Merge (term, multiplicity) or bare terms in first-occurrence order."""
     merged: dict[CostTerm, int] = {}
     for item in items:
         term, mult = item if isinstance(item, tuple) else (item, 1)
-        _check_mult(mult)
+        if type(mult) is not int:  # 0.0 would be skipped, and True merged as 1
+            raise TypeError(f"cost_expr multiplicities must be int, not {type(mult).__name__}")
         if mult == 0:
             continue
         merged[term] = merged.get(term, 0) + mult
-    return CostExpr._new(CostExpr, tuple(merged.items()))
+    return CostExpr(tuple(merged.items()))
 
 
 def cost_of_space(space: StrandSpace) -> CostExpr:
@@ -166,11 +152,11 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
     order), then processing terms.
 
     One strand object may stand at several positions of a space, as
-    `extract`'s operations of one shape do.  Each strand object is
-    validated and priced once, with its number of positions as
-    multiplicity; `sizes.delta` sizes each typed term once while it lives.
-    Equal terms merge at their first position, so the result equals pricing
-    strand by strand.
+    `extract`'s operations of one shape do.  Each strand object is priced
+    once, with its number of positions as multiplicity, and its shape was
+    checked when it was built; `sizes.delta` sizes each typed term once
+    while it lives.  Equal terms merge at their first position, so the
+    result equals pricing strand by strand.
     """
     terms: dict[CostTerm, int] = {}
     procs: dict = {}  # positive typed payload -> count
@@ -180,7 +166,6 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
             raise TypeError(f"not a typed strand: {s!r}")
         if s.classifier is Classifier.C_P:
             continue
-        validate_op_strand(s)
         op = OPS[s.classifier]
         term = App(op.cost, tuple([delta(s.seq[i - 1].payload) for i in op.sized]))
         terms[term] = terms.get(term, 0) + n
@@ -190,13 +175,13 @@ def cost_of_space(space: StrandSpace) -> CostExpr:
     for t, n in procs.items():
         term = App(CostFunc.F_P, (delta(t),))
         terms[term] = terms.get(term, 0) + n
-    return CostExpr._new(CostExpr, tuple(terms.items()))
+    return CostExpr(tuple(terms.items()))
 
 
 def simplify(e: CostExpr) -> CostExpr:
     """Fold concatenation and processing applications into their constants,
     merge like terms, order canonically."""
-    return CostExpr._new(CostExpr, tuple(_simplified(e.terms).items()))
+    return CostExpr(tuple(_simplified(e.terms).items()))
 
 
 def _simplified(terms) -> dict:
@@ -297,18 +282,10 @@ _set_closure = _Dominance._closure.__set__
 
 @_hash_consed
 class AssumptionSet(_Dominance):
-    __slots__ = ("ignore_overhead", "dominance", "max_bytes")
+    __slots__ = {"ignore_overhead": bool, "dominance": tuple[tuple[CostFunc, CostFunc], ...],
+                 "max_bytes": (int, float)}
     _defaults = (True, ((CostFunc.F_PK, CostFunc.F_H), (CostFunc.F_PK, CostFunc.F_SK)),
                  4096.0)
-
-    def __new__(cls, ignore_overhead=_defaults[0], dominance=_defaults[1],
-                max_bytes=_defaults[2]):
-        # 1 == True == 1.0 would find a live set, and a hit skips `_check`
-        if type(ignore_overhead) is not bool:
-            raise TypeError(f"ignore_overhead must be a bool: {ignore_overhead!r}")
-        if type(max_bytes) is bool:
-            raise TypeError("max_bytes must be a number, not a bool")
-        return cls._new(cls, ignore_overhead, dominance, max_bytes)
 
     def _check(self):
         closure = _transitive_closure(self.dominance)
@@ -354,7 +331,7 @@ class CostModel(Frozen):
 
     def __init__(self, funcs: dict, lambda_c: float, lambda_p: float, ov_h: float,
                  size_model: SizeModel):
-        if set(funcs) != set(EXPANDABLE):
+        if set(funcs) != _EXPANDABLE:
             raise ValueError("funcs must cover exactly the size-dependent functions")
         for f in funcs.values():
             if not isinstance(f, Affine):
@@ -596,7 +573,7 @@ def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTION
 def _residual(side: dict) -> CostExpr:
     # a side's terms are merged already, each with multiplicity >= 1
     terms = tuple([(term, side[term]) for term in sorted(side, key=_ORDER)])
-    return CostExpr._new(CostExpr, terms)
+    return CostExpr(terms)
 
 
 def _per_func(side: dict) -> dict:

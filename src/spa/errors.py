@@ -41,7 +41,7 @@ class Unrecoverable(SpaError):
     """A needed subterm is locked inside a term that cannot be opened."""
 
 
-class ShapeViolation(SpaError):
+class ShapeViolation(SpaError, ValueError):
     """An operation strand does not match its classifier's shape."""
 
 

@@ -106,7 +106,7 @@ def _offsets(text: str) -> list[int]:
 
 @_hash_consed
 class Message(Value):
-    __slots__ = {"sender": "a role Atom", "recipient": "a role Atom", "payload": "a Term"}
+    __slots__ = {"sender": Atom, "recipient": Atom, "payload": Term}
 
 
 class ProtocolSpec:

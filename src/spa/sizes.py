@@ -31,6 +31,7 @@ from .terms import (Basic, BasicTT, Frozen, FuncName, TEmpty, TEnc, TPair, TTerm
                     _hash_consed, _object_setattr)
 
 _set_size = TTerm._size.__set__
+_BASIC_TYPES = frozenset(BasicTT)  # the keys of every SizeModel's sizes
 
 
 class SizeExpr(Value):
@@ -39,7 +40,7 @@ class SizeExpr(Value):
 
 @_hash_consed
 class TypeSize(SizeExpr):
-    __slots__ = {"tt": "a BasicTT"}
+    __slots__ = {"tt": BasicTT}
 
 
 @_hash_consed
@@ -49,20 +50,12 @@ class HashSize(SizeExpr):
 
 @_hash_consed
 class AsymSize(SizeExpr):
-    __slots__ = {"arg": "a SizeExpr"}
+    __slots__ = {"arg": SizeExpr}
 
 
 @_hash_consed
 class Sum(SizeExpr):
-    __slots__ = {"items": "(coefficient, non-Sum unit) pairs, in normal form"}
-
-    def __new__(cls, items):
-        # True == 1 and 2.0 == 2 would find a live sum; `ssum` builds ints
-        # and calls `_new`
-        for coeff, _ in items:
-            if type(coeff) is not int:
-                raise ValueError(f"not a normal sum: {items!r}")
-        return cls._new(cls, items)
+    __slots__ = {"items": tuple[tuple[int, SizeExpr], ...]}
 
     def _check(self):
         # a lone unit with coefficient 1 is the bare unit, not a sum
@@ -81,7 +74,6 @@ class Sum(SizeExpr):
 
 
 ZERO = Sum(())
-_sum = Sum._new
 
 
 def ssum(parts) -> SizeExpr:
@@ -99,7 +91,7 @@ def ssum(parts) -> SizeExpr:
         return ZERO
     if len(items) == 1 and items[0][1] == 1:
         return items[0][0]
-    return _sum(Sum, tuple((coeff, unit) for unit, coeff in items))
+    return Sum(tuple((coeff, unit) for unit, coeff in items))
 
 
 def delta(t: TTerm) -> SizeExpr:
@@ -161,7 +153,7 @@ class SizeModel(Frozen):
     __slots__ = ("sizes", "s_hash", "blk_in", "blk_out", "pad")
 
     def __init__(self, sizes: dict, s_hash: float, blk_in: float, blk_out: float, pad: float):
-        if set(sizes) != set(BasicTT):
+        if set(sizes) != _BASIC_TYPES:
             raise ValueError("sizes must cover r, n, k, m")
         values = list(sizes.values()) + [s_hash, blk_in, blk_out, pad]
         if any(type(v) is bool for v in values):  # True would pass as 1

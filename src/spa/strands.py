@@ -20,13 +20,16 @@ Shape checking, pricing (`costs.cost_of_space`) and strand emission
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 
 from .errors import ShapeViolation
 from .terms import (
+    Atom,
     AtomKind,
     Basic,
     BasicTT,
     FuncName,
+    SignedTerm,
     TEnc,
     TPair,
     Term,
@@ -67,7 +70,8 @@ class CostFunc(enum.Enum):
 
 @_hash_consed
 class KStrand(Value):
-    __slots__ = ("knowledge", "participant", "seq", "fresh")
+    __slots__ = {"knowledge": tuple[Term, ...], "participant": Atom,
+                 "seq": tuple[SignedTerm, ...], "fresh": frozenset}
     _defaults = (frozenset(),)
 
     def _check(self):
@@ -87,20 +91,23 @@ class KStrand(Value):
 
 @_hash_consed
 class TStrand(Value):
-    __slots__ = ("classifier", "participant", "seq")
+    __slots__ = {"classifier": Classifier, "participant": Atom, "seq": tuple[SignedTerm, ...]}
 
     def _check(self):
         if self.participant.kind is not AtomKind.PARTICIPANT:
             raise ValueError("participant must be a participant atom")
         if not self.seq:
             raise ValueError("event sequence must be nonempty")
+        if self.classifier is not Classifier.C_P:
+            validate_op_strand(self)
 
 
 @_hash_consed
 class StrandSpace(Value):
     # `comm`: communication edges (transmitting node, receiving node); a node
     # is its position (strand, event): strands count from 0, events from 1
-    __slots__ = ("strands", "comm")
+    __slots__ = {"strands": tuple[(KStrand, TStrand), ...],
+                 "comm": tuple[tuple[tuple[int, int], tuple[int, int]], ...]}
     _defaults = ((),)
 
 
@@ -141,12 +148,12 @@ class Op(Value):
     """An operation's shape and cost; positions count events from 1."""
 
     __slots__ = {
-        "signs": "the sign of each event, in order",
-        "cost": "a CostFunc",
-        "sized": "the positions whose payload sizes `cost` takes",
-        "position": "the payload `check` constrains, where a violation is reported",
-        "check": "a condition on (payload, whole event sequence)",
-        "expected": "what the payload at `position` must be",
+        "signs": tuple[int, ...],  # the sign of each event, in order
+        "cost": CostFunc,
+        "sized": tuple[int, ...],  # the positions whose payload sizes `cost` takes
+        "position": int,  # the payload `check` constrains, where a violation is reported
+        "check": Callable,  # a condition on (payload, whole event sequence)
+        "expected": str,  # what the payload at `position` must be
     }
 
 

@@ -16,15 +16,16 @@ through it: terms and signed terms here, size expressions (`sizes`),
 strands, strand spaces and `Op` rows (`strands`), messages (`parser`),
 and cost terms, cost expressions and assumption sets (`costs`).
 
-A hash-consed class derives from `Value` and lists its fields once, in its
-`__slots__`, and `_hash_consed` generates its constructor, `__new__`, whose
-parameters are those fields, so Python binds positional, keyword and mixed
-calls and refuses bad ones.  Defaults of its last fields, if any, are its
-`_defaults` tuple.  Fields key the table, so they must be hashable: a list
-where a tuple belongs raises `TypeError`.  A call runs in one Python frame
-(plus `_check`, where a class checks its fields): a hit is one table
-lookup, and a miss fills the new term through its slot descriptors.
-Parsing fresh input builds mostly new terms, so it pays for the miss.
+A hash-consed class derives from `Value` and maps each field to its
+contract in its `__slots__`.  `_hash_consed` generates its constructor,
+`__new__`, whose parameters are those fields, so Python binds positional,
+keyword and mixed calls and refuses bad ones, and whose checks refuse a
+field that does not meet its contract (see `_hash_consed`).  Defaults of
+its last fields, if any, are its `_defaults` tuple.  A hit is one table
+lookup in one Python frame; a miss fills the new term through its slot
+descriptors, then enters it, after `_check` where a class checks
+structural invariants.  Parsing fresh input builds mostly new terms, so it
+pays for the miss.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import enum
 import re
 import weakref
 from functools import cache
-from types import MappingProxyType
+from types import GenericAlias, MappingProxyType
 from _weakref import _remove_dead_weakref
 
 
@@ -67,56 +68,70 @@ class _Ref(weakref.ref):
     __slots__ = ("key",)
 
 
-# Source of the constructor `_hash_consed` gives every class with a given
-# number of fields, made by a factory whose parameters it reads as closure
-# cells.  Its parameters after `_cls` are the fields, in `__slots__` order,
-# under the generic names `_0`, `_1` and so on; `_hash_consed` renames them
-# to the field names in each class's copy of the code, so Python binds
-# keywords and words its binding errors by field.  `{fields}` fills a new
-# term, `_set0(_t, _0)` and so on, each `_setN` the `__set__` of a field's
-# slot descriptor, then it runs `_check(_t)`, the class's `_check`, unless
-# that cell is None.  `_drop`, the callback of a term's `_Ref`, removes its
-# entry with `_remove`, the C helper WeakValueDictionary uses: it deletes
-# the entry only while it holds a dead reference, in one step, so it never
-# drops a term another thread built after this one died.
+# Source of a hash-consed class's constructor, run in a scope of its own
+# whose globals are the names it reads besides its parameters.  Those after
+# `_cls` are the fields, in `__slots__` order, named `_0`, `_1` and so on;
+# `_hash_consed` renames them to the field names in each class's copy of
+# the code, so Python binds keywords and words its binding errors by field.
+# `{early}` and `{late}` check the fields against their contracts (see
+# `_checks`).  `{fields}` fills a new term, each `_setN` the `__set__` of a
+# field's slot descriptor, and `_enter` (see `_enterer`) enters it.
 _NEW = """\
-def _constructor(_new, _get, _setdefault, _table, _Ref, _remove, _check{cells}):
-    def _drop(_ref):
-        _remove(_table, _ref.key)
-
-    def __new__(_cls{params}):
-        _key = ({key})
-        _ref = _get(_key)
-        if _ref is not None and (_t := _ref()) is not None:
-            return _t
-        _t = _new(_cls)
-{fields}
-        if _check is not None:
-            _check(_t)
-        _entry = _Ref(_t, _drop)
-        _entry.key = _key
-        while (_ref := _setdefault(_key, _entry)) is not _entry:
-            if (_live := _ref()) is not None:
-                return _live
-            _remove(_table, _key)
+def __new__(_cls{params}):
+{early}
+    _key = ({key})
+    _ref = _get(_key)
+    if _ref is not None and (_t := _ref()) is not None:
         return _t
-    return __new__
+{late}
+    _t = _new(_cls)
+{fields}
+    return _enter(_t, _key)
 """
 
 
-@cache
-def _constructor(arity: int):
-    """The factory of `_NEW` for `arity` fields, compiled once per arity."""
-    indices = range(arity)
-    src = _NEW.format(
-        cells="".join(f", _set{i}" for i in indices),
-        params="".join(f", _{i}" for i in indices),
-        key="".join(f"_{i}, " for i in indices),
-        fields="\n".join(f"        _set{i}(_t, _{i})" for i in indices),
-    )
-    made = {}
-    exec(compile(src, "<hash-consed>", "exec"), {}, made)
-    return made["_constructor"]
+_compiled = cache(compile)  # classes whose contracts have one shape share a `_NEW`
+
+
+def _checks(contract, value: str, field: int, kinds: list, indent: str = "    ") -> list:
+    """Lines of `_NEW` that raise `_refused(...)` unless `value`, field
+    number `field` or an item of it, meets `contract`: a class, a tuple of
+    classes, or `tuple[X, ...]` or `tuple[X, Y]` of those.  The Nth class
+    or tuple of classes they name is the global `_kN`, the Nth of `kinds`.
+    A `tuple[X, ...]` is checked by a `for` loop, not a comprehension,
+    which would be a function call of its own before Python 3.12."""
+    fail = f"{indent}    raise _refused(_cls, {field}, _{field})"
+    if type(contract) is not GenericAlias:
+        kinds.append(contract)
+        classes = contract if type(contract) is tuple else (contract,)
+        test = f"not isinstance({value}, _k{len(kinds) - 1})"
+        if int in classes and bool not in classes:  # a bool never meets int
+            test += f" or {value} is True or {value} is False"
+        return [f"{indent}if {test}:", fail]
+    args = contract.__args__
+    if args[1:] == (...,):
+        item = f"_e{len(indent)}"  # one loop variable per depth
+        return [f"{indent}if not isinstance({value}, tuple):", fail,
+                f"{indent}for {item} in {value}:",
+                *_checks(args[0], item, field, kinds, indent + "    ")]
+    lines = [f"{indent}if not isinstance({value}, tuple) or len({value}) != {len(args)}:", fail]
+    for i, arg in enumerate(args):
+        lines += _checks(arg, f"{value}[{i}]", field, kinds, indent)
+    return lines
+
+
+def _refused(cls, field: int, value) -> TypeError:
+    name, contract = list(cls.__slots__.items())[field]
+    return TypeError(f"{cls.__qualname__}.{name} must be {_shown(contract)}, "
+                     f"not {type(value).__name__}")
+
+
+def _shown(contract) -> str:
+    if type(contract) is GenericAlias:
+        return f"tuple[{', '.join(map(_shown, contract.__args__))}]"
+    if type(contract) is tuple:
+        return " | ".join(map(_shown, contract))
+    return "..." if contract is ... else contract.__name__
 
 
 def _reduce(t):
@@ -163,39 +178,79 @@ class Frozen:
         return type(self), tuple(dict(a) if type(a) is MappingProxyType else a for a in args)
 
 
+def _enterer(table, check):
+    """The end of a miss for a class whose table is `table`: run `check`,
+    the class's `_check` or None, on the new term and enter it under `key`,
+    by `setdefault`, one step, so threads that race to build a term all get
+    the one that entered first.  `drop`, the callback of a term's `_Ref`,
+    removes its entry with `remove`, the C helper WeakValueDictionary uses:
+    it deletes the entry only while it holds a dead reference, in one step,
+    so it never drops a term another thread built after this one died.  A
+    local, not the module global, so terms that die at exit still go."""
+    setdefault, remove = table.setdefault, _remove_dead_weakref
+
+    def drop(ref):
+        remove(table, ref.key)
+
+    def enter(t, key):
+        if check is not None:
+            check(t)
+        entry = _Ref(t, drop)
+        entry.key = key
+        while (ref := setdefault(key, entry)) is not entry:
+            if (live := ref()) is not None:
+                return live
+            remove(table, key)
+        return t
+    return enter
+
+
 def _hash_consed(cls):
     """Make constructing a term of cls return the live term with equal
     fields if there is one, so identity equality and `object.__hash__` are
     value equality and a hash of it.
 
-    cls lists its fields in its `__slots__`, and its `_defaults`, if any,
-    default the last fields.  Its generated constructor has one parameter
-    per field: a hit is one lookup, and a miss sets the fields through their
-    slot descriptors in the `__new__` frame, then runs `_check`, if cls has
-    one.  A new term enters its table by `setdefault`, one step, so threads
-    that race to build a term all get the one that entered first; a term
-    whose `_check` raised never enters.  A hit skips `_check`, and `True ==
-    1 == 1.0`, so a cls whose fields may hold such numbers defines `__new__`
-    to refuse them on every call; it calls the generated one, `cls._new`.
-    Terms are read-only, show their fields in `repr`, and pickle and copy
-    as the canonical term."""
-    names = tuple(cls.__slots__)
+    cls maps each field to its contract in its `__slots__`: a class, a
+    tuple of classes (any one of them), or `tuple[X, ...]` or `tuple[X, Y]`
+    of those.  A value meets a contract by `isinstance`, except that a bool
+    never meets int or float; one that does not is a one-line `TypeError`
+    naming the class, the field, the contract and the type passed.  A list
+    where a tuple belongs is one too.  The generated constructor checks
+    each field inline: a field that may hold a number before the lookup,
+    as `True == 1 == 1.0`, and any other on a miss, before `_check`, as no
+    value of another type equals a live one.  A term whose check raised
+    never enters its table.  Terms are read-only, show their fields in
+    `repr`, and pickle and copy as the canonical term."""
+    contracts = cls.__slots__ or {}
+    names = tuple(contracts)
+    early, late, kinds = [], [], []
+    for i, contract in enumerate(contracts.values()):
+        start = len(kinds)
+        lines = _checks(contract, f"_{i}", i, kinds)
+        # True == 1 == 1.0, so a field that may hold a number is checked
+        # before the lookup; no other value equals a live one of another type
+        numbers = any({int, float, bool}.intersection(k if type(k) is tuple else (k,))
+                      for k in kinds[start:])
+        (early if numbers else late).extend(lines)
     table = _TABLES[cls] = {}
-    __new__ = _constructor(len(names))(
-        object.__new__, table.get, table.setdefault, table, _Ref,
-        _remove_dead_weakref, cls.__dict__.get("_check"),
-        *[cls.__dict__[name].__set__ for name in names],
-    )
+    scope = {"_new": object.__new__, "_get": table.get, "_refused": _refused,
+             "_enter": _enterer(table, cls.__dict__.get("_check")),
+             **{f"_k{i}": kind for i, kind in enumerate(kinds)},
+             **{f"_set{i}": cls.__dict__[name].__set__ for i, name in enumerate(names)}}
+    indices = range(len(names))
+    exec(_compiled(_NEW.format(
+        params="".join(f", _{i}" for i in indices), key="".join(f"_{i}, " for i in indices),
+        early="\n".join(early), late="\n".join(late),
+        fields="\n".join(f"    _set{i}(_t, _{i})" for i in indices),
+    ), "<hash-consed>", "exec"), scope)
+    __new__ = scope["__new__"]
     code = __new__.__code__
     __new__.__code__ = code.replace(
         co_varnames=("_cls", *names) + code.co_varnames[1 + len(names):]
     )
     __new__.__qualname__ = f"{cls.__qualname__}.__new__"
     __new__.__defaults__ = cls.__dict__.get("_defaults")
-    if "__new__" in cls.__dict__:
-        cls._new = staticmethod(__new__)
-    else:
-        cls.__new__ = staticmethod(__new__)
+    cls.__new__ = staticmethod(__new__)
     cls.__setattr__, cls.__delattr__, cls.__repr__ = _setattr, _delattr, _repr
     # pickles and copies are the canonical term
     cls.__reduce__, cls.__copy__, cls.__deepcopy__ = _reduce, _same, _same
@@ -228,44 +283,33 @@ class Empty(Term):
 
 @_hash_consed
 class Atom(Term):
-    __slots__ = {"kind": "an AtomKind", "label": "an identifier"}
+    __slots__ = {"kind": AtomKind, "label": str}
 
     def _check(self):
         if not _IDENT_RE.match(self.label):
             raise ValueError(f"bad atom label: {self.label!r}")
-        if type(self.kind) is not AtomKind:
-            raise TypeError(f"not an atom kind: {self.kind!r}")
         _set_typed(self, _KIND_TO_BASIC[self.kind])
 
 
 @_hash_consed
 class Pair(Term):
-    __slots__ = {"left": "a Term", "right": "a Term"}
+    __slots__ = {"left": Term, "right": Term}
 
-    def _check(self):
-        try:  # children are built first, so theirs are set
-            _set_typed(self, TPair(self.left._typed, self.right._typed))
-        except AttributeError:
-            raise TypeError(f"pair parts must be terms: {self.left!r}, {self.right!r}") from None
+    def _check(self):  # children are built first, so theirs are set
+        _set_typed(self, TPair(self.left._typed, self.right._typed))
 
 
 @_hash_consed
 class Enc(Term):
-    __slots__ = {"body": "a Term", "func": "a FuncName", "key": "a key Atom, or Empty for h"}
+    __slots__ = {"body": Term, "func": FuncName, "key": (Atom, Empty)}
 
     def _check(self):
-        if type(self.func) is not FuncName:
-            raise TypeError(f"not a cipher function: {self.func!r}")
         if self.func is FuncName.H:
             if not isinstance(self.key, Empty):
                 raise ValueError("hash terms take an empty key")
-        else:
-            if not (isinstance(self.key, Atom) and self.key.kind is AtomKind.KEY):
-                raise ValueError(f"{self.func.value} key must be a key atom")
-        try:
-            _set_typed(self, TEnc(self.body._typed, self.func))
-        except AttributeError:
-            raise TypeError(f"cipher body must be a term: {self.body!r}") from None
+        elif not (isinstance(self.key, Atom) and self.key.kind is AtomKind.KEY):
+            raise ValueError(f"{self.func.value} key must be a key atom")
+        _set_typed(self, TEnc(self.body._typed, self.func))
 
 
 class BasicTT(enum.Enum):
@@ -291,17 +335,17 @@ class TEmpty(TTerm):
 
 @_hash_consed
 class Basic(TTerm):
-    __slots__ = {"tt": "a BasicTT"}
+    __slots__ = {"tt": BasicTT}
 
 
 @_hash_consed
 class TPair(TTerm):
-    __slots__ = {"left": "a TTerm", "right": "a TTerm"}
+    __slots__ = {"left": TTerm, "right": TTerm}
 
 
 @_hash_consed
 class TEnc(TTerm):
-    __slots__ = {"body": "a TTerm", "func": "a FuncName"}
+    __slots__ = {"body": TTerm, "func": FuncName}
 
 
 _KIND_TO_BASIC = {kind: Basic(tt) for kind, tt in zip(AtomKind, BasicTT)}  # r, n, k, m
@@ -309,12 +353,7 @@ _KIND_TO_BASIC = {kind: Basic(tt) for kind, tt in zip(AtomKind, BasicTT)}  # r, 
 
 @_hash_consed
 class SignedTerm(Value):
-    __slots__ = {"sign": "+1 or -1", "payload": "a nonempty Term or TTerm"}
-
-    def __new__(cls, sign, payload):
-        if type(sign) is not int:  # True == 1 would find a live term
-            raise ValueError("sign must be +1 or -1")
-        return cls._new(cls, sign, payload)
+    __slots__ = {"sign": int, "payload": (Term, TTerm)}
 
     def _check(self):
         if self.sign not in (1, -1):

@@ -390,9 +390,9 @@ def test_import_leaves_out_dataclasses_inspect_and_typing():
     assert out == "[]\n"
 
 
-def test_import_compiles_one_constructor_per_field_count():
-    # hash-consed classes with equal numbers of fields share one compiled
-    # constructor, whatever their field names
+def test_import_compiles_one_constructor_per_contract_shape():
+    # hash-consed classes whose fields have contracts of one shape share one
+    # compiled constructor, whatever their field names and classes
     probe = (
         "import builtins, sys\n"
         "compile = builtins.compile; names = []\n"
@@ -402,15 +402,16 @@ def test_import_compiles_one_constructor_per_field_count():
         "builtins.compile = counted\n"
         "import spa, spa.cli; spa.load_config(sys.argv[1])\n"
         "from spa.terms import _TABLES\n"
-        "print(names.count('<hash-consed>'), len({len(c.__slots__) for c in _TABLES}),"
+        "codes = [c.__new__.__code__ for c in _TABLES]\n"
+        "print(names.count('<hash-consed>'), len({(k.co_code, k.co_consts) for k in codes}),"
         " len(_TABLES))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe, DEFAULT_CONFIG], cwd=ROOT / "src",
         capture_output=True, text=True, check=True,
     ).stdout
-    compiled, field_counts, classes = map(int, out.split())
-    assert compiled == field_counts < classes
+    compiled, shapes, classes = map(int, out.split())
+    assert compiled == shapes < classes
 
 
 def test_unencodable_output_is_one_io_error_line():

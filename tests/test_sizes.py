@@ -91,8 +91,6 @@ def test_normal_sums_are_accepted():
     [
         ((2, SN), (0, SR)),  # zero coefficient
         ((3, SN), (-1, SR)),  # negative coefficient
-        ((2.0, SN),),  # float coefficient
-        ((True, SN), (True, SR)),  # bool coefficient
         ((1, SN), (2, SR)),  # coefficients increase
         ((1, SN), (1, SN)),  # repeated unit
         ((2, SN), (1, SN)),  # repeated unit, coefficients in order
@@ -104,21 +102,6 @@ def test_non_normal_sums_are_refused(items):
     assert not normal_items(items)
     with pytest.raises(ValueError, match="not a normal sum"):
         Sum(items)
-
-
-@pytest.mark.parametrize("items, live", [
-    (((True, SN), (True, SR)), ((1, SN), (1, SR))),
-    (((2.0, SN),), ((2, SN),)),
-    (((3, SN), (1.0, SH)), ((3, SN), (1, SH))),
-], ids=["bool", "float", "mixed"])
-def test_refusal_does_not_depend_on_live_sums(items, live):
-    # items equal a normal sum (True == 1, 2.0 == 2): held alive, that sum
-    # is in the table, and the refusal must not find it there
-    held = Sum(live)
-    assert held.items == items and all(type(c) is int for c, _ in held.items)
-    with pytest.raises(ValueError, match="not a normal sum"):
-        Sum(items)
-    assert Sum(live) is held and ssum([held]) is held
 
 
 def test_denormal_sums_are_refused():

@@ -19,6 +19,7 @@ from spa.strands import (
     validate_op_strand,
 )
 from spa.terms import (
+    _TABLES,
     Atom,
     AtomKind,
     Basic,
@@ -156,42 +157,46 @@ def test_op_shapes_accepted():
                            SignedTerm(1, n), SignedTerm(1, r)))
 
 
-# (strand, its ShapeViolation message)
+# (classifier and events, the ShapeViolation building the strand raises)
 REJECTED = [
-    (_op(Classifier.C_E, SignedTerm(-1, n), SignedTerm(1, TEnc(n, FuncName.PK))),
+    ((Classifier.C_E, SignedTerm(-1, n), SignedTerm(1, TEnc(n, FuncName.PK))),
      "C_E: position 2 must be the input wrapped with sk"),  # wrong function
-    (_op(Classifier.C_H, SignedTerm(-1, n), SignedTerm(1, TEnc(k, FuncName.H))),
+    ((Classifier.C_H, SignedTerm(-1, n), SignedTerm(1, TEnc(k, FuncName.H))),
      "C_H: position 2 must be the input wrapped with h"),  # body mismatch
-    (_op(Classifier.C_K, SignedTerm(1, k), SignedTerm(1, k)),
+    ((Classifier.C_K, SignedTerm(1, k), SignedTerm(1, k)),
      "C_K: position 0 must be a sequence of 1 events"),  # wrong arity
-    (_op(Classifier.C_I, SignedTerm(-1, TPair(n, r))),
+    ((Classifier.C_I, SignedTerm(-1, TPair(n, r))),
      "C_I: position 0 must be a sequence of 3 events"),
-    (_op(Classifier.C_N, SignedTerm(1, k)),
+    ((Classifier.C_N, SignedTerm(1, k)),
      "C_N: position 1 must be a nonce type"),  # wrong basic type
-    (_op(Classifier.C_K, SignedTerm(1, n)),
+    ((Classifier.C_K, SignedTerm(1, n)),
      "C_K: position 1 must be a key type"),
-    (_op(Classifier.C_K, SignedTerm(-1, k)),
+    ((Classifier.C_K, SignedTerm(-1, k)),
      "C_K: position 1 must be a transmission"),  # reception where transmission expected
-    (_op(Classifier.C_C, SignedTerm(-1, n), SignedTerm(1, r), SignedTerm(1, TPair(n, r))),
+    ((Classifier.C_C, SignedTerm(-1, n), SignedTerm(1, r), SignedTerm(1, TPair(n, r))),
      "C_C: position 2 must be a reception"),
-    (_op(Classifier.C_C, SignedTerm(-1, n), SignedTerm(-1, r), SignedTerm(1, TPair(r, n))),
+    ((Classifier.C_C, SignedTerm(-1, n), SignedTerm(-1, r), SignedTerm(1, TPair(r, n))),
      "C_C: position 3 must be the pair of the two inputs"),  # pair is not of the inputs
-    (_op(Classifier.C_I, SignedTerm(-1, TPair(n, r)), SignedTerm(1, r), SignedTerm(1, n)),
+    ((Classifier.C_I, SignedTerm(-1, TPair(n, r)), SignedTerm(1, r), SignedTerm(1, n)),
      "C_I: position 1 must be the pair of the two outputs"),
-    (_op(Classifier.C_D, SignedTerm(-1, TEnc(n, FuncName.PK)), SignedTerm(1, n)),
+    ((Classifier.C_D, SignedTerm(-1, TEnc(n, FuncName.PK)), SignedTerm(1, n)),
      "C_D: position 1 must be an sk term whose body is the output"),
-    (_op(Classifier.C_D, SignedTerm(1, TEnc(n, FuncName.SK)), SignedTerm(-1, n)),
+    ((Classifier.C_D, SignedTerm(1, TEnc(n, FuncName.SK)), SignedTerm(-1, n)),
      "C_D: position 1 must be a reception"),
-    (_op(Classifier.C_PVK, SignedTerm(-1, n), SignedTerm(-1, TEnc(n, FuncName.PVK))),
+    ((Classifier.C_PVK, SignedTerm(-1, n), SignedTerm(-1, TEnc(n, FuncName.PVK))),
      "C_PVK: position 2 must be a transmission"),
 ]
 
 
-@pytest.mark.parametrize("strand, message", REJECTED, ids=[m for _, m in REJECTED])
-def test_op_shapes_rejected(strand, message):
+@pytest.mark.parametrize("fields, message", REJECTED, ids=[m for _, m in REJECTED])
+def test_op_shapes_rejected(fields, message):
+    # a typed strand's shape is checked when it is built, so a malformed
+    # operation strand never exists, and never enters the table
+    classifier, *events = fields
     with pytest.raises(ShapeViolation) as exc:
-        validate_op_strand(strand)
+        _op(classifier, *events)
     assert str(exc.value) == message
+    assert (classifier, A, tuple(events)) not in _TABLES[TStrand]
 
 
 def test_ops_has_a_row_per_operation_classifier():
@@ -208,8 +213,10 @@ def test_ops_positions_index_events_of_their_row():
 
 
 def test_process_strands_have_no_shape():
+    # any nonempty sequence makes a process strand; it has no shape to check
+    process = _op(Classifier.C_P, SignedTerm(1, n), SignedTerm(-1, k), SignedTerm(-1, k))
     with pytest.raises(ValueError):
-        validate_op_strand(_op(Classifier.C_P, SignedTerm(1, n)))
+        validate_op_strand(process)
 
 
 def test_render_strands():

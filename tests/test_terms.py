@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import threading
+from types import GenericAlias
 
 import pytest
 from hypothesis import given
@@ -231,7 +232,7 @@ def test_terms_of_non_terms_are_refused():
             cls(*fields)
         assert "\n" not in str(exc.value)
         if cls is Enc and type(fields[1]) is not FuncName:
-            assert str(exc.value) == f"not a cipher function: {fields[1]!r}"
+            assert str(exc.value) == f"Enc.func must be FuncName, not {type(fields[1]).__name__}"
     with pytest.raises(TypeError, match="not a term"):
         type_erase(Basic(BasicTT.N))
 
@@ -411,23 +412,157 @@ def test_constructor_contract(cls):
     assert set(table) <= before
 
 
-@pytest.mark.parametrize("cls, bad, good", [
-    (SignedTerm, (True, NA), (1, NA)),
-    (SignedTerm, (-1.0, NA), (-1, NA)),
-    (Overhead, (True,), (1,)),
-    (Overhead, (-1.0,), (-1,)),
-], ids=["signed-bool", "signed-float", "overhead-bool", "overhead-float"])
-def test_refusal_does_not_depend_on_live_terms(cls, bad, good):
-    # a bool or float sign equals an int one, so the equal term, held alive
-    # here, is in the table; it is refused whether or not that term lives
-    held = cls(*good)
-    with pytest.raises(ValueError, match="sign must be"):
-        cls(*bad)
-    assert cls(*good) is held and type(held.sign) is int
-    del held
-    gc.collect()
-    with pytest.raises(ValueError, match="sign must be"):
-        cls(*bad)
+def _is_contract(contract) -> bool:
+    if type(contract) is GenericAlias:
+        args = contract.__args__
+        if args[1:] == (...,):
+            args = args[:1]
+        return contract.__origin__ is tuple and all(map(_is_contract, args))
+    classes = contract if type(contract) is tuple else (contract,)
+    return bool(classes) and all(isinstance(k, type) for k in classes)
+
+
+def _meets(value, contract) -> bool:
+    """The field-contract rule, restated: `isinstance`, except that a bool
+    never meets int or float."""
+    if type(contract) is GenericAlias:
+        args = contract.__args__
+        if not isinstance(value, tuple):
+            return False
+        if args[1:] == (...,):
+            return all(_meets(item, args[0]) for item in value)
+        return len(value) == len(args) and all(map(_meets, value, args))
+    classes = contract if type(contract) is tuple else (contract,)
+    return any(isinstance(value, k) and not (type(value) is bool and k in (int, float))
+               for k in classes)
+
+
+def _holds_numbers(contract) -> bool:
+    if type(contract) is GenericAlias:
+        return any(_holds_numbers(a) for a in contract.__args__ if a is not ...)
+    classes = contract if type(contract) is tuple else (contract,)
+    return any(k in (int, float, bool) for k in classes)
+
+
+def _ill_typed(value, contract):
+    """Values that do not meet `contract`: a plain object in place of
+    `value` and, where `value` is a tuple, in place of each of its items."""
+    yield object()
+    if type(contract) is GenericAlias and type(value) is tuple:
+        args = contract.__args__
+        for i, item in enumerate(value):
+            for bad in _ill_typed(item, args[0] if args[1:] == (...,) else args[i]):
+                yield value[:i] + (bad,) + value[i + 1:]
+
+
+def _aliases(value):
+    """Values equal to `value`, which hash alike, with one number in it of
+    another type: True for 1, 2.0 for 2, 0 for False and so on."""
+    if type(value) is tuple:
+        for i, item in enumerate(value):
+            for alias in _aliases(item):
+                yield value[:i] + (alias,) + value[i + 1:]
+    elif type(value) in (bool, int, float):
+        for kind in (bool, int, float):
+            if kind is not type(value) and kind(value) == value:
+                yield kind(value)
+
+
+# `_CTOR_FIELDS`, and an assumption set whose max_bytes, 1.0, has a bool
+# alias, which 512.0 has not
+_ALIASED_FIELDS = list(_CTOR_FIELDS.items()) + [(AssumptionSet, (True, (), 1.0))]
+
+
+@pytest.mark.parametrize("cls", list(_CTOR_FIELDS), ids=lambda cls: cls.__name__)
+def test_field_contracts(cls):
+    """Every field declares a contract, and a value that does not meet it,
+    alone or inside a tuple, is a one-line `TypeError` naming the class, the
+    field and the type passed.  It enters nothing."""
+    contracts = cls.__slots__ or {}  # a class without fields may say ()
+    assert type(contracts) is dict
+    names = list(contracts)
+    assert all(_is_contract(contracts[name]) for name in names)
+    values = _CTOR_FIELDS[cls]
+    assert all(map(_meets, values, contracts.values()))
+    table = _TABLES[cls]
+    held = cls(*values)
+    before = set(table)
+    for i, name in enumerate(names):
+        for bad in _ill_typed(values[i], contracts[name]):
+            assert not _meets(bad, contracts[name])
+            with pytest.raises(TypeError) as exc:
+                cls(*values[:i], bad, *values[i + 1:])
+            message = str(exc.value)
+            assert message.startswith(f"{cls.__name__}.{name} must be ") and "\n" not in message
+            assert message.endswith(", not " + type(bad).__name__)
+    assert set(table) <= before and cls(*values) is held
+
+
+@pytest.mark.parametrize("cls, fields", _ALIASED_FIELDS,
+                         ids=[cls.__name__ for cls, _ in _ALIASED_FIELDS])
+def test_number_aliases_are_refused(cls, fields):
+    """True == 1 == 1.0, so a field that holds a number is checked before
+    the lookup: a bool or float alias of a live term's int field, or an
+    int alias of its bool field, is refused while that term is held and
+    after it may have died, never answered with the live term."""
+    for i, contract in enumerate((cls.__slots__ or {}).values()):
+        bad = [a for a in _aliases(fields[i]) if not _meets(a, contract)]
+        assert bool(bad) <= _holds_numbers(contract)
+        for alias in bad:
+            call = (*fields[:i], alias, *fields[i + 1:])
+            held = cls(*fields)
+            with pytest.raises(TypeError, match=f"^{cls.__name__}\\.[a-z_]+ must be [^\n]*$"):
+                cls(*call)
+            assert cls(*fields) is held
+            del held
+            gc.collect()
+            with pytest.raises(TypeError, match=f"^{cls.__name__}\\."):
+                cls(*call)
+
+
+def test_every_number_field_is_aliased():
+    # each field whose contract holds numbers has an example with a refused alias
+    fields = {(cls, name) for cls in _TABLES for name, contract in (cls.__slots__ or {}).items()
+              if _holds_numbers(contract)}
+    aliased = {(cls, name) for cls, values in _ALIASED_FIELDS
+               for (name, contract), value in zip((cls.__slots__ or {}).items(), values)
+               if any(not _meets(a, contract) for a in _aliases(value))}
+    assert fields == aliased
+    assert {(cls.__name__, name) for cls, name in fields} == {
+        ("SignedTerm", "sign"), ("Overhead", "sign"), ("Sum", "items"), ("CostExpr", "terms"),
+        ("Op", "signs"), ("Op", "sized"), ("Op", "position"), ("StrandSpace", "comm"),
+        ("AssumptionSet", "ignore_overhead"), ("AssumptionSet", "max_bytes"),
+    }
+
+
+_F_H, _N = CostFunc.F_H, BasicTT.N
+
+# values the model cannot hold, among them a function name where a
+# `CostFunc` belongs and a number where the participant atom belongs
+_ILL_TYPED = [
+    lambda: App(_F_H, (3,)),
+    lambda: AsymSize(3),
+    lambda: TypeSize("n"),
+    lambda: Sum(((2, 3),)),
+    lambda: CostExpr(((3, 1),)),
+    lambda: TPair(1, 2),
+    lambda: Basic("n"),
+    lambda: TEnc(Basic(_N), "sk"),
+    lambda: SignedTerm(1, 5),
+    lambda: StrandSpace((1,)),
+    lambda: AssumptionSet(False, ((1, 2),), 10.0),
+    lambda: Message(1, 2, 3),
+    lambda: TStrand(Classifier.C_E, A, (SignedTerm(-1, Basic(_N)),)),
+    lambda: App("f_h", (TypeSize(_N),)),
+    lambda: KStrand((), 5, ()),
+]
+
+
+@pytest.mark.parametrize("build", _ILL_TYPED, ids=range(len(_ILL_TYPED)))
+def test_ill_typed_values_are_refused(build):
+    with pytest.raises((TypeError, ValueError)) as exc:
+        build()
+    assert "\n" not in str(exc.value)
 
 
 def test_racing_threads_build_one_term():
