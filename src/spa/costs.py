@@ -17,27 +17,27 @@ back the terms it was given without rebuilding any.  `compare` builds no
 steps as data.  Its `CompareResult` builds the residuals, the term-level
 dominance pairs and the trace's text when they are first read.
 
-A `CostModel`, like its `Affine` prices and its `SizeModel`, is read-only
-and keeps a private table from cost term to value.  `eval_cost` values each
-distinct term once per model, the first time it meets it, and reads the
-table after that, so `spa eval`'s per-term lines and a pair of sides that
-share terms cost one valuation per term.  The table lives and dies with its
-model; nothing is kept at module level.  It keeps the terms it holds alive,
-at most `_TABLE_LIMIT` of them: a full table is emptied and fills again.
-A copy or pickle of a model starts with an empty table.
+A `CostModel`, like its `Affine` prices and its `SizeModel`, is
+hash-consed, and keeps a table from cost term to value.
+`eval_cost` values each distinct term once per model, the first time it
+meets it, and reads the table after that, so `spa eval`'s per-term lines
+and a pair of sides that share terms cost one valuation per term.  Equal
+models are one object and share one table, which lives and dies with the
+model; nothing is kept at module level.  It keeps the terms it holds
+alive, at most `_TABLE_LIMIT` of them: a full table is emptied and fills
+again.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from collections import Counter
 from operator import attrgetter
-from types import MappingProxyType
 
-from .sizes import SizeExpr, SizeModel, Sum, TypeSize, contains_hash, delta, eval_size, render_size
+from .sizes import (SizeExpr, SizeModel, Sum, TypeSize, _in_range, contains_hash, delta,
+                    eval_size, render_size)
 from .strands import OPS, Classifier, CostFunc, StrandSpace, TStrand
-from .terms import Frozen, Value, _hash_consed, _object_setattr
+from .terms import Value, _hash_consed
 
 
 _FUNC_RANK = {f: i for i, f in enumerate(CostFunc)}
@@ -256,19 +256,15 @@ def render_cost(e: CostExpr) -> str:
     return "".join(pieces)
 
 
-class Affine(Frozen):
+@_hash_consed
+class Affine(Value):
     """alpha + beta * size: the price of a size-dependent function."""
 
-    __slots__ = ("alpha", "beta")
+    __slots__ = {"alpha": (int, float), "beta": (int, float)}
 
-    def __init__(self, alpha: float, beta: float):
-        if type(alpha) is bool or type(beta) is bool:  # True would pass as 1
-            raise TypeError("affine coefficients must be numbers, not bools")
-        # written so that NaN fails too
-        if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
+    def _check(self):
+        if not _in_range((self.alpha, self.beta), positive=False):
             raise ValueError("affine coefficients must be finite and nonnegative")
-        _object_setattr(self, "alpha", alpha)
-        _object_setattr(self, "beta", beta)
 
 
 class _Dominance(Value):
@@ -291,7 +287,7 @@ class AssumptionSet(_Dominance):
         closure = _transitive_closure(self.dominance)
         if any(g is f for g, f in closure):
             raise ValueError("dominance must be irreflexive and acyclic")
-        if not 0 < self.max_bytes < math.inf:  # NaN fails too
+        if not _in_range((self.max_bytes,), positive=True):
             raise ValueError("max_bytes must be finite and positive")
         _set_closure(self, closure)
 
@@ -321,33 +317,31 @@ DEFAULT_ASSUMPTIONS = AssumptionSet()
 _TABLE_LIMIT = 4096
 
 
-class CostModel(Frozen):
+class _Priced(Value):
+    # a cost model's table of values, set when the model is first built:
+    # not a field, as `_Dominance._closure`
+    __slots__ = ("_values",)
+
+
+_set_values = _Priced._values.__set__
+
+
+@_hash_consed
+class CostModel(_Priced):
     """Prices of the cost functions, and the size model their arguments are
-    valued under.  Read-only.  It keeps a private table from each cost term
-    it has valued to the value, which keeps that term alive while it is in
-    the table: at most `_TABLE_LIMIT` terms, until the model dies."""
+    valued under.  It keeps a table from each cost term it has valued to
+    the value, which keeps that term alive while it is in the table: at
+    most `_TABLE_LIMIT` terms, until the model dies."""
 
-    __slots__ = ("funcs", "lambda_c", "lambda_p", "ov_h", "size_model", "_values")
+    __slots__ = {"funcs": dict[CostFunc, Affine], "lambda_c": (int, float),
+                 "lambda_p": (int, float), "ov_h": (int, float), "size_model": SizeModel}
 
-    def __init__(self, funcs: dict, lambda_c: float, lambda_p: float, ov_h: float,
-                 size_model: SizeModel):
-        if set(funcs) != _EXPANDABLE:
+    def _check(self):
+        if set(self.funcs) != _EXPANDABLE:
             raise ValueError("funcs must cover exactly the size-dependent functions")
-        for f in funcs.values():
-            if not isinstance(f, Affine):
-                raise TypeError(f"funcs must map to Affine prices, not {f!r}")
-        if any(type(c) is bool for c in (lambda_c, lambda_p, ov_h)):  # True would pass as 1
-            raise TypeError("constants must be numbers, not bools")
-        if not all(0 <= c < math.inf for c in (lambda_c, lambda_p, ov_h)):
+        if not _in_range((self.lambda_c, self.lambda_p, self.ov_h), positive=False):
             raise ValueError("constants must be finite and nonnegative")
-        # funcs, CostFunc -> Affine for the six size-dependent functions, is
-        # a private copy; _values, cost term -> value, fills in `_eval_terms`
-        _object_setattr(self, "funcs", MappingProxyType(dict(funcs)))
-        _object_setattr(self, "lambda_c", lambda_c)
-        _object_setattr(self, "lambda_p", lambda_p)
-        _object_setattr(self, "ov_h", ov_h)
-        _object_setattr(self, "size_model", size_model)
-        _object_setattr(self, "_values", {})
+        _set_values(self, {})  # cost term -> value, filled by `_eval_terms`
 
 
 def eval_cost(e: CostExpr, model: CostModel) -> float:

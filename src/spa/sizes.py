@@ -17,21 +17,28 @@ typed term is sized once while it lives, whoever asks: pricing is linear
 in the distinct subterms of a space rather than quadratic in nesting
 depth.  A size lives as long as its typed term.
 
-A `SizeModel` is read-only and keeps a private copy of the type sizes it
-is given.  `eval_size` keeps no values: it runs when a cost model values an
-application for the first time, and the cost model keeps that value.
+A `SizeModel` is hash-consed too, and keeps a read-only copy of the type
+sizes it is given.  `eval_size` keeps no values: it runs when a cost model
+values an application for the first time, and the cost model keeps that
+value.
 """
 
 from __future__ import annotations
 
 import math
-from types import MappingProxyType
+import sys
 
-from .terms import (Basic, BasicTT, Frozen, FuncName, TEmpty, TEnc, TPair, TTerm, Value,
-                    _hash_consed, _object_setattr)
+from .terms import Basic, BasicTT, FuncName, TEmpty, TEnc, TPair, TTerm, Value, _hash_consed
 
 _set_size = TTerm._size.__set__
 _BASIC_TYPES = frozenset(BasicTT)  # the keys of every SizeModel's sizes
+_FLOAT_MAX = sys.float_info.max
+
+
+def _in_range(numbers, positive: bool) -> bool:
+    """Whether every number is positive (nonnegative unless `positive`) and
+    at most the largest float: NaN, inf and an int beyond a float fail."""
+    return all((0 < x if positive else 0 <= x) and x <= _FLOAT_MAX for x in numbers)
 
 
 class SizeExpr(Value):
@@ -149,25 +156,19 @@ def render_size(e: SizeExpr) -> str:
     raise TypeError(f"not a size expression: {e!r}")
 
 
-class SizeModel(Frozen):
-    __slots__ = ("sizes", "s_hash", "blk_in", "blk_out", "pad")
+@_hash_consed
+class SizeModel(Value):
+    __slots__ = {"sizes": dict[BasicTT, (int, float)], "s_hash": (int, float),
+                 "blk_in": (int, float), "blk_out": (int, float), "pad": (int, float)}
 
-    def __init__(self, sizes: dict, s_hash: float, blk_in: float, blk_out: float, pad: float):
-        if set(sizes) != _BASIC_TYPES:
+    def _check(self):
+        if set(self.sizes) != _BASIC_TYPES:
             raise ValueError("sizes must cover r, n, k, m")
-        values = list(sizes.values()) + [s_hash, blk_in, blk_out, pad]
-        if any(type(v) is bool for v in values):  # True would pass as 1
-            raise TypeError("size-model values must be numbers, not bools")
-        if not all(0 < v < math.inf for v in values):  # NaN fails too
+        if not _in_range([*self.sizes.values(), self.s_hash, self.blk_in, self.blk_out,
+                          self.pad], positive=True):
             raise ValueError("size-model values must be finite and positive")
-        if blk_in <= pad:
+        if self.blk_in <= self.pad:
             raise ValueError("blk_in must exceed pad")
-        # sizes, BasicTT -> bytes, is a private copy
-        _object_setattr(self, "sizes", MappingProxyType(dict(sizes)))
-        _object_setattr(self, "s_hash", s_hash)
-        _object_setattr(self, "blk_in", blk_in)
-        _object_setattr(self, "blk_out", blk_out)
-        _object_setattr(self, "pad", pad)
 
 
 def eval_size(e: SizeExpr, model: SizeModel) -> float:

@@ -71,7 +71,7 @@ class CostFunc(enum.Enum):
 @_hash_consed
 class KStrand(Value):
     __slots__ = {"knowledge": tuple[Term, ...], "participant": Atom,
-                 "seq": tuple[SignedTerm, ...], "fresh": frozenset}
+                 "seq": tuple[SignedTerm, ...], "fresh": frozenset[Atom]}
     _defaults = (frozenset(),)
 
     def _check(self):

@@ -12,9 +12,10 @@ every term hash and comparison is by identity, at C level.  An instance
 term keeps its typed term (`Term._typed`), built from its children's on
 the table miss, so `type_erase` reads it.  `_hash_consed` is the one
 identity rule of the package.  Every immutable value of the model goes
-through it: terms and signed terms here, size expressions (`sizes`),
-strands, strand spaces and `Op` rows (`strands`), messages (`parser`),
-and cost terms, cost expressions and assumption sets (`costs`).
+through it: terms and signed terms here, size expressions and size models
+(`sizes`), strands, strand spaces and `Op` rows (`strands`), messages
+(`parser`), and cost terms, cost expressions, assumption sets, prices and
+cost models (`costs`).
 
 A hash-consed class derives from `Value` and maps each field to its
 contract in its `__slots__`.  `_hash_consed` generates its constructor,
@@ -74,8 +75,10 @@ class _Ref(weakref.ref):
 # `_hash_consed` renames them to the field names in each class's copy of
 # the code, so Python binds keywords and words its binding errors by field.
 # `{early}` and `{late}` check the fields against their contracts (see
-# `_checks`).  `{fields}` fills a new term, each `_setN` the `__set__` of a
-# field's slot descriptor, and `_enter` (see `_enterer`) enters it.
+# `_checks`).  `{key}` keys the table on the fields, a mapping field by the
+# frozenset of its items.  `{fields}` fills a new term, each `_setN` the
+# `__set__` of a field's slot descriptor, a mapping field with a read-only
+# copy, and `_enter` (see `_enterer`) enters it.
 _NEW = """\
 def __new__(_cls{params}):
 {early}
@@ -96,10 +99,12 @@ _compiled = cache(compile)  # classes whose contracts have one shape share a `_N
 def _checks(contract, value: str, field: int, kinds: list, indent: str = "    ") -> list:
     """Lines of `_NEW` that raise `_refused(...)` unless `value`, field
     number `field` or an item of it, meets `contract`: a class, a tuple of
-    classes, or `tuple[X, ...]` or `tuple[X, Y]` of those.  The Nth class
-    or tuple of classes they name is the global `_kN`, the Nth of `kinds`.
-    A `tuple[X, ...]` is checked by a `for` loop, not a comprehension,
-    which would be a function call of its own before Python 3.12."""
+    classes, or `tuple[X, ...]`, `tuple[X, Y]`, `frozenset[X]` or
+    `dict[K, V]` of those.  The Nth class, tuple of classes or container
+    type they name is the global `_kN`, the Nth of `kinds`.  A
+    `tuple[X, ...]`, a frozenset or a dict is checked by a `for` loop, not
+    a comprehension, which would be a function call of its own before
+    Python 3.12."""
     fail = f"{indent}    raise _refused(_cls, {field}, _{field})"
     if type(contract) is not GenericAlias:
         kinds.append(contract)
@@ -108,16 +113,20 @@ def _checks(contract, value: str, field: int, kinds: list, indent: str = "    ")
         if int in classes and bool not in classes:  # a bool never meets int
             test += f" or {value} is True or {value} is False"
         return [f"{indent}if {test}:", fail]
-    args = contract.__args__
-    if args[1:] == (...,):
-        item = f"_e{len(indent)}"  # one loop variable per depth
-        return [f"{indent}if not isinstance({value}, tuple):", fail,
-                f"{indent}for {item} in {value}:",
-                *_checks(args[0], item, field, kinds, indent + "    ")]
-    lines = [f"{indent}if not isinstance({value}, tuple) or len({value}) != {len(args)}:", fail]
-    for i, arg in enumerate(args):
-        lines += _checks(arg, f"{value}[{i}]", field, kinds, indent)
-    return lines
+    origin, args = contract.__origin__, contract.__args__
+    if origin is tuple and args[1:] != (...,):
+        lines = [f"{indent}if not isinstance({value}, tuple) or len({value}) != {len(args)}:", fail]
+        for i, arg in enumerate(args):
+            lines += _checks(arg, f"{value}[{i}]", field, kinds, indent)
+        return lines
+    kinds.append((dict, MappingProxyType) if origin is dict else origin)
+    head = [f"{indent}if not isinstance({value}, _k{len(kinds) - 1}):", fail]
+    key, item, inner = f"_e{len(indent)}", f"_v{len(indent)}", indent + "    "  # per depth
+    if origin is dict:
+        return [*head, f"{indent}for {key}, {item} in {value}.items():",
+                *_checks(args[0], key, field, kinds, inner),
+                *_checks(args[1], item, field, kinds, inner)]
+    return [*head, f"{indent}for {item} in {value}:", *_checks(args[0], item, field, kinds, inner)]
 
 
 def _refused(cls, field: int, value) -> TypeError:
@@ -128,14 +137,20 @@ def _refused(cls, field: int, value) -> TypeError:
 
 def _shown(contract) -> str:
     if type(contract) is GenericAlias:
-        return f"tuple[{', '.join(map(_shown, contract.__args__))}]"
+        return f"{contract.__origin__.__name__}[{', '.join(map(_shown, contract.__args__))}]"
     if type(contract) is tuple:
         return " | ".join(map(_shown, contract))
     return "..." if contract is ... else contract.__name__
 
 
+def _fields(t) -> tuple:
+    # t's fields as its constructor takes them: a mapping field as a dict
+    return tuple(dict(v) if type(v) is MappingProxyType else v
+                 for v in map(t.__getattribute__, type(t).__slots__))
+
+
 def _reduce(t):
-    return type(t), tuple(getattr(t, name) for name in type(t).__slots__)
+    return type(t), _fields(t)
 
 
 def _same(t, memo=None):
@@ -143,7 +158,7 @@ def _same(t, memo=None):
 
 
 def _repr(t) -> str:
-    fields = ", ".join(f"{name}={getattr(t, name)!r}" for name in type(t).__slots__)
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(type(t).__slots__, _fields(t)))
     return f"{type(t).__qualname__}({fields})"
 
 
@@ -155,27 +170,8 @@ def _delattr(t, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-_object_setattr = object.__setattr__
-
-
-class Frozen:
-    """Base of the read-only objects that are not hash-consed: the cost and
-    size models.  `__init__` sets each field once with `_object_setattr`;
-    assigning or deleting a field afterwards raises, as on a term, so
-    nothing derived from a model's fields can go stale.
-
-    A subclass lists its constructor's parameters first in its `__slots__`,
-    in order, and then its private fields, whose names start with `_`.  A
-    copy, deep copy or pickle calls the constructor again with the public
-    fields, so a private one, such as a model's table of values, is not
-    carried over and starts afresh."""
-
-    __slots__ = ()
-    __setattr__, __delattr__ = _setattr, _delattr
-
-    def __reduce__(self):
-        args = [getattr(self, name) for name in type(self).__slots__ if name[0] != "_"]
-        return type(self), tuple(dict(a) if type(a) is MappingProxyType else a for a in args)
+def _final(cls, **kwargs):
+    raise TypeError(f"{cls.__qualname__}: a hash-consed class cannot be subclassed")
 
 
 def _enterer(table, check):
@@ -211,18 +207,23 @@ def _hash_consed(cls):
     value equality and a hash of it.
 
     cls maps each field to its contract in its `__slots__`: a class, a
-    tuple of classes (any one of them), or `tuple[X, ...]` or `tuple[X, Y]`
-    of those.  A value meets a contract by `isinstance`, except that a bool
-    never meets int or float; one that does not is a one-line `TypeError`
-    naming the class, the field, the contract and the type passed.  A list
-    where a tuple belongs is one too.  The generated constructor checks
-    each field inline: a field that may hold a number before the lookup,
-    as `True == 1 == 1.0`, and any other on a miss, before `_check`, as no
-    value of another type equals a live one.  A term whose check raised
-    never enters its table.  Terms are read-only, show their fields in
-    `repr`, and pickle and copy as the canonical term."""
+    tuple of classes (any one of them), or `tuple[X, ...]`, `tuple[X, Y]`,
+    `frozenset[X]` or `dict[K, V]` of those.  A value meets a contract by
+    `isinstance`, except that a bool never meets int or float and a dict's
+    read-only view meets `dict[K, V]`; one that does not is a one-line
+    `TypeError` naming the class, the field, the contract and the type
+    passed.  A list where a tuple belongs is one too.  The generated
+    constructor checks each field inline: one that may hold a number or a
+    mapping before the lookup, as `True == 1 == 1.0` and a mapping's items
+    build the key, and any other on a miss, before `_check`, as no value of
+    another type equals a live one.  A mapping field is keyed by the
+    frozenset of its items and stored as a read-only copy.  A term whose
+    check raised never enters its table.  Terms are read-only, show their
+    fields in `repr`, and pickle and copy as the canonical term.  A
+    subclass would share its parent's table, so none may be made."""
     contracts = cls.__slots__ or {}
     names = tuple(contracts)
+    mappings = [type(c) is GenericAlias and c.__origin__ is dict for c in contracts.values()]
     early, late, kinds = [], [], []
     for i, contract in enumerate(contracts.values()):
         start = len(kinds)
@@ -231,17 +232,19 @@ def _hash_consed(cls):
         # before the lookup; no other value equals a live one of another type
         numbers = any({int, float, bool}.intersection(k if type(k) is tuple else (k,))
                       for k in kinds[start:])
-        (early if numbers else late).extend(lines)
+        (early if numbers or mappings[i] else late).extend(lines)
     table = _TABLES[cls] = {}
     scope = {"_new": object.__new__, "_get": table.get, "_refused": _refused,
-             "_enter": _enterer(table, cls.__dict__.get("_check")),
+             "_proxy": MappingProxyType, "_enter": _enterer(table, cls.__dict__.get("_check")),
              **{f"_k{i}": kind for i, kind in enumerate(kinds)},
              **{f"_set{i}": cls.__dict__[name].__set__ for i, name in enumerate(names)}}
     indices = range(len(names))
     exec(_compiled(_NEW.format(
-        params="".join(f", _{i}" for i in indices), key="".join(f"_{i}, " for i in indices),
+        params="".join(f", _{i}" for i in indices),
+        key="".join(f"frozenset(_{i}.items()), " if mappings[i] else f"_{i}, " for i in indices),
         early="\n".join(early), late="\n".join(late),
-        fields="\n".join(f"    _set{i}(_t, _{i})" for i in indices),
+        fields="\n".join(f"    _set{i}(_t, _proxy(dict(_{i})))" if mappings[i]
+                          else f"    _set{i}(_t, _{i})" for i in indices),
     ), "<hash-consed>", "exec"), scope)
     __new__ = scope["__new__"]
     code = __new__.__code__
@@ -254,6 +257,7 @@ def _hash_consed(cls):
     cls.__setattr__, cls.__delattr__, cls.__repr__ = _setattr, _delattr, _repr
     # pickles and copies are the canonical term
     cls.__reduce__, cls.__copy__, cls.__deepcopy__ = _reduce, _same, _same
+    cls.__init_subclass__ = classmethod(_final)
     return cls
 
 

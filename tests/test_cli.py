@@ -287,14 +287,14 @@ def test_eval_values_each_distinct_term_once(monkeypatch):
             valued.append(term)
             super().__setitem__(term, value)
 
-    class Model(spa.costs.CostModel):
-        __slots__ = ()
+    def counted_model(*args, **kwargs):
+        # the loaded model, which may be alive from an earlier call, with a
+        # fresh table that records what enters it
+        m = spa.costs.CostModel(*args, **kwargs)
+        object.__setattr__(m, "_values", Counted())
+        return m
 
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            object.__setattr__(self, "_values", Counted())
-
-    monkeypatch.setattr(spa.config, "CostModel", Model)
+    monkeypatch.setattr(spa.config, "CostModel", counted_model)
     spec = parse(read(X509_ORIGINAL))
     for label in ("A", "B"):
         valued.clear()

@@ -20,7 +20,7 @@ from spa.sizes import (
     render_size,
     ssum,
 )
-from spa.terms import Basic, BasicTT, FuncName, TEmpty, TEnc, TPair
+from spa.terms import _TABLES, Basic, BasicTT, FuncName, TEmpty, TEnc, TPair
 
 from .generators import (
     denormal_size,
@@ -35,13 +35,14 @@ R, N, K, M = (Basic(tt) for tt in BasicTT)
 SR, SN = TypeSize(BasicTT.R), TypeSize(BasicTT.N)
 SH = HashSize()
 
-MODEL = SizeModel(
-    sizes={BasicTT.R: 8, BasicTT.N: 16, BasicTT.K: 16, BasicTT.M: 100},
-    s_hash=20,
-    blk_in=117,
-    blk_out=128,
-    pad=11,
-)
+_MODEL_FIELDS = {
+    "sizes": {BasicTT.R: 8, BasicTT.N: 16, BasicTT.K: 16, BasicTT.M: 100},
+    "s_hash": 20,
+    "blk_in": 117,
+    "blk_out": 128,
+    "pad": 11,
+}
+MODEL = SizeModel(**_MODEL_FIELDS)
 
 
 def test_delta_basics():
@@ -141,12 +142,21 @@ def test_render_size():
 
 
 def test_size_model_validated():
-    with pytest.raises(ValueError):
-        SizeModel(sizes={BasicTT.R: 8}, s_hash=20, blk_in=117, blk_out=128, pad=11)
-    with pytest.raises(ValueError):
-        SizeModel(sizes=MODEL.sizes, s_hash=-1, blk_in=117, blk_out=128, pad=11)
-    with pytest.raises(ValueError):
-        SizeModel(sizes=MODEL.sizes, s_hash=20, blk_in=10, blk_out=128, pad=11)
+    # each range rule has its message, whatever model is alive, and a
+    # refused model enters nothing
+    cases = [
+        ({**_MODEL_FIELDS, "sizes": {BasicTT.R: 8}}, "^sizes must cover r, n, k, m$"),
+        ({**_MODEL_FIELDS, "s_hash": -1}, "^size-model values must be finite and positive$"),
+        ({**_MODEL_FIELDS, "sizes": {**MODEL.sizes, BasicTT.M: 0}},
+         "^size-model values must be finite and positive$"),
+        ({**_MODEL_FIELDS, "blk_in": 10}, "^blk_in must exceed pad$"),
+    ]
+    before = set(_TABLES[SizeModel])
+    for fields, message in cases:
+        with pytest.raises(ValueError, match=message):
+            SizeModel(**fields)
+    assert set(_TABLES[SizeModel]) <= before
+    assert SizeModel(**_MODEL_FIELDS) is MODEL
 
 
 def test_eval_size_asym_blocks():

@@ -9,7 +9,7 @@ import random
 import subprocess
 import sys
 import threading
-from types import GenericAlias
+from types import GenericAlias, MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -18,10 +18,13 @@ from hypothesis import strategies as st
 import spa
 from spa import parse
 from spa.costs import (
+    EXPANDABLE,
+    Affine,
     App,
     AssumptionSet,
     CostExpr,
     CostFunc,
+    CostModel,
     LambdaC,
     LambdaP,
     Overhead,
@@ -29,7 +32,7 @@ from spa.costs import (
     cost_expr,
     simplify,
 )
-from spa.sizes import AsymSize, HashSize, Sum, TypeSize, delta, ssum
+from spa.sizes import AsymSize, HashSize, SizeModel, Sum, TypeSize, delta, ssum
 from spa.parser import Message
 from spa.strands import Classifier, KStrand, Op, StrandSpace, TStrand
 from spa.terms import (
@@ -317,6 +320,9 @@ def _any_payload(t, seq):
 _B = Atom(AtomKind.PARTICIPANT, "B")
 _KSTRAND = KStrand((A, NA), A, (SignedTerm(1, NA),), frozenset({NA}))
 _TSTRAND = TStrand(Classifier.C_N, A, (SignedTerm(1, Basic(BasicTT.N)),))
+_SIZES = {BasicTT.R: 8, BasicTT.N: 16, BasicTT.K: 16, BasicTT.M: 1}
+_SIZE_MODEL = SizeModel(_SIZES, 20, 117, 128, 11)
+_PRICES = {f: Affine(1.0, 0.5) for f in EXPANDABLE}
 
 # fields of one term per hash-consed class, and for each class that checks
 # its fields, fields it refuses
@@ -345,6 +351,9 @@ _CTOR_FIELDS = {
     Message: (A, _B, Pair(A, NA)),
     CostExpr: (((LambdaC(), 2), (Overhead(-1), 1)),),
     AssumptionSet: (False, ((CostFunc.F_PK, CostFunc.F_H),), 512.0),
+    Affine: (1.0, 0),
+    SizeModel: (_SIZES, 1.0, 117, 1, 11),
+    CostModel: (_PRICES, 1, 0.0, 1.0, _SIZE_MODEL),
 }
 _REFUSED = {
     Atom: (AtomKind.NONCE, "2ctor"),
@@ -356,7 +365,15 @@ _REFUSED = {
     TStrand: (Classifier.C_N, A, ()),
     CostExpr: (((LambdaC(), 0),),),
     AssumptionSet: (True, ((CostFunc.F_H, CostFunc.F_H),), 4096.0),
+    Affine: (-1.0, 0),
+    SizeModel: (_SIZES, 20, 117, 128, 117),
+    CostModel: ({CostFunc.F_H: Affine(1.0, 0.5)}, 1, 0.0, 1.0, _SIZE_MODEL),
 }
+
+
+def _key(values) -> tuple:
+    # a table's key: the fields, a mapping by the frozenset of its items
+    return tuple(frozenset(v.items()) if isinstance(v, dict) else v for v in values)
 
 
 def test_every_hash_consed_class_has_constructor_cases():
@@ -369,7 +386,8 @@ def test_constructor_contract(cls):
     fields a class defaults passes their defaults; a call of the wrong
     arity, with an unknown or repeated keyword or with fields `_check`
     refuses raises and enters nothing.  Terms are read-only and show their
-    fields in `repr`."""
+    fields in `repr`.  The class cannot be subclassed: its table is keyed
+    by fields, so a subclass's terms would answer for the class's."""
     values = _CTOR_FIELDS[cls]
     names = list(cls.__slots__)
     table = _TABLES[cls]
@@ -382,7 +400,7 @@ def test_constructor_contract(cls):
     required = len(values) - len(defaults)
     assert cls(*values[:required]) is cls(*values[:required], *defaults)
     before = set(table)
-    assert table[values]() is t
+    assert table[_key(values)]() is t
     assert repr(t) == f"{cls.__name__}(" + ", ".join(
         f"{name}={value!r}" for name, value in zip(names, values)
     ) + ")"
@@ -410,6 +428,8 @@ def test_constructor_contract(cls):
         with pytest.raises(ValueError):
             cls(**dict(zip(names, _REFUSED[cls])))
     assert set(table) <= before
+    with pytest.raises(TypeError, match="^Sub: a hash-consed class cannot be subclassed$"):
+        type("Sub", (cls,), {"__slots__": ()})
 
 
 def _is_contract(contract) -> bool:
@@ -417,16 +437,22 @@ def _is_contract(contract) -> bool:
         args = contract.__args__
         if args[1:] == (...,):
             args = args[:1]
-        return contract.__origin__ is tuple and all(map(_is_contract, args))
+        arity = {tuple: len(args), frozenset: 1, dict: 2}.get(contract.__origin__)
+        return len(args) == arity and all(map(_is_contract, args))
     classes = contract if type(contract) is tuple else (contract,)
     return bool(classes) and all(isinstance(k, type) for k in classes)
 
 
 def _meets(value, contract) -> bool:
     """The field-contract rule, restated: `isinstance`, except that a bool
-    never meets int or float."""
+    never meets int or float, and a `dict[K, V]` takes a read-only view."""
     if type(contract) is GenericAlias:
         args = contract.__args__
+        if contract.__origin__ is dict:
+            return isinstance(value, (dict, MappingProxyType)) and all(
+                _meets(k, args[0]) and _meets(v, args[1]) for k, v in value.items())
+        if contract.__origin__ is frozenset:
+            return isinstance(value, frozenset) and all(_meets(x, args[0]) for x in value)
         if not isinstance(value, tuple):
             return False
         if args[1:] == (...,):
@@ -446,13 +472,25 @@ def _holds_numbers(contract) -> bool:
 
 def _ill_typed(value, contract):
     """Values that do not meet `contract`: a plain object in place of
-    `value` and, where `value` is a tuple, in place of each of its items."""
+    `value` and, where `value` is a tuple, frozenset or dict, in place of
+    each of its items, and of each key of a dict."""
     yield object()
-    if type(contract) is GenericAlias and type(value) is tuple:
-        args = contract.__args__
+    if type(contract) is not GenericAlias:
+        return
+    args = contract.__args__
+    if type(value) is tuple:
         for i, item in enumerate(value):
             for bad in _ill_typed(item, args[0] if args[1:] == (...,) else args[i]):
                 yield value[:i] + (bad,) + value[i + 1:]
+    elif type(value) is frozenset:
+        for item in value:
+            for bad in _ill_typed(item, args[0]):
+                yield value - {item} | {bad}
+    elif type(value) is dict:
+        for k, v in value.items():
+            yield {**{j: w for j, w in value.items() if j is not k}, object(): v}
+            for bad in _ill_typed(v, args[1]):
+                yield {**value, k: bad}
 
 
 def _aliases(value):
@@ -462,6 +500,14 @@ def _aliases(value):
         for i, item in enumerate(value):
             for alias in _aliases(item):
                 yield value[:i] + (alias,) + value[i + 1:]
+    elif type(value) is frozenset:
+        for item in value:
+            for alias in _aliases(item):
+                yield value - {item} | {alias}
+    elif type(value) is dict:
+        for k, v in value.items():
+            for alias in _aliases(v):
+                yield {**value, k: alias}
     elif type(value) in (bool, int, float):
         for kind in (bool, int, float):
             if kind is not type(value) and kind(value) == value:
@@ -469,8 +515,12 @@ def _aliases(value):
 
 
 # `_CTOR_FIELDS`, and an assumption set whose max_bytes, 1.0, has a bool
-# alias, which 512.0 has not
-_ALIASED_FIELDS = list(_CTOR_FIELDS.items()) + [(AssumptionSet, (True, (), 1.0))]
+# alias, which 512.0 has not, and size models whose blk_in or pad has one
+_ALIASED_FIELDS = list(_CTOR_FIELDS.items()) + [
+    (AssumptionSet, (True, (), 1.0)),
+    (SizeModel, (_SIZES, 20, 1, 128, 0.5)),
+    (SizeModel, (_SIZES, 20, 117, 128, 1)),
+]
 
 
 @pytest.mark.parametrize("cls", list(_CTOR_FIELDS), ids=lambda cls: cls.__name__)
@@ -532,6 +582,9 @@ def test_every_number_field_is_aliased():
         ("SignedTerm", "sign"), ("Overhead", "sign"), ("Sum", "items"), ("CostExpr", "terms"),
         ("Op", "signs"), ("Op", "sized"), ("Op", "position"), ("StrandSpace", "comm"),
         ("AssumptionSet", "ignore_overhead"), ("AssumptionSet", "max_bytes"),
+        ("Affine", "alpha"), ("Affine", "beta"), ("SizeModel", "sizes"), ("SizeModel", "s_hash"),
+        ("SizeModel", "blk_in"), ("SizeModel", "blk_out"), ("SizeModel", "pad"),
+        ("CostModel", "lambda_c"), ("CostModel", "lambda_p"), ("CostModel", "ov_h"),
     }
 
 
@@ -555,6 +608,9 @@ _ILL_TYPED = [
     lambda: TStrand(Classifier.C_E, A, (SignedTerm(-1, Basic(_N)),)),
     lambda: App("f_h", (TypeSize(_N),)),
     lambda: KStrand((), 5, ()),
+    lambda: KStrand((A,), A, (SignedTerm(1, A),), frozenset({5, "x"})),
+    # a mapping field's items build the table key, so they are checked first
+    lambda: CostModel([1, 2], 0.1, 0.05, 0.25, _SIZE_MODEL),
 ]
 
 
