@@ -79,11 +79,9 @@ def _load_model(path: str | None):
 
 def _evaluate(cost: CostExpr, model, path: str) -> float:
     """`eval_cost` under a loaded model; a value too large for a float
-    is a configuration error."""
-    try:
-        value = eval_cost(cost, model)
-    except OverflowError:
-        value = math.inf
+    (inf, or nan where a zero slope meets an infinite size) is a
+    configuration error."""
+    value = eval_cost(cost, model)
     if not math.isfinite(value):
         raise _CliError(4, f"ConfigError: {path}: cost does not evaluate to a finite number")
     return value

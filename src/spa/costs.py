@@ -14,8 +14,9 @@ equal cost terms are one object, so merging, cancelling and expanding key
 dicts on them by identity, and simplifying a simplified expression gives
 back the terms it was given without rebuilding any.  `compare` builds no
 `CostExpr`: it decides dominance on per-function counts and records its
-steps as data.  Its `CompareResult` builds the residuals, the term-level
-dominance pairs and the trace's text when they are first read.
+steps as data.  The residuals and the trace of its `CompareResult` are
+cached properties: each is built, with the trace's term-level dominance
+pairs and text, when it is first read, and kept.
 
 A `CostModel`, like its `Affine` prices and its `SizeModel`, is
 hash-consed, and keeps a table from cost term to value.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
+from functools import cached_property
 from operator import attrgetter
 
 from .sizes import (SizeExpr, SizeModel, Sum, TypeSize, _in_range, contains_hash, delta,
@@ -422,12 +424,10 @@ def _render_step(step: tuple) -> str:
 class CompareResult:
     """What `compare` decided, and what it kept to explain it.
 
-    `verdict` is set when `compare` returns.  The residuals, the term-level
-    dominance pairs and the trace are built from `compare`'s final working
-    dicts, closure and recorded steps on first read, and kept."""
-
-    __slots__ = ("verdict", "_left", "_right", "_closure", "_steps",
-                 "_left_residual", "_right_residual", "_trace")
+    `verdict` is set when `compare` returns.  The residuals and the trace,
+    with its term-level dominance pairs, are cached properties: each is
+    built from `compare`'s final working dicts, closure and recorded steps
+    on first read, and kept."""
 
     def __init__(self, verdict, left: dict, right: dict, closure, steps):
         self.verdict = verdict
@@ -435,46 +435,35 @@ class CompareResult:
         self._right = right
         self._closure = closure  # the dominance relation `_decide` read
         self._steps = steps  # what `compare` did before dominance and the verdict
-        self._left_residual = self._right_residual = self._trace = None
 
-    @property
+    @cached_property
     def left_residual(self) -> CostExpr:
-        if self._left_residual is None:
-            self._left_residual = _residual(self._left)
-        return self._left_residual
+        return _residual(self._left)
 
-    @property
+    @cached_property
     def right_residual(self) -> CostExpr:
-        if self._right_residual is None:
-            self._right_residual = _residual(self._right)
-        return self._right_residual
+        return _residual(self._right)
 
-    @property
+    @cached_property
     def trace(self) -> tuple[str, ...]:
-        """The steps `compare` took, one line each."""
-        if self._trace is None:
-            steps = (*self._steps, *self._dominance(), ("verdict", self.verdict))
-            self._trace = tuple(map(_render_step, steps))
-        return self._trace
-
-    def _dominance(self) -> list:
-        """The term-level pairs behind a verdict that dominance decided:
-        the matching `_decide` ran on per-function counts, run on terms."""
+        """The steps `compare` took, one line each.  A verdict that dominance
+        decided adds its term-level pairs: the matching `_decide` ran on
+        per-function counts, run on terms."""
         left, right, closure = self._left, self._right, self._closure
-        if not (left and right):
-            return []
+        dominance = []
+        if left and right:
+            def dominates(g, f):
+                return (g.func, f.func) in closure
 
-        def dominates(g, f):
-            return (g.func, f.func) in closure
-
-        if self.verdict is Verdict.LESS:
-            match = _saturating_match(left, right, dominates)
-            return [("dominance", s, "<", b) for s, b in match]
-        if self.verdict is Verdict.GREATER:
-            # left terms dominate, and each line reads in residual order
-            match = _saturating_match(right, left, dominates)
-            return [("dominance", b, ">", s) for s, b in match]
-        return []
+            if self.verdict is Verdict.LESS:
+                match = _saturating_match(left, right, dominates)
+                dominance = [("dominance", s, "<", b) for s, b in match]
+            elif self.verdict is Verdict.GREATER:
+                # left terms dominate, and each line reads in residual order
+                match = _saturating_match(right, left, dominates)
+                dominance = [("dominance", b, ">", s) for s, b in match]
+        steps = (*self._steps, *dominance, ("verdict", self.verdict))
+        return tuple(map(_render_step, steps))
 
     def residual_line(self) -> str:
         op = _VERDICT_OP[self.verdict]

@@ -177,8 +177,11 @@ def eval_size(e: SizeExpr, model: SizeModel) -> float:
     if isinstance(e, HashSize):
         return float(model.s_hash)
     if isinstance(e, AsymSize):
-        x = eval_size(e.arg, model)
-        return math.ceil((x + model.pad) / model.blk_in) * model.blk_out
+        blocks = (eval_size(e.arg, model) + model.pad) / model.blk_in
+        # math.ceil raises on an infinite block count (a huge argument or a
+        # tiny blk_in); the size is then infinite, as a sum of sizes that
+        # overflows a float is, so `eval_cost` returns inf for both
+        return (blocks if math.isinf(blocks) else float(math.ceil(blocks))) * model.blk_out
     if isinstance(e, Sum):
         return float(sum(coeff * eval_size(unit, model) for coeff, unit in e.items))
     raise TypeError(f"not a size expression: {e!r}")

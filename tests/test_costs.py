@@ -4,6 +4,7 @@ comparison."""
 import copy
 import gc
 import itertools
+import json
 import math
 import os
 import pickle
@@ -49,6 +50,7 @@ from spa.costs import (
     expand_one,
     render_cost_term,
 )
+from spa.config import parse_config
 from spa.errors import ShapeViolation, Ungeneratable, Unrecoverable
 from spa.sizes import ZERO, AsymSize, HashSize, SizeModel, Sum, TypeSize, render_size, ssum
 from spa.strands import Classifier, KStrand, StrandSpace, TStrand
@@ -74,7 +76,7 @@ from .generators import (
     random_eval_model,
     random_spec,
 )
-from .helpers import CORPUS, KEY_WRAP, ROOT, X509_ORIGINAL, expand_additivity, read
+from .helpers import CORPUS, DEFAULT_CONFIG, KEY_WRAP, ROOT, X509_ORIGINAL, expand_additivity, read
 from .naive_compare import naive_compare
 from .naive_eval import naive_eval_cost, naive_eval_terms
 from .naive_sizes import naive_cost_of_space
@@ -512,6 +514,35 @@ def test_model_constructors_refuse_non_finite_numbers(bad):
     zero = CostModel(funcs={f: Affine(0, 0) for f in EXPANDABLE}, lambda_c=0, lambda_p=0,
                      ov_h=0, size_model=model().size_model)
     assert eval_cost(cost_expr([app(CostFunc.F_H, SN), LambdaC(), Overhead(1)]), zero) == 0
+
+
+@pytest.mark.parametrize(
+    "change, overflowing",
+    [
+        # the two configs of test_cli's overflow test: an S_asym block count
+        # too large to be an integer, then finite sizes whose sums are not
+        ({"s_asym": {"blk_in": 2e-300, "blk_out": 128, "pad": 1e-300}, "sizes": {"m": 1e10}},
+         {"f_pk(S_asym(|m|))"}),
+        ({"sizes": {"r": 1e308, "n": 1e308}},
+         {"f_sk(|r| + |n|)", "f_h(S_asym(|r| + |n|))"}),
+    ],
+    ids=["asym-blocks", "sum"],
+)
+def test_eval_cost_overflow_is_non_finite_and_raises_nothing(change, overflowing):
+    # eval_size raised OverflowError on an infinite block count, while a
+    # sum that overflowed came back as inf
+    data = json.loads(Path(DEFAULT_CONFIG).read_text(encoding="utf-8"))
+    for key, value in change.items():
+        data[key].update(value)
+    m, _ = parse_config(data)
+    terms = [app(CostFunc.F_SK, SR, SN), App(CostFunc.F_H, (AsymSize(ssum([SR, SN])),)),
+             App(CostFunc.F_PK, (AsymSize(SM),))]
+    assert {render_cost_term(t) for t in terms} >= overflowing
+    for term in terms:
+        value = eval_cost(cost_expr([term]), m)
+        assert isinstance(value, float)
+        assert math.isfinite(value) is (render_cost_term(term) not in overflowing)
+    assert not math.isfinite(eval_cost(cost_expr(terms), m))
 
 
 @pytest.mark.parametrize("mult", [True, 1.0, 2.0, 1.5],

@@ -172,6 +172,20 @@ def test_eval_size_asym_blocks():
     assert eval_size(ssum([SN, SN, SR]), MODEL) == 40.0
 
 
+def test_eval_size_beyond_the_float_range_is_inf():
+    # an infinite block count made math.ceil raise OverflowError, and an
+    # int block count times an int blk_out was an int beyond the float range
+    def sized(m, **fields):
+        return SizeModel(**{**_MODEL_FIELDS, **fields,
+                            "sizes": {**_MODEL_FIELDS["sizes"], BasicTT.M: m}})
+
+    huge = sized(10**306, blk_out=10**6)
+    tiny_blocks = sized(1e10, blk_in=2e-300, pad=1e-300)
+    for model in (huge, tiny_blocks):
+        value = eval_size(AsymSize(TypeSize(BasicTT.M)), model)
+        assert type(value) is float and value == math.inf
+
+
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
