@@ -57,7 +57,7 @@ class _CliError(Exception):
 def _load_spec(path: str) -> ProtocolSpec:
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read().removeprefix("\ufeff")  # a byte-order mark
     except UnicodeDecodeError as exc:
         raise _CliError(
             2, f"ParseError: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"

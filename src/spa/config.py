@@ -157,7 +157,8 @@ def load_config(path) -> tuple[CostModel, AssumptionSet]:
     """Read and validate a JSON config file."""
     with open(path, encoding="utf-8") as handle:
         try:
-            data = json.load(handle, object_pairs_hook=_unique_keys)
+            text = handle.read().removeprefix("\ufeff")  # a byte-order mark
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             # malformed or too deeply nested JSON, a key repeated in one
             # object, or text that is not UTF-8

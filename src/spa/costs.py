@@ -31,7 +31,6 @@ again.
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from functools import cached_property
 from operator import attrgetter
@@ -39,7 +38,7 @@ from operator import attrgetter
 from .sizes import (SizeExpr, SizeModel, Sum, TypeSize, _in_range, contains_hash, delta,
                     eval_size, render_size)
 from .strands import OPS, Classifier, CostFunc, StrandSpace, TStrand
-from .terms import Value, _hash_consed
+from .terms import Value, _IdentityEnum
 
 
 _FUNC_RANK = {f: i for i, f in enumerate(CostFunc)}
@@ -69,7 +68,6 @@ class CostTerm(Value):
 _set_order = CostTerm._order.__set__
 
 
-@_hash_consed
 class App(CostTerm):
     __slots__ = {"func": CostFunc, "args": tuple[SizeExpr, ...]}
 
@@ -89,16 +87,14 @@ class App(CostTerm):
 # L_C and L_P are the flat constants f_c and f_p fold into.  Each names the
 # function it folds as a class attribute, not a field, so evaluation and
 # dominance treat a folded term and a raw application alike.
-@_hash_consed
 class LambdaC(CostTerm):
-    __slots__ = ()
+    __slots__ = {}
     func = CostFunc.F_C
     _order = (1, -1)
 
 
-@_hash_consed
 class LambdaP(CostTerm):
-    __slots__ = ()
+    __slots__ = {}
     func = CostFunc.F_P
     _order = (4, -1)
 
@@ -106,7 +102,6 @@ class LambdaP(CostTerm):
 _FOLDED = {cls.func: cls() for cls in (LambdaC, LambdaP)}
 
 
-@_hash_consed
 class Overhead(CostTerm):
     __slots__ = {"sign": int}  # +1 or -1
     func = None  # no function applied
@@ -120,7 +115,6 @@ class Overhead(CostTerm):
 _MINUS_OV = Overhead(-1)  # what each expansion leaves behind
 
 
-@_hash_consed
 class CostExpr(Value):
     __slots__ = {"terms": tuple[tuple[CostTerm, int], ...]}
 
@@ -258,7 +252,6 @@ def render_cost(e: CostExpr) -> str:
     return "".join(pieces)
 
 
-@_hash_consed
 class Affine(Value):
     """alpha + beta * size: the price of a size-dependent function."""
 
@@ -278,7 +271,6 @@ class _Dominance(Value):
 _set_closure = _Dominance._closure.__set__
 
 
-@_hash_consed
 class AssumptionSet(_Dominance):
     __slots__ = {"ignore_overhead": bool, "dominance": tuple[tuple[CostFunc, CostFunc], ...],
                  "max_bytes": (int, float)}
@@ -328,7 +320,6 @@ class _Priced(Value):
 _set_values = _Priced._values.__set__
 
 
-@_hash_consed
 class CostModel(_Priced):
     """Prices of the cost functions, and the size model their arguments are
     valued under.  It keeps a table from each cost term it has valued to
@@ -376,9 +367,7 @@ def _eval_terms(terms, model: CostModel) -> float:
     return total
 
 
-class Verdict(enum.Enum):
-    __hash__ = object.__hash__  # members are singletons; see terms.AtomKind
-
+class Verdict(_IdentityEnum):
     LESS = "Less"
     GREATER = "Greater"
     EQUAL = "Equal"

@@ -39,7 +39,6 @@ from .terms import (
     SignedTerm,
     Term,
     Value,
-    _hash_consed,
     atoms_of,
 )
 
@@ -104,7 +103,6 @@ def _offsets(text: str) -> list[int]:
     return offsets
 
 
-@_hash_consed
 class Message(Value):
     __slots__ = {"sender": Atom, "recipient": Atom, "payload": Term}
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .terms import Basic, BasicTT, FuncName, TEmpty, TEnc, TPair, TTerm, Value, _hash_consed
+from .terms import Basic, BasicTT, FuncName, TEmpty, TEnc, TPair, TTerm, Value
 
 _set_size = TTerm._size.__set__
 _BASIC_TYPES = frozenset(BasicTT)  # the keys of every SizeModel's sizes
@@ -45,22 +45,18 @@ class SizeExpr(Value):
     __slots__ = ()
 
 
-@_hash_consed
 class TypeSize(SizeExpr):
     __slots__ = {"tt": BasicTT}
 
 
-@_hash_consed
 class HashSize(SizeExpr):
-    __slots__ = ()
+    __slots__ = {}
 
 
-@_hash_consed
 class AsymSize(SizeExpr):
     __slots__ = {"arg": SizeExpr}
 
 
-@_hash_consed
 class Sum(SizeExpr):
     __slots__ = {"items": tuple[tuple[int, SizeExpr], ...]}
 
@@ -156,7 +152,6 @@ def render_size(e: SizeExpr) -> str:
     raise TypeError(f"not a size expression: {e!r}")
 
 
-@_hash_consed
 class SizeModel(Value):
     __slots__ = {"sizes": dict[BasicTT, (int, float)], "s_hash": (int, float),
                  "blk_in": (int, float), "blk_out": (int, float), "pad": (int, float)}

@@ -19,7 +19,6 @@ Shape checking, pricing (`costs.cost_of_space`) and strand emission
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Callable
 
 from .errors import ShapeViolation
@@ -34,15 +33,13 @@ from .terms import (
     TPair,
     Term,
     Value,
-    _hash_consed,
+    _IdentityEnum,
     render_signed,
     render_term,
 )
 
 
-class Classifier(enum.Enum):
-    __hash__ = object.__hash__  # members are singletons; see terms.AtomKind
-
+class Classifier(_IdentityEnum):
     C_P = "C_P"
     C_E = "C_E"
     C_D = "C_D"
@@ -55,9 +52,7 @@ class Classifier(enum.Enum):
     C_I = "C_I"
 
 
-class CostFunc(enum.Enum):
-    __hash__ = object.__hash__  # members are singletons; see terms.AtomKind
-
+class CostFunc(_IdentityEnum):
     F_SK = "f_sk"
     F_PK = "f_pk"
     F_H = "f_h"
@@ -68,7 +63,6 @@ class CostFunc(enum.Enum):
     F_C = "f_c"
 
 
-@_hash_consed
 class KStrand(Value):
     __slots__ = {"knowledge": tuple[Term, ...], "participant": Atom,
                  "seq": tuple[SignedTerm, ...], "fresh": frozenset[Atom]}
@@ -89,7 +83,6 @@ class KStrand(Value):
         return tuple(t for t in self.knowledge if t not in self.fresh)
 
 
-@_hash_consed
 class TStrand(Value):
     __slots__ = {"classifier": Classifier, "participant": Atom, "seq": tuple[SignedTerm, ...]}
 
@@ -102,7 +95,6 @@ class TStrand(Value):
             validate_op_strand(self)
 
 
-@_hash_consed
 class StrandSpace(Value):
     # `comm`: communication edges (transmitting node, receiving node); a node
     # is its position (strand, event): strands count from 0, events from 1
@@ -143,7 +135,6 @@ def _basic(tt: BasicTT):
     return lambda t, seq: isinstance(t, Basic) and t.tt is tt
 
 
-@_hash_consed
 class Op(Value):
     """An operation's shape and cost; positions count events from 1."""
 

@@ -17,9 +17,11 @@ through it: terms and signed terms here, size expressions and size models
 (`parser`), and cost terms, cost expressions, assumption sets, prices and
 cost models (`costs`).
 
-A hash-consed class derives from `Value` and maps each field to its
-contract in its `__slots__`.  `_hash_consed` generates its constructor,
-`__new__`, whose parameters are those fields, so Python binds positional,
+Deriving from `Value` with a dict `__slots__` that maps each field to its
+contract, `{}` for a class without fields, is what makes a class
+hash-consed; a tuple `__slots__` makes a plain base.  `Value` passes each
+such class to `_hash_consed`, which generates its constructor, `__new__`,
+whose parameters are those fields, so Python binds positional,
 keyword and mixed calls and refuses bad ones, and whose checks refuse a
 field that does not meet its contract (see `_hash_consed`).  Defaults of
 its last fields, if any, are its `_defaults` tuple.  A hit is one table
@@ -39,20 +41,21 @@ from types import GenericAlias, MappingProxyType
 from _weakref import _remove_dead_weakref
 
 
-class AtomKind(enum.Enum):
-    # members are singletons, so identity hashing agrees with equality and
-    # skips Enum.__hash__, a Python-level hash of the member name
+class _IdentityEnum(enum.Enum):
+    # the base of the package's enums: members are singletons, so identity
+    # hashing agrees with equality and skips Enum.__hash__, a Python-level
+    # hash of the member name
     __hash__ = object.__hash__
 
+
+class AtomKind(_IdentityEnum):
     PARTICIPANT = "participant"
     NONCE = "nonce"
     KEY = "key"
     USERDATA = "data"
 
 
-class FuncName(enum.Enum):
-    __hash__ = object.__hash__  # see AtomKind
-
+class FuncName(_IdentityEnum):
     SK = "sk"
     PK = "pk"
     PVK = "pvk"
@@ -149,31 +152,6 @@ def _fields(t) -> tuple:
                  for v in map(t.__getattribute__, type(t).__slots__))
 
 
-def _reduce(t):
-    return type(t), _fields(t)
-
-
-def _same(t, memo=None):
-    return t
-
-
-def _repr(t) -> str:
-    fields = ", ".join(f"{name}={value!r}" for name, value in zip(type(t).__slots__, _fields(t)))
-    return f"{type(t).__qualname__}({fields})"
-
-
-def _setattr(t, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _delattr(t, name):
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _final(cls, **kwargs):
-    raise TypeError(f"{cls.__qualname__}: a hash-consed class cannot be subclassed")
-
-
 def _enterer(table, check):
     """The end of a miss for a class whose table is `table`: run `check`,
     the class's `_check` or None, on the new term and enter it under `key`,
@@ -204,7 +182,8 @@ def _enterer(table, check):
 def _hash_consed(cls):
     """Make constructing a term of cls return the live term with equal
     fields if there is one, so identity equality and `object.__hash__` are
-    value equality and a hash of it.
+    value equality and a hash of it.  `Value.__init_subclass__` calls it on
+    each class that derives from `Value` with a dict `__slots__`.
 
     cls maps each field to its contract in its `__slots__`: a class, a
     tuple of classes (any one of them), or `tuple[X, ...]`, `tuple[X, Y]`,
@@ -218,10 +197,8 @@ def _hash_consed(cls):
     build the key, and any other on a miss, before `_check`, as no value of
     another type equals a live one.  A mapping field is keyed by the
     frozenset of its items and stored as a read-only copy.  A term whose
-    check raised never enters its table.  Terms are read-only, show their
-    fields in `repr`, and pickle and copy as the canonical term.  A
-    subclass would share its parent's table, so none may be made."""
-    contracts = cls.__slots__ or {}
+    check raised never enters its table."""
+    contracts = cls.__slots__
     names = tuple(contracts)
     mappings = [type(c) is GenericAlias and c.__origin__ is dict for c in contracts.values()]
     early, late, kinds = [], [], []
@@ -254,17 +231,49 @@ def _hash_consed(cls):
     __new__.__qualname__ = f"{cls.__qualname__}.__new__"
     __new__.__defaults__ = cls.__dict__.get("_defaults")
     cls.__new__ = staticmethod(__new__)
-    cls.__setattr__, cls.__delattr__, cls.__repr__ = _setattr, _delattr, _repr
-    # pickles and copies are the canonical term
-    cls.__reduce__, cls.__copy__, cls.__deepcopy__ = _reduce, _same, _same
-    cls.__init_subclass__ = classmethod(_final)
-    return cls
 
 
 class Value:
-    """Base class of every hash-consed class: its table holds terms weakly."""
+    """Base class of every hash-consed class: its table holds terms weakly.
+
+    Deriving from `Value` with a dict `__slots__`, `{}` for a class without
+    fields, is what makes a class hash-consed (see `_hash_consed`); one with
+    a tuple `__slots__` is a plain base of such classes.  Terms are
+    read-only, show their fields in `repr`, and pickle and copy as the
+    canonical term.  A subclass of a hash-consed class would share its
+    table, so none may be made."""
 
     __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if any(base in _TABLES for base in cls.__mro__[1:]):
+            raise TypeError(f"{cls.__qualname__}: a hash-consed class cannot be subclassed")
+        if type(cls.__dict__.get("__slots__")) is dict:
+            _hash_consed(cls)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        if type(self) not in _TABLES:  # an instance of a plain base has no fields
+            return object.__repr__(self)
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(type(self).__slots__, _fields(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    # pickles and copies are the canonical term
+    def __reduce__(self):
+        return type(self), _fields(self)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo=None):
+        return self
 
 
 class Term(Value):
@@ -277,15 +286,13 @@ class Term(Value):
 _set_typed = Term._typed.__set__
 
 
-@_hash_consed
 class Empty(Term):
-    __slots__ = ()
+    __slots__ = {}
 
     def _check(self):
         _set_typed(self, TEmpty())
 
 
-@_hash_consed
 class Atom(Term):
     __slots__ = {"kind": AtomKind, "label": str}
 
@@ -295,7 +302,6 @@ class Atom(Term):
         _set_typed(self, _KIND_TO_BASIC[self.kind])
 
 
-@_hash_consed
 class Pair(Term):
     __slots__ = {"left": Term, "right": Term}
 
@@ -303,7 +309,6 @@ class Pair(Term):
         _set_typed(self, TPair(self.left._typed, self.right._typed))
 
 
-@_hash_consed
 class Enc(Term):
     __slots__ = {"body": Term, "func": FuncName, "key": (Atom, Empty)}
 
@@ -316,9 +321,7 @@ class Enc(Term):
         _set_typed(self, TEnc(self.body._typed, self.func))
 
 
-class BasicTT(enum.Enum):
-    __hash__ = object.__hash__  # see AtomKind
-
+class BasicTT(_IdentityEnum):
     R = "r"
     N = "n"
     K = "k"
@@ -332,22 +335,18 @@ class TTerm(Value):
     __slots__ = ("_size",)
 
 
-@_hash_consed
 class TEmpty(TTerm):
-    __slots__ = ()
+    __slots__ = {}
 
 
-@_hash_consed
 class Basic(TTerm):
     __slots__ = {"tt": BasicTT}
 
 
-@_hash_consed
 class TPair(TTerm):
     __slots__ = {"left": TTerm, "right": TTerm}
 
 
-@_hash_consed
 class TEnc(TTerm):
     __slots__ = {"body": TTerm, "func": FuncName}
 
@@ -355,7 +354,6 @@ class TEnc(TTerm):
 _KIND_TO_BASIC = {kind: Basic(tt) for kind, tt in zip(AtomKind, BasicTT)}  # r, n, k, m
 
 
-@_hash_consed
 class SignedTerm(Value):
     __slots__ = {"sign": int, "payload": (Term, TTerm)}
 

@@ -16,6 +16,7 @@ from spa.cli import _role_cost
 from .dotcheck import check_dot
 from .helpers import (
     ANDREW,
+    CORPUS,
     DEFAULT_CONFIG,
     KEY_WRAP,
     ROOT,
@@ -511,6 +512,41 @@ def test_non_utf8_config_is_config_error(tmp_path):
         assert (code, out) == (4, "")
         assert err.startswith(f"ConfigError: {cfg}: 'utf-8' codec can't decode byte 0xb5")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: Path(p).stem)
+def test_byte_order_mark_is_read_past(tmp_path, path):
+    # a UTF-8 file may start with a byte-order mark; it is not text
+    spec, cfg = tmp_path / "bom.spa", tmp_path / "bom.json"
+    spec.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+    cfg.write_bytes(b"\xef\xbb\xbf" + Path(DEFAULT_CONFIG).read_bytes())
+    role = parse(read(path)).roles[0].label
+
+    def calls(spec_path, cfg_path):
+        spec_path, cfg_path = str(spec_path), str(cfg_path)
+        return [run_cli("check", spec_path), run_cli("cost", spec_path, "--role", role),
+                run_cli("eval", spec_path, "--role", role, "--config", cfg_path)]
+
+    want = calls(path, DEFAULT_CONFIG)
+    assert [code for code, _, _ in want] == [0, 0, 0]
+    for spec_path, cfg_path in ((spec, DEFAULT_CONFIG), (path, cfg), (spec, cfg)):
+        assert calls(spec_path, cfg_path) == want
+
+
+def test_byte_order_mark_keeps_byte_offsets(tmp_path):
+    # a byte that is not UTF-8 is reported at its offset in the file, the
+    # mark counted
+    spec, cfg = tmp_path / "bom.spa", tmp_path / "bom.json"
+    spec.write_bytes(b"\xef\xbb\xbf// caf\xe9\nprotocol p { roles A, B; nonce N; A -> B: N; }\n")
+    code, out, err = run_cli("check", str(spec))
+    assert (code, out) == (2, "")
+    assert err == f"ParseError: {spec} is not UTF-8 text (invalid continuation byte at byte 9)\n"
+    text = b"\xef\xbb\xbf" + Path(DEFAULT_CONFIG).read_bytes().replace(b'"m"', b'"\xb5"')
+    cfg.write_bytes(text)
+    offset = text.index(b"\xb5")
+    code, out, err = run_cli("eval", X509_ORIGINAL, "--role", "A", "--config", str(cfg))
+    assert (code, out) == (4, "")
+    assert f"can't decode byte 0xb5 in position {offset}:" in err
 
 
 def test_non_finite_config_is_config_error(tmp_path):

@@ -1130,6 +1130,29 @@ def test_compare_reflexive_equal(seed):
     assert res.left_residual == CostExpr(())
 
 
+_CONVERSE = {Verdict.LESS: Verdict.GREATER, Verdict.GREATER: Verdict.LESS,
+             Verdict.EQUAL: Verdict.EQUAL, Verdict.INDETERMINATE: Verdict.INDETERMINATE}
+
+
+def test_compare_symmetric():
+    # swapping the sides gives the converse verdict and swaps the residuals
+    rng = random.Random(0x5E77)
+    roles = _role_costs()
+    seen = set()
+    for assume in ASSUMPTION_SETS:
+        pairs = [(a, b) for a in roles for b in roles]
+        for _ in range(250):
+            pairs.append((random_cost_expr(rng), random_cost_expr(rng)))
+            pairs.append(decisive_pair(rng, assume)[:2])
+        for a, b in pairs:
+            there, back = compare(a, b, assume), compare(b, a, assume)
+            assert back.verdict is _CONVERSE[there.verdict], (a, b, assume)
+            assert back.left_residual == there.right_residual
+            assert back.right_residual == there.left_residual
+            seen.add(there.verdict)
+    assert seen == set(Verdict)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seeds)
 def test_cancellation_neutrality(seed):

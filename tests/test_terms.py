@@ -48,6 +48,7 @@ from spa.terms import (
     TEmpty,
     TEnc,
     TPair,
+    Term,
     _TABLES,
     atoms_of,
     pair_of,
@@ -240,6 +241,12 @@ def test_terms_of_non_terms_are_refused():
         type_erase(Basic(BasicTT.N))
 
 
+def test_an_instance_of_a_plain_base_is_not_a_term():
+    # `Term` has a tuple `__slots__`: not hash-consed, it has no fields to show
+    with pytest.raises(TypeError, match="^not a term: <spa.terms.Term object at "):
+        type_erase(Term())
+
+
 _RELABEL = {
     A: Atom(AtomKind.PARTICIPANT, "B"),
     NA: Atom(AtomKind.NONCE, "N_b"),
@@ -430,6 +437,38 @@ def test_constructor_contract(cls):
     assert set(table) <= before
     with pytest.raises(TypeError, match="^Sub: a hash-consed class cannot be subclassed$"):
         type("Sub", (cls,), {"__slots__": ()})
+
+
+_DECLARE_VALUES = """\
+import pytest
+from spa.terms import Value, _TABLES
+
+class P(Value):
+    __slots__ = {"x": int}
+
+assert P in _TABLES and P(1) is P(1) and P(x=2) is P(2) is not P(1)
+with pytest.raises(TypeError, match="^P.x must be int, not bool$"):
+    P(True)
+with pytest.raises(TypeError, match="^Sub: a hash-consed class cannot be subclassed$"):
+    class Sub(P):
+        __slots__ = {}
+
+class Base(Value):
+    __slots__ = ()
+
+class Leaf(Base):
+    __slots__ = {}
+
+assert Base not in _TABLES and Leaf in _TABLES and Leaf() is Leaf()
+"""
+
+
+def test_a_dict_slots_value_subclass_is_hash_consed():
+    # in its own interpreter: `_TABLES` keeps every class made in this one,
+    # and `test_every_hash_consed_class_has_constructor_cases` reads it
+    src = str(os.path.dirname(os.path.dirname(spa.__file__)))
+    subprocess.run([sys.executable, "-c", _DECLARE_VALUES], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def _is_contract(contract) -> bool:
