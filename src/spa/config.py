@@ -10,7 +10,6 @@ silently fall back to defaults or be overridden.
 from __future__ import annotations
 
 import json
-import math
 
 from .costs import (
     DEFAULT_ASSUMPTIONS,
@@ -21,39 +20,34 @@ from .costs import (
     EXPANDABLE,
 )
 from .errors import ConfigError
-from .sizes import SizeModel
+from .sizes import _FLOAT_MAX, SizeModel
 from .terms import BasicTT
 
 _SIZE_KEYS = {"r": BasicTT.R, "n": BasicTT.N, "k": BasicTT.K, "m": BasicTT.M}
 _FUNC_NAMES = {f.value: f for f in CostFunc}
 
 
-def _mapping(value, where: str) -> dict:
+def _section(value, where: str, keys, required=None) -> dict:
+    """`value` as a closed object: no key outside `keys`, and every key of
+    `required` (all of `keys` by default) present."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be an object")
-    return value
-
-
-def _check_keys(data: dict, allowed, required, where: str) -> None:
-    unknown = sorted(set(data) - set(allowed))
+    unknown = sorted(set(value) - set(keys))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
-    missing = sorted(set(required) - set(data))
+    missing = sorted(set(keys if required is None else required) - set(value))
     if missing:
         raise ConfigError(f"missing key {missing[0]!r} in {where}")
+    return value
 
 
 def _number(data: dict, key: str, where: str) -> float:
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # NaN, inf, or an int beyond a float
         raise ConfigError(f"{where}.{key} must be finite")
-    return number
+    return float(value)
 
 
 def _flag(data: dict, key: str, where: str) -> bool:
@@ -64,24 +58,19 @@ def _flag(data: dict, key: str, where: str) -> bool:
 
 
 def parse_config(data) -> tuple[CostModel, AssumptionSet]:
-    top = _mapping(data, "config")
     required = ("sizes", "s_hash", "s_asym", "funcs", "lambda_c", "lambda_p", "ov_h")
-    _check_keys(top, required + ("assumptions",), required, "config")
+    top = _section(data, "config", required + ("assumptions",), required)
 
-    sizes_raw = _mapping(top["sizes"], "sizes")
-    _check_keys(sizes_raw, _SIZE_KEYS, _SIZE_KEYS, "sizes")
+    sizes_raw = _section(top["sizes"], "sizes", _SIZE_KEYS)
     sizes = {tt: _number(sizes_raw, key, "sizes") for key, tt in _SIZE_KEYS.items()}
 
-    asym = _mapping(top["s_asym"], "s_asym")
-    _check_keys(asym, ("blk_in", "blk_out", "pad"), ("blk_in", "blk_out", "pad"), "s_asym")
+    asym = _section(top["s_asym"], "s_asym", ("blk_in", "blk_out", "pad"))
 
-    funcs_raw = _mapping(top["funcs"], "funcs")
     wanted = {f.value: f for f in EXPANDABLE}
-    _check_keys(funcs_raw, wanted, wanted, "funcs")
+    funcs_raw = _section(top["funcs"], "funcs", wanted)
     funcs = {}
     for name, func in wanted.items():
-        entry = _mapping(funcs_raw[name], f"funcs.{name}")
-        _check_keys(entry, ("alpha", "beta"), ("alpha", "beta"), f"funcs.{name}")
+        entry = _section(funcs_raw[name], f"funcs.{name}", ("alpha", "beta"))
         try:
             funcs[func] = Affine(
                 _number(entry, "alpha", f"funcs.{name}"),
@@ -114,9 +103,7 @@ def parse_config(data) -> tuple[CostModel, AssumptionSet]:
 
 
 def _parse_assumptions(raw) -> AssumptionSet:
-    data = _mapping(raw, "assumptions")
-    allowed = ("ignore_overhead", "dominance", "max_bytes")
-    _check_keys(data, allowed, (), "assumptions")
+    data = _section(raw, "assumptions", ("ignore_overhead", "dominance", "max_bytes"), ())
     kwargs = {}
     if "ignore_overhead" in data:
         kwargs["ignore_overhead"] = _flag(data, "ignore_overhead", "assumptions")

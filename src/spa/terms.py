@@ -411,36 +411,26 @@ def _spine(t) -> list:
     return out
 
 
-def render_term(t: Term) -> str:
-    """Display form: (A, N_a), {N_a, K, B}_sk(K_AB), h(T_a, N_a)."""
-    if isinstance(t, Empty):
+def render_term(t: Term | TTerm) -> str:
+    """Display form of an instance term, (A, N_a), {N_a, K, B}_sk(K_AB),
+    h(T_a, N_a), or of a typed term, (r, n), {n, k, r}_sk, {m}_h."""
+    if isinstance(t, (Empty, TEmpty)):
         return "."
     if isinstance(t, Atom):
         return t.label
-    if isinstance(t, Pair):
+    if isinstance(t, Basic):
+        return t.tt.value
+    if isinstance(t, (Pair, TPair)):
         return "(" + ", ".join(render_term(p) for p in _spine(t)) + ")"
-    if isinstance(t, Enc):
+    if isinstance(t, (Enc, TEnc)):
         inner = ", ".join(render_term(p) for p in _spine(t.body))
+        if isinstance(t, TEnc):
+            return f"{{{inner}}}_{t.func.value}"
         if t.func is FuncName.H:
             return f"h({inner})"
         return f"{{{inner}}}_{t.func.value}({t.key.label})"
     raise TypeError(f"not a term: {t!r}")
 
 
-def render_tterm(t: TTerm) -> str:
-    """Display form: (r, n), {n, k, r}_sk, {m}_h."""
-    if isinstance(t, TEmpty):
-        return "."
-    if isinstance(t, Basic):
-        return t.tt.value
-    if isinstance(t, TPair):
-        return "(" + ", ".join(render_tterm(p) for p in _spine(t)) + ")"
-    if isinstance(t, TEnc):
-        inner = ", ".join(render_tterm(p) for p in _spine(t.body))
-        return f"{{{inner}}}_{t.func.value}"
-    raise TypeError(f"not a typed term: {t!r}")
-
-
 def render_signed(st) -> str:
-    body = render_term(st.payload) if isinstance(st.payload, Term) else render_tterm(st.payload)
-    return ("+" if st.sign > 0 else "-") + body
+    return ("+" if st.sign > 0 else "-") + render_term(st.payload)

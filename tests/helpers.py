@@ -1,5 +1,6 @@
-"""Shared test plumbing: repo paths, in-process CLI invocation, and the
-whole-expression additivity rewrite the cost tests check values against."""
+"""Shared test plumbing: repo paths, in-process CLI invocation, the bundled
+roles' costs, and the whole-expression additivity rewrite the cost tests
+check values against."""
 
 from __future__ import annotations
 
@@ -7,8 +8,10 @@ import io
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from spa import cost_of_space, extract, parse, project
 from spa.cli import main
 from spa.costs import CostExpr, _expand, _simplified
+from spa.errors import Ungeneratable, Unrecoverable
 
 ROOT = Path(__file__).resolve().parent.parent
 PROTOCOLS = ROOT / "protocols"
@@ -40,6 +43,18 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def role_costs() -> list:
+    """Raw cost of every role of every bundled protocol that extracts."""
+    out = []
+    for path in CORPUS:
+        for strand in project(parse(read(path))).strands:
+            try:
+                out.append(cost_of_space(extract(strand).space()))
+            except (Ungeneratable, Unrecoverable):
+                pass
+    return out
 
 
 def expand_additivity(e: CostExpr) -> CostExpr:

@@ -23,7 +23,7 @@ from spa.errors import Ungeneratable, Unrecoverable
 from spa.oracle import op_count_oracle
 from spa.sizes import HashSize, delta, ssum
 from spa.strands import Classifier, render_kstrand
-from spa.terms import FuncName, TEnc, TPair, render_tterm
+from spa.terms import FuncName, TEnc, TPair, render_term
 
 from .generators import (
     ASSUMPTION_SETS,
@@ -112,7 +112,7 @@ def test_criterion_4_golden_strand_models():
             "-{N_a}_sk(K), +N_b⟩⟩"
         )
         erased = [
-            render_tterm(ev.payload)
+            render_term(ev.payload)
             for ev in extract(strands["A"]).process.seq
         ]
         assert erased == ["(r, n)", "{n, k, r}_sk", "{n}_sk", "n"]

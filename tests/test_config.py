@@ -242,3 +242,45 @@ def test_non_finite_numbers_rejected(key):
             parse_config(data)
         name = ".".join(key) if outer else f"config.{last}"
         assert str(exc.value) == f"{name} must be finite"
+
+
+def _set(path, value):
+    def change(data):
+        *outer, last = path.split(".")
+        for part in outer:
+            data = data[part]
+        data[last] = value
+    return change
+
+
+@pytest.mark.parametrize("faults, message", [
+    # the top level's keys before any section
+    ((_set("typo", 1), _set("sizes", "x")), "unknown key 'typo' in config"),
+    # a section's keys before its numbers
+    ((_set("sizes.n", math.nan), _set("sizes.extra", 1)), "unknown key 'extra' in sizes"),
+    # sizes' numbers before s_asym's keys
+    ((_set("sizes.r", "x"), _set("s_asym.extra", 1)), "sizes.r must be a number"),
+    # s_asym's keys before funcs' keys
+    ((_set("s_asym.extra", 1), _set("funcs.typo", 1)), "unknown key 'extra' in s_asym"),
+    # funcs entries before the size-model numbers
+    ((_set("funcs.f_sk.alpha", "x"), _set("s_hash", "x")), "funcs.f_sk.alpha must be a number"),
+    ((_set("s_asym.blk_in", "x"), _set("funcs.f_h", "x")), "funcs.f_h must be an object"),
+    ((_set("funcs.f_h.gamma", 1), _set("sizes.n", -1)), "unknown key 'gamma' in funcs.f_h"),
+    ((_set("funcs.f_sk.alpha", -1), _set("lambda_c", -1)),
+     "funcs.f_sk: affine coefficients must be finite and nonnegative"),
+    # the size model before the cost model's constants
+    ((_set("sizes.n", 0), _set("lambda_c", -1)), "size-model values must be finite and positive"),
+    # assumptions last
+    ((_set("assumptions.typo", 1), _set("sizes.n", 0)), "size-model values must be finite and positive"),
+    ((_set("assumptions", None), _set("ov_h", "x")), "config.ov_h must be a number"),
+], ids=["top", "sizes-keys", "sizes", "s_asym", "funcs-number", "funcs-object", "funcs-keys",
+        "funcs-range", "size-model", "assumptions", "assumptions-null"])
+def test_first_fault_wins(faults, message):
+    """A config with two faults is refused for the one checked first."""
+    for ordered in (faults, faults[::-1]):
+        data = variant()
+        for fault in ordered:
+            fault(data)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data)
+        assert str(exc.value) == message

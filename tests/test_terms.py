@@ -52,8 +52,8 @@ from spa.terms import (
     _TABLES,
     atoms_of,
     pair_of,
+    render_signed,
     render_term,
-    render_tterm,
     type_erase,
 )
 
@@ -171,15 +171,21 @@ def test_render_term():
     assert render_term(Enc(Pair(A, NA), FuncName.H, Empty())) == "h(A, N_a)"
     assert render_term(Enc(M, FuncName.PK, K)) == "{X_a}_pk(K)"
     assert render_term(Empty()) == "."
-
-
-def test_render_tterm():
+    # typed terms: a cipher shows its function only, a hash as a cipher
     r, n, k = Basic(BasicTT.R), Basic(BasicTT.N), Basic(BasicTT.K)
-    assert render_tterm(TPair(r, n)) == "(r, n)"
-    assert render_tterm(TEnc(TPair(TPair(n, k), r), FuncName.SK)) == "{n, k, r}_sk"
-    assert render_tterm(TEnc(n, FuncName.H)) == "{n}_h"
-    assert render_tterm(n) == "n"
-    assert render_tterm(TEmpty()) == "."
+    assert render_term(TPair(r, n)) == "(r, n)"
+    assert render_term(TEnc(TPair(TPair(n, k), r), FuncName.SK)) == "{n, k, r}_sk"
+    assert render_term(TEnc(n, FuncName.H)) == "{n}_h"
+    assert render_term(n) == "n"
+    assert render_term(TEmpty()) == "."
+    with pytest.raises(TypeError, match=r"^not a term: 5$"):
+        render_term(5)
+
+
+def test_render_signed():
+    assert render_signed(SignedTerm(1, Enc(Pair(A, NA), FuncName.H, Empty()))) == "+h(A, N_a)"
+    typed = TEnc(TPair(Basic(BasicTT.N), Basic(BasicTT.K)), FuncName.SK)
+    assert render_signed(SignedTerm(-1, typed)) == "-{n, k}_sk"
 
 
 _atoms = st.sampled_from([A, NA, K, M])
