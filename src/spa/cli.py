@@ -6,7 +6,8 @@ models (text, DOT, or JSON), `cost` prints a role's symbolic cost,
 evaluates a cost numerically under a configured model.
 
 Exit codes: 0 success (verdicts included), 1 I/O, 2 validation,
-3 extraction, 4 configuration.
+3 extraction, 4 configuration; each error class in `errors` fixes its
+own, and `main` reports every one as a single stderr line.
 
 The argument parser is built on the first `main` call and reused by every
 later call in the process; importing this module does not build it.
@@ -32,8 +33,8 @@ from .costs import (
     render_cost_term,
     simplify,
 )
-from .errors import ConfigError, SpaError
-from .extraction import Extraction, extract
+from .errors import ConfigError, ParseError, SpaError, UnknownRole
+from .extraction import extract
 from .parser import ProtocolSpec, _role_strand, parse, project
 from .strands import (
     Classifier,
@@ -47,34 +48,13 @@ from .strands import (
 from .terms import render_signed, render_term
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
-
-
 def _load_spec(path: str) -> ProtocolSpec:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read().removeprefix("\ufeff")  # a byte-order mark
     except UnicodeDecodeError as exc:
-        raise _CliError(
-            2, f"ParseError: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from exc
-    try:
-        return parse(text)
-    except SpaError as exc:
-        raise _CliError(2, f"{type(exc).__name__}: {exc}") from exc
-
-
-def _load_model(path: str | None):
-    if path is None:
-        return None, DEFAULT_ASSUMPTIONS
-    try:
-        return load_config(path)
-    except ConfigError as exc:
-        raise _CliError(4, f"ConfigError: {exc}") from exc
+        raise ParseError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return parse(text)
 
 
 def _evaluate(cost: CostExpr, model, path: str) -> float:
@@ -83,31 +63,22 @@ def _evaluate(cost: CostExpr, model, path: str) -> float:
     configuration error."""
     value = eval_cost(cost, model)
     if not math.isfinite(value):
-        raise _CliError(4, f"ConfigError: {path}: cost does not evaluate to a finite number")
+        raise ConfigError(f"{path}: cost does not evaluate to a finite number")
     return value
 
 
 def _strand_for(spec: ProtocolSpec, label: str) -> KStrand | None:
     role = spec.role(label)
     if role is None:
-        raise _CliError(2, f"UnknownRole: {label!r} is not a role of {spec.name}")
+        raise UnknownRole(f"{label!r} is not a role of {spec.name}")
     return _role_strand(spec, role)  # None for a declared role with no events
-
-
-def _extract(strand: KStrand) -> Extraction:
-    try:
-        return extract(strand)
-    except SpaError as exc:
-        raise _CliError(
-            3, f"{type(exc).__name__} ({strand.participant.label}): {exc}"
-        ) from exc
 
 
 def _role_cost(spec: ProtocolSpec, label: str) -> CostExpr:
     strand = _strand_for(spec, label)
     if strand is None:
         return CostExpr(())
-    return cost_of_space(_extract(strand).space())
+    return cost_of_space(extract(strand).space())
 
 
 # -- subcommands ------------------------------------------------------------
@@ -130,7 +101,7 @@ def cmd_model(args) -> int:
     if args.format == "text":
         blocks = []
         for strand in strands:
-            ext = _extract(strand)
+            ext = extract(strand)
             lines = [render_kstrand(strand), render_tstrand(ext.process)]
             lines.extend(render_tstrand(op) for op in ext.ops)
             blocks.append("\n".join(lines))
@@ -139,7 +110,7 @@ def cmd_model(args) -> int:
         print(_model_json(spec, strands))
     else:
         if args.role is not None and strands:
-            ext = _extract(strands[0])
+            ext = extract(strands[0])
             space = StrandSpace(ext.space().strands, ext.comm())
         title = spec.name if args.role is None else f"{spec.name}:{args.role}"
         print(_dot(space, title), end="")
@@ -155,7 +126,7 @@ def _model_json(spec: ProtocolSpec, strands) -> str:
 
     docs = []
     for strand in strands:
-        ext = _extract(strand)
+        ext = extract(strand)
         docs.append(
             {
                 "role": strand.participant.label,
@@ -219,7 +190,9 @@ def cmd_cost(args) -> int:
 def cmd_compare(args) -> int:
     spec_a = _load_spec(args.file_a)
     spec_b = _load_spec(args.file_b)
-    model, assume = _load_model(args.config)
+    model, assume = None, DEFAULT_ASSUMPTIONS
+    if args.config is not None:
+        model, assume = load_config(args.config)
     label = args.role if args.role is not None else spec_a.roles[0].label
     cost_a = simplify(_role_cost(spec_a, label))
     cost_b = simplify(_role_cost(spec_b, label))
@@ -239,7 +212,7 @@ def cmd_compare(args) -> int:
 
 def cmd_eval(args) -> int:
     spec = _load_spec(args.file)
-    model, _ = _load_model(args.config)
+    model, _ = load_config(args.config)
     cost = simplify(_role_cost(spec, args.role))
     value = _evaluate(cost, model, args.config)
     print(f"value: {value:.6f}")
@@ -301,12 +274,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _CliError as exc:
-        print(exc.message, file=sys.stderr)
-        return exc.code
     except SpaError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        role = "" if exc.role is None else f" ({exc.role})"
+        print(f"{type(exc).__name__}{role}: {exc}", file=sys.stderr)
+        return exc.code
     except OSError as exc:
         print(f"IOError: {exc}", file=sys.stderr)
         return 1

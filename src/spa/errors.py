@@ -1,12 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Each class fixes `code`, the
+exit status `spa` ends with when it reports the error."""
 
 
 class SpaError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; `role`, when set,
+    names the role whose model failed."""
+
+    code: int
+
+    def __init__(self, message, role=None):
+        super().__init__(message)
+        self.role = role
 
 
 class ParseError(SpaError):
     """Malformed protocol source."""
+
+    code = 2
 
     def __init__(self, message, line=None, column=None):
         self.line = line
@@ -33,17 +43,33 @@ class KindMismatch(ParseError):
 
 
 class Ungeneratable(SpaError):
-    """A participant or user-data atom must be produced but cannot be
-    generated or recovered."""
+    """A role sends a participant or user-data atom that it holds nowhere.
+    The parser refuses that, so extraction raises it only for a strand
+    built by hand."""
+
+    code = 2
+
+
+class UnknownRole(SpaError):
+    """A request names a role the protocol does not declare."""
+
+    code = 2
 
 
 class Unrecoverable(SpaError):
-    """A needed subterm is locked inside a term that cannot be opened."""
+    """A role sends an atom, of any kind, that it holds only inside terms it
+    cannot open."""
+
+    code = 3
 
 
 class ShapeViolation(SpaError, ValueError):
     """An operation strand does not match its classifier's shape."""
 
+    code = 3
+
 
 class ConfigError(SpaError):
-    """Malformed cost-model configuration."""
+    """Malformed cost-model configuration, or a cost it cannot evaluate."""
+
+    code = 4

@@ -4,15 +4,19 @@ Walking the event sequence in order: a receive stores the term whole and
 costs nothing; a send triggers construction of its term.  Construction
 resolves each subterm by the first applicable rule: already known, recover
 from known material (splitting pairs, decrypting under held symmetric
-keys), generate (nonces and keys only), otherwise fail.  Every operation
-emits one classifier strand over type-erased terms, and every term built,
-received, or recovered joins the knowledge set, so nothing is ever built
-twice.  Terms are hash-consed process-wide and held weakly (see `terms`),
-so equal typed terms are one object; each instance term carries its typed
-term from construction, so extraction erases nothing and builds no typed
-term.  Operations of one shape (classifier and typed payloads) share one
-strand object, built on its first use.  Pricing handles a shared strand
-once.
+keys), generate (a nonce or key that occurs nowhere in knowledge),
+otherwise fail.  An atom that occurs in knowledge only where the role
+cannot reach it is `Unrecoverable`, whatever its kind.  An unheld
+participant or user-data atom that occurs nowhere is `Ungeneratable`; the
+parser refuses that protocol first, so only a strand built by hand gets
+that far.  Every operation emits one classifier strand over type-erased
+terms, and every term built, received, or recovered joins the knowledge
+set, so nothing is ever built twice.  Terms are hash-consed process-wide
+and held weakly (see `terms`), so equal typed terms are one object; each
+instance term carries its typed term from construction, so extraction
+erases nothing and builds no typed term.  Operations of one shape
+(classifier and typed payloads) share one strand object, built on its
+first use.  Pricing handles a shared strand once.
 
 Dataflow is recorded, not guessed.  The knowledge set maps each term to
 the operation that made it (None for a term from outside: initial
@@ -240,18 +244,18 @@ def _construct(t: Term, state: _State) -> None:
         _recover(t, state)
         return
     if isinstance(t, Atom):
-        if t.kind in _GEN_CLASSIFIER:
-            if t in state.atoms:
-                raise Unrecoverable(
-                    f"{state.participant.label} holds {t.label} only sealed "
-                    "inside terms it cannot open"
-                )
-            state.learn(t, state.emit((_GEN_CLASSIFIER[t.kind], t._typed), ()))
-            return
-        raise Ungeneratable(
-            f"{state.participant.label} does not hold {t.label} and "
-            f"{t.kind.value} atoms cannot be generated"
-        )
+        role = state.participant.label
+        if t in state.atoms:
+            raise Unrecoverable(
+                f"{role} holds {t.label} only sealed inside terms it cannot open", role
+            )
+        if t.kind not in _GEN_CLASSIFIER:
+            raise Ungeneratable(
+                f"{role} does not hold {t.label} and "
+                f"{t.kind.value} atoms cannot be generated", role
+            )
+        state.learn(t, state.emit((_GEN_CLASSIFIER[t.kind], t._typed), ()))
+        return
     knowledge = state.knowledge
     if isinstance(t, Pair):
         if t.left not in knowledge:

@@ -4,8 +4,8 @@ Re-derives the per-strand operation multiset with a plain list-based
 knowledge simulation and no strand emission.  Implements the same
 resolution policy as the extractor without sharing code with it: known
 first, then recovery along the first exposing knowledge entry (leftmost
-descent, fixed at scan time), then generation for nonces and keys, else
-failure.
+descent, fixed at scan time), then generation for nonces and keys that
+occur nowhere in knowledge, else failure.
 
 It names each operation's classifier itself and must not read
 `strands.OPS` or extraction's classifier maps: an error there would then
@@ -68,21 +68,19 @@ def op_count_oracle(s: KStrand) -> Counter:
                     hold(steps[i].body)
             return
         if isinstance(goal, Atom):
-            if goal.kind is AtomKind.NONCE or goal.kind is AtomKind.KEY:
-                if any(_occurs(goal, entry) for entry in known):
-                    raise Unrecoverable(
-                        f"{s.participant.label} holds {goal.label} only sealed "
-                        "inside terms it cannot open"
-                    )
-                counts[
-                    Classifier.C_N if goal.kind is AtomKind.NONCE else Classifier.C_K
-                ] += 1
-                hold(goal)
-                return
-            raise Ungeneratable(
-                f"{s.participant.label} does not hold {goal.label} and "
-                f"{goal.kind.value} atoms cannot be generated"
-            )
+            if any(_occurs(goal, entry) for entry in known):
+                raise Unrecoverable(
+                    f"{s.participant.label} holds {goal.label} only sealed "
+                    "inside terms it cannot open"
+                )
+            if goal.kind is not AtomKind.NONCE and goal.kind is not AtomKind.KEY:
+                raise Ungeneratable(
+                    f"{s.participant.label} does not hold {goal.label} and "
+                    f"{goal.kind.value} atoms cannot be generated"
+                )
+            counts[Classifier.C_N if goal.kind is AtomKind.NONCE else Classifier.C_K] += 1
+            hold(goal)
+            return
         if isinstance(goal, Pair):
             obtain(goal.left)
             obtain(goal.right)

@@ -121,7 +121,10 @@ class ProtocolSpec:
     def __eq__(self, other):
         if type(other) is not ProtocolSpec:
             return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+        # `project` reads declarations in order, and dicts compare without it
+        return list(self.decls) == list(other.decls) and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__
+        )
 
     def role(self, label: str) -> Atom | None:
         for r in self.roles:

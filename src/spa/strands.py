@@ -13,8 +13,9 @@ when it was built; none is matched on payloads.  A node is its position,
 `OPS` is the one table of operations: for each classifier but `C_P`, the
 signs of its events, the condition its payloads meet and how a violation
 reads, and the cost function with the positions of the payloads it sizes.
-Shape checking, pricing (`costs.cost_of_space`) and strand emission
-(`extraction`) all read it, so an operation is added as one row.
+Shape checking (`TStrand`, when a strand is built), pricing
+(`costs.cost_of_space`) and strand emission (`extraction`) all read it, so
+an operation is added as one row.
 """
 
 from __future__ import annotations
@@ -89,10 +90,20 @@ class TStrand(Value):
     def _check(self):
         if self.participant.kind is not AtomKind.PARTICIPANT:
             raise ValueError("participant must be a participant atom")
-        if not self.seq:
+        seq, c = self.seq, self.classifier
+        if not seq:
             raise ValueError("event sequence must be nonempty")
-        if self.classifier is not Classifier.C_P:
-            validate_op_strand(self)
+        if c is Classifier.C_P:
+            return
+        # an operation strand has exactly its classifier's shape
+        op = OPS[c]
+        if len(seq) != len(op.signs):
+            _fail(c, 0, f"a sequence of {len(op.signs)} events")
+        for i, (event, sign) in enumerate(zip(seq, op.signs), start=1):
+            if event.sign != sign:
+                _fail(c, i, "a reception" if sign < 0 else "a transmission")
+        if not op.check(seq[op.position - 1].payload, seq):
+            _fail(c, op.position, op.expected)
 
 
 class StrandSpace(Value):
@@ -166,22 +177,6 @@ OPS = {
     Classifier.C_I: Op((-1, 1, 1), CostFunc.F_S, (1,), 1, _pairs(2, 3),
                        "the pair of the two outputs"),
 }
-
-
-def validate_op_strand(s: TStrand) -> None:
-    """Check that an operation strand has exactly its classifier's shape."""
-    c = s.classifier
-    if c is Classifier.C_P:
-        raise ValueError("process strands have no fixed shape")
-    seq = s.seq
-    op = OPS[c]
-    if len(seq) != len(op.signs):
-        _fail(c, 0, f"a sequence of {len(op.signs)} events")
-    for i, (event, sign) in enumerate(zip(seq, op.signs), start=1):
-        if event.sign != sign:
-            _fail(c, i, "a reception" if sign < 0 else "a transmission")
-    if not op.check(seq[op.position - 1].payload, seq):
-        _fail(c, op.position, op.expected)
 
 
 def _fail(classifier: Classifier, position: int, expected: str):

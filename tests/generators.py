@@ -10,6 +10,7 @@ must dominate.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from spa import parse
@@ -495,16 +496,17 @@ def _render_dsl_term(t, top: bool = False) -> str:
     raise TypeError(f"cannot render {t!r}")
 
 
+_DECL_WORDS = {AtomKind.NONCE: "nonce", AtomKind.KEY: "key", AtomKind.USERDATA: "data"}
+
+
 def render_spec(spec: ProtocolSpec) -> str:
     """Pretty-print a protocol back to parseable source."""
     lines = [f"protocol {spec.name} {{"]
     lines.append("  roles " + ", ".join(r.label for r in spec.roles) + ";")
-    for word, kind in (
-        ("nonce", AtomKind.NONCE), ("key", AtomKind.KEY), ("data", AtomKind.USERDATA),
-    ):
-        labels = [lb for lb, k in spec.decls.items() if k is kind]
-        if labels:
-            lines.append(f"  {word} " + ", ".join(labels) + ";")
+    # declarations in declaration order, one line per run of one kind
+    atoms = [(lb, k) for lb, k in spec.decls.items() if k is not AtomKind.PARTICIPANT]
+    for kind, run in itertools.groupby(atoms, key=lambda decl: decl[1]):
+        lines.append(f"  {_DECL_WORDS[kind]} " + ", ".join(lb for lb, _ in run) + ";")
     for role in spec.roles:
         entries = spec.knowledge[role.label]
         if entries:

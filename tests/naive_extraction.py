@@ -94,19 +94,19 @@ def _construct(t: Term, state: _State) -> None:
     if _recover(t, state):
         return
     if isinstance(t, Atom):
-        if t.kind in _GEN_CLASSIFIER:
-            if any(contains(k, t) for k in state.knowledge):
-                raise Unrecoverable(
-                    f"{state.participant.label} holds {t.label} only sealed "
-                    "inside terms it cannot open"
-                )
-            at = state.emit(_GEN_CLASSIFIER[t.kind], (), SignedTerm(1, type_erase(t)))
-            state.learn(t, (at, 1))
-            return
-        raise Ungeneratable(
-            f"{state.participant.label} does not hold {t.label} and "
-            f"{t.kind.value} atoms cannot be generated"
-        )
+        if any(contains(k, t) for k in state.knowledge):
+            raise Unrecoverable(
+                f"{state.participant.label} holds {t.label} only sealed "
+                "inside terms it cannot open"
+            )
+        if t.kind not in _GEN_CLASSIFIER:
+            raise Ungeneratable(
+                f"{state.participant.label} does not hold {t.label} and "
+                f"{t.kind.value} atoms cannot be generated"
+            )
+        at = state.emit(_GEN_CLASSIFIER[t.kind], (), SignedTerm(1, type_erase(t)))
+        state.learn(t, (at, 1))
+        return
     if isinstance(t, Pair):
         _construct(t.left, state)
         _construct(t.right, state)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from spa.costs import App, CostFunc, cost_expr
 from spa.errors import ShapeViolation
 from spa.sizes import ZERO, AsymSize, HashSize, TypeSize, ssum
-from spa.strands import Classifier, TStrand, validate_op_strand
+from spa.strands import Classifier, TStrand
 from spa.terms import Basic, FuncName, TEmpty, TEnc, TPair
 
 
@@ -44,7 +44,7 @@ def naive_cost_of_space(space):
             raise TypeError(f"not a typed strand: {s!r}")
         if s.classifier is Classifier.C_P:
             continue
-        validate_op_strand(s)
+        s._check()  # its shape, checked again
         op_terms.append(_op_cost(s))
         for ev in s.seq:
             if ev.sign > 0:

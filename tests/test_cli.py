@@ -10,6 +10,7 @@ import pytest
 
 import spa.config
 import spa.costs
+import spa.errors
 from spa import parse, simplify
 from spa.cli import _role_cost
 
@@ -360,6 +361,78 @@ def test_parse_time_ungeneratable_is_validation(tmp_path):
     code, _, err = run_cli("check", path)
     assert code == 2
     assert "Ungeneratable" in err
+
+
+SEALED_DATA = "protocol p { roles A, B; data D; key K; knows A: {D}sk(K); A -> B: D; }"
+# A meets the role name B only inside a hash it received
+HASHED_ROLE = "protocol p { roles A, B; nonce N; knows B: A; B -> A: h(N, B); A -> B: B; }"
+UNHELD_DATA = "protocol p { roles A, B; data D; knows B: D; A -> B: D; }"
+LATIN1 = b"// caf\xe9\nprotocol p { roles A, B; nonce N; A -> B: N; }\n"
+
+
+def _overflowing_config() -> str:
+    data = json.loads(Path(DEFAULT_CONFIG).read_text(encoding="utf-8"))
+    data["sizes"].update(r=1e308, n=1e308)
+    return json.dumps(data)
+
+
+# one row per cause of failure: the protocol, the command and its options,
+# the config (None: none written), and the exit code and stderr line, in
+# which `{spec}` and `{cfg}` stand for the written files' paths
+FAILURES = {
+    "parse-time-ungeneratable": (
+        UNHELD_DATA, ("cost", "--role", "A"), None, 2,
+        "Ungeneratable: role A sends D without holding it, and data atoms cannot be generated"),
+    "unknown-role": (
+        SEALED_DATA, ("cost", "--role", "Z"), None, 2, "UnknownRole: 'Z' is not a role of p"),
+    "not-utf-8": (
+        LATIN1, ("cost", "--role", "A"), None, 2,
+        "ParseError: {spec} is not UTF-8 text (invalid continuation byte at byte 6)"),
+    "sealed-nonce": (
+        SEALED, ("cost", "--role", "A"), None, 3,
+        "Unrecoverable (A): A holds N only sealed inside terms it cannot open"),
+    "sealed-data": (
+        SEALED_DATA, ("model", "--role", "A"), None, 3,
+        "Unrecoverable (A): A holds D only sealed inside terms it cannot open"),
+    "role-name-in-hash": (
+        HASHED_ROLE, ("model", "--format", "json"), None, 3,
+        "Unrecoverable (A): A holds B only sealed inside terms it cannot open"),
+    "non-finite-eval": (
+        read(X509_ORIGINAL), ("eval", "--role", "A", "--config", "{cfg}"),
+        _overflowing_config(), 4,
+        "ConfigError: {cfg}: cost does not evaluate to a finite number"),
+    "bad-config": (
+        read(X509_ORIGINAL), ("eval", "--role", "A", "--config", "{cfg}"), '{"sizes": {}}', 4,
+        "ConfigError: missing key 'funcs' in config"),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_each_cause_has_its_exit_code_and_line(tmp_path, case):
+    protocol, argv, config, code, line = FAILURES[case]
+    spec, cfg = tmp_path / "p.spa", tmp_path / "cfg.json"
+    if isinstance(protocol, bytes):
+        spec.write_bytes(protocol)
+    else:
+        spec.write_text(protocol, encoding="utf-8")
+    if config is not None:
+        cfg.write_text(config, encoding="utf-8")
+    command, *options = (arg.format(cfg=cfg) for arg in argv)
+    want = (code, "", line.format(spec=spec, cfg=cfg) + "\n")
+    assert run_cli(command, str(spec), *options) == want
+
+
+def test_each_error_class_fixes_one_exit_code():
+    codes = {}
+    stack = list(spa.errors.SpaError.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        codes[cls.__name__] = cls.code
+        stack += cls.__subclasses__()
+    parse_errors = ("ParseError", "UndeclaredIdentifier", "DuplicateDeclaration",
+                    "SelfMessage", "KindMismatch")
+    assert codes == {**dict.fromkeys(parse_errors, 2), "Ungeneratable": 2, "UnknownRole": 2,
+                     "Unrecoverable": 3, "ShapeViolation": 3, "ConfigError": 4}
 
 
 def test_cost_requires_role():

@@ -13,7 +13,7 @@ import spa.terms
 from spa import extract, parse, project
 from spa.errors import Ungeneratable, Unrecoverable
 from spa.oracle import op_count_oracle
-from spa.strands import Classifier, KStrand, render_kstrand, validate_op_strand
+from spa.strands import Classifier, KStrand, render_kstrand
 from spa.terms import (
     Atom,
     AtomKind,
@@ -224,6 +224,34 @@ def test_data_and_roles_ungeneratable():
         extract(s)
 
 
+@pytest.mark.parametrize("atom", [NA, K2, D, A], ids=lambda a: a.kind.value)
+def test_sealed_atom_unrecoverable_whatever_its_kind(atom):
+    # an atom held only inside a cipher the role cannot open is reported as
+    # sealed before its kind is asked whether it could be generated
+    s = KStrand((B, Enc(atom, FuncName.SK, K)), B, (SignedTerm(1, atom),))
+    message = f"B holds {atom.label} only sealed inside terms it cannot open"
+    for fn in (op_count_oracle, naive_extract, extract):
+        with pytest.raises(Unrecoverable) as exc:
+            fn(s)
+        assert str(exc.value) == message
+    assert exc.value.role == "B"  # extract's error names its role for the CLI
+
+
+def test_parsed_specs_never_reach_ungeneratable():
+    # the parser refuses a role that sends a participant or user-data atom
+    # occurring nowhere in what it holds or receives, so extracting a parsed
+    # protocol's role succeeds or finds the atom sealed, of any kind
+    sealed = set()
+    for seed in range(3000):
+        spec = random_spec(random.Random(seed))
+        for s in project(spec).strands:
+            try:
+                extract(s)
+            except Unrecoverable as exc:
+                sealed.add(spec.decls[str(exc).split()[2]])
+    assert sealed == set(AtomKind)
+
+
 def test_key_built_before_body():
     # {D}sk(K) with D held, K fresh: C_K precedes C_E
     s = KStrand((A, D), A, (SignedTerm(1, Enc(D, FuncName.SK, K)),))
@@ -367,7 +395,7 @@ def test_emitted_ops_are_well_formed():
         spec = parse(read(path))
         for s in project(spec).strands:
             for op in extract(s).ops:
-                validate_op_strand(op)
+                op._check()  # the shape check that building it ran
 
 
 def test_extraction_deterministic():

@@ -37,7 +37,7 @@ from .helpers import CORPUS, DEFAULT_CONFIG, read, role_costs
 @pytest.fixture(scope="module")
 def specs() -> list:
     """The bundled protocols and 400 seeded random ones, each as parsed from
-    its rendering, which declares the atoms of each kind on one line."""
+    its rendering, as every changed protocol is."""
     bundled = [parse(render_spec(parse(read(path)))) for path in CORPUS]
     return bundled + [random_spec(random.Random(seed)) for seed in range(400)]
 
@@ -100,7 +100,7 @@ def _rename_atoms(spec, rng):
 
 
 def _shuffle_declarations(spec, rng):
-    # render_spec writes one line per kind, in this order within each
+    # render_spec writes the declarations in this order
     items = list(spec.decls.items())
     rng.shuffle(items)
     return _reparsed(spec, decls=dict(items))

@@ -16,7 +16,6 @@ from spa.strands import (
     edges,
     render_kstrand,
     render_tstrand,
-    validate_op_strand,
 )
 from spa.terms import (
     _TABLES,
@@ -139,22 +138,16 @@ def _op(classifier, *events):
 
 
 def test_op_shapes_accepted():
-    validate_op_strand(_op(Classifier.C_E, SignedTerm(-1, n),
-                           SignedTerm(1, TEnc(n, FuncName.SK))))
-    validate_op_strand(_op(Classifier.C_D, SignedTerm(-1, TEnc(n, FuncName.SK)),
-                           SignedTerm(1, n)))
-    validate_op_strand(_op(Classifier.C_H, SignedTerm(-1, n),
-                           SignedTerm(1, TEnc(n, FuncName.H))))
-    validate_op_strand(_op(Classifier.C_PK, SignedTerm(-1, n),
-                           SignedTerm(1, TEnc(n, FuncName.PK))))
-    validate_op_strand(_op(Classifier.C_PVK, SignedTerm(-1, n),
-                           SignedTerm(1, TEnc(n, FuncName.PVK))))
-    validate_op_strand(_op(Classifier.C_K, SignedTerm(1, k)))
-    validate_op_strand(_op(Classifier.C_N, SignedTerm(1, n)))
-    validate_op_strand(_op(Classifier.C_C, SignedTerm(-1, n), SignedTerm(-1, r),
-                           SignedTerm(1, TPair(n, r))))
-    validate_op_strand(_op(Classifier.C_I, SignedTerm(-1, TPair(n, r)),
-                           SignedTerm(1, n), SignedTerm(1, r)))
+    # building a typed strand checks its shape
+    _op(Classifier.C_E, SignedTerm(-1, n), SignedTerm(1, TEnc(n, FuncName.SK)))
+    _op(Classifier.C_D, SignedTerm(-1, TEnc(n, FuncName.SK)), SignedTerm(1, n))
+    _op(Classifier.C_H, SignedTerm(-1, n), SignedTerm(1, TEnc(n, FuncName.H)))
+    _op(Classifier.C_PK, SignedTerm(-1, n), SignedTerm(1, TEnc(n, FuncName.PK)))
+    _op(Classifier.C_PVK, SignedTerm(-1, n), SignedTerm(1, TEnc(n, FuncName.PVK)))
+    _op(Classifier.C_K, SignedTerm(1, k))
+    _op(Classifier.C_N, SignedTerm(1, n))
+    _op(Classifier.C_C, SignedTerm(-1, n), SignedTerm(-1, r), SignedTerm(1, TPair(n, r)))
+    _op(Classifier.C_I, SignedTerm(-1, TPair(n, r)), SignedTerm(1, n), SignedTerm(1, r))
 
 
 # (classifier and events, the ShapeViolation building the strand raises)
@@ -214,9 +207,8 @@ def test_ops_positions_index_events_of_their_row():
 
 def test_process_strands_have_no_shape():
     # any nonempty sequence makes a process strand; it has no shape to check
-    process = _op(Classifier.C_P, SignedTerm(1, n), SignedTerm(-1, k), SignedTerm(-1, k))
-    with pytest.raises(ValueError):
-        validate_op_strand(process)
+    events = (SignedTerm(1, n), SignedTerm(-1, k), SignedTerm(-1, k))
+    assert _op(Classifier.C_P, *events).seq == events
 
 
 def test_render_strands():
