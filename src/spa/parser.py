@@ -210,7 +210,8 @@ class _Parser:
         while (kind := _KIND_WORDS.get(toks[i])) is not None:
             i = self.declare(i + 1, kind, "identifier")[1]
 
-        knowledge: dict[str, list[Term]] = {r.label: [] for r in roles}
+        # insertion-ordered: a repeated entry keeps its first place
+        knowledge: dict[str, dict[Term, None]] = {r.label: {} for r in roles}
         while toks[i] == "knows":
             held = knowledge[self.role_ref(i + 1).label]
             self.expect(i + 2, ":")
@@ -221,9 +222,7 @@ class _Parser:
                 entries.append(entry)
             self.expect(i, ";")
             i += 1
-            for entry in entries:
-                if entry not in held:
-                    held.append(entry)
+            held.update(dict.fromkeys(entries))
 
         messages = []
         carried = []  # each payload's atoms, in `atoms_of` order

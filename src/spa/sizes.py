@@ -5,9 +5,10 @@ constant S_hash, an asymmetric-ciphertext application S_asym(x), or a flat
 coefficient-weighted sum of those units.  Every `Sum` is in normal form,
 which its constructor checks: integer coefficients of at least 1 that never
 increase, distinct units that are not sums, and never a single unit with
-coefficient 1 (that is the bare unit).  The empty sum is size zero.  `ssum`
-builds the normal form of any sum, ordering units by descending coefficient
-with first-occurrence ties.
+coefficient 1 (that is the bare unit).  The empty sum is size zero; no
+typed term has it, as a hash's empty key slot is not a term (see `terms`).
+`ssum` builds the normal form of any sum, ordering units by descending
+coefficient with first-occurrence ties.
 
 Size expressions are hash-consed like terms (see `terms`): equal size
 expressions are one object, so they hash and compare by identity.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .terms import Basic, BasicTT, FuncName, TEmpty, TEnc, TPair, TTerm, Value
+from .terms import Basic, BasicTT, FuncName, TEnc, TPair, TTerm, Value
 
 _set_size = TTerm._size.__set__
 _BASIC_TYPES = frozenset(BasicTT)  # the keys of every SizeModel's sizes
@@ -76,9 +77,6 @@ class Sum(SizeExpr):
             units.add(unit)
 
 
-ZERO = Sum(())
-
-
 def ssum(parts) -> SizeExpr:
     """The normal form of the sum of size expressions (units keep
     first-occurrence order, sorted by descending coefficient; stable)."""
@@ -90,8 +88,6 @@ def ssum(parts) -> SizeExpr:
         else:
             merged[part] = merged.get(part, 0) + 1
     items = sorted(merged.items(), key=lambda kv: -kv[1])
-    if not items:
-        return ZERO
     if len(items) == 1 and items[0][1] == 1:
         return items[0][0]
     return Sum(tuple((coeff, unit) for unit, coeff in items))
@@ -103,9 +99,7 @@ def delta(t: TTerm) -> SizeExpr:
         return t._size
     except AttributeError:  # not sized yet, or not a typed term
         pass
-    if isinstance(t, TEmpty):
-        e = ZERO
-    elif isinstance(t, Basic):
+    if isinstance(t, Basic):
         e = TypeSize(t.tt)
     elif isinstance(t, TPair):
         e = ssum([delta(t.left), delta(t.right)])

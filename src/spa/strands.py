@@ -13,9 +13,13 @@ when it was built; none is matched on payloads.  A node is its position,
 `OPS` is the one table of operations: for each classifier but `C_P`, the
 signs of its events, the condition its payloads meet and how a violation
 reads, and the cost function with the positions of the payloads it sizes.
-Shape checking (`TStrand`, when a strand is built), pricing
-(`costs.cost_of_space`) and strand emission (`extraction`) all read it, so
-an operation is added as one row.
+Shape checking (`TStrand`, when a strand is built) and pricing
+(`costs.cost_of_space`) read it; strand emission (`extraction`) reads only
+its signs.  Two things are written in `extraction` instead: which
+classifier builds a cipher or a fresh atom (`_ENC_CLASSIFIER`,
+`_GEN_CLASSIFIER`), and each operation's payload layout (the keys that
+`_construct` and `_recover` emit).  An operation is added there as well as
+in a row here.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 Instance terms carry atom labels and encryption keys; typed terms keep only
 the type structure (r, n, k, m).  Pairing is left-associative throughout:
-(a, b, c) is Pair(Pair(a, b), c).  Hashing is Enc with func `h` and an empty
-key slot so the encryption constructor stays uniform.
+(a, b, c) is Pair(Pair(a, b), c).  Hashing is Enc with func `h` and
+`Empty()` in its key slot, so the encryption constructor stays uniform;
+`Empty` is not a term, and no other field takes it.
 
 Terms are hash-consed process-wide: each class keeps a table from fields
 to the live term with those fields, held weakly, and its constructor
@@ -12,10 +13,10 @@ every term hash and comparison is by identity, at C level.  An instance
 term keeps its typed term (`Term._typed`), built from its children's on
 the table miss, so `type_erase` reads it.  `_hash_consed` is the one
 identity rule of the package.  Every immutable value of the model goes
-through it: terms and signed terms here, size expressions and size models
-(`sizes`), strands, strand spaces and `Op` rows (`strands`), messages
-(`parser`), and cost terms, cost expressions, assumption sets, prices and
-cost models (`costs`).
+through it: terms, the empty key slot and signed terms here, size
+expressions and size models (`sizes`), strands, strand spaces and `Op`
+rows (`strands`), messages (`parser`), and cost terms, cost expressions,
+assumption sets, prices and cost models (`costs`).
 
 Deriving from `Value` with a dict `__slots__` that maps each field to its
 contract, `{}` for a class without fields, is what makes a class
@@ -286,11 +287,10 @@ class Term(Value):
 _set_typed = Term._typed.__set__
 
 
-class Empty(Term):
-    __slots__ = {}
+class Empty(Value):
+    """A hash's key slot, `Enc(body, FuncName.H, Empty())`; not a term."""
 
-    def _check(self):
-        _set_typed(self, TEmpty())
+    __slots__ = {}
 
 
 class Atom(Term):
@@ -335,10 +335,6 @@ class TTerm(Value):
     __slots__ = ("_size",)
 
 
-class TEmpty(TTerm):
-    __slots__ = {}
-
-
 class Basic(TTerm):
     __slots__ = {"tt": BasicTT}
 
@@ -360,8 +356,6 @@ class SignedTerm(Value):
     def _check(self):
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if isinstance(self.payload, (Empty, TEmpty)):
-            raise ValueError("signed terms carry nonempty payloads")
 
 
 def pair_of(parts) -> Term:
@@ -414,8 +408,6 @@ def _spine(t) -> list:
 def render_term(t: Term | TTerm) -> str:
     """Display form of an instance term, (A, N_a), {N_a, K, B}_sk(K_AB),
     h(T_a, N_a), or of a typed term, (r, n), {n, k, r}_sk, {m}_h."""
-    if isinstance(t, (Empty, TEmpty)):
-        return "."
     if isinstance(t, Atom):
         return t.label
     if isinstance(t, Basic):

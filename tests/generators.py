@@ -40,7 +40,6 @@ from spa.terms import (
     FuncName,
     Pair,
     SignedTerm,
-    TEmpty,
     TEnc,
     TPair,
     _spine,
@@ -55,9 +54,6 @@ BASICS = tuple(BasicTT)
 
 def random_tterm(rng: random.Random, depth: int = 3):
     if depth == 0 or rng.random() < 0.4:
-        roll = rng.random()
-        if roll < 0.1:
-            return TEmpty()
         return Basic(rng.choice(BASICS))
     if rng.random() < 0.55:
         return TPair(random_tterm(rng, depth - 1), random_tterm(rng, depth - 1))

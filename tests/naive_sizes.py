@@ -13,15 +13,13 @@ from __future__ import annotations
 
 from spa.costs import App, CostFunc, cost_expr
 from spa.errors import ShapeViolation
-from spa.sizes import ZERO, AsymSize, HashSize, TypeSize, ssum
+from spa.sizes import AsymSize, HashSize, TypeSize, ssum
 from spa.strands import Classifier, TStrand
-from spa.terms import Basic, FuncName, TEmpty, TEnc, TPair
+from spa.terms import Basic, FuncName, TEnc, TPair
 
 
 def naive_delta(t):
     """Symbolic size of a typed term."""
-    if isinstance(t, TEmpty):
-        return ZERO
     if isinstance(t, Basic):
         return TypeSize(t.tt)
     if isinstance(t, TPair):

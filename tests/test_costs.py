@@ -52,7 +52,7 @@ from spa.costs import (
 )
 from spa.config import parse_config
 from spa.errors import ShapeViolation, Ungeneratable, Unrecoverable
-from spa.sizes import ZERO, AsymSize, HashSize, SizeModel, Sum, TypeSize, render_size, ssum
+from spa.sizes import AsymSize, HashSize, SizeModel, Sum, TypeSize, render_size, ssum
 from spa.strands import Classifier, KStrand, StrandSpace, TStrand
 from spa.terms import (
     _TABLES,
@@ -1111,7 +1111,7 @@ def test_expanded_arguments_are_single_units():
         for term in _expand(simplify(e).terms, [], ""):
             if isinstance(term, App):
                 (arg,) = term.args
-                assert arg is ZERO or not isinstance(arg, Sum), render_cost_term(term)
+                assert arg is Sum(()) or not isinstance(arg, Sum), render_cost_term(term)
                 apps += 1
     assert apps > 1000
 

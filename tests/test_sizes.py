@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spa.sizes import (
-    ZERO,
     AsymSize,
     HashSize,
     SizeModel,
@@ -20,7 +19,7 @@ from spa.sizes import (
     render_size,
     ssum,
 )
-from spa.terms import _TABLES, Basic, BasicTT, FuncName, TEmpty, TEnc, TPair
+from spa.terms import _TABLES, Basic, BasicTT, FuncName, TEnc, TPair
 
 from .generators import (
     denormal_size,
@@ -46,7 +45,6 @@ MODEL = SizeModel(**_MODEL_FIELDS)
 
 
 def test_delta_basics():
-    assert delta(TEmpty()) == ZERO
     assert delta(N) == TypeSize(BasicTT.N)
     assert delta(TPair(R, N)) == ssum([SR, SN])
 
@@ -72,7 +70,7 @@ def test_ssum_merges_and_orders():
 
 def test_ssum_collapses_singleton():
     assert ssum([SN]) == SN
-    assert ssum([]) == ZERO
+    assert ssum([]) is Sum(())
     assert ssum([SN, SN]) == Sum(((2, SN),))
 
 
@@ -82,8 +80,7 @@ def test_nested_sums_flatten():
 
 
 def test_normal_sums_are_accepted():
-    assert Sum(()) is ZERO
-    for items in (((1, SN), (1, SR)), ((2, SN),), ((3, SN), (3, SH), (1, AsymSize(SR)))):
+    for items in ((), ((1, SN), (1, SR)), ((2, SN),), ((3, SN), (3, SH), (1, AsymSize(SR)))):
         assert Sum(items).items == items
 
 
@@ -135,7 +132,7 @@ def test_contains_hash():
 
 
 def test_render_size():
-    assert render_size(ZERO) == "0"
+    assert render_size(Sum(())) == "0"
     assert render_size(SN) == "|n|"
     assert render_size(HashSize()) == "S_hash"
     assert render_size(AsymSize(TypeSize(BasicTT.M))) == "S_asym(|m|)"
@@ -168,7 +165,7 @@ def test_eval_size_asym_blocks():
     # 200 + 32 + 11 = 243 -> 3 input blocks
     bigger = ssum([big, SN])
     assert eval_size(AsymSize(bigger), MODEL) == 3 * 128
-    assert eval_size(ZERO, MODEL) == 0.0
+    assert eval_size(Sum(()), MODEL) == 0.0
     assert eval_size(ssum([SN, SN, SR]), MODEL) == 40.0
 
 

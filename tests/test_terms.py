@@ -45,7 +45,6 @@ from spa.terms import (
     FuncName,
     Pair,
     SignedTerm,
-    TEmpty,
     TEnc,
     TPair,
     Term,
@@ -100,7 +99,6 @@ def test_type_erase_drops_labels_and_keys():
     assert type_erase(NA) == Basic(BasicTT.N)
     assert type_erase(K) == Basic(BasicTT.K)
     assert type_erase(M) == Basic(BasicTT.M)
-    assert type_erase(Empty()) == TEmpty()
     assert type_erase(Pair(A, NA)) == TPair(Basic(BasicTT.R), Basic(BasicTT.N))
     assert type_erase(Enc(NA, FuncName.SK, K)) == TEnc(Basic(BasicTT.N), FuncName.SK)
     # two ciphertexts under different keys erase to the same t-term
@@ -157,11 +155,7 @@ def test_signed_terms_validated():
     with pytest.raises(ValueError):
         SignedTerm(0, NA)
     with pytest.raises(ValueError):
-        SignedTerm(1, Empty())
-    with pytest.raises(ValueError):
         SignedTerm(2, Basic(BasicTT.N))
-    with pytest.raises(ValueError):
-        SignedTerm(-1, TEmpty())
 
 
 def test_render_term():
@@ -170,14 +164,12 @@ def test_render_term():
     assert render_term(Enc(pair_of([NA, K, A]), FuncName.SK, K)) == "{N_a, K, A}_sk(K)"
     assert render_term(Enc(Pair(A, NA), FuncName.H, Empty())) == "h(A, N_a)"
     assert render_term(Enc(M, FuncName.PK, K)) == "{X_a}_pk(K)"
-    assert render_term(Empty()) == "."
     # typed terms: a cipher shows its function only, a hash as a cipher
     r, n, k = Basic(BasicTT.R), Basic(BasicTT.N), Basic(BasicTT.K)
     assert render_term(TPair(r, n)) == "(r, n)"
     assert render_term(TEnc(TPair(TPair(n, k), r), FuncName.SK)) == "{n, k, r}_sk"
     assert render_term(TEnc(n, FuncName.H)) == "{n}_h"
     assert render_term(n) == "n"
-    assert render_term(TEmpty()) == "."
     with pytest.raises(TypeError, match=r"^not a term: 5$"):
         render_term(5)
 
@@ -245,6 +237,29 @@ def test_terms_of_non_terms_are_refused():
             assert str(exc.value) == f"Enc.func must be FuncName, not {type(fields[1]).__name__}"
     with pytest.raises(TypeError, match="not a term"):
         type_erase(Basic(BasicTT.N))
+
+
+# `Empty()` fills a hash's key slot and no other place: every other field
+# refuses it, and it has no typed term or display form of its own
+@pytest.mark.parametrize("build, message", [
+    (lambda: Pair(Empty(), A), "Pair.left must be Term, not Empty"),
+    (lambda: Pair(A, Empty()), "Pair.right must be Term, not Empty"),
+    (lambda: Enc(Empty(), FuncName.H, Empty()), "Enc.body must be Term, not Empty"),
+    (lambda: SignedTerm(1, Empty()), "SignedTerm.payload must be Term | TTerm, not Empty"),
+    (lambda: Message(A, Atom(AtomKind.PARTICIPANT, "B"), Empty()),
+     "Message.payload must be Term, not Empty"),
+    (lambda: KStrand((A, Empty()), A, (SignedTerm(1, NA),), frozenset()),
+     "KStrand.knowledge must be tuple[Term, ...], not tuple"),
+    (lambda: type_erase(Empty()), "not a term: Empty()"),
+    (lambda: render_term(Empty()), "not a term: Empty()"),
+], ids=["pair-left", "pair-right", "hash-body", "signed", "message", "kstrand",
+        "type_erase", "render_term"])
+def test_empty_is_only_a_hash_key(build, message):
+    with pytest.raises(TypeError) as exc:
+        build()
+    assert str(exc.value) == message
+    h = Enc(Pair(A, NA), FuncName.H, Empty())
+    assert h.key is Empty() and render_term(h) == "h(A, N_a)"
 
 
 def test_an_instance_of_a_plain_base_is_not_a_term():
@@ -344,7 +359,6 @@ _CTOR_FIELDS = {
     Atom: (AtomKind.NONCE, "N_ctor"),
     Pair: (A, NA),
     Enc: (NA, FuncName.SK, K),
-    TEmpty: (),
     Basic: (BasicTT.N,),
     TPair: (Basic(BasicTT.R), Basic(BasicTT.N)),
     TEnc: (Basic(BasicTT.N), FuncName.PK),
@@ -699,7 +713,7 @@ def _sample_terms() -> list:
     n, r = TypeSize(BasicTT.N), TypeSize(BasicTT.R)
     wide = ssum([n, n, r, HashSize()])
     return [
-        t, t.body, Empty(), e, e.body, TEmpty(), Basic(BasicTT.K),
+        t, t.body, Empty(), e, e.body, Basic(BasicTT.K),
         n, HashSize(), AsymSize(wide), wide,
         App(CostFunc.F_PK, (AsymSize(wide),)), App(CostFunc.F_C, (n, r)),
         LambdaC(), LambdaP(), Overhead(-1),
