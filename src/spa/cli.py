@@ -35,7 +35,7 @@ from .costs import (
 )
 from .errors import ConfigError, ParseError, SpaError, UnknownRole
 from .extraction import extract
-from .parser import ProtocolSpec, _role_strand, parse, project
+from .parser import ProtocolSpec, _role_strands, parse, project
 from .strands import (
     Classifier,
     KStrand,
@@ -71,7 +71,7 @@ def _strand_for(spec: ProtocolSpec, label: str) -> KStrand | None:
     role = spec.role(label)
     if role is None:
         raise UnknownRole(f"{label!r} is not a role of {spec.name}")
-    return _role_strand(spec, role)  # None for a declared role with no events
+    return next(_role_strands(spec, (role,)))  # None for a declared role with no events
 
 
 def _role_cost(spec: ProtocolSpec, label: str) -> CostExpr:

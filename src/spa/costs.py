@@ -13,10 +13,10 @@ Cost terms are hash-consed like terms and size expressions (see `terms`):
 equal cost terms are one object, so merging, cancelling and expanding key
 dicts on them by identity, and simplifying a simplified expression gives
 back the terms it was given without rebuilding any.  `compare` builds no
-`CostExpr`: it decides dominance on per-function counts and records its
-steps as data.  The residuals and the trace of its `CompareResult` are
-cached properties: each is built, with the trace's term-level dominance
-pairs and text, when it is first read, and kept.
+`CostExpr`: it decides dominance by a matching on per-function counts and
+keeps that matching and its steps as data.  Its `CompareResult` builds the
+residuals and the trace, whose term pairs it reads off the matching, when
+first read, and keeps them.
 
 A `CostModel`, like its `Affine` prices and its `SizeModel`, is
 hash-consed, and keeps a table from cost term to value.
@@ -31,7 +31,7 @@ again.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from functools import cached_property
 from operator import attrgetter
 
@@ -411,18 +411,15 @@ def _render_step(step: tuple) -> str:
 
 
 class CompareResult:
-    """What `compare` decided, and what it kept to explain it.
+    """What `compare` decided, and what it kept to explain it: its final
+    working dicts, its recorded steps and `_decide`'s flow.  The residuals
+    and the trace are cached properties, built on first read and kept."""
 
-    `verdict` is set when `compare` returns.  The residuals and the trace,
-    with its term-level dominance pairs, are cached properties: each is
-    built from `compare`'s final working dicts, closure and recorded steps
-    on first read, and kept."""
-
-    def __init__(self, verdict, left: dict, right: dict, closure, steps):
+    def __init__(self, verdict, left: dict, right: dict, flow: dict, steps):
         self.verdict = verdict
         self._left = left  # the residual sides, term -> multiplicity
         self._right = right
-        self._closure = closure  # the dominance relation `_decide` read
+        self._flow = flow  # `_decide`'s per-function matching, (lesser, greater) -> units
         self._steps = steps  # what `compare` did before dominance and the verdict
 
     @cached_property
@@ -436,27 +433,42 @@ class CompareResult:
     @cached_property
     def trace(self) -> tuple[str, ...]:
         """The steps `compare` took, one line each.  A verdict that dominance
-        decided adds its term-level pairs: the matching `_decide` ran on
-        per-function counts, run on terms."""
-        left, right, closure = self._left, self._right, self._closure
-        dominance = []
-        if left and right:
-            def dominates(g, f):
-                return (g.func, f.func) in closure
-
+        decided adds its term pairs, read off `_decide`'s flow by `_hand_out`."""
+        steps = list(self._steps)
+        if self._flow:  # Less or Greater with both residuals nonempty
+            left, right = self.left_residual.terms, self.right_residual.terms
             if self.verdict is Verdict.LESS:
-                match = _saturating_match(left, right, dominates)
-                dominance = [("dominance", s, "<", b) for s, b in match]
-            elif self.verdict is Verdict.GREATER:
-                # left terms dominate, and each line reads in residual order
-                match = _saturating_match(right, left, dominates)
-                dominance = [("dominance", b, ">", s) for s, b in match]
-        steps = (*self._steps, *dominance, ("verdict", self.verdict))
+                steps += [("dominance", s, "<", b) for s, b in _hand_out(self._flow, left, right)]
+            else:  # left terms dominate, and each line reads in residual order
+                steps += [("dominance", b, ">", s) for s, b in _hand_out(self._flow, right, left)]
+        steps.append(("verdict", self.verdict))
         return tuple(map(_render_step, steps))
 
     def residual_line(self) -> str:
         op = _VERDICT_OP[self.verdict]
         return f"{render_cost(self.left_residual)} {op} {render_cost(self.right_residual)}"
+
+
+def _hand_out(flow: dict, lesser: tuple, greater: tuple) -> dict:
+    """The term pairs behind a per-function flow, in order of first use: each
+    `(f, g): n` in flow order pairs the next n units of the lesser side's f
+    terms with the next n of the greater side's g terms, in residual order."""
+    queues = ({}, {})
+    for side, queue in zip((lesser, greater), queues):
+        for term, mult in side:
+            queue.setdefault(term.func, deque()).append([term, mult])
+    pairs = {}
+    for (f, g), n in flow.items():
+        small, big = queues[0][f], queues[1][g]
+        while n:
+            k = min(n, small[0][1], big[0][1])
+            pairs[small[0][0], big[0][0]] = None
+            n -= k
+            for queue in small, big:
+                queue[0][1] -= k
+                if not queue[0][1]:
+                    queue.popleft()
+    return pairs
 
 
 def _cancel(left: dict, right: dict, steps: list):
@@ -472,17 +484,13 @@ def _cancel(left: dict, right: dict, steps: list):
                 del right[term]
 
 
-def _saturating_match(small: dict, big: dict, dominates) -> list | None:
-    """Injective assignment of every instance in `small` to a dominating
-    instance in `big`; None when impossible.  Capacitated bipartite matching
-    by augmenting paths."""
-    small_terms = list(small)
-    big_terms = list(big)
-    edges = {
-        s: [b for b in big_terms if dominates(b, s)] for s in small_terms
-    }
-    flow = {(s, b): 0 for s in small_terms for b in edges[s]}
-    used = {b: 0 for b in big_terms}
+def _saturating_match(small: dict, big: dict, closure) -> dict | None:
+    """Injective assignment of each instance in `small` to one in `big` that
+    dominates it, `(b, s) in closure`: the flow `{(s, b): units > 0}`, or
+    None when there is none.  Capacitated bipartite matching by augmenting paths."""
+    edges = {s: [b for b in big if (b, s) in closure] for s in small}
+    flow = {(s, b): 0 for s in small for b in edges[s]}
+    used = dict.fromkeys(big, 0)
 
     def augment(s, visited) -> bool:
         for b in edges[s]:
@@ -493,18 +501,18 @@ def _saturating_match(small: dict, big: dict, dominates) -> list | None:
                 flow[(s, b)] += 1
                 used[b] += 1
                 return True
-            for s2 in small_terms:
+            for s2 in small:
                 if flow.get((s2, b), 0) > 0 and augment(s2, visited):
                     flow[(s2, b)] -= 1
                     flow[(s, b)] += 1
                     return True
         return False
 
-    for s in small_terms:
-        for _ in range(small[s]):
+    for s, units in small.items():
+        for _ in range(units):
             if not augment(s, set()):
                 return None
-    return [(s, b) for (s, b), n in flow.items() if n > 0]
+    return {pair: n for pair, n in flow.items() if n > 0}
 
 
 def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTIONS) -> CompareResult:
@@ -519,9 +527,8 @@ def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTION
     Each step is recorded as a tuple, its kind first ("cancel", "expand",
     "drop overhead", "residue", "empty", "dominance", "verdict") and then
     the terms it concerns.  Dominance is decided on per-function counts;
-    the term-level pairs that explain it, the residual `CostExpr`s and the
-    trace's text are built only when `CompareResult` is asked for them, so
-    a caller that reads only the verdict builds none of them.
+    the residual `CostExpr`s and the trace, whose term pairs are read off
+    that matching, are built only when `CompareResult` is asked for them.
     """
     steps: list[tuple] = []
     left = _simplified(a.terms)
@@ -537,51 +544,44 @@ def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTION
             for term in [t for t in side if isinstance(t, Overhead)]:
                 steps.append(("drop overhead", label, term, side.pop(term)))
 
-    closure = assume.closure()
-    verdict = _decide(left, right, closure, steps)
-    return CompareResult(verdict, left, right, closure, steps)
+    verdict, flow = _decide(left, right, assume.closure(), steps)
+    return CompareResult(verdict, left, right, flow, steps)
 
 
 def _residual(side: dict) -> CostExpr:
     # a side's terms are merged already, each with multiplicity >= 1
-    terms = tuple([(term, side[term]) for term in sorted(side, key=_ORDER)])
-    return CostExpr(terms)
+    return CostExpr(tuple([(term, side[term]) for term in sorted(side, key=_ORDER)]))
 
 
 def _per_func(side: dict) -> dict:
-    """A residual side's multiplicities summed per cost function; overhead
-    terms count under None."""
+    """A side's multiplicities summed per cost function; overhead's under None."""
     counts: dict = {}
     for term, mult in side.items():
         counts[term.func] = counts.get(term.func, 0) + mult
     return counts
 
 
-def _decide(left: dict, right: dict, closure, steps: list) -> Verdict:
-    """The verdict on the residual sides.  After expansion every argument
-    is one unit or zero, so only functions order two applications: all
-    terms of one function share their dominance edges, and a saturating
-    match of terms exists exactly when one of per-function counts does
-    (Hall's condition).  `CompareResult` finds the pairs of terms when its
-    trace is read."""
+def _decide(left: dict, right: dict, closure, steps: list) -> tuple[Verdict, dict]:
+    """The verdict on the residual sides, and the per-function flow that
+    decided it by dominance, else {}.  After expansion every argument is one
+    unit or zero, so only functions order two applications: terms of one
+    function share their dominance edges, and a saturating match of terms
+    exists exactly when one of per-function counts does (Hall's condition).
+    The flow's keys are the dominance pairs the verdict used."""
     if not left and not right:
-        return Verdict.EQUAL
+        return Verdict.EQUAL, {}
     lc, rc = _per_func(left), _per_func(right)
     if None in lc or None in rc:
         steps.append(("residue",))
-        return Verdict.INDETERMINATE
+        return Verdict.INDETERMINATE, {}
     if not left:
         steps.append(("empty", "left"))
-        return Verdict.LESS
+        return Verdict.LESS, {}
     if not right:
         steps.append(("empty", "right"))
-        return Verdict.GREATER
-
-    def dominates(g, f):
-        return (g, f) in closure
-
-    if _saturating_match(lc, rc, dominates) is not None:
-        return Verdict.LESS
-    if _saturating_match(rc, lc, dominates) is not None:
-        return Verdict.GREATER
-    return Verdict.INDETERMINATE
+        return Verdict.GREATER, {}
+    if (flow := _saturating_match(lc, rc, closure)) is not None:
+        return Verdict.LESS, flow
+    if (flow := _saturating_match(rc, lc, closure)) is not None:
+        return Verdict.GREATER, flow
+    return Verdict.INDETERMINATE, {}

@@ -6,8 +6,9 @@ message is a positive event on the sender's strand and a negative event on
 the recipient's, in message order.  Nonce/key atoms a role emits without
 holding them are marked fresh; participant/user-data atoms in that position
 are rejected, since nothing can create them; parsing notes each payload's
-atoms as it reads their tokens, finds both in one pass per role over them,
-and keeps the fresh atoms in `ProtocolSpec.fresh`.
+atoms as it reads their tokens, and each role's messages, finds both in one
+pass per role over its own messages, and keeps the fresh atoms in
+`ProtocolSpec.fresh`.  Projection walks the messages once for all roles.
 
 Tokenizing is one `re.findall` pass that yields the token strings; a
 token's kind shows in its text.  Offsets, lines and columns are worked out
@@ -19,6 +20,7 @@ and `_Parser.run` a comma-separated list of them.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 from .errors import (
     DuplicateDeclaration,
@@ -225,7 +227,9 @@ class _Parser:
             held.update(dict.fromkeys(entries))
 
         messages = []
-        carried = []  # each payload's atoms, in `atoms_of` order
+        # each role's messages as (whether it sends it, the payload's atoms
+        # in `atoms_of` order)
+        walks: dict[Atom, list] = {r: [] for r in roles}
         while not messages or toks[i] != "}":
             frm = self.role_ref(i)
             self.expect(i + 1, "->")
@@ -233,7 +237,8 @@ class _Parser:
             if frm == to:
                 raise SelfMessage(f"{frm.label!r} sends to itself", *self.at(i))
             self.expect(i + 3, ":")
-            carried.append(found := [])
+            walks[frm].append((True, found := []))
+            walks[to].append((False, found))
             payload, _, _, i = self.run(i + 4, found, 0)
             self.expect(i, ";")
             i += 1
@@ -242,18 +247,14 @@ class _Parser:
         if tail:
             raise ParseError(f"unexpected {tail!r} after protocol", *self.at(i + 1))
 
-        messages = tuple(messages)
         held = {label: tuple(entries) for label, entries in knowledge.items()}
         return ProtocolSpec(
             name=name,
             roles=tuple(roles),
             decls={label: atom.kind for label, atom in self.atoms.items()},
             knowledge=held,
-            messages=messages,
-            fresh={
-                r.label: _fresh_atoms(r, held[r.label], messages, carried)
-                for r in roles
-            },
+            messages=tuple(messages),
+            fresh={r.label: _fresh_atoms(r, held[r.label], walks[r]) for r in roles},
         )
 
     def term(self, i: int, found: list, depth: int) -> tuple[Term, int, int]:
@@ -335,31 +336,28 @@ def parse(text: str) -> ProtocolSpec:
     return _Parser(text).protocol()
 
 
-def role_events(spec: ProtocolSpec, role: Atom) -> list[SignedTerm]:
-    events = []
+def role_events(spec: ProtocolSpec) -> dict[Atom, list[SignedTerm]]:
+    """Each role's events in message order, from one walk over the
+    messages: a message is its sender's positive event and its recipient's
+    negative one."""
+    events: dict[Atom, list[SignedTerm]] = {role: [] for role in spec.roles}
     for msg in spec.messages:
-        if msg.sender == role:
-            events.append(SignedTerm(1, msg.payload))
-        elif msg.recipient == role:
-            events.append(SignedTerm(-1, msg.payload))
+        events[msg.sender].append(SignedTerm(1, msg.payload))
+        events[msg.recipient].append(SignedTerm(-1, msg.payload))
     return events
 
 
-def _fresh_atoms(
-    role: Atom, entries: tuple, messages: tuple, carried: list
-) -> frozenset[Atom]:
+def _fresh_atoms(role: Atom, entries: tuple, walk: list) -> frozenset[Atom]:
     """Atoms the role must create: those it does not hold initially and first
     meets in one of its sends, which must be nonces or keys.  An unheld
-    participant or user-data atom it sends is Ungeneratable.  `carried`
-    holds the atoms of each message's payload, in `atoms_of` order."""
+    participant or user-data atom it sends is Ungeneratable.  `walk` holds
+    one `(sends, atoms)` per message the role sends or receives, in message
+    order: whether it sends it, and the payload's atoms in `atoms_of` order."""
     known = {role}
     for entry in entries:
         known.update(atoms_of(entry))
     fresh = set()
-    for msg, atoms in zip(messages, carried):
-        sends = msg.sender == role
-        if not sends and msg.recipient != role:
-            continue
+    for sends, atoms in walk:
         for atom in atoms:
             if atom in known:
                 continue
@@ -384,8 +382,7 @@ def project(spec: ProtocolSpec) -> StrandSpace:
     Message k is its sender's and its recipient's next event, so its edge
     links those two positions.
     """
-    strands = (_role_strand(spec, role) for role in spec.roles)
-    strands = tuple(s for s in strands if s is not None)
+    strands = tuple(s for s in _role_strands(spec, spec.roles) if s is not None)
     index = {s.participant: i for i, s in enumerate(strands)}
     placed = dict.fromkeys(index, 0)  # role -> its events so far
     comm = []
@@ -397,25 +394,26 @@ def project(spec: ProtocolSpec) -> StrandSpace:
     return StrandSpace(strands, tuple(comm))
 
 
-def _role_strand(spec: ProtocolSpec, role: Atom) -> KStrand | None:
-    """The role's knowledge strand (see `project`); None if it has no
-    events."""
-    events = role_events(spec, role)
-    if not events:
-        return None
-    entries = spec.knowledge[role.label]
-    fresh = spec.fresh[role.label]
-    held = {e.label: e for e in entries if isinstance(e, Atom)}
-    held.update((a.label, a) for a in fresh)
-    held.pop(role.label, None)
-    knowledge: list[Term] = [role]
-    # roles are declared first, so declaration order puts them first
-    knowledge += [held[label] for label in spec.decls if label in held]
-    knowledge += [e for e in entries if not isinstance(e, Atom)]
-    return KStrand(
-        knowledge=tuple(knowledge),
-        participant=role,
-        seq=tuple(events),
-        fresh=fresh,
-    )
-
+def _role_strands(spec: ProtocolSpec, roles) -> Iterator[KStrand | None]:
+    """Each of `roles`' knowledge strands (see `project`), None for one with
+    no events.  One walk over the messages and one declaration rank serve
+    them all."""
+    events = role_events(spec)
+    rank = {label: i for i, label in enumerate(spec.decls)}
+    for role in roles:
+        if not events[role]:
+            yield None
+            continue
+        entries = spec.knowledge[role.label]
+        fresh = spec.fresh[role.label]
+        held = {e for e in entries if isinstance(e, Atom)} | fresh
+        held.discard(role)
+        # roles are declared first, so declaration order puts them first
+        knowledge = [role, *sorted(held, key=lambda a: rank[a.label])]
+        knowledge += [e for e in entries if not isinstance(e, Atom)]
+        yield KStrand(
+            knowledge=tuple(knowledge),
+            participant=role,
+            seq=tuple(events[role]),
+            fresh=fresh,
+        )

@@ -5,6 +5,7 @@ check values against."""
 from __future__ import annotations
 
 import io
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -43,6 +44,15 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def stack_depth() -> int:
+    """The number of frames on the stack, the caller's included."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
 
 
 def role_costs() -> list:

@@ -6,10 +6,13 @@ every application and sum it is given (normalizing through `ssum`), the
 canonical order is the old key with its generic argument scan, and the
 dominance closure is worked out again on every call.  It shares with the
 library only the rules that did not change: merging (`cost_expr`), the
-additivity law (`expand_one`), term rendering and the matching; it states
-dominance between two terms itself.  It is kept only so that tests can
-require the library's `compare` to return the same verdict, residuals and
-trace.
+additivity law (`expand_one`), term rendering and the matching on
+per-function counts (`_saturating_match`).  It sums those counts itself,
+and hands the flow out as term pairs unit by unit: each `(f, g): n` in flow
+order pairs the next n copies of the lesser side's f terms with the next n
+of the greater side's g terms, both in residual order, and a pair shows
+once, where it is first used.  It is kept only so that tests can require
+the library's `compare` to return the same verdict, residuals and trace.
 """
 
 from __future__ import annotations
@@ -137,25 +140,44 @@ def _decide(left: dict, right: dict, assume, trace: list) -> Verdict:
         trace.append("overhead residue cannot be discharged")
         return Verdict.INDETERMINATE
     closure = _transitive_closure(assume.dominance)
-
-    def dominates(g, f):
-        # expanded applications take one unit each: only functions compare
-        return (g.func, f.func) in closure
-
     if not left:
         trace.append("left residual empty; right residual is strictly positive")
         return Verdict.LESS
     if not right:
         trace.append("right residual empty; left residual is strictly positive")
         return Verdict.GREATER
-    match = _saturating_match(left, right, dominates)
-    if match is not None:
-        for s, b in match:
-            trace.append(f"dominance: {render_cost_term(s)} < {render_cost_term(b)}")
-        return Verdict.LESS
-    match = _saturating_match(right, left, dominates)
-    if match is not None:
-        for s, b in match:
-            trace.append(f"dominance: {render_cost_term(b)} > {render_cost_term(s)}")
-        return Verdict.GREATER
+    for verdict, small, big in ((Verdict.LESS, left, right), (Verdict.GREATER, right, left)):
+        # expanded applications take one unit each: only functions compare
+        flow = _saturating_match(_counts(small), _counts(big), closure)
+        if flow is None:
+            continue
+        lesser, greater = _units(small), _units(big)
+        pairs = []
+        for (f, g), n in flow.items():
+            for _ in range(n):
+                pair = (lesser[f].pop(0), greater[g].pop(0))
+                if pair not in pairs:
+                    pairs.append(pair)
+        for s, b in pairs:
+            if verdict is Verdict.LESS:
+                trace.append(f"dominance: {render_cost_term(s)} < {render_cost_term(b)}")
+            else:
+                trace.append(f"dominance: {render_cost_term(b)} > {render_cost_term(s)}")
+        return verdict
     return Verdict.INDETERMINATE
+
+
+def _counts(side: dict) -> dict:
+    counts: dict = {}
+    for term, mult in side.items():
+        counts[term.func] = counts.get(term.func, 0) + mult
+    return counts
+
+
+def _units(side: dict) -> dict:
+    """Per function, the side's terms in residual order, each repeated as
+    often as its multiplicity."""
+    units: dict = {}
+    for term, mult in _canonical(list(side.items())).terms:
+        units.setdefault(term.func, []).extend([term] * mult)
+    return units

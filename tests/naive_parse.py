@@ -149,6 +149,8 @@ class NaiveParser:
         held = {label: tuple(entries) for label, entries in knowledge.items()}
         # each payload is walked once and shared by its sender and recipient
         carried = [tuple(atoms_of(msg.payload)) for msg in messages]
+        walks = {r: [(msg.sender == r, atoms) for msg, atoms in zip(messages, carried)
+                     if r in (msg.sender, msg.recipient)] for r in roles}
         return ProtocolSpec(
             name=name,
             roles=tuple(roles),
@@ -156,7 +158,7 @@ class NaiveParser:
             knowledge=held,
             messages=messages,
             fresh={
-                r.label: _fresh_atoms(r, held[r.label], messages, carried)
+                r.label: _fresh_atoms(r, held[r.label], walks[r])
                 for r in roles
             },
         )

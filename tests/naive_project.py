@@ -25,7 +25,7 @@ def _first_unheld(spec, role):
     for entry in spec.knowledge[role.label]:
         known.update(atoms_of(entry))
     first = []
-    for event in role_events(spec, role):
+    for event in role_events(spec)[role]:
         for atom in atoms_of(event.payload):
             if atom not in known:
                 known.add(atom)
@@ -52,8 +52,9 @@ def naive_validate(spec) -> None:
 
 def naive_project(spec) -> StrandSpace:
     strands = []
+    events_of = role_events(spec)
     for role in spec.roles:
-        events = role_events(spec, role)
+        events = events_of[role]
         if not events:
             continue
         entries = spec.knowledge[role.label]

@@ -25,6 +25,7 @@ from .helpers import (
     X509_ORIGINAL,
     read,
     run_cli,
+    stack_depth,
 )
 
 S_KA = ("⟨{A, B, N_a, K_AB}, A, ⟨+(A, N_a), -{N_a, K, B}_sk(K_AB), "
@@ -525,14 +526,6 @@ def nested_protocol(shape, depth):
     )
 
 
-def _stack_depth() -> int:
-    depth, frame = 0, sys._getframe(1)
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    return depth
-
-
 @pytest.mark.parametrize("shape", ["h", "sk", "pairs", "wide"])
 def test_nesting_cap(tmp_path, shape):
     """Every command accepts a term at the cap and refuses one past it,
@@ -546,7 +539,7 @@ def test_nesting_cap(tmp_path, shape):
             ("eval", ok, "--role", "A", "--config", DEFAULT_CONFIG)]
     deep = write(tmp_path, nested_protocol(shape, 258), "deep.spa")
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 900)
+    sys.setrecursionlimit(stack_depth() + 900)
     try:
         for argv in runs:
             code, _, err = run_cli(*argv)

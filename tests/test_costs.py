@@ -11,6 +11,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -85,6 +86,7 @@ from .helpers import (
     expand_additivity,
     read,
     role_costs,
+    stack_depth,
 )
 from .naive_compare import naive_compare
 from .naive_eval import naive_eval_cost, naive_eval_terms
@@ -249,7 +251,7 @@ def test_malformed_strand_after_a_well_formed_twin_is_refused():
     with pytest.raises(TypeError, match="not a typed strand"):
         naive_cost_of_space(space)
     with pytest.raises(TypeError, match=r"^StrandSpace\.strands must be tuple\[KStrand \| TStrand, "
-                                        r"\.\.\.\], not tuple$"):
+                                        r"\.\.\.\], not Basic in tuple$"):
         StrandSpace((good, n))
 
 
@@ -634,16 +636,17 @@ def test_saturating_match_exactly_when_hall_holds():
         big = {("b", j): rng.randint(1, 3) for j in range(rng.randint(1, 4))}
         p = rng.random()
         edges = {(s, b) for s in small for b in big if rng.random() < p}
-        match = _saturating_match(small, big, lambda b, s: (s, b) in edges)
-        assert (match is not None) == _hall(small, big, edges)
-        if match is None:
+        flow = _saturating_match(small, big, {(b, s) for s, b in edges})
+        assert (flow is not None) == _hall(small, big, edges)
+        if flow is None:
             continue
         matched += 1
-        assert set(match) <= edges
-        assert {s for s, _ in match} == set(small)
-        assert _hall(small, big, match)
+        assert set(flow) <= edges and min(flow.values()) > 0
+        assert _hall(small, big, flow)
+        for s, copies in small.items():
+            assert sum(n for (s2, _), n in flow.items() if s2 == s) == copies
         for b, copies in big.items():
-            assert sum(1 for _, b2 in match if b2 == b) <= copies
+            assert sum(n for (_, b2), n in flow.items() if b2 == b) <= copies
     assert 400 < matched < 1600
 
 
@@ -674,17 +677,21 @@ def _random_residual(rng: random.Random) -> dict:
 def test_matching_per_function_agrees_with_matching_terms():
     # dominance reads only functions, so terms of one function share their
     # edges, and a saturating match of terms exists exactly when one of
-    # per-function counts does
+    # per-function counts does; handing the per-function flow out to terms
+    # pairs every small term, each with a big term that dominates it
     rng = random.Random(0xC1A55)
     matched = 0
     for _ in range(3000):
         relation = {(g, f) for g in CostFunc for f in CostFunc if rng.random() < 0.3}
         small, big = _random_residual(rng), _random_residual(rng)
-        by_term = _saturating_match(small, big, lambda b, s: (b.func, s.func) in relation)
-        by_func = _saturating_match(
-            _per_function(small), _per_function(big), lambda g, f: (g, f) in relation
-        )
+        terms = {(b, s) for b in big for s in small if (b.func, s.func) in relation}
+        by_term = _saturating_match(small, big, terms)
+        by_func = _saturating_match(_per_function(small), _per_function(big), relation)
         assert (by_term is None) == (by_func is None)
+        if by_func is not None:
+            pairs = spa.costs._hand_out(by_func, tuple(small.items()), tuple(big.items()))
+            assert {s for s, _ in pairs} == set(small)
+            assert all((b, s) in terms for s, b in pairs)
         matched += by_term is not None
     assert 300 < matched < 2700
 
@@ -897,32 +904,82 @@ def test_trace_rendered_only_when_read(monkeypatch):
     assert any(line.startswith("dominance") for line in trace)
 
 
-def test_term_pairs_are_matched_only_when_the_trace_is_read(monkeypatch):
-    # compare matches per-function counts; the term-level matching the
-    # dominance lines show runs on the first read of the trace, once
+def test_only_compare_matches_and_only_function_counts(monkeypatch):
+    # compare matches per-function counts, at most once each way; the
+    # dominance lines are read off the flow it kept, so reading the trace
+    # matches nothing
     keys = []
     match = spa.costs._saturating_match
 
-    def recorded(small, big, dominates):
-        keys.append(type(next(iter(small))))
-        return match(small, big, dominates)
+    def recorded(small, big, closure):
+        keys.append({type(node) for side in (small, big) for node in side})
+        return match(small, big, closure)
 
     monkeypatch.setattr(spa.costs, "_saturating_match", recorded)
     explained = 0
     for a, b, assume in _compare_cases():
         keys.clear()
         res = compare(a, b, assume)
-        assert set(keys) <= {CostFunc}
+        assert len(keys) <= 2 and all(k == {CostFunc} for k in keys)
         keys.clear()
         trace = res.trace
-        dominance = any(line.startswith("dominance: ") for line in trace)
-        assert len(keys) == dominance and CostFunc not in keys
-        explained += dominance
+        explained += any(line.startswith("dominance: ") for line in trace)
         left, right = res.left_residual, res.right_residual
         assert res.trace is trace and res.trace == trace
         assert res.left_residual is left and res.right_residual is right
-        assert len(keys) == dominance
+        assert keys == []
     assert explained > 100
+
+
+def test_dominance_lines_pair_residual_terms_the_closure_orders():
+    # each line names a term of the lesser residual and one of the greater
+    # that dominates it, once per pair, and every lesser term has a line
+    explained = 0
+    for a, b, assume in _compare_cases():
+        res = compare(a, b, assume)
+        lines = [line[len("dominance: "):] for line in res.trace
+                 if line.startswith("dominance: ")]
+        if not lines:
+            continue
+        explained += 1
+        less = res.verdict is Verdict.LESS
+        lesser, greater = res.left_residual.terms, res.right_residual.terms
+        if not less:
+            lesser, greater = greater, lesser
+        lesser = {render_cost_term(t): t for t, _ in lesser}
+        greater = {render_cost_term(t): t for t, _ in greater}
+        pairs = []
+        for line in lines:
+            first, second = line.split(" < " if less else " > ")
+            s, b = (lesser[first], greater[second]) if less else (lesser[second], greater[first])
+            assert (b.func, s.func) in assume.closure(), line
+            pairs.append((s, b))
+        assert len(set(pairs)) == len(pairs)
+        assert {s for s, _ in pairs} == set(lesser.values())
+    assert explained > 100
+
+
+def test_trace_of_a_large_residual_is_read_off_the_flow():
+    # 1,200 distinct terms each side: matching them term by term recursed
+    # once per term and took minutes; the pairs come off one flow entry
+    args = [AsymSize(Sum(((i, SN),))) for i in range(2, 1202)]
+    hashes = cost_expr([App(CostFunc.F_H, (arg,)) for arg in args])
+    sealed = cost_expr([App(CostFunc.F_PK, (arg,)) for arg in args])
+    lines = [(render_cost_term(App(CostFunc.F_H, (arg,))),
+              render_cost_term(App(CostFunc.F_PK, (arg,)))) for arg in args]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 900)
+    try:
+        start = time.perf_counter()
+        less, greater = compare(hashes, sealed), compare(sealed, hashes)
+        traces = less.trace, greater.trace
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (less.verdict, greater.verdict) == (Verdict.LESS, Verdict.GREATER)
+    assert traces[0] == (*(f"dominance: {h} < {pk}" for h, pk in lines), "verdict: Less")
+    assert traces[1] == (*(f"dominance: {pk} > {h}" for h, pk in lines), "verdict: Greater")
+    assert len(traces[0]) == 1201 and elapsed < 1.0
 
 
 def test_simplify_keeps_simplified_terms():

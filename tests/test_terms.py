@@ -249,7 +249,7 @@ def test_terms_of_non_terms_are_refused():
     (lambda: Message(A, Atom(AtomKind.PARTICIPANT, "B"), Empty()),
      "Message.payload must be Term, not Empty"),
     (lambda: KStrand((A, Empty()), A, (SignedTerm(1, NA),), frozenset()),
-     "KStrand.knowledge must be tuple[Term, ...], not tuple"),
+     "KStrand.knowledge must be tuple[Term, ...], not Empty in tuple"),
     (lambda: type_erase(Empty()), "not a term: Empty()"),
     (lambda: render_term(Empty()), "not a term: Empty()"),
 ], ids=["pair-left", "pair-right", "hash-body", "signed", "message", "kstrand",
@@ -260,6 +260,31 @@ def test_empty_is_only_a_hash_key(build, message):
     assert str(exc.value) == message
     h = Enc(Pair(A, NA), FuncName.H, Empty())
     assert h.key is Empty() and render_term(h) == "h(A, N_a)"
+
+
+# a refusal names the item that fails its check, and the container of the
+# field it was passed in; a field that fails as a whole is named alone
+@pytest.mark.parametrize("build, message", [
+    (lambda: KStrand((A, 5), A, (SignedTerm(1, A),)),
+     "KStrand.knowledge must be tuple[Term, ...], not int in tuple"),
+    (lambda: CostExpr(((LambdaC(), 1.5),)),
+     "CostExpr.terms must be tuple[tuple[CostTerm, int], ...], not float in tuple"),
+    (lambda: CostExpr(((LambdaC(), 1, 1),)),
+     "CostExpr.terms must be tuple[tuple[CostTerm, int], ...], not tuple in tuple"),
+    (lambda: KStrand((A,), A, (SignedTerm(1, A),), frozenset({NA, "N_b"})),
+     "KStrand.fresh must be frozenset[Atom], not str in frozenset"),
+    (lambda: SizeModel({**_SIZES, "n": 16}, 20, 117, 128, 11),
+     "SizeModel.sizes must be dict[BasicTT, int | float], not str in dict"),
+    (lambda: SizeModel({**_SIZES, BasicTT.N: "16"}, 20, 117, 128, 11),
+     "SizeModel.sizes must be dict[BasicTT, int | float], not str in dict"),
+    (lambda: CostExpr([(LambdaC(), 1)]),
+     "CostExpr.terms must be tuple[tuple[CostTerm, int], ...], not list"),
+], ids=["tuple-of-any-length", "pair", "pair-length", "frozenset", "dict-key", "dict-value",
+        "whole-field"])
+def test_container_refusal_names_the_item(build, message):
+    with pytest.raises(TypeError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_an_instance_of_a_plain_base_is_not_a_term():
@@ -530,26 +555,29 @@ def _holds_numbers(contract) -> bool:
 
 
 def _ill_typed(value, contract):
-    """Values that do not meet `contract`: a plain object in place of
-    `value` and, where `value` is a tuple, frozenset or dict, in place of
-    each of its items, and of each key of a dict."""
-    yield object()
+    """Values that do not meet `contract`, each with the object in it that
+    fails: a plain object in place of `value` and, where `value` is a
+    tuple, frozenset or dict, in place of each of its items, and of each
+    key of a dict."""
+    culprit = object()
+    yield culprit, culprit
     if type(contract) is not GenericAlias:
         return
     args = contract.__args__
     if type(value) is tuple:
         for i, item in enumerate(value):
-            for bad in _ill_typed(item, args[0] if args[1:] == (...,) else args[i]):
-                yield value[:i] + (bad,) + value[i + 1:]
+            for bad, culprit in _ill_typed(item, args[0] if args[1:] == (...,) else args[i]):
+                yield value[:i] + (bad,) + value[i + 1:], culprit
     elif type(value) is frozenset:
         for item in value:
-            for bad in _ill_typed(item, args[0]):
-                yield value - {item} | {bad}
+            for bad, culprit in _ill_typed(item, args[0]):
+                yield value - {item} | {bad}, culprit
     elif type(value) is dict:
         for k, v in value.items():
-            yield {**{j: w for j, w in value.items() if j is not k}, object(): v}
-            for bad in _ill_typed(v, args[1]):
-                yield {**value, k: bad}
+            culprit = object()
+            yield {**{j: w for j, w in value.items() if j is not k}, culprit: v}, culprit
+            for bad, culprit in _ill_typed(v, args[1]):
+                yield {**value, k: bad}, culprit
 
 
 def _aliases(value):
@@ -585,8 +613,9 @@ _ALIASED_FIELDS = list(_CTOR_FIELDS.items()) + [
 @pytest.mark.parametrize("cls", list(_CTOR_FIELDS), ids=lambda cls: cls.__name__)
 def test_field_contracts(cls):
     """Every field declares a contract, and a value that does not meet it,
-    alone or inside a tuple, is a one-line `TypeError` naming the class, the
-    field and the type passed.  It enters nothing."""
+    alone or inside a container, is a one-line `TypeError` naming the class,
+    the field and the type passed, or the type of the item that fails and of
+    the container it was passed in.  It enters nothing."""
     contracts = cls.__slots__ or {}  # a class without fields may say ()
     assert type(contracts) is dict
     names = list(contracts)
@@ -597,13 +626,14 @@ def test_field_contracts(cls):
     held = cls(*values)
     before = set(table)
     for i, name in enumerate(names):
-        for bad in _ill_typed(values[i], contracts[name]):
+        for bad, culprit in _ill_typed(values[i], contracts[name]):
             assert not _meets(bad, contracts[name])
             with pytest.raises(TypeError) as exc:
                 cls(*values[:i], bad, *values[i + 1:])
             message = str(exc.value)
             assert message.startswith(f"{cls.__name__}.{name} must be ") and "\n" not in message
-            assert message.endswith(", not " + type(bad).__name__)
+            shown = "object" if culprit is bad else f"object in {type(bad).__name__}"
+            assert message.endswith(", not " + shown)
     assert set(table) <= before and cls(*values) is held
 
 
