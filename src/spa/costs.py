@@ -290,15 +290,11 @@ class AssumptionSet(_Dominance):
 
 
 def _transitive_closure(pairs) -> frozenset:
+    # Warshall; a path passes only through functions that some pair leads to
     closure = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closure):
-            for c, d in list(closure):
-                if b is c and (a, d) not in closure:
-                    closure.add((a, d))
-                    changed = True
+    for k in {b for _, b in pairs}:
+        into = [a for a, b in closure if b is k]
+        closure.update([(a, d) for c, d in closure if c is k for a in into])
     return frozenset(closure)
 
 
@@ -476,42 +472,46 @@ def _cancel(left: dict, right: dict, steps: list):
         if term in right:
             mult = min(left[term], right[term])
             steps.append(("cancel", term, mult))
-            left[term] -= mult
-            right[term] -= mult
-            if left[term] == 0:
-                del left[term]
-            if right[term] == 0:
-                del right[term]
+            for side in left, right:
+                side[term] -= mult
+                if not side[term]:
+                    del side[term]
 
 
 def _saturating_match(small: dict, big: dict, closure) -> dict | None:
     """Injective assignment of each instance in `small` to one in `big` that
     dominates it, `(b, s) in closure`: the flow `{(s, b): units > 0}`, or
-    None when there is none.  Capacitated bipartite matching by augmenting paths."""
+    None when there is none.  Shortest augmenting paths from one small node
+    at a time, each pushing its bottleneck (Edmonds and Karp), so the work
+    does not grow with multiplicities; a node left with no path fails."""
     edges = {s: [b for b in big if (b, s) in closure] for s in small}
     flow = {(s, b): 0 for s in small for b in edges[s]}
-    used = dict.fromkeys(big, 0)
-
-    def augment(s, visited) -> bool:
-        for b in edges[s]:
-            if b in visited:
-                continue
-            visited.add(b)
-            if used[b] < big[b]:
-                flow[(s, b)] += 1
-                used[b] += 1
-                return True
-            for s2 in small:
-                if flow.get((s2, b), 0) > 0 and augment(s2, visited):
-                    flow[(s2, b)] -= 1
-                    flow[(s, b)] += 1
-                    return True
-        return False
-
+    spare = dict(big)
     for s, units in small.items():
-        for _ in range(units):
-            if not augment(s, set()):
+        while units:
+            # breadth first over paths s, b1, s2, ..., b; b1 -> s2 is back along flow
+            met_small, met_big, queue, path = {s}, set(), deque([(s,)]), None
+            while queue and path is None:
+                head = queue.popleft()
+                for b in edges[head[-1]]:
+                    if b not in met_big:
+                        met_big.add(b)
+                        if spare[b]:
+                            path = head + (b,)
+                            break
+                        fed = [u for u in small if u not in met_small and flow.get((u, b))]
+                        met_small.update(fed)
+                        queue += [head + (b, u) for u in fed]
+            if path is None:
                 return None
+            back = list(zip(path[2::2], path[1::2]))
+            push = min(units, spare[path[-1]], *(flow[e] for e in back))
+            for e in zip(path[::2], path[1::2]):
+                flow[e] += push
+            for e in back:
+                flow[e] -= push
+            spare[path[-1]] -= push
+            units -= push
     return {pair: n for pair, n in flow.items() if n > 0}
 
 

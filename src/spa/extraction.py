@@ -11,12 +11,15 @@ participant or user-data atom that occurs nowhere is `Ungeneratable`; the
 parser refuses that protocol first, so only a strand built by hand gets
 that far.  Every operation emits one classifier strand over type-erased
 terms, and every term built, received, or recovered joins the knowledge
-set, so nothing is ever built twice.  Terms are hash-consed process-wide
-and held weakly (see `terms`), so equal typed terms are one object; each
-instance term carries its typed term from construction, so extraction
-erases nothing and builds no typed term.  Operations of one shape
-(classifier and typed payloads) share one strand object, built on its
-first use.  Pricing handles a shared strand once.
+set, so nothing is ever built twice.  The classifier is the one that
+builds or opens the term's kind (`strands.BUILDS`, `strands.OPENS`), and
+its events are the row's parts of the typed term (`Op.events`), so no
+operation is written here.  Terms are hash-consed process-wide and held
+weakly (see `terms`), so equal typed terms are one object; each instance
+term carries its typed term from construction, so extraction erases
+nothing and builds no typed term.  Operations of one shape (classifier
+and typed subject) share one strand object, built on its first use.
+Pricing handles a shared strand once.
 
 Dataflow is recorded, not guessed.  The knowledge set maps each term to
 the operation that made it (None for a term from outside: initial
@@ -51,28 +54,8 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import Ungeneratable, Unrecoverable
-from .strands import OPS, Classifier, KStrand, StrandSpace, TStrand
-from .terms import (
-    Atom,
-    AtomKind,
-    Enc,
-    FuncName,
-    Pair,
-    SignedTerm,
-    Term,
-)
-
-_ENC_CLASSIFIER = {
-    FuncName.SK: Classifier.C_E,
-    FuncName.PK: Classifier.C_PK,
-    FuncName.PVK: Classifier.C_PVK,
-    FuncName.H: Classifier.C_H,
-}
-
-_GEN_CLASSIFIER = {
-    AtomKind.NONCE: Classifier.C_N,
-    AtomKind.KEY: Classifier.C_K,
-}
+from .strands import BUILDS, OPENS, OPS, Classifier, KStrand, StrandSpace, TStrand
+from .terms import Atom, Enc, FuncName, Pair, SignedTerm, Term
 
 
 class Extraction:
@@ -135,8 +118,8 @@ class _State:
         # ranks are one preorder count over all walked entries, so comparing
         # two ranks compares entry order first, then position in the entry
         self.next_rank = 0
-        # shape key (classifier, *typed payloads) -> the one strand every
-        # operation of that shape shares
+        # (classifier, typed subject) -> the one strand every operation of
+        # that shape shares: every payload is a field of the subject
         self.strands: dict[tuple, TStrand] = {}
         self.ops: list[TStrand] = []
         self.inputs: list[tuple[Term, ...]] = []  # each op's input terms
@@ -195,14 +178,13 @@ class _State:
                         rank += _span(t.body)
         return rank
 
-    def emit(self, key: tuple, inputs: tuple[Term, ...]) -> int:
-        """Append the strand of shape `key`, a classifier and its typed
-        payloads, as an op consuming the terms `inputs`; return its index."""
-        strand = self.strands.get(key)
+    def emit(self, classifier: Classifier, subject, inputs: tuple[Term, ...]) -> int:
+        """Append the strand of `classifier` on the typed term `subject` as
+        an op consuming the terms `inputs`; return its index."""
+        strand = self.strands.get((classifier, subject))
         if strand is None:
-            events = zip(OPS[key[0]].signs, key[1:], strict=True)
-            strand = self.strands[key] = TStrand(
-                key[0], self.participant, tuple(SignedTerm(*e) for e in events)
+            strand = self.strands[classifier, subject] = TStrand(
+                classifier, self.participant, OPS[classifier].events(subject)
             )
         self.ops.append(strand)
         self.inputs.append(inputs)
@@ -249,12 +231,13 @@ def _construct(t: Term, state: _State) -> None:
             raise Unrecoverable(
                 f"{role} holds {t.label} only sealed inside terms it cannot open", role
             )
-        if t.kind not in _GEN_CLASSIFIER:
+        classifier = BUILDS.get(t._typed.tt)
+        if classifier is None:
             raise Ungeneratable(
                 f"{role} does not hold {t.label} and "
                 f"{t.kind.value} atoms cannot be generated", role
             )
-        state.learn(t, state.emit((_GEN_CLASSIFIER[t.kind], t._typed), ()))
+        state.learn(t, state.emit(classifier, t._typed, ()))
         return
     knowledge = state.knowledge
     if isinstance(t, Pair):
@@ -262,15 +245,14 @@ def _construct(t: Term, state: _State) -> None:
             _construct(t.left, state)
         if t.right not in knowledge:
             _construct(t.right, state)
-        by = state.emit((Classifier.C_C, t.left._typed, t.right._typed, t._typed),
-                        (t.left, t.right))
+        by = state.emit(BUILDS[type(t._typed)], t._typed, (t.left, t.right))
     else:
         assert isinstance(t, Enc)
         if t.func is not FuncName.H and t.key not in knowledge:
             _construct(t.key, state)
         if t.body not in knowledge:
             _construct(t.body, state)
-        by = state.emit((_ENC_CLASSIFIER[t.func], t.body._typed, t._typed), (t.body,))
+        by = state.emit(BUILDS[t.func], t._typed, (t.body,))
     # not walked: built from known parts; if t was recovered meanwhile, it stays so
     knowledge.setdefault(t, by)
 
@@ -292,11 +274,10 @@ def _recover(target: Term, state: _State) -> None:
     for step, child in zip(path, path[1:]):
         if child in state.knowledge:
             continue
-        erased = step._typed
         if isinstance(step, Pair):
-            by = state.emit((Classifier.C_I, erased, erased.left, erased.right), (step,))
+            by = state.emit(OPENS[type(step._typed)], step._typed, (step,))
             state.learn(step.left, by, walk=False)
             state.learn(step.right, by, walk=False)
         else:
-            by = state.emit((Classifier.C_D, erased, erased.body), (step,))
+            by = state.emit(OPENS[step.func], step._typed, (step,))
             state.learn(step.body, by, walk=False)

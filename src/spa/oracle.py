@@ -8,8 +8,9 @@ descent, fixed at scan time), then generation for nonces and keys that
 occur nowhere in knowledge, else failure.
 
 It names each operation's classifier itself and must not read
-`strands.OPS` or extraction's classifier maps: an error there would then
-show up on both sides of the cross-check and pass it.
+`strands.OPS` or the maps derived from it, `BUILDS` and `OPENS`, which
+extraction emits by: an error there would then show up on both sides of
+the cross-check and pass it.
 """
 
 from __future__ import annotations

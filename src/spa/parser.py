@@ -30,7 +30,7 @@ from .errors import (
     UndeclaredIdentifier,
     Ungeneratable,
 )
-from .strands import KStrand, StrandSpace
+from .strands import BUILDS, KStrand, StrandSpace
 from .terms import (
     Atom,
     AtomKind,
@@ -349,10 +349,11 @@ def role_events(spec: ProtocolSpec) -> dict[Atom, list[SignedTerm]]:
 
 def _fresh_atoms(role: Atom, entries: tuple, walk: list) -> frozenset[Atom]:
     """Atoms the role must create: those it does not hold initially and first
-    meets in one of its sends, which must be nonces or keys.  An unheld
-    participant or user-data atom it sends is Ungeneratable.  `walk` holds
-    one `(sends, atoms)` per message the role sends or receives, in message
-    order: whether it sends it, and the payload's atoms in `atoms_of` order."""
+    meets in one of its sends, which must be of a basic type some operation
+    builds (`strands.BUILDS`: nonces and keys).  Any other unheld atom it
+    sends is Ungeneratable.  `walk` holds one `(sends, atoms)` per message
+    the role sends or receives, in message order: whether it sends it, and
+    the payload's atoms in `atoms_of` order."""
     known = {role}
     for entry in entries:
         known.update(atoms_of(entry))
@@ -364,7 +365,7 @@ def _fresh_atoms(role: Atom, entries: tuple, walk: list) -> frozenset[Atom]:
             known.add(atom)
             if not sends:
                 continue
-            if atom.kind is AtomKind.PARTICIPANT or atom.kind is AtomKind.USERDATA:
+            if atom._typed.tt not in BUILDS:
                 raise Ungeneratable(
                     f"role {role.label} sends {atom.label} without holding "
                     f"it, and {atom.kind.value} atoms cannot be generated"

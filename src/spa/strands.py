@@ -11,20 +11,17 @@ when it was built; none is matched on payloads.  A node is its position,
 (strand, event), so one strand object may stand at several positions.
 
 `OPS` is the one table of operations: for each classifier but `C_P`, the
-signs of its events, the condition its payloads meet and how a violation
-reads, and the cost function with the positions of the payloads it sizes.
-Shape checking (`TStrand`, when a strand is built) and pricing
-(`costs.cost_of_space`) read it; strand emission (`extraction`) reads only
-its signs.  Two things are written in `extraction` instead: which
-classifier builds a cipher or a fresh atom (`_ENC_CLASSIFIER`,
-`_GEN_CLASSIFIER`), and each operation's payload layout (the keys that
-`_construct` and `_recover` emit).  An operation is added there as well as
-in a row here.
+signs of its events, its subject (the typed term it builds or opens: what
+the subject is, and which part of it stands at each event), how a
+violation reads, and the cost function with the positions of the payloads
+it sizes.  Shape checking (`TStrand`, when a strand is built), strand
+emission (`extraction`, through `BUILDS`, `OPENS` and `Op.events`), the
+parser's rule on which atoms a role may generate, and pricing
+(`costs.cost_of_space`) all read it.  An operation on an existing kind of
+term is added as a row here and nowhere else.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
 
 from .errors import ShapeViolation
 from .terms import (
@@ -106,7 +103,8 @@ class TStrand(Value):
         for i, (event, sign) in enumerate(zip(seq, op.signs), start=1):
             if event.sign != sign:
                 _fail(c, i, "a reception" if sign < 0 else "a transmission")
-        if not op.check(seq[op.position - 1].payload, seq):
+        subject = seq[op.position - 1].payload
+        if _tag(subject) is not op.tag or [e.payload for e in seq] != op.payloads(subject):
             _fail(c, op.position, op.expected)
 
 
@@ -130,57 +128,60 @@ def edges(space: StrandSpace):
     return succ, space.comm
 
 
-# Conditions on the payload t at an operation's constrained position, given
-# the whole event sequence.  Every strand is checked, so a condition reads
-# `seq` directly and allocates nothing.  Positions count events from 1.
-def _wraps(func: FuncName, body: int):
-    return lambda t, seq: (
-        isinstance(t, TEnc) and t.func is func and t.body == seq[body - 1].payload
-    )
-
-
-def _pairs(left: int, right: int):
-    return lambda t, seq: (
-        isinstance(t, TPair)
-        and t.left == seq[left - 1].payload and t.right == seq[right - 1].payload
-    )
-
-
-def _basic(tt: BasicTT):
-    return lambda t, seq: isinstance(t, Basic) and t.tt is tt
-
-
 class Op(Value):
-    """An operation's shape and cost; positions count events from 1."""
+    """An operation's shape and cost; positions count events from 1.
+
+    The subject is the typed term the operation builds or opens, at
+    `position`; every other payload is one of its fields."""
 
     __slots__ = {
         "signs": tuple[int, ...],  # the sign of each event, in order
         "cost": CostFunc,
         "sized": tuple[int, ...],  # the positions whose payload sizes `cost` takes
-        "position": int,  # the payload `check` constrains, where a violation is reported
-        "check": Callable,  # a condition on (payload, whole event sequence)
+        "position": int,  # the subject's, where a violation is reported
+        "tag": (FuncName, BasicTT, type),  # what the subject is (see `_tag`)
+        "parts": tuple[str, ...],  # each event's payload: "" the subject, else its field
         "expected": str,  # what the payload at `position` must be
     }
 
+    def payloads(self, subject) -> list:
+        """The payload of each event of this operation on `subject`."""
+        return [getattr(subject, part) if part else subject for part in self.parts]
+
+    def events(self, subject) -> tuple[SignedTerm, ...]:
+        """The events of this operation on `subject`."""
+        return tuple(map(SignedTerm, self.signs, self.payloads(subject)))
+
+
+def _tag(t):
+    # what a typed term is, as a row's `tag` names it: a cipher's function,
+    # a basic type, or its class
+    cls = type(t)
+    return t.func if cls is TEnc else t.tt if cls is Basic else cls
+
 
 OPS = {
-    Classifier.C_E: Op((-1, 1), CostFunc.F_SK, (1,), 2, _wraps(FuncName.SK, 1),
+    Classifier.C_E: Op((-1, 1), CostFunc.F_SK, (1,), 2, FuncName.SK, ("body", ""),
                        "the input wrapped with sk"),
-    Classifier.C_D: Op((-1, 1), CostFunc.F_SK, (2,), 1, _wraps(FuncName.SK, 2),
+    Classifier.C_D: Op((-1, 1), CostFunc.F_SK, (2,), 1, FuncName.SK, ("", "body"),
                        "an sk term whose body is the output"),
-    Classifier.C_H: Op((-1, 1), CostFunc.F_H, (1,), 2, _wraps(FuncName.H, 1),
+    Classifier.C_H: Op((-1, 1), CostFunc.F_H, (1,), 2, FuncName.H, ("body", ""),
                        "the input wrapped with h"),
-    Classifier.C_PK: Op((-1, 1), CostFunc.F_PK, (1,), 2, _wraps(FuncName.PK, 1),
+    Classifier.C_PK: Op((-1, 1), CostFunc.F_PK, (1,), 2, FuncName.PK, ("body", ""),
                         "the input wrapped with pk"),
-    Classifier.C_PVK: Op((-1, 1), CostFunc.F_PK, (1,), 2, _wraps(FuncName.PVK, 1),
+    Classifier.C_PVK: Op((-1, 1), CostFunc.F_PK, (1,), 2, FuncName.PVK, ("body", ""),
                          "the input wrapped with pvk"),
-    Classifier.C_K: Op((1,), CostFunc.F_KG, (1,), 1, _basic(BasicTT.K), "a key type"),
-    Classifier.C_N: Op((1,), CostFunc.F_NG, (1,), 1, _basic(BasicTT.N), "a nonce type"),
-    Classifier.C_C: Op((-1, -1, 1), CostFunc.F_C, (1, 2), 3, _pairs(1, 2),
+    Classifier.C_K: Op((1,), CostFunc.F_KG, (1,), 1, BasicTT.K, ("",), "a key type"),
+    Classifier.C_N: Op((1,), CostFunc.F_NG, (1,), 1, BasicTT.N, ("",), "a nonce type"),
+    Classifier.C_C: Op((-1, -1, 1), CostFunc.F_C, (1, 2), 3, TPair, ("left", "right", ""),
                        "the pair of the two inputs"),
-    Classifier.C_I: Op((-1, 1, 1), CostFunc.F_S, (1,), 1, _pairs(2, 3),
+    Classifier.C_I: Op((-1, 1, 1), CostFunc.F_S, (1,), 1, TPair, ("", "left", "right"),
                        "the pair of the two outputs"),
 }
+
+# tag -> the classifier that builds a subject of that tag, or opens one
+BUILDS = {op.tag: c for c, op in OPS.items() if op.signs[op.position - 1] > 0}
+OPENS = {op.tag: c for c, op in OPS.items() if op.signs[op.position - 1] < 0}
 
 
 def _fail(classifier: Classifier, position: int, expected: str):

@@ -650,6 +650,20 @@ def test_saturating_match_exactly_when_hall_holds():
     assert 400 < matched < 1600
 
 
+def test_matching_time_does_not_grow_with_multiplicity():
+    # each augmenting path pushes its bottleneck, so ten million units of
+    # f_h under as many of f_pk take one path, not ten million
+    n = (TypeSize(BasicTT.N),)
+    units = 10**7
+    lesser = CostExpr(((App(CostFunc.F_H, n), units),))
+    greater = CostExpr(((App(CostFunc.F_PK, n), units),))
+    start = time.perf_counter()
+    res = compare(lesser, greater)
+    assert time.perf_counter() - start < 1.0
+    assert res.verdict is Verdict.LESS
+    assert res._flow == {(CostFunc.F_H, CostFunc.F_PK): units}
+
+
 def _per_function(side: dict) -> dict:
     counts: dict = {}
     for term, mult in side.items():

@@ -1,5 +1,6 @@
 """Strand structures, edges and the bundle property, shape checks."""
 
+import ast
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from spa import extract, parse, project
 from spa.costs import CostFunc
 from spa.errors import ShapeViolation, Ungeneratable, Unrecoverable
 from spa.strands import (
+    BUILDS,
+    OPENS,
     OPS,
     Classifier,
     KStrand,
@@ -31,7 +34,7 @@ from spa.terms import (
 
 from .bundle import check_extraction, check_projection
 from .generators import chain_spec, random_spec
-from .helpers import CORPUS, read
+from .helpers import CORPUS, ROOT, read
 
 A = Atom(AtomKind.PARTICIPANT, "A")
 B = Atom(AtomKind.PARTICIPANT, "B")
@@ -203,6 +206,80 @@ def test_ops_costs_and_f_p_cover_every_cost_function():
 def test_ops_positions_index_events_of_their_row():
     for op in OPS.values():
         assert all(1 <= i <= len(op.signs) for i in op.sized + (op.position,))
+
+
+def test_builds_and_opens_read_the_rows():
+    assert BUILDS == {
+        FuncName.SK: Classifier.C_E,
+        FuncName.H: Classifier.C_H,
+        FuncName.PK: Classifier.C_PK,
+        FuncName.PVK: Classifier.C_PVK,
+        BasicTT.K: Classifier.C_K,
+        BasicTT.N: Classifier.C_N,
+        TPair: Classifier.C_C,
+    }
+    assert OPENS == {FuncName.SK: Classifier.C_D, TPair: Classifier.C_I}
+
+
+_P = TPair(n, r)
+# a subject of each tag, its fields distinct so that swapping two moves one
+SUBJECTS = {
+    **{func: TEnc(_P, func) for func in FuncName},
+    **{tt: Basic(tt) for tt in BasicTT},
+    TPair: _P,
+}
+
+
+@pytest.mark.parametrize("classifier", list(OPS), ids=lambda c: c.value)
+def test_each_row_builds_its_events_and_refuses_others(classifier):
+    # the events a row makes of its subject are a strand of its shape;
+    # swapping two payloads that are not the subject, or putting a subject
+    # of any other tag in its place, is refused with the row's violation
+    op = OPS[classifier]
+    events = op.events(SUBJECTS[op.tag])
+    assert _op(classifier, *events).seq == events
+    message = f"{classifier.value}: position {op.position} must be {op.expected}"
+    others = [i for i in range(len(events)) if i != op.position - 1]
+    variants = []
+    if len(others) == 2:
+        i, j = others
+        swapped = list(events)
+        swapped[i], swapped[j] = (SignedTerm(events[i].sign, events[j].payload),
+                                  SignedTerm(events[j].sign, events[i].payload))
+        variants.append(swapped)
+    for tag, subject in SUBJECTS.items():
+        if tag is not op.tag:
+            variant = list(events)
+            variant[op.position - 1] = SignedTerm(op.signs[op.position - 1], subject)
+            variants.append(variant)
+    assert len(variants) == len(SUBJECTS) - 1 + (len(others) == 2)
+    for variant in variants:
+        with pytest.raises(ShapeViolation) as exc:
+            _op(classifier, *variant)
+        assert str(exc.value) == message
+
+
+def _names(path) -> set:
+    # every name the module's code uses: names, attributes, and what it
+    # imports under whatever alias
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+@pytest.mark.parametrize("path", ["src/spa/oracle.py", "tests/naive_extraction.py"])
+def test_cross_checks_do_not_read_the_table(path):
+    # the oracle and the reference extractor name their classifiers
+    # themselves, so an error in a row cannot pass the cross-check by
+    # showing on both sides
+    assert not _names(ROOT / path) & {"OPS", "BUILDS", "OPENS"}
 
 
 def test_process_strands_have_no_shape():

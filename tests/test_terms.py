@@ -366,10 +366,6 @@ def test_keywords_bind_like_positions():
         Atom(AtomKind.NONCE, name="N_a")
 
 
-def _any_payload(t, seq):
-    return True
-
-
 _B = Atom(AtomKind.PARTICIPANT, "B")
 _KSTRAND = KStrand((A, NA), A, (SignedTerm(1, NA),), frozenset({NA}))
 _TSTRAND = TStrand(Classifier.C_N, A, (SignedTerm(1, Basic(BasicTT.N)),))
@@ -399,7 +395,7 @@ _CTOR_FIELDS = {
     KStrand: ((A, NA), A, (SignedTerm(1, NA),), frozenset({NA})),
     TStrand: (Classifier.C_N, A, (SignedTerm(1, Basic(BasicTT.N)),)),
     StrandSpace: ((_KSTRAND, _TSTRAND), (((0, 1), (1, 1)),)),
-    Op: ((1,), CostFunc.F_NG, (1,), 1, _any_payload, "anything"),
+    Op: ((1,), CostFunc.F_NG, (1,), 1, BasicTT.N, ("",), "a nonce type"),
     Message: (A, _B, Pair(A, NA)),
     CostExpr: (((LambdaC(), 2), (Overhead(-1), 1)),),
     AssumptionSet: (False, ((CostFunc.F_PK, CostFunc.F_H),), 512.0),
