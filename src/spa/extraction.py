@@ -9,25 +9,24 @@ otherwise fail.  An atom that occurs in knowledge only where the role
 cannot reach it is `Unrecoverable`, whatever its kind.  An unheld
 participant or user-data atom that occurs nowhere is `Ungeneratable`; the
 parser refuses that protocol first, so only a strand built by hand gets
-that far.  Every operation emits one classifier strand over type-erased
-terms, and every term built, received, or recovered joins the knowledge
-set, so nothing is ever built twice.  The classifier is the one that
-builds or opens the term's kind (`strands.BUILDS`, `strands.OPENS`), and
-its events are the row's parts of the typed term (`Op.events`), so no
-operation is written here.  Terms are hash-consed process-wide and held
-weakly (see `terms`), so equal typed terms are one object; each instance
-term carries its typed term from construction, so extraction erases
-nothing and builds no typed term.  Operations of one shape (classifier
-and typed subject) share one strand object, built on its first use.
-Pricing handles a shared strand once.
+that far.  Every term built, received, or recovered joins the knowledge
+set, so nothing is ever built twice.
 
-Dataflow is recorded, not guessed.  The knowledge set maps each term to
-the operation that made it (None for a term from outside: initial
-knowledge, receptions), and each operation keeps the instance terms it
-consumes.  `Extraction.comm` turns the two into communication edges only
-when asked (DOT does): every operation input made by an earlier
-operation gets one edge from that operation's output.  The process strand
-gets none.
+No operation is written here.  Each is the `strands.OPS` row that builds
+or opens the term's kind (`BUILDS`, `OPENS`): its events are the row's
+parts of the subject, construction makes the row's inputs first
+(`INPUTS`), and recovery learns its outputs (`OUTPUTS`).  The one rule
+kept here, that a cipher's key is held and not consumed, is no event of
+any row.  Terms are hash-consed and each carries its typed term (see
+`terms`), so extraction builds no typed term, and operations of one
+shape (classifier and typed subject) share one strand object, which
+pricing handles once.
+
+Dataflow is recorded, not guessed: the knowledge set maps each term to
+the operation that made it (None for a term from outside), and each
+operation keeps its instance subject.  `Extraction.comm`, asked only for
+DOT, reads each operation's events on instance terms off its row and
+draws one edge into each input from the operation that made it.
 
 Recovery takes the path from the first knowledge entry (in insertion
 order) that exposes the target, descending leftmost through pairs and
@@ -46,7 +45,9 @@ decrypted bodies and constructed terms are reachable, at a lower rank,
 from entries already walked.  The same walk collects the atoms it meets;
 the ciphers it does not enter (sealed `sk` ciphers, asymmetric ciphers and
 hashes) get a walk of their own below them, which stops at every known or
-exposed term: its atoms are collected already.
+exposed term: its atoms are collected already.  This descent is not read
+off the rows: it is the recovery policy (which containers a role opens,
+leftmost first) and the hottest loop, so a test checks it against them.
 """
 
 from __future__ import annotations
@@ -54,19 +55,18 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import Ungeneratable, Unrecoverable
-from .strands import BUILDS, OPENS, OPS, Classifier, KStrand, StrandSpace, TStrand
+from .strands import BUILDS, INPUTS, OPENS, OPS, OUTPUTS, Classifier, KStrand, StrandSpace, TStrand
 from .terms import Atom, Enc, FuncName, Pair, SignedTerm, Term
 
 
 class Extraction:
-    __slots__ = ("process", "ops", "inputs", "made")
+    __slots__ = ("process", "ops", "subjects", "made")
 
-    def __init__(self, process: TStrand, ops: tuple, inputs: tuple, made: dict):
+    def __init__(self, process: TStrand, ops: tuple, subjects: tuple, made: dict):
         self.process = process
         self.ops = ops
-        # dataflow bookkeeping, read only by `comm`: each op's input instance
-        # terms, and each known term -> the index of the op that made it, or None
-        self.inputs = inputs
+        # read only by `comm`: each op's instance subject, and who made each known term
+        self.subjects = subjects
         self.made = made
 
     def __eq__(self, other):
@@ -82,18 +82,12 @@ class Extraction:
     def comm(self) -> tuple:
         """Communication edges over `space()`'s positions: each op output
         to each op input it feeds, in order of the inputs."""
+        events = [OPS[op.classifier].events(s) for op, s in zip(self.ops, self.subjects)]
         comm = []
-        for j, terms in enumerate(self.inputs):
-            for p, t in enumerate(terms, start=1):
-                i = self.made[t]
-                if i is None:
-                    continue
-                producer = self.ops[i]
-                if producer.classifier is Classifier.C_I:  # outputs: left, right
-                    out = 2 if t is self.inputs[i][0].left else 3
-                else:
-                    out = len(producer.seq)  # the one output is last
-                comm.append(((i + 1, out), (j + 1, p)))
+        for j, seq in enumerate(events, start=1):
+            for p, e in enumerate(seq, start=1):
+                if e.sign < 0 and (i := self.made[e.payload]) is not None:
+                    comm.append(((i + 1, events[i].index(SignedTerm(1, e.payload)) + 1), (j, p)))
         return tuple(comm)
 
     def op_counts(self) -> Counter:
@@ -122,7 +116,7 @@ class _State:
         # that shape shares: every payload is a field of the subject
         self.strands: dict[tuple, TStrand] = {}
         self.ops: list[TStrand] = []
-        self.inputs: list[tuple[Term, ...]] = []  # each op's input terms
+        self.subjects: list[Term] = []  # each op's instance subject
         for t in strand.working_knowledge():
             self.learn(t)
 
@@ -178,30 +172,29 @@ class _State:
                         rank += _span(t.body)
         return rank
 
-    def emit(self, classifier: Classifier, subject, inputs: tuple[Term, ...]) -> int:
-        """Append the strand of `classifier` on the typed term `subject` as
-        an op consuming the terms `inputs`; return its index."""
-        strand = self.strands.get((classifier, subject))
+    def emit(self, classifier: Classifier, subject: Term) -> int:
+        """Append the strand of `classifier` on the typed term of `subject`
+        as an op on the instance term `subject`; return its index."""
+        typed = subject._typed
+        strand = self.strands.get((classifier, typed))
         if strand is None:
-            strand = self.strands[classifier, subject] = TStrand(
-                classifier, self.participant, OPS[classifier].events(subject)
+            strand = self.strands[classifier, typed] = TStrand(
+                classifier, self.participant, OPS[classifier].events(typed)
             )
         self.ops.append(strand)
-        self.inputs.append(inputs)
+        self.subjects.append(subject)
         return len(self.ops) - 1
 
 
 def _span(t: Term) -> int:
     """Number of rank positions t occupies: itself, and below it every pair
     component and `sk` body."""
-    n = 0
-    stack = [t]
+    n, stack = 0, [t]
     while stack:
         t = stack.pop()
         n += 1
         if isinstance(t, Pair):
-            stack.append(t.right)
-            stack.append(t.left)
+            stack += (t.left, t.right)
         elif isinstance(t, Enc) and t.func is FuncName.SK:
             stack.append(t.body)
     return n
@@ -217,7 +210,7 @@ def extract(s: KStrand) -> Extraction:
             _construct(event.payload, state)
     seq = tuple(SignedTerm(event.sign, event.payload._typed) for event in s.seq)
     process = TStrand(Classifier.C_P, s.participant, seq)
-    return Extraction(process, tuple(state.ops), tuple(state.inputs), state.knowledge)
+    return Extraction(process, tuple(state.ops), tuple(state.subjects), state.knowledge)
 
 
 def _construct(t: Term, state: _State) -> None:
@@ -237,24 +230,17 @@ def _construct(t: Term, state: _State) -> None:
                 f"{role} does not hold {t.label} and "
                 f"{t.kind.value} atoms cannot be generated", role
             )
-        state.learn(t, state.emit(classifier, t._typed, ()))
+        state.learn(t, state.emit(classifier, t))
         return
     knowledge = state.knowledge
-    if isinstance(t, Pair):
-        if t.left not in knowledge:
-            _construct(t.left, state)
-        if t.right not in knowledge:
-            _construct(t.right, state)
-        by = state.emit(BUILDS[type(t._typed)], t._typed, (t.left, t.right))
-    else:
-        assert isinstance(t, Enc)
-        if t.func is not FuncName.H and t.key not in knowledge:
-            _construct(t.key, state)
-        if t.body not in knowledge:
-            _construct(t.body, state)
-        by = state.emit(BUILDS[t.func], t._typed, (t.body,))
+    if isinstance(t, Enc) and t.func is not FuncName.H and t.key not in knowledge:
+        _construct(t.key, state)  # a key is held, not consumed: no row has it as an event
+    classifier = BUILDS[t.func if isinstance(t, Enc) else type(t._typed)]
+    for u in INPUTS[classifier](t):
+        if u not in knowledge:
+            _construct(u, state)
     # not walked: built from known parts; if t was recovered meanwhile, it stays so
-    knowledge.setdefault(t, by)
+    knowledge.setdefault(t, state.emit(classifier, t))
 
 
 def _recover(target: Term, state: _State) -> None:
@@ -274,10 +260,7 @@ def _recover(target: Term, state: _State) -> None:
     for step, child in zip(path, path[1:]):
         if child in state.knowledge:
             continue
-        if isinstance(step, Pair):
-            by = state.emit(OPENS[type(step._typed)], step._typed, (step,))
-            state.learn(step.left, by, walk=False)
-            state.learn(step.right, by, walk=False)
-        else:
-            by = state.emit(OPENS[step.func], step._typed, (step,))
-            state.learn(step.body, by, walk=False)
+        classifier = OPENS[step.func if isinstance(step, Enc) else type(step._typed)]
+        by = state.emit(classifier, step)
+        for u in OUTPUTS[classifier](step):
+            state.learn(u, by, walk=False)

@@ -14,14 +14,17 @@ when it was built; none is matched on payloads.  A node is its position,
 signs of its events, its subject (the typed term it builds or opens: what
 the subject is, and which part of it stands at each event), how a
 violation reads, and the cost function with the positions of the payloads
-it sizes.  Shape checking (`TStrand`, when a strand is built), strand
-emission (`extraction`, through `BUILDS`, `OPENS` and `Op.events`), the
-parser's rule on which atoms a role may generate, and pricing
-(`costs.cost_of_space`) all read it.  An operation on an existing kind of
-term is added as a row here and nowhere else.
+it sizes.  Shape checking (`TStrand`, when a strand is built), the
+parser's rule on which atoms a role may generate, pricing
+(`costs.cost_of_space`) and extraction all read it.  Extraction reads
+which row builds or opens a term and the fields it consumes or yields
+(`_index`), and its events, from which DOT edges leave (`Op.events`).
+An operation on an existing kind of term is a row here and nowhere else.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 from .errors import ShapeViolation
 from .terms import (
@@ -179,9 +182,23 @@ OPS = {
                        "the pair of the two outputs"),
 }
 
-# tag -> the classifier that builds a subject of that tag, or opens one
-BUILDS = {op.tag: c for c, op in OPS.items() if op.signs[op.position - 1] > 0}
-OPENS = {op.tag: c for c, op in OPS.items() if op.signs[op.position - 1] < 0}
+
+def _index(ops: dict) -> tuple:
+    """The maps read off the rows `ops`: BUILDS and OPENS, tag -> the
+    classifier that builds or opens a subject of that tag, and INPUTS and
+    OUTPUTS, classifier -> a getter of the fields at the events whose sign
+    is not the subject's, in a tuple: a builder's inputs, an opener's outputs."""
+    builds, opens, inputs, outputs = {}, {}, {}, {}
+    for c, op in ops.items():
+        builder = op.signs[op.position - 1] > 0
+        (builds if builder else opens)[op.tag] = c
+        if fields := [part for part, s in zip(op.parts, op.signs) if (s > 0) is not builder]:
+            get = attrgetter(*fields)  # of one name alone, a bare value
+            (inputs if builder else outputs)[c] = get if fields[1:] else lambda t, g=get: (g(t),)
+    return builds, opens, inputs, outputs
+
+
+BUILDS, OPENS, INPUTS, OUTPUTS = _index(OPS)
 
 
 def _fail(classifier: Classifier, position: int, expected: str):

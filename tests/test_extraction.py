@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spa.extraction
+import spa.parser
+import spa.strands
 import spa.terms
-from spa import extract, parse, project
+from spa import cost_of_space, extract, parse, project, simplify
 from spa.errors import Ungeneratable, Unrecoverable
 from spa.oracle import op_count_oracle
-from spa.strands import Classifier, KStrand, render_kstrand
+from spa.strands import OPENS, OPS, Classifier, KStrand, Op, _tag, render_kstrand
 from spa.terms import (
     Atom,
     AtomKind,
@@ -37,6 +39,7 @@ A = Atom(AtomKind.PARTICIPANT, "A")
 B = Atom(AtomKind.PARTICIPANT, "B")
 NA = Atom(AtomKind.NONCE, "N_a")
 K = Atom(AtomKind.KEY, "K")
+NB = Atom(AtomKind.NONCE, "N_b")
 K2 = Atom(AtomKind.KEY, "K2")
 D = Atom(AtomKind.USERDATA, "D")
 
@@ -347,6 +350,79 @@ def test_chain_extraction_scales():
     elapsed = time.perf_counter() - start
     assert got == {role: dict(c) for role, c in expected.items()}
     assert elapsed < 10.0, f"n = {n}, w = {w} took {elapsed:.1f} s"
+
+
+def _permute_rows(monkeypatch) -> None:
+    # `C_C` reads its inputs right first and `C_I` yields its right half
+    # first; every map `strands` derives from the rows is derived again, in
+    # each module that imports it
+    for c, parts in ((Classifier.C_C, ("right", "left", "")),
+                     (Classifier.C_I, ("", "right", "left"))):
+        op = OPS[c]
+        monkeypatch.setitem(OPS, c, Op(op.signs, op.cost, op.sized, op.position, op.tag,
+                                       parts, op.expected))
+    names = ("BUILDS", "OPENS", "INPUTS", "OUTPUTS")
+    derived = spa.strands._index(OPS)
+    assert len(derived) == len(names)
+    for name, new in zip(names, derived):
+        old = getattr(spa.strands, name)
+        for module in (spa.strands, spa.extraction, spa.parser):
+            if getattr(module, name, None) is old:
+                monkeypatch.setattr(module, name, new)
+
+
+def test_extraction_follows_permuted_rows(monkeypatch):
+    # construction's inputs, recovery's outputs and the edges' output
+    # positions are read off the rows, so with permuted rows every edge
+    # still joins one payload object; op counts and simplified costs stay
+    # the same, since f_c folds into L_C
+    strands = [s for spec in [parse(read(p)) for p in CORPUS] + [chain_spec(24, 4)]
+               for s in project(spec).strands]
+
+    def priced():
+        return [(ext.op_counts(), simplify(cost_of_space(ext.space())))
+                for ext in map(extract, strands)]
+
+    before = priced()
+    _permute_rows(monkeypatch)
+    for s in strands:
+        ext = extract(s)
+        check_extraction(ext)
+        assert all(op.seq[0].payload is op.seq[2].payload.right
+                   for op in ext.ops if op.classifier is Classifier.C_C)
+    # construction makes a pair's inputs in the order its row reads them
+    ext = extract(KStrand((A,), A, (SignedTerm(1, Pair(NA, K2)),)))
+    assert [op.classifier for op in ext.ops] == [Classifier.C_K, Classifier.C_N, Classifier.C_C]
+    assert priced() == before
+
+
+def test_exposure_walk_opens_what_the_rows_open():
+    """The exposure walk's descent is written in `_State._expose`, not read
+    off the rows: it is the recovery policy (which containers a role can
+    open, leftmost first) and extraction's hottest loop.  This ties it to
+    the rows instead: the terms indexed directly under each container are
+    exactly the outputs of the row that opens it."""
+    sealed = Enc(NA, FuncName.SK, K2)  # its key arrives late
+    hashed = Enc(D, FuncName.H, Empty())
+    held = Enc(Pair(B, sealed), FuncName.SK, K)
+    entry = Pair(held, Pair(hashed, NB))
+    state = spa.extraction._State(KStrand((A, K, entry), A, (SignedTerm(-1, K2),)))
+
+    def check(containers):
+        under: dict = {}
+        for t, (_, container) in state.exposed.items():
+            if container is not None:
+                under.setdefault(container, set()).add(t)
+        assert set(under) == containers
+        for container, terms in under.items():
+            row = OPS[OPENS[_tag(container._typed)]]
+            outputs = {getattr(container, part)
+                       for part, sign in zip(row.parts, row.signs) if sign > 0}
+            assert terms == outputs, container
+
+    check({entry, held, Pair(B, sealed), Pair(hashed, NB)})
+    state.learn(K2)
+    check({entry, held, Pair(B, sealed), Pair(hashed, NB), sealed})
 
 
 def test_equal_typed_payloads_are_one_object():

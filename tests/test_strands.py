@@ -279,7 +279,13 @@ def test_cross_checks_do_not_read_the_table(path):
     # the oracle and the reference extractor name their classifiers
     # themselves, so an error in a row cannot pass the cross-check by
     # showing on both sides
-    assert not _names(ROOT / path) & {"OPS", "BUILDS", "OPENS"}
+    assert not _names(ROOT / path) & {"OPS", "BUILDS", "OPENS", "INPUTS", "OUTPUTS", "_index"}
+
+
+def test_extraction_names_no_operation():
+    # extraction reads every operation off the rows; the process strand,
+    # which has no row, is the one classifier it names
+    assert _names(ROOT / "src/spa/extraction.py") & set(Classifier.__members__) == {"C_P"}
 
 
 def test_process_strands_have_no_shape():
