@@ -13,14 +13,14 @@ that far.  Every term built, received, or recovered joins the knowledge
 set, so nothing is ever built twice.
 
 No operation is written here.  Each is the `strands.OPS` row that builds
-or opens the term's kind (`BUILDS`, `OPENS`): its events are the row's
-parts of the subject, construction makes the row's inputs first
-(`INPUTS`), and recovery learns its outputs (`OUTPUTS`).  The one rule
-kept here, that a cipher's key is held and not consumed, is no event of
-any row.  Terms are hash-consed and each carries its typed term (see
-`terms`), so extraction builds no typed term, and operations of one
-shape (classifier and typed subject) share one strand object, which
-pricing handles once.
+or opens the term's kind: its events are the row's parts of the subject,
+and one lookup in `BUILDS` or `OPENS` gives the row's classifier and its
+other parts, the inputs construction makes first or the outputs recovery
+learns.  The one rule kept here, that a cipher's key is held and not
+consumed, is no event of any row.  Terms are hash-consed and each
+carries its typed term (see `terms`), so extraction builds no typed
+term, and operations of one shape (classifier and typed subject) share
+one strand object, which pricing handles once.
 
 Dataflow is recorded, not guessed: the knowledge set maps each term to
 the operation that made it (None for a term from outside), and each
@@ -55,7 +55,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import Ungeneratable, Unrecoverable
-from .strands import BUILDS, INPUTS, OPENS, OPS, OUTPUTS, Classifier, KStrand, StrandSpace, TStrand
+from .strands import BUILDS, OPENS, OPS, Classifier, KStrand, StrandSpace, TStrand
 from .terms import Atom, Enc, FuncName, Pair, SignedTerm, Term
 
 
@@ -224,19 +224,19 @@ def _construct(t: Term, state: _State) -> None:
             raise Unrecoverable(
                 f"{role} holds {t.label} only sealed inside terms it cannot open", role
             )
-        classifier = BUILDS.get(t._typed.tt)
-        if classifier is None:
+        built = BUILDS.get(t._typed.tt)
+        if built is None:
             raise Ungeneratable(
                 f"{role} does not hold {t.label} and "
                 f"{t.kind.value} atoms cannot be generated", role
             )
-        state.learn(t, state.emit(classifier, t))
+        state.learn(t, state.emit(built[0], t))
         return
     knowledge = state.knowledge
     if isinstance(t, Enc) and t.func is not FuncName.H and t.key not in knowledge:
         _construct(t.key, state)  # a key is held, not consumed: no row has it as an event
-    classifier = BUILDS[t.func if isinstance(t, Enc) else type(t._typed)]
-    for u in INPUTS[classifier](t):
+    classifier, inputs = BUILDS[t.func if isinstance(t, Enc) else type(t._typed)]
+    for u in inputs(t):
         if u not in knowledge:
             _construct(u, state)
     # not walked: built from known parts; if t was recovered meanwhile, it stays so
@@ -260,7 +260,7 @@ def _recover(target: Term, state: _State) -> None:
     for step, child in zip(path, path[1:]):
         if child in state.knowledge:
             continue
-        classifier = OPENS[step.func if isinstance(step, Enc) else type(step._typed)]
+        classifier, outputs = OPENS[step.func if isinstance(step, Enc) else type(step._typed)]
         by = state.emit(classifier, step)
-        for u in OUTPUTS[classifier](step):
+        for u in outputs(step):
             state.learn(u, by, walk=False)

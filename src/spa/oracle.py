@@ -8,7 +8,7 @@ descent, fixed at scan time), then generation for nonces and keys that
 occur nowhere in knowledge, else failure.
 
 It names each operation's classifier itself and must not read
-`strands.OPS` or the maps derived from it, `BUILDS` and `OPENS`, which
+`strands.OPS` and every map `strands._index` derives from it, which
 extraction emits by: an error there would then show up on both sides of
 the cross-check and pass it.
 """

@@ -5,9 +5,10 @@ of messages.  Projection turns each role into one knowledge strand: a sent
 message is a positive event on the sender's strand and a negative event on
 the recipient's, in message order.  Nonce/key atoms a role emits without
 holding them are marked fresh; participant/user-data atoms in that position
-are rejected, since nothing can create them; parsing notes each payload's
-atoms as it reads their tokens, and each role's messages, finds both in one
-pass per role over its own messages, and keeps the fresh atoms in
+are rejected, since nothing can create them.  Parsing notes the atoms of
+each knowledge entry and payload as it reads their tokens, so it walks no
+term after reading it; it finds both in one pass per role over what the
+role holds and its own messages, and keeps the fresh atoms in
 `ProtocolSpec.fresh`.  Projection walks the messages once for all roles.
 
 Tokenizing is one `re.findall` pass that yields the token strings; a
@@ -41,7 +42,6 @@ from .terms import (
     SignedTerm,
     Term,
     Value,
-    atoms_of,
 )
 
 # Deepest nesting a term may have.  Each pair, cipher and hash around a
@@ -212,24 +212,25 @@ class _Parser:
         while (kind := _KIND_WORDS.get(toks[i])) is not None:
             i = self.declare(i + 1, kind, "identifier")[1]
 
+        # each role's walk: (whether it sends it, the atoms read, in token
+        # order) for what it holds, then for each of its messages in order
+        walks: dict[Atom, list] = {r: [(False, [])] for r in roles}
         # insertion-ordered: a repeated entry keeps its first place
         knowledge: dict[str, dict[Term, None]] = {r.label: {} for r in roles}
         while toks[i] == "knows":
-            held = knowledge[self.role_ref(i + 1).label]
+            role = self.role_ref(i + 1)
+            found = walks[role][0][1]
             self.expect(i + 2, ":")
-            entry, _, i = self.term(i + 3, [], 0)
+            entry, _, i = self.term(i + 3, found, 0)
             entries = [entry]
             while toks[i] == ",":
-                entry, _, i = self.term(i + 1, [], 0)
+                entry, _, i = self.term(i + 1, found, 0)
                 entries.append(entry)
             self.expect(i, ";")
             i += 1
-            held.update(dict.fromkeys(entries))
+            knowledge[role.label].update(dict.fromkeys(entries))
 
         messages = []
-        # each role's messages as (whether it sends it, the payload's atoms
-        # in `atoms_of` order)
-        walks: dict[Atom, list] = {r: [] for r in roles}
         while not messages or toks[i] != "}":
             frm = self.role_ref(i)
             self.expect(i + 1, "->")
@@ -247,20 +248,19 @@ class _Parser:
         if tail:
             raise ParseError(f"unexpected {tail!r} after protocol", *self.at(i + 1))
 
-        held = {label: tuple(entries) for label, entries in knowledge.items()}
         return ProtocolSpec(
             name=name,
             roles=tuple(roles),
             decls={label: atom.kind for label, atom in self.atoms.items()},
-            knowledge=held,
+            knowledge={label: tuple(entries) for label, entries in knowledge.items()},
             messages=tuple(messages),
-            fresh={r.label: _fresh_atoms(r, held[r.label], walks[r]) for r in roles},
+            fresh={r.label: _fresh_atoms(r, walks[r]) for r in roles},
         )
 
     def term(self, i: int, found: list, depth: int) -> tuple[Term, int, int]:
         """The term from token i, its nesting depth and the index after it.
         Every atom read, keys included, is appended to `found` in token
-        order, which is `atoms_of` order.
+        order: left to right, a cipher's body before its key.
 
         `depth` counts the brackets around the term.  Opening one more at
         `MAX_NESTING`, or a term whose own depth would pass it, is an error
@@ -347,16 +347,15 @@ def role_events(spec: ProtocolSpec) -> dict[Atom, list[SignedTerm]]:
     return events
 
 
-def _fresh_atoms(role: Atom, entries: tuple, walk: list) -> frozenset[Atom]:
+def _fresh_atoms(role: Atom, walk: list) -> frozenset[Atom]:
     """Atoms the role must create: those it does not hold initially and first
     meets in one of its sends, which must be of a basic type some operation
     builds (`strands.BUILDS`: nonces and keys).  Any other unheld atom it
-    sends is Ungeneratable.  `walk` holds one `(sends, atoms)` per message
-    the role sends or receives, in message order: whether it sends it, and
-    the payload's atoms in `atoms_of` order."""
+    sends is Ungeneratable.  `walk` holds `(sends, atoms)` items as the
+    parser read them: first `(False, the atoms of every knowledge entry)`,
+    then one per message the role sends or receives, in message order:
+    whether it sends it, and the payload's atoms in token order."""
     known = {role}
-    for entry in entries:
-        known.update(atoms_of(entry))
     fresh = set()
     for sends, atoms in walk:
         for atom in atoms:

@@ -12,14 +12,14 @@ when it was built; none is matched on payloads.  A node is its position,
 
 `OPS` is the one table of operations: for each classifier but `C_P`, the
 signs of its events, its subject (the typed term it builds or opens: what
-the subject is, and which part of it stands at each event), how a
-violation reads, and the cost function with the positions of the payloads
-it sizes.  Shape checking (`TStrand`, when a strand is built), the
-parser's rule on which atoms a role may generate, pricing
-(`costs.cost_of_space`) and extraction all read it.  Extraction reads
-which row builds or opens a term and the fields it consumes or yields
-(`_index`), and its events, from which DOT edges leave (`Op.events`).
-An operation on an existing kind of term is a row here and nowhere else.
+it is, and which part of it stands at each event, "" the subject itself),
+how a violation reads, and the cost function with the positions of the
+payloads it sizes.  Shape checking (`TStrand`), the parser's rule on which
+atoms a role may generate, pricing and extraction all read it.  With one
+lookup in `BUILDS` or `OPENS` (`_index`), extraction finds the row that
+builds or opens a term and the parts it consumes or yields; it reads the
+events, from which DOT edges leave, off the row (`Op.events`).  An
+operation on an existing kind of term is a row here and nowhere else.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ class TStrand(Value):
         for i, (event, sign) in enumerate(zip(seq, op.signs), start=1):
             if event.sign != sign:
                 _fail(c, i, "a reception" if sign < 0 else "a transmission")
-        subject = seq[op.position - 1].payload
+        subject = seq[op.parts.index("")].payload
         if _tag(subject) is not op.tag or [e.payload for e in seq] != op.payloads(subject):
-            _fail(c, op.position, op.expected)
+            _fail(c, op.parts.index("") + 1, op.expected)
 
 
 class StrandSpace(Value):
@@ -134,17 +134,16 @@ def edges(space: StrandSpace):
 class Op(Value):
     """An operation's shape and cost; positions count events from 1.
 
-    The subject is the typed term the operation builds or opens, at
-    `position`; every other payload is one of its fields."""
+    The subject is the typed term the operation builds or opens, at the
+    event whose part is ""; every other payload is one of its fields."""
 
     __slots__ = {
         "signs": tuple[int, ...],  # the sign of each event, in order
         "cost": CostFunc,
         "sized": tuple[int, ...],  # the positions whose payload sizes `cost` takes
-        "position": int,  # the subject's, where a violation is reported
         "tag": (FuncName, BasicTT, type),  # what the subject is (see `_tag`)
         "parts": tuple[str, ...],  # each event's payload: "" the subject, else its field
-        "expected": str,  # what the payload at `position` must be
+        "expected": str,  # what the subject's payload must be
     }
 
     def payloads(self, subject) -> list:
@@ -164,41 +163,44 @@ def _tag(t):
 
 
 OPS = {
-    Classifier.C_E: Op((-1, 1), CostFunc.F_SK, (1,), 2, FuncName.SK, ("body", ""),
+    Classifier.C_E: Op((-1, 1), CostFunc.F_SK, (1,), FuncName.SK, ("body", ""),
                        "the input wrapped with sk"),
-    Classifier.C_D: Op((-1, 1), CostFunc.F_SK, (2,), 1, FuncName.SK, ("", "body"),
+    Classifier.C_D: Op((-1, 1), CostFunc.F_SK, (2,), FuncName.SK, ("", "body"),
                        "an sk term whose body is the output"),
-    Classifier.C_H: Op((-1, 1), CostFunc.F_H, (1,), 2, FuncName.H, ("body", ""),
+    Classifier.C_H: Op((-1, 1), CostFunc.F_H, (1,), FuncName.H, ("body", ""),
                        "the input wrapped with h"),
-    Classifier.C_PK: Op((-1, 1), CostFunc.F_PK, (1,), 2, FuncName.PK, ("body", ""),
+    Classifier.C_PK: Op((-1, 1), CostFunc.F_PK, (1,), FuncName.PK, ("body", ""),
                         "the input wrapped with pk"),
-    Classifier.C_PVK: Op((-1, 1), CostFunc.F_PK, (1,), 2, FuncName.PVK, ("body", ""),
+    Classifier.C_PVK: Op((-1, 1), CostFunc.F_PK, (1,), FuncName.PVK, ("body", ""),
                          "the input wrapped with pvk"),
-    Classifier.C_K: Op((1,), CostFunc.F_KG, (1,), 1, BasicTT.K, ("",), "a key type"),
-    Classifier.C_N: Op((1,), CostFunc.F_NG, (1,), 1, BasicTT.N, ("",), "a nonce type"),
-    Classifier.C_C: Op((-1, -1, 1), CostFunc.F_C, (1, 2), 3, TPair, ("left", "right", ""),
+    Classifier.C_K: Op((1,), CostFunc.F_KG, (1,), BasicTT.K, ("",), "a key type"),
+    Classifier.C_N: Op((1,), CostFunc.F_NG, (1,), BasicTT.N, ("",), "a nonce type"),
+    Classifier.C_C: Op((-1, -1, 1), CostFunc.F_C, (1, 2), TPair, ("left", "right", ""),
                        "the pair of the two inputs"),
-    Classifier.C_I: Op((-1, 1, 1), CostFunc.F_S, (1,), 1, TPair, ("", "left", "right"),
+    Classifier.C_I: Op((-1, 1, 1), CostFunc.F_S, (1,), TPair, ("", "left", "right"),
                        "the pair of the two outputs"),
 }
 
 
 def _index(ops: dict) -> tuple:
-    """The maps read off the rows `ops`: BUILDS and OPENS, tag -> the
-    classifier that builds or opens a subject of that tag, and INPUTS and
-    OUTPUTS, classifier -> a getter of the fields at the events whose sign
-    is not the subject's, in a tuple: a builder's inputs, an opener's outputs."""
-    builds, opens, inputs, outputs = {}, {}, {}, {}
+    """The maps read off the rows `ops`, BUILDS and OPENS: tag -> the
+    classifier that builds or opens a subject of that tag and a getter of
+    the subject's other parts, in row order: a builder's inputs, which it
+    receives, or an opener's outputs, which it sends."""
+    builds, opens = {}, {}
     for c, op in ops.items():
-        builder = op.signs[op.position - 1] > 0
-        (builds if builder else opens)[op.tag] = c
-        if fields := [part for part, s in zip(op.parts, op.signs) if (s > 0) is not builder]:
-            get = attrgetter(*fields)  # of one name alone, a bare value
-            (inputs if builder else outputs)[c] = get if fields[1:] else lambda t, g=get: (g(t),)
-    return builds, opens, inputs, outputs
+        fields = [part for part in op.parts if part]
+        if fields[1:]:
+            get = attrgetter(*fields)
+        elif fields:  # attrgetter of one name gives a bare value
+            get = lambda t, g=attrgetter(*fields): (g(t),)
+        else:
+            get = lambda t: ()
+        (builds if op.signs[op.parts.index("")] > 0 else opens)[op.tag] = c, get
+    return builds, opens
 
 
-BUILDS, OPENS, INPUTS, OUTPUTS = _index(OPS)
+BUILDS, OPENS = _index(OPS)
 
 
 def _fail(classifier: Classifier, position: int, expected: str):

@@ -383,22 +383,6 @@ def type_erase(t: Term) -> TTerm:
         raise TypeError(f"not a term: {t!r}") from None
 
 
-def atoms_of(t: Term):
-    """Yield every atom occurring in t, key positions included, left to right
-    (a cipher's body before its key)."""
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Atom):
-            yield t
-        elif isinstance(t, Pair):
-            stack.append(t.right)
-            stack.append(t.left)
-        elif isinstance(t, Enc):
-            stack.append(t.key)
-            stack.append(t.body)
-
-
 def _spine(t) -> list:
     # flatten the left-associative pair spine for display
     out = []

@@ -4,8 +4,10 @@
 index: a cursor moves past every token read through `next`, `peek` or
 `ident`, and `term`, `sequence` and `nest` call each other once per bracket.
 It lexes with `naive_tokenize`, so it shares no lexing code with the
-library, and it walks every payload with `atoms_of` to find the roles'
-fresh atoms.  It is kept only so that tests can require the library's specs,
+library, and it finds the roles' fresh atoms, or the `Ungeneratable` for an
+atom a role cannot create, with the walk-per-use rule of `naive_project`
+(`naive_fresh`, `naive_validate`), so it shares no freshness code with it
+either.  It is kept only so that tests can require the library's specs,
 and its errors with their lines and columns, to be the same.
 """
 
@@ -18,15 +20,10 @@ from spa.errors import (
     SelfMessage,
     UndeclaredIdentifier,
 )
-from spa.parser import (
-    MAX_NESTING,
-    RESERVED,
-    Message,
-    ProtocolSpec,
-    _fresh_atoms,
-)
-from spa.terms import Atom, AtomKind, Empty, Enc, FuncName, Pair, Term, atoms_of
+from spa.parser import MAX_NESTING, RESERVED, Message, ProtocolSpec
+from spa.terms import Atom, AtomKind, Empty, Enc, FuncName, Pair, Term
 
+from .naive_project import naive_fresh, naive_validate
 from .naive_tokenize import naive_tokenize
 
 
@@ -145,23 +142,20 @@ class NaiveParser:
                 f"unexpected {tail!r} after protocol", *self.at(self.pos - 1)
             )
 
-        messages = tuple(messages)
-        held = {label: tuple(entries) for label, entries in knowledge.items()}
-        # each payload is walked once and shared by its sender and recipient
-        carried = [tuple(atoms_of(msg.payload)) for msg in messages]
-        walks = {r: [(msg.sender == r, atoms) for msg, atoms in zip(messages, carried)
-                     if r in (msg.sender, msg.recipient)] for r in roles}
-        return ProtocolSpec(
+        spec = ProtocolSpec(
             name=name,
             roles=tuple(roles),
             decls={label: atom.kind for label, atom in self.atoms.items()},
-            knowledge=held,
-            messages=messages,
-            fresh={
-                r.label: _fresh_atoms(r, held[r.label], walks[r])
-                for r in roles
-            },
+            knowledge={label: tuple(entries) for label, entries in knowledge.items()},
+            messages=tuple(messages),
+            fresh=None,
         )
+        # a role's fresh atoms and its Ungeneratable come from the same walk,
+        # made afresh for each use: the first role with an atom it cannot
+        # create fails, at its first such atom
+        naive_validate(spec)
+        spec.fresh = {r.label: naive_fresh(spec, r) for r in spec.roles}
+        return spec
 
     def message(self) -> Message:
         frm_at = self.pos

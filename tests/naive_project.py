@@ -15,7 +15,9 @@ from __future__ import annotations
 from spa.errors import Ungeneratable
 from spa.parser import role_events
 from spa.strands import KStrand, StrandSpace
-from spa.terms import Atom, AtomKind, atoms_of
+from spa.terms import Atom, AtomKind
+
+from .helpers import atoms_of
 
 
 def _first_unheld(spec, role):

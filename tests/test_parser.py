@@ -1,5 +1,6 @@
 """Protocol source parsing, validation, projection, round-tripping."""
 
+import ast
 import random
 import time
 from collections import Counter
@@ -24,7 +25,7 @@ from spa.strands import render_kstrand
 from spa.terms import Atom, AtomKind, Enc, FuncName, Pair, pair_of
 
 from .generators import chain_spec, random_spec, render_spec
-from .helpers import ANDREW, CORPUS, X509_FULL, read
+from .helpers import ANDREW, CORPUS, ROOT, X509_FULL, atoms_of, read, source_names
 from .naive_parse import naive_parse
 from .naive_project import naive_project, naive_validate
 from .naive_tokenize import naive_tokenize
@@ -294,24 +295,56 @@ def test_one_freshness_walk_per_role(monkeypatch):
         assert walked == list(spec.roles), text
 
 
-def test_one_atom_walk_per_entry_and_none_per_payload(monkeypatch):
-    """`parse` walks each knowledge entry once and no payload: it reads a
-    payload's atoms off its tokens (`test_projection_matches_reference`
-    checks the fresh sets they give)."""
-    walk = spa.parser.atoms_of
-    walked = []
+_FIELDS = {"left", "right", "body", "key"}
 
-    def counted(t):
-        walked.append(t)
-        return walk(t)
 
-    monkeypatch.setattr(spa.parser, "atoms_of", counted)
-    texts = [read(path) for path in CORPUS] + [render_spec(s) for s in _draws()]
+def _reads_fields(tree) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr in _FIELDS for n in ast.walk(tree))
+
+
+def test_parse_walks_no_term_after_reading_it():
+    """`parse` reads the atoms of a knowledge entry or a payload off its
+    tokens: `spa.parser` reads no term's fields and names no term walker,
+    a function elsewhere in the package that does
+    (`test_parse_matches_reference` checks the fresh sets this gives)."""
+    walkers = set()
+    for path in (ROOT / "src/spa").glob("*.py"):
+        if path.name != "parser.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            walkers |= {node.name for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef) and _reads_fields(node)}
+    assert {"render_term", "delta", "_span"} <= walkers
+    parser = ROOT / "src/spa/parser.py"
+    assert not _reads_fields(ast.parse(parser.read_text(encoding="utf-8")))
+    assert not source_names(parser) & walkers
+
+
+def test_parse_reads_atoms_in_walk_order(monkeypatch):
+    """Each role's walk holds the atoms of what it holds, then each of its
+    messages' atoms in the order a recursive walk of the payload gives."""
+    walk = spa.parser._fresh_atoms
+    walks = {}
+
+    def kept(role, items):
+        walks[role] = items
+        return walk(role, items)
+
+    monkeypatch.setattr(spa.parser, "_fresh_atoms", kept)
+    rng = random.Random(0xA70)
+    texts = [read(path) for path in CORPUS]
+    texts += [render_spec(random_spec(rng, max_atoms=6, depth=5)) for _ in range(200)]
+    walked = 0
     for text in texts:
-        walked.clear()
+        walks.clear()
         spec = parse(text)
-        entries = [t for held in spec.knowledge.values() for t in held]
-        assert sorted(map(id, walked)) == sorted(map(id, entries)), text
+        for role in spec.roles:
+            (sends, held), *items = walks[role]
+            entries = spec.knowledge[role.label]
+            assert not sends and set(held) == {a for t in entries for a in atoms_of(t)}
+            assert items == [(m.sender == role, list(atoms_of(m.payload)))
+                             for m in spec.messages if role in (m.sender, m.recipient)]
+            walked += len(entries) + len(items)
+    assert walked > 1000
 
 
 def test_projection_matches_reference():

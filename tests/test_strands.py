@@ -1,10 +1,10 @@
 """Strand structures, edges and the bundle property, shape checks."""
 
-import ast
 import random
 
 import pytest
 
+import spa.strands
 from spa import extract, parse, project
 from spa.costs import CostFunc
 from spa.errors import ShapeViolation, Ungeneratable, Unrecoverable
@@ -34,7 +34,7 @@ from spa.terms import (
 
 from .bundle import check_extraction, check_projection
 from .generators import chain_spec, random_spec
-from .helpers import CORPUS, ROOT, read
+from .helpers import CORPUS, ROOT, read, source_names
 
 A = Atom(AtomKind.PARTICIPANT, "A")
 B = Atom(AtomKind.PARTICIPANT, "B")
@@ -205,11 +205,12 @@ def test_ops_costs_and_f_p_cover_every_cost_function():
 
 def test_ops_positions_index_events_of_their_row():
     for op in OPS.values():
-        assert all(1 <= i <= len(op.signs) for i in op.sized + (op.position,))
+        assert len(op.parts) == len(op.signs)
+        assert all(1 <= i <= len(op.signs) for i in op.sized)
 
 
 def test_builds_and_opens_read_the_rows():
-    assert BUILDS == {
+    assert {tag: c for tag, (c, _) in BUILDS.items()} == {
         FuncName.SK: Classifier.C_E,
         FuncName.H: Classifier.C_H,
         FuncName.PK: Classifier.C_PK,
@@ -218,7 +219,9 @@ def test_builds_and_opens_read_the_rows():
         BasicTT.N: Classifier.C_N,
         TPair: Classifier.C_C,
     }
-    assert OPENS == {FuncName.SK: Classifier.C_D, TPair: Classifier.C_I}
+    assert {tag: c for tag, (c, _) in OPENS.items()} == {
+        FuncName.SK: Classifier.C_D, TPair: Classifier.C_I,
+    }
 
 
 _P = TPair(n, r)
@@ -230,6 +233,33 @@ SUBJECTS = {
 }
 
 
+def _derived_maps() -> set:
+    # the names `strands` binds to the maps `_index` derives from the rows
+    derived = [set(m) for m in spa.strands._index(OPS)]
+    names = {name for name, value in vars(spa.strands).items()
+             if type(value) is dict and value is not OPS and set(value) in derived}
+    assert len(names) == len(derived)
+    return names
+
+
+@pytest.mark.parametrize("classifier", list(OPS), ids=lambda c: c.value)
+def test_each_row_has_one_subject_and_its_other_parts_opposite(classifier):
+    # the maps take a row's other parts without reading a sign: each row has
+    # one subject, every other part stands at an event of the opposite sign,
+    # and the getter a map gives for the row's tag yields those parts of a
+    # subject in row order
+    op = OPS[classifier]
+    assert op.parts.count("") == 1
+    at = op.parts.index("")
+    assert all(s == -op.signs[at] for part, s in zip(op.parts, op.signs) if part)
+    found, get = (BUILDS if op.signs[at] > 0 else OPENS)[op.tag]
+    assert found is classifier
+    subject = SUBJECTS[op.tag]
+    others = op.payloads(subject)
+    del others[at]
+    assert list(get(subject)) == others
+
+
 @pytest.mark.parametrize("classifier", list(OPS), ids=lambda c: c.value)
 def test_each_row_builds_its_events_and_refuses_others(classifier):
     # the events a row makes of its subject are a strand of its shape;
@@ -238,8 +268,9 @@ def test_each_row_builds_its_events_and_refuses_others(classifier):
     op = OPS[classifier]
     events = op.events(SUBJECTS[op.tag])
     assert _op(classifier, *events).seq == events
-    message = f"{classifier.value}: position {op.position} must be {op.expected}"
-    others = [i for i in range(len(events)) if i != op.position - 1]
+    at = op.parts.index("")
+    message = f"{classifier.value}: position {at + 1} must be {op.expected}"
+    others = [i for i in range(len(events)) if i != at]
     variants = []
     if len(others) == 2:
         i, j = others
@@ -250,7 +281,7 @@ def test_each_row_builds_its_events_and_refuses_others(classifier):
     for tag, subject in SUBJECTS.items():
         if tag is not op.tag:
             variant = list(events)
-            variant[op.position - 1] = SignedTerm(op.signs[op.position - 1], subject)
+            variant[at] = SignedTerm(op.signs[at], subject)
             variants.append(variant)
     assert len(variants) == len(SUBJECTS) - 1 + (len(others) == 2)
     for variant in variants:
@@ -259,33 +290,18 @@ def test_each_row_builds_its_events_and_refuses_others(classifier):
         assert str(exc.value) == message
 
 
-def _names(path) -> set:
-    # every name the module's code uses: names, attributes, and what it
-    # imports under whatever alias
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.rpartition(".")[2])
-    return names
-
-
 @pytest.mark.parametrize("path", ["src/spa/oracle.py", "tests/naive_extraction.py"])
 def test_cross_checks_do_not_read_the_table(path):
     # the oracle and the reference extractor name their classifiers
     # themselves, so an error in a row cannot pass the cross-check by
     # showing on both sides
-    assert not _names(ROOT / path) & {"OPS", "BUILDS", "OPENS", "INPUTS", "OUTPUTS", "_index"}
+    assert not source_names(ROOT / path) & {"OPS", "_index", *_derived_maps()}
 
 
 def test_extraction_names_no_operation():
     # extraction reads every operation off the rows; the process strand,
     # which has no row, is the one classifier it names
-    assert _names(ROOT / "src/spa/extraction.py") & set(Classifier.__members__) == {"C_P"}
+    assert source_names(ROOT / "src/spa/extraction.py") & set(Classifier.__members__) == {"C_P"}
 
 
 def test_process_strands_have_no_shape():
