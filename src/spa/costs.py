@@ -420,11 +420,11 @@ class CompareResult:
 
     @cached_property
     def left_residual(self) -> CostExpr:
-        return _residual(self._left)
+        return CostExpr(tuple(_simplified(self._left.items()).items()))
 
     @cached_property
     def right_residual(self) -> CostExpr:
-        return _residual(self._right)
+        return CostExpr(tuple(_simplified(self._right.items()).items()))
 
     @cached_property
     def trace(self) -> tuple[str, ...]:
@@ -546,11 +546,6 @@ def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTION
 
     verdict, flow = _decide(left, right, assume.closure(), steps)
     return CompareResult(verdict, left, right, flow, steps)
-
-
-def _residual(side: dict) -> CostExpr:
-    # a side's terms are merged already, each with multiplicity >= 1
-    return CostExpr(tuple([(term, side[term]) for term in sorted(side, key=_ORDER)]))
 
 
 def _per_func(side: dict) -> dict:

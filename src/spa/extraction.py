@@ -14,13 +14,14 @@ set, so nothing is ever built twice.
 
 No operation is written here.  Each is the `strands.OPS` row that builds
 or opens the term's kind: its events are the row's parts of the subject,
-and one lookup in `BUILDS` or `OPENS` gives the row's classifier and its
-other parts, the inputs construction makes first or the outputs recovery
-learns.  The one rule kept here, that a cipher's key is held and not
-consumed, is no event of any row.  Terms are hash-consed and each
-carries its typed term (see `terms`), so extraction builds no typed
-term, and operations of one shape (classifier and typed subject) share
-one strand object, which pricing handles once.
+and one lookup in `BUILDS` or `OPENS`, keyed by `strands._tag`, gives the
+row's classifier and the names of its other parts, the inputs
+construction makes first or the outputs recovery learns; extraction has
+no tag rule of its own.  The one rule kept here, that a cipher's key is
+held and not consumed, is no event of any row.  Terms are hash-consed
+and each carries its typed term (see `terms`), so extraction builds no
+typed term, and operations of one shape (classifier and typed subject)
+share one strand object, which pricing handles once.
 
 Dataflow is recorded, not guessed: the knowledge set maps each term to
 the operation that made it (None for a term from outside), and each
@@ -55,7 +56,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import Ungeneratable, Unrecoverable
-from .strands import BUILDS, OPENS, OPS, Classifier, KStrand, StrandSpace, TStrand
+from .strands import BUILDS, OPENS, OPS, Classifier, KStrand, StrandSpace, TStrand, _tag
 from .terms import Atom, Enc, FuncName, Pair, SignedTerm, Term
 
 
@@ -224,7 +225,7 @@ def _construct(t: Term, state: _State) -> None:
             raise Unrecoverable(
                 f"{role} holds {t.label} only sealed inside terms it cannot open", role
             )
-        built = BUILDS.get(t._typed.tt)
+        built = BUILDS.get(_tag(t._typed))
         if built is None:
             raise Ungeneratable(
                 f"{role} does not hold {t.label} and "
@@ -235,9 +236,9 @@ def _construct(t: Term, state: _State) -> None:
     knowledge = state.knowledge
     if isinstance(t, Enc) and t.func is not FuncName.H and t.key not in knowledge:
         _construct(t.key, state)  # a key is held, not consumed: no row has it as an event
-    classifier, inputs = BUILDS[t.func if isinstance(t, Enc) else type(t._typed)]
-    for u in inputs(t):
-        if u not in knowledge:
+    classifier, inputs = BUILDS[_tag(t._typed)]
+    for name in inputs:
+        if (u := getattr(t, name)) not in knowledge:
             _construct(u, state)
     # not walked: built from known parts; if t was recovered meanwhile, it stays so
     knowledge.setdefault(t, state.emit(classifier, t))
@@ -260,7 +261,7 @@ def _recover(target: Term, state: _State) -> None:
     for step, child in zip(path, path[1:]):
         if child in state.knowledge:
             continue
-        classifier, outputs = OPENS[step.func if isinstance(step, Enc) else type(step._typed)]
+        classifier, outputs = OPENS[_tag(step._typed)]
         by = state.emit(classifier, step)
-        for u in outputs(step):
-            state.learn(u, by, walk=False)
+        for name in outputs:
+            state.learn(getattr(step, name), by, walk=False)

@@ -31,7 +31,7 @@ from .errors import (
     UndeclaredIdentifier,
     Ungeneratable,
 )
-from .strands import BUILDS, KStrand, StrandSpace
+from .strands import BUILDS, KStrand, StrandSpace, _tag
 from .terms import (
     Atom,
     AtomKind,
@@ -349,12 +349,13 @@ def role_events(spec: ProtocolSpec) -> dict[Atom, list[SignedTerm]]:
 
 def _fresh_atoms(role: Atom, walk: list) -> frozenset[Atom]:
     """Atoms the role must create: those it does not hold initially and first
-    meets in one of its sends, which must be of a basic type some operation
-    builds (`strands.BUILDS`: nonces and keys).  Any other unheld atom it
-    sends is Ungeneratable.  `walk` holds `(sends, atoms)` items as the
-    parser read them: first `(False, the atoms of every knowledge entry)`,
-    then one per message the role sends or receives, in message order:
-    whether it sends it, and the payload's atoms in token order."""
+    meets in one of its sends, whose tag (`strands._tag`, its basic type)
+    must be one some operation builds (`strands.BUILDS`: nonces and keys).
+    Any other unheld atom it sends is Ungeneratable.  `walk` holds
+    `(sends, atoms)` items as the parser read them: first `(False, the
+    atoms of every knowledge entry)`, then one per message the role sends
+    or receives, in message order: whether it sends it, and the payload's
+    atoms in token order."""
     known = {role}
     fresh = set()
     for sends, atoms in walk:
@@ -364,7 +365,7 @@ def _fresh_atoms(role: Atom, walk: list) -> frozenset[Atom]:
             known.add(atom)
             if not sends:
                 continue
-            if atom._typed.tt not in BUILDS:
+            if _tag(atom._typed) not in BUILDS:
                 raise Ungeneratable(
                     f"role {role.label} sends {atom.label} without holding "
                     f"it, and {atom.kind.value} atoms cannot be generated"

@@ -15,16 +15,17 @@ signs of its events, its subject (the typed term it builds or opens: what
 it is, and which part of it stands at each event, "" the subject itself),
 how a violation reads, and the cost function with the positions of the
 payloads it sizes.  Shape checking (`TStrand`), the parser's rule on which
-atoms a role may generate, pricing and extraction all read it.  With one
-lookup in `BUILDS` or `OPENS` (`_index`), extraction finds the row that
-builds or opens a term and the parts it consumes or yields; it reads the
-events, from which DOT edges leave, off the row (`Op.events`).  An
+atoms a role may generate, pricing and extraction all read it.  `BUILDS`
+and `OPENS` (`_index`) map a row's tag to the classifier that builds or
+opens a subject of that tag and the names of the subject's other parts;
+`_tag` is the one rule for a typed term's tag, and every module keys its
+lookups by it.  With one lookup, extraction finds the row that builds or
+opens a term and reads by name the parts it consumes or yields; it reads
+the events, from which DOT edges leave, off the row (`Op.events`).  An
 operation on an existing kind of term is a row here and nowhere else.
 """
 
 from __future__ import annotations
-
-from operator import attrgetter
 
 from .errors import ShapeViolation
 from .terms import (
@@ -157,7 +158,8 @@ class Op(Value):
 
 def _tag(t):
     # what a typed term is, as a row's `tag` names it: a cipher's function,
-    # a basic type, or its class
+    # an atom's basic type, or else its class (a pair's `TPair`); the one
+    # rule for a term's row, by which every module keys BUILDS and OPENS
     cls = type(t)
     return t.func if cls is TEnc else t.tt if cls is Basic else cls
 
@@ -184,19 +186,13 @@ OPS = {
 
 def _index(ops: dict) -> tuple:
     """The maps read off the rows `ops`, BUILDS and OPENS: tag -> the
-    classifier that builds or opens a subject of that tag and a getter of
+    classifier that builds or opens a subject of that tag and the names of
     the subject's other parts, in row order: a builder's inputs, which it
     receives, or an opener's outputs, which it sends."""
     builds, opens = {}, {}
     for c, op in ops.items():
-        fields = [part for part in op.parts if part]
-        if fields[1:]:
-            get = attrgetter(*fields)
-        elif fields:  # attrgetter of one name gives a bare value
-            get = lambda t, g=attrgetter(*fields): (g(t),)
-        else:
-            get = lambda t: ()
-        (builds if op.signs[op.parts.index("")] > 0 else opens)[op.tag] = c, get
+        names = tuple(part for part in op.parts if part)
+        (builds if op.signs[op.parts.index("")] > 0 else opens)[op.tag] = c, names
     return builds, opens
 
 

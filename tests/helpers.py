@@ -1,11 +1,13 @@
-"""Shared test plumbing: repo paths, in-process CLI invocation, the bundled
-roles' costs, the whole-expression additivity rewrite the cost tests check
-values against, and the atom walk the reference parser and projection use."""
+"""Shared test plumbing: repo paths, in-process CLI invocation, README's
+examples, the bundled roles' costs, the whole-expression additivity rewrite
+the cost tests check values against, and the atom walk the reference parser
+and projection use."""
 
 from __future__ import annotations
 
 import ast
 import io
+import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -46,6 +48,35 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def readme_examples(text: str) -> list[tuple[list[str], str]]:
+    """(argv, expected stdout) of every `$ spa` example in a README's code
+    blocks: a trailing backslash continues the command, and the output runs
+    to the next blank line, prompt or fence."""
+    examples, in_block = [], False
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("$ spa "):
+            command = line[len("$ spa "):]
+            while command.endswith("\\"):
+                i += 1
+                command = command[:-1] + lines[i]
+            out = []
+            for printed in lines[i + 1:]:
+                if not printed.strip() or printed.startswith(("$ ", "```")):
+                    break
+                out.append(printed + "\n")
+            examples.append((shlex.split(command), "".join(out)))
+    return examples
+
+
+def readme_library_block(text: str) -> str:
+    """The Python code block under a README's `## Library` heading."""
+    section = text.split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0] + "\n"
 
 
 def source_names(path: Path) -> set:

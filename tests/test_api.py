@@ -1,13 +1,16 @@
 """The package's own namespace is exactly what README's Library section
-documents, so the public surface cannot grow back unnoticed."""
+documents, so the public surface cannot grow back unnoticed, and README's
+examples print what README says they print."""
 
+import io
 import re
 import types
+from contextlib import redirect_stdout
 
 import spa
 from spa.strands import OPS
 
-from .helpers import ROOT, read
+from .helpers import ROOT, read, readme_examples, readme_library_block, run_cli
 
 
 def test_spa_exports_the_readme_library_names():
@@ -31,3 +34,29 @@ def test_readme_operation_table_matches_ops():
     readme = read(str(ROOT / "README.md"))
     documented = dict(re.findall(r"^\| `(C_\w+)` \|.*\| `(f_\w+)\(.*\|$", readme, re.M))
     assert documented == {c.value: op.cost.value for c, op in OPS.items()}
+
+
+def test_readme_cli_examples_print_their_output(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    examples = readme_examples(read(str(ROOT / "README.md")))
+    assert [argv[0] for argv, _ in examples] == ["check", "cost", "compare", "eval"]
+    for argv, expected in examples:
+        assert run_cli(*argv) == (0, expected, ""), argv
+
+
+def test_readme_library_example_prints_its_comments(monkeypatch):
+    # the block's comments say what it prints: the op counts, in words, and
+    # the simplified cost, on a comment line of its own
+    monkeypatch.chdir(ROOT)
+    block = readme_library_block(read(str(ROOT / "README.md")))
+    counts = re.search(r"print\(ext\.op_counts\(\)\)\s*# Counter: (.+)$", block, re.M)[1]
+    times = {"once": 1, "twice": 2}
+    expected = {c: times[n] for c, n in re.findall(r"(C_\w+) (\w+)", counts)}
+    cost = re.search(r"^# (f_.+)$", block, re.M)[1]
+    namespace: dict = {}
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), namespace)
+    got = namespace["ext"].op_counts()
+    assert {c.value: n for c, n in got.items()} == expected
+    assert out.getvalue().splitlines() == [str(got), cost]

@@ -438,7 +438,7 @@ def test_exposure_walk_opens_what_the_rows_open():
             row = OPS[classifier]
             outputs = {getattr(container, part)
                        for part, sign in zip(row.parts, row.signs) if sign > 0}
-            assert terms == outputs == set(opened(container)), container
+            assert terms == outputs == {getattr(container, n) for n in opened}, container
 
     check({entry, held, Pair(B, sealed), Pair(hashed, NB)})
     state.learn(K2)

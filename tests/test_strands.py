@@ -1,5 +1,6 @@
 """Strand structures, edges and the bundle property, shape checks."""
 
+import ast
 import random
 
 import pytest
@@ -210,17 +211,20 @@ def test_ops_positions_index_events_of_their_row():
 
 
 def test_builds_and_opens_read_the_rows():
-    assert {tag: c for tag, (c, _) in BUILDS.items()} == {
-        FuncName.SK: Classifier.C_E,
-        FuncName.H: Classifier.C_H,
-        FuncName.PK: Classifier.C_PK,
-        FuncName.PVK: Classifier.C_PVK,
-        BasicTT.K: Classifier.C_K,
-        BasicTT.N: Classifier.C_N,
-        TPair: Classifier.C_C,
+    # each map gives, for a tag, the classifier and the names of the
+    # subject's other parts in row order
+    assert BUILDS == {
+        FuncName.SK: (Classifier.C_E, ("body",)),
+        FuncName.H: (Classifier.C_H, ("body",)),
+        FuncName.PK: (Classifier.C_PK, ("body",)),
+        FuncName.PVK: (Classifier.C_PVK, ("body",)),
+        BasicTT.K: (Classifier.C_K, ()),
+        BasicTT.N: (Classifier.C_N, ()),
+        TPair: (Classifier.C_C, ("left", "right")),
     }
-    assert {tag: c for tag, (c, _) in OPENS.items()} == {
-        FuncName.SK: Classifier.C_D, TPair: Classifier.C_I,
+    assert OPENS == {
+        FuncName.SK: (Classifier.C_D, ("body",)),
+        TPair: (Classifier.C_I, ("left", "right")),
     }
 
 
@@ -246,18 +250,18 @@ def _derived_maps() -> set:
 def test_each_row_has_one_subject_and_its_other_parts_opposite(classifier):
     # the maps take a row's other parts without reading a sign: each row has
     # one subject, every other part stands at an event of the opposite sign,
-    # and the getter a map gives for the row's tag yields those parts of a
+    # and the names a map gives for the row's tag name those parts of a
     # subject in row order
     op = OPS[classifier]
     assert op.parts.count("") == 1
     at = op.parts.index("")
     assert all(s == -op.signs[at] for part, s in zip(op.parts, op.signs) if part)
-    found, get = (BUILDS if op.signs[at] > 0 else OPENS)[op.tag]
+    found, names = (BUILDS if op.signs[at] > 0 else OPENS)[op.tag]
     assert found is classifier
     subject = SUBJECTS[op.tag]
     others = op.payloads(subject)
     del others[at]
-    assert list(get(subject)) == others
+    assert tuple(getattr(subject, n) for n in names) == tuple(others)
 
 
 @pytest.mark.parametrize("classifier", list(OPS), ids=lambda c: c.value)
@@ -293,9 +297,9 @@ def test_each_row_builds_its_events_and_refuses_others(classifier):
 @pytest.mark.parametrize("path", ["src/spa/oracle.py", "tests/naive_extraction.py"])
 def test_cross_checks_do_not_read_the_table(path):
     # the oracle and the reference extractor name their classifiers
-    # themselves, so an error in a row cannot pass the cross-check by
-    # showing on both sides
-    assert not source_names(ROOT / path) & {"OPS", "_index", *_derived_maps()}
+    # themselves, so an error in a row or in the tag rule cannot pass the
+    # cross-check by showing on both sides
+    assert not source_names(ROOT / path) & {"OPS", "_index", "_tag", *_derived_maps()}
 
 
 def test_extraction_names_no_operation():
@@ -315,3 +319,40 @@ def test_render_strands():
     assert render_kstrand(s) == "⟨{A, N_a}, A, ⟨+N_a⟩⟩"
     t = TStrand(Classifier.C_N, A, (SignedTerm(1, n),))
     assert render_tstrand(t) == "⟨C_N, A, ⟨+n⟩⟩"
+
+
+def _map_keys(tree) -> list:
+    # the key of every subscript, `.get` and `in` test of BUILDS or OPENS
+    def is_map(node):
+        return isinstance(node, ast.Name) and node.id in ("BUILDS", "OPENS")
+
+    keys = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_map(node.value):
+            keys.append(node.slice)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and is_map(node.func.value)):
+            keys.append(node.args[0])
+        elif isinstance(node, ast.Compare) and any(map(is_map, node.comparators)):
+            keys.append(node.left)
+    return keys
+
+
+@pytest.mark.parametrize("module", ["extraction", "parser"])
+def test_row_lookups_are_keyed_by_tag(module):
+    # `strands._tag` is the one rule for a term's row tag (a cipher's
+    # function, a pair's class, an atom's basic type): every lookup in the
+    # maps is keyed by a `_tag` call, and nothing else reads a typed term's
+    # basic type or class
+    tree = ast.parse((ROOT / "src" / "spa" / f"{module}.py").read_text(encoding="utf-8"))
+    keys = _map_keys(tree)
+    assert keys
+    for key in keys:
+        assert (isinstance(key, ast.Call) and isinstance(key.func, ast.Name)
+                and key.func.id == "_tag"), ast.unparse(key)
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.Attribute) and node.attr == "tt"), ast.unparse(node)
+        assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "type"
+                    and any(isinstance(a, ast.Attribute) and a.attr == "_typed"
+                            for a in node.args)), ast.unparse(node)
