@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .sizes import _FLOAT_MAX, SizeModel
 from .terms import BasicTT
 
-_SIZE_KEYS = {"r": BasicTT.R, "n": BasicTT.N, "k": BasicTT.K, "m": BasicTT.M}
+_SIZE_KEYS = {tt.value: tt for tt in BasicTT}
 _FUNC_NAMES = {f.value: f for f in CostFunc}
 
 

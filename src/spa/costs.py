@@ -47,17 +47,6 @@ _FUNC_RANK = {f: i for i, f in enumerate(CostFunc)}
 _APP_ORDER = {(group, f): (group, rank) for group in (0, 2, 3) for f, rank in _FUNC_RANK.items()}
 _ORDER = attrgetter("_order")
 
-# functions whose argument obeys the additivity law
-EXPANDABLE = (
-    CostFunc.F_SK,
-    CostFunc.F_PK,
-    CostFunc.F_H,
-    CostFunc.F_KG,
-    CostFunc.F_NG,
-    CostFunc.F_S,
-)
-_EXPANDABLE = frozenset(EXPANDABLE)  # the keys of every CostModel's funcs
-
 
 class CostTerm(Value):
     # the canonical-order key, set once when the term is first built: not a
@@ -100,6 +89,12 @@ class LambdaP(CostTerm):
 
 
 _FOLDED = {cls.func: cls() for cls in (LambdaC, LambdaP)}
+
+# the size-dependent functions, whose argument obeys the additivity law and
+# which key every CostModel's funcs; in enumeration order, which seeded
+# draws over them rely on
+EXPANDABLE = tuple(f for f in CostFunc if f not in _FOLDED)
+_EXPANDABLE = frozenset(EXPANDABLE)
 
 
 class Overhead(CostTerm):
@@ -191,33 +186,21 @@ def _simplified(terms) -> dict:
     return {term: merged[term] for term in sorted(merged, key=_ORDER)}
 
 
-def expand_one(term: App) -> list[tuple[CostTerm, int]] | None:
-    """Split a single application over a multi-addend sum argument, or None
-    when the law does not apply."""
-    if term.func not in EXPANDABLE or len(term.args) != 1:
-        return None
-    arg = term.args[0]
-    if not isinstance(arg, Sum):
-        return None
-    k = sum(coeff for coeff, _ in arg.items)
-    if k < 2:
-        return None
-    parts: list[tuple[CostTerm, int]] = [
-        (App(term.func, (unit,)), coeff) for coeff, unit in arg.items
-    ]
-    parts.append((_MINUS_OV, k - 1))
-    return parts
-
-
 def _expand(terms, steps: list, label: str) -> dict:
-    """Apply `expand_one` to every term, merging the results in
-    first-occurrence order; each rewrite is recorded in `steps`."""
+    """The additivity law, f(a + b) = f(a) + f(b) - Ov_h, applied to every
+    term: an application of an `EXPANDABLE` function to a sum of k units
+    in all becomes one application per unit, with the unit's coefficient,
+    and k - 1 times -Ov_h.  A lone unit, the empty sum and every other term
+    pass through.  Results merge in first-occurrence order; each rewrite is
+    recorded in `steps` as ("expand", label, term, parts)."""
     out: dict = {}
     for term, mult in terms:
-        parts = expand_one(term) if isinstance(term, App) else None
-        if parts is None:
+        arg = term.args[0] if term.func in _EXPANDABLE else None
+        if not isinstance(arg, Sum) or not arg.items:
             out[term] = out.get(term, 0) + mult
             continue
+        parts = [(App(term.func, (unit,)), coeff) for coeff, unit in arg.items]
+        parts.append((_MINUS_OV, sum(coeff for coeff, _ in arg.items) - 1))
         steps.append(("expand", label, term, parts))
         for t, m in parts:
             out[t] = out.get(t, 0) + m * mult

@@ -52,14 +52,11 @@ from .terms import (
 # cap keeps them all far from Python's recursion limit.
 MAX_NESTING = 256
 
-RESERVED = {
-    "protocol", "roles", "nonce", "key", "data", "knows", "sk", "pk", "pvk", "h",
-}
+_KIND_WORDS = {k.value: k for k in AtomKind if k is not AtomKind.PARTICIPANT}
+_FUNCS = {f.value: f for f in FuncName if f is not FuncName.H}  # a cipher's; h(...) takes no key
+RESERVED = {"protocol", "roles", "knows", *_KIND_WORDS, *(f.value for f in FuncName)}
 # tokens that cannot be declared: keywords, punctuation and the end of input
 _NOT_NAMES = frozenset(RESERVED | {"", "->", *"{}(),;:"})
-
-_KIND_WORDS = {"nonce": AtomKind.NONCE, "key": AtomKind.KEY, "data": AtomKind.USERDATA}
-_FUNCS = {"sk": FuncName.SK, "pk": FuncName.PK, "pvk": FuncName.PVK}
 
 # Each match is a comment, a token, or else one non-space character, which is
 # the lexical error unless it is a token itself (`_ONE_CHAR`); whitespace lies
@@ -336,17 +333,6 @@ def parse(text: str) -> ProtocolSpec:
     return _Parser(text).protocol()
 
 
-def role_events(spec: ProtocolSpec) -> dict[Atom, list[SignedTerm]]:
-    """Each role's events in message order, from one walk over the
-    messages: a message is its sender's positive event and its recipient's
-    negative one."""
-    events: dict[Atom, list[SignedTerm]] = {role: [] for role in spec.roles}
-    for msg in spec.messages:
-        events[msg.sender].append(SignedTerm(1, msg.payload))
-        events[msg.recipient].append(SignedTerm(-1, msg.payload))
-    return events
-
-
 def _fresh_atoms(role: Atom, walk: list) -> frozenset[Atom]:
     """Atoms the role must create: those it does not hold initially and first
     meets in one of its sends, whose tag (`strands._tag`, its basic type)
@@ -398,8 +384,12 @@ def project(spec: ProtocolSpec) -> StrandSpace:
 def _role_strands(spec: ProtocolSpec, roles) -> Iterator[KStrand | None]:
     """Each of `roles`' knowledge strands (see `project`), None for one with
     no events.  One walk over the messages and one declaration rank serve
-    them all."""
-    events = role_events(spec)
+    them all: a message is its sender's positive event and its recipient's
+    negative one."""
+    events: dict[Atom, list[SignedTerm]] = {role: [] for role in spec.roles}
+    for msg in spec.messages:
+        events[msg.sender].append(SignedTerm(1, msg.payload))
+        events[msg.recipient].append(SignedTerm(-1, msg.payload))
     rank = {label: i for i, label in enumerate(spec.decls)}
     for role in roles:
         if not events[role]:

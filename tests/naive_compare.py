@@ -4,10 +4,12 @@
 data: it renders every trace line as it goes, `naive_simplify` rebuilds
 every application and sum it is given (normalizing through `ssum`), the
 canonical order is the old key with its generic argument scan, and the
-dominance closure is worked out again on every call.  It shares with the
-library only the rules that did not change: merging (`cost_expr`), the
-additivity law (`expand_one`), term rendering and the matching on
-per-function counts (`_saturating_match`).  It sums those counts itself,
+dominance closure is worked out again on every call.  It writes the
+additivity law out again too: an application over a sum of k units in all
+becomes one application per unit and k - 1 times -Ov_h.  It shares with
+the library only merging (`cost_expr`), term rendering and the matching on
+per-function counts (`_saturating_match`), which it must share for the two
+traces' dominance pairs to be comparable.  It sums those counts itself,
 and hands the flow out as term pairs unit by unit: each `(f, g): n` in flow
 order pairs the next n copies of the lesser side's f terms with the next n
 of the greater side's g terms, both in residual order, and a pair shows
@@ -29,10 +31,9 @@ from spa.costs import (
     _saturating_match,
     _transitive_closure,
     cost_expr,
-    expand_one,
     render_cost_term,
 )
-from spa.sizes import TypeSize, contains_hash, ssum
+from spa.sizes import Sum, TypeSize, contains_hash, ssum
 
 _FOLD = {CostFunc.F_C: LambdaC(), CostFunc.F_P: LambdaP()}
 
@@ -72,24 +73,28 @@ def naive_simplify(e: CostExpr) -> CostExpr:
     return _canonical(out)
 
 
-def _expand(terms, trace: list, label: str) -> dict:
+def _expand_all(terms, trace: list, label: str) -> dict:
     out: dict = {}
     for term, mult in terms:
-        parts = expand_one(term) if isinstance(term, App) else None
-        if parts is None:
+        # f_c and f_p are folded by now: every application left is sized
+        arg = term.args[0] if isinstance(term, App) else None
+        k = sum(coeff for coeff, _ in arg.items) if isinstance(arg, Sum) else 0
+        if k < 2:
             out[term] = out.get(term, 0) + mult
             continue
-        units = " + ".join(render_cost_term(t, m) for t, m in parts[:-1])
+        parts = [(App(term.func, (unit,)), coeff) for coeff, unit in arg.items]
+        overhead = (Overhead(-1), k - 1)
+        units = " + ".join(render_cost_term(t, m) for t, m in parts)
         trace.append(
             f"expand {label}: {render_cost_term(term)} -> {units} - "
-            f"{render_cost_term(*parts[-1])}"
+            f"{render_cost_term(*overhead)}"
         )
-        for t, m in parts:
+        for t, m in parts + [overhead]:
             out[t] = out.get(t, 0) + m * mult
     return out
 
 
-def _cancel(left: dict, right: dict, trace: list):
+def _cancel_equal(left: dict, right: dict, trace: list):
     for term in list(left):
         if term in right:
             mult = min(left[term], right[term])
@@ -108,10 +113,10 @@ def naive_compare(a: CostExpr, b: CostExpr, assume):
     left = {term: mult for term, mult in naive_simplify(a).terms}
     right = {term: mult for term, mult in naive_simplify(b).terms}
 
-    _cancel(left, right, trace)
-    left = _expand(left.items(), trace, "left")
-    right = _expand(right.items(), trace, "right")
-    _cancel(left, right, trace)
+    _cancel_equal(left, right, trace)
+    left = _expand_all(left.items(), trace, "left")
+    right = _expand_all(right.items(), trace, "right")
+    _cancel_equal(left, right, trace)
 
     if assume.ignore_overhead:
         for side, label in ((left, "left"), (right, "right")):
@@ -121,7 +126,7 @@ def naive_compare(a: CostExpr, b: CostExpr, assume):
                 )
                 del side[term]
 
-    verdict = _decide(left, right, assume, trace)
+    verdict = _verdict_of(left, right, assume, trace)
     trace.append(f"verdict: {verdict.value}")
     return (
         verdict,
@@ -131,7 +136,7 @@ def naive_compare(a: CostExpr, b: CostExpr, assume):
     )
 
 
-def _decide(left: dict, right: dict, assume, trace: list) -> Verdict:
+def _verdict_of(left: dict, right: dict, assume, trace: list) -> Verdict:
     if not left and not right:
         return Verdict.EQUAL
     if any(isinstance(t, Overhead) for t in left) or any(

@@ -1,9 +1,10 @@
 """Walk-per-use reference projection for the differential tests.
 
 `naive_project` is `spa.parser.project` as it was before parsing kept each
-role's fresh atoms: it ignores `ProtocolSpec.fresh`, walks every role's
-events again to find the atoms it first meets unheld, and rebuilds an atom
-from every declaration to put the knowledge in order.  `naive_validate`
+role's fresh atoms: it ignores `ProtocolSpec.fresh`, walks the messages
+again for each use of a role's events, to build them and to find the atoms
+it first meets unheld, and rebuilds an atom from every declaration to put
+the knowledge in order.  It reads no rule of `spa.parser`.  `naive_validate`
 raises the `Ungeneratable` that `parse` raised from the same walk.  Both are
 kept only so that tests can require the library's strands and messages to be
 the same.  `naive_project` also counts each message's events afresh to
@@ -13,11 +14,19 @@ link them, so the communication edges are compared too.
 from __future__ import annotations
 
 from spa.errors import Ungeneratable
-from spa.parser import role_events
 from spa.strands import KStrand, StrandSpace
-from spa.terms import Atom, AtomKind
+from spa.terms import Atom, AtomKind, SignedTerm
 
 from .helpers import atoms_of
+
+
+def _events(spec, role) -> list:
+    """The role's events in message order: +payload for each message it
+    sends, -payload for each one it receives."""
+    return [
+        SignedTerm(1 if m.sender == role else -1, m.payload)
+        for m in spec.messages if role in (m.sender, m.recipient)
+    ]
 
 
 def _first_unheld(spec, role):
@@ -27,7 +36,7 @@ def _first_unheld(spec, role):
     for entry in spec.knowledge[role.label]:
         known.update(atoms_of(entry))
     first = []
-    for event in role_events(spec)[role]:
+    for event in _events(spec, role):
         for atom in atoms_of(event.payload):
             if atom not in known:
                 known.add(atom)
@@ -54,9 +63,8 @@ def naive_validate(spec) -> None:
 
 def naive_project(spec) -> StrandSpace:
     strands = []
-    events_of = role_events(spec)
     for role in spec.roles:
-        events = events_of[role]
+        events = _events(spec, role)
         if not events:
             continue
         entries = spec.knowledge[role.label]

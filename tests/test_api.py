@@ -2,9 +2,11 @@
 documents, so the public surface cannot grow back unnoticed, and README's
 examples print what README says they print."""
 
+import gc
 import io
 import re
 import types
+import warnings
 from contextlib import redirect_stdout
 
 import spa
@@ -46,7 +48,8 @@ def test_readme_cli_examples_print_their_output(monkeypatch):
 
 def test_readme_library_example_prints_its_comments(monkeypatch):
     # the block's comments say what it prints: the op counts, in words, and
-    # the simplified cost, on a comment line of its own
+    # the simplified cost, on a comment line of its own; and it leaves no
+    # file open
     monkeypatch.chdir(ROOT)
     block = readme_library_block(read(str(ROOT / "README.md")))
     counts = re.search(r"print\(ext\.op_counts\(\)\)\s*# Counter: (.+)$", block, re.M)[1]
@@ -55,8 +58,11 @@ def test_readme_library_example_prints_its_comments(monkeypatch):
     cost = re.search(r"^# (f_.+)$", block, re.M)[1]
     namespace: dict = {}
     out = io.StringIO()
-    with redirect_stdout(out):
+    with redirect_stdout(out), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         exec(compile(block, "README.md", "exec"), namespace)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     got = namespace["ext"].op_counts()
     assert {c.value: n for c, n in got.items()} == expected
     assert out.getvalue().splitlines() == [str(got), cost]

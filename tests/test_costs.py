@@ -48,7 +48,6 @@ from spa.costs import (
     _saturating_match,
     _transitive_closure,
     cost_expr,
-    expand_one,
     render_cost_term,
 )
 from spa.config import parse_config
@@ -420,14 +419,25 @@ def test_equal_coefficient_units_keep_occurrence_order():
     assert render_size(ssum([SR, SN])) == "|r| + |n|"
 
 
-def test_expand_one():
+def test_expand_splits_a_sum():
     term = app(CostFunc.F_H, SN, SN, SR)
-    parts = expand_one(term)
+    steps = []
+    out = _expand([(term, 1)], steps, "left")
+    [(kind, label, expanded, parts)] = steps
+    assert (kind, label, expanded) == ("expand", "left", term)
     assert (App(CostFunc.F_H, (SN,)), 2) in parts
     assert (App(CostFunc.F_H, (SR,)), 1) in parts
     assert (Overhead(-1), 2) in parts
-    assert expand_one(app(CostFunc.F_H, SN)) is None  # single unit
-    assert expand_one(App(CostFunc.F_C, (SN, SR))) is None  # not expandable
+    assert out == dict(parts)
+    kept = [
+        app(CostFunc.F_H, SN),  # single unit
+        App(CostFunc.F_C, (SN, SR)),  # not expandable
+        App(CostFunc.F_H, (Sum(()),)),  # the empty sum, size zero
+    ]
+    for term in kept:
+        steps = []
+        assert _expand([(term, 3)], steps, "left") == {term: 3}
+        assert steps == []
 
 
 def test_expansion_builds_no_overhead_term(monkeypatch):
@@ -441,15 +451,22 @@ def test_expansion_builds_no_overhead_term(monkeypatch):
         return real(cls, sign)
 
     monkeypatch.setattr(Overhead, "__new__", staticmethod(counted))
-    parts = [expand_one(app(func, SN, SN, SR, HashSize())) for func in EXPANDABLE]
+    steps = []
+    _expand([(app(func, SN, SN, SR, HashSize()), 1) for func in EXPANDABLE], steps, "left")
     assert built == []
-    assert all(p[-1] == (Overhead(-1), 3) for p in parts)
+    assert [step[2].func for step in steps] == list(EXPANDABLE)
+    assert all(step[3][-1] == (Overhead(-1), 3) for step in steps)
 
 
 def test_expand_additivity_golden():
     e = cost_expr([(app(CostFunc.F_H, SN, SN, SR), 2), LambdaC()])
     got = render_cost(expand_additivity(e))
     assert got == "4*f_h(|n|) + 2*f_h(|r|) + L_C - 4*Ov_h"
+
+
+def test_render_cost_term_refuses_what_is_not_a_cost_term():
+    with pytest.raises(TypeError, match="^not a cost term: "):
+        render_cost_term(SN)
 
 
 def test_render_cost_zero_and_signs():

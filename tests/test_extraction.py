@@ -64,6 +64,10 @@ def test_key_wrap_sender_ops():
     ]
 
 
+def test_extraction_is_unequal_to_another_type():
+    assert (extract(strand_of(KEY_WRAP, "B")) == 1) is False
+
+
 def test_x509_sender_ops():
     ext = extract(strand_of(X509_ORIGINAL, "A"))
     assert counts(ext) == {"C_N": 1, "C_PK": 1, "C_C": 4, "C_H": 1, "C_PVK": 1}

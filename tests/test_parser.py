@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import spa.parser
 from spa import parse, project
+from spa.config import _SIZE_KEYS
+from spa.costs import EXPANDABLE, CostFunc
 from spa.errors import (
     DuplicateDeclaration,
     KindMismatch,
@@ -22,7 +24,7 @@ from spa.errors import (
 )
 from spa.parser import ProtocolSpec, _line_col, _offsets, _token_texts
 from spa.strands import render_kstrand
-from spa.terms import Atom, AtomKind, Enc, FuncName, Pair, pair_of
+from spa.terms import Atom, AtomKind, BasicTT, Enc, FuncName, Pair, pair_of
 
 from .generators import chain_spec, random_spec, render_spec
 from .helpers import ANDREW, CORPUS, ROOT, X509_FULL, atoms_of, read, source_names
@@ -627,3 +629,26 @@ def test_spec_equality_sees_declaration_order():
     first, second = map(parse, texts)
     assert first != second
     assert project(first).strands != project(second).strands
+
+
+def test_spec_is_unequal_to_another_type():
+    assert (parse(read(CORPUS[0])) == 1) is False
+
+
+def test_name_tables_are_their_enums():
+    # each table is read off its enum; these are the literals it replaced,
+    # in order, as seeded draws iterate over EXPANDABLE
+    assert EXPANDABLE == (CostFunc.F_SK, CostFunc.F_PK, CostFunc.F_H, CostFunc.F_KG,
+                          CostFunc.F_NG, CostFunc.F_S)
+    assert spa.parser.RESERVED == {
+        "protocol", "roles", "nonce", "key", "data", "knows", "sk", "pk", "pvk", "h",
+    }
+    assert list(spa.parser._KIND_WORDS.items()) == [
+        ("nonce", AtomKind.NONCE), ("key", AtomKind.KEY), ("data", AtomKind.USERDATA),
+    ]
+    assert list(spa.parser._FUNCS.items()) == [
+        ("sk", FuncName.SK), ("pk", FuncName.PK), ("pvk", FuncName.PVK),
+    ]
+    assert list(_SIZE_KEYS.items()) == [
+        ("r", BasicTT.R), ("n", BasicTT.N), ("k", BasicTT.K), ("m", BasicTT.M),
+    ]

@@ -19,7 +19,7 @@ from spa.sizes import (
     render_size,
     ssum,
 )
-from spa.terms import _TABLES, Basic, BasicTT, FuncName, TEnc, TPair
+from spa.terms import _TABLES, Atom, AtomKind, Basic, BasicTT, FuncName, TEnc, TPair
 
 from .generators import (
     denormal_size,
@@ -136,6 +136,14 @@ def test_render_size():
     assert render_size(SN) == "|n|"
     assert render_size(HashSize()) == "S_hash"
     assert render_size(AsymSize(TypeSize(BasicTT.M))) == "S_asym(|m|)"
+
+
+def test_what_is_not_sized_is_refused():
+    with pytest.raises(TypeError, match="^not a typed term: "):
+        delta(Atom(AtomKind.NONCE, "N"))
+    for size_of in (render_size, lambda e: eval_size(e, MODEL)):
+        with pytest.raises(TypeError, match="^not a size expression: "):
+            size_of(BasicTT.N)
 
 
 def test_size_model_validated():

@@ -302,6 +302,24 @@ def test_cross_checks_do_not_read_the_table(path):
     assert not source_names(ROOT / path) & {"OPS", "_index", "_tag", *_derived_maps()}
 
 
+def test_references_write_their_rules_out():
+    # the projection reference walks each role's events itself, and the
+    # compare reference states the additivity law and every step around
+    # the matching itself, so a fault in either rule cannot show on both
+    # sides of the cross-check
+    tree = ast.parse(read(str(ROOT / "tests/naive_project.py")))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module, *(f"{node.module}.{a.name}" for a in node.names)}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert "spa.parser" not in imported
+    assert not source_names(ROOT / "tests/naive_compare.py") & {
+        "_expand", "expand_one", "_cancel", "_simplified", "_decide", "_hand_out", "compare",
+    }
+
+
 def test_extraction_names_no_operation():
     # extraction reads every operation off the rows; the process strand,
     # which has no row, is the one classifier it names
