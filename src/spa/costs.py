@@ -1,13 +1,14 @@
 """Symbolic operation costs: construction, simplification, additivity
 expansion, numeric evaluation, and assumption-driven comparison.
 
-A cost expression is an ordered multiset of cost terms: applications of the
+A cost expression is a signed sum of cost terms: applications of the
 per-operation cost functions, the concatenation and processing constants L_C
-and L_P, and signed overhead constants Ov_h.  Canonical order groups terms
-as: applications to a single type size, L_C, remaining applications without
-S_hash in the argument, applications with S_hash, L_P, overhead; ties break
-by the function enumeration, then first occurrence.  Each cost term stores
-its order key in `_order` when it is first built, so sorting reads it.
+and L_P, and the overhead constant Ov_h.  Multiplicities are nonzero ints and
+carry the sign; only Ov_h's may be negative.  Canonical order groups terms as:
+applications to a single type size, L_C, remaining applications without S_hash
+in the argument, applications with S_hash, L_P, overhead; ties break by the
+function enumeration, then first occurrence.  Each cost term stores its order
+key in `_order` when it is first built, so sorting reads it.
 
 Cost terms are hash-consed like terms and size expressions (see `terms`):
 equal cost terms are one object, so merging, cancelling and expanding key
@@ -98,30 +99,27 @@ _EXPANDABLE = frozenset(EXPANDABLE)
 
 
 class Overhead(CostTerm):
-    __slots__ = {"sign": int}  # +1 or -1
+    __slots__ = {}
     func = None  # no function applied
-
-    def _check(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        _set_order(self, (5, -self.sign))
+    _order = (5, -1)
 
 
-_MINUS_OV = Overhead(-1)  # what each expansion leaves behind
+_OV_H = Overhead()  # the one overhead term, which each expansion leaves behind
 
 
 class CostExpr(Value):
     __slots__ = {"terms": tuple[tuple[CostTerm, int], ...]}
 
     def _check(self):
-        if any(mult < 1 for _, mult in self.terms):
-            raise ValueError("multiplicities must be positive")
+        # dominance reads multiplicities as counts, so only Ov_h's may be negative
+        if any(mult < 1 and (not mult or term.func is not None) for term, mult in self.terms):
+            raise ValueError("multiplicities must be nonzero, and negative only on Ov_h")
         if len({term for term, _ in self.terms}) != len(self.terms):
             raise ValueError("terms must be distinct")
 
 
 def cost_expr(items) -> CostExpr:
-    """Merge (term, multiplicity) or bare terms in first-occurrence order."""
+    """Merge (term, multiplicity) or bare terms in first-occurrence order; zeros go."""
     merged: dict[CostTerm, int] = {}
     for item in items:
         term, mult = item if isinstance(item, tuple) else (item, 1)
@@ -130,7 +128,7 @@ def cost_expr(items) -> CostExpr:
         if mult == 0:
             continue
         merged[term] = merged.get(term, 0) + mult
-    return CostExpr(tuple(merged.items()))
+    return CostExpr(tuple((term, mult) for term, mult in merged.items() if mult))
 
 
 def cost_of_space(space: StrandSpace) -> CostExpr:
@@ -190,9 +188,9 @@ def _expand(terms, steps: list, label: str) -> dict:
     """The additivity law, f(a + b) = f(a) + f(b) - Ov_h, applied to every
     term: an application of an `EXPANDABLE` function to a sum of k units
     in all becomes one application per unit, with the unit's coefficient,
-    and k - 1 times -Ov_h.  A lone unit, the empty sum and every other term
-    pass through.  Results merge in first-occurrence order; each rewrite is
-    recorded in `steps` as ("expand", label, term, parts)."""
+    and 1 - k times Ov_h.  A lone unit, the empty sum and every other term
+    pass through.  Results merge in first-occurrence order, and a zero Ov_h
+    goes; each rewrite is recorded in `steps` as ("expand", label, term, parts)."""
     out: dict = {}
     for term, mult in terms:
         arg = term.args[0] if term.func in _EXPANDABLE else None
@@ -200,10 +198,12 @@ def _expand(terms, steps: list, label: str) -> dict:
             out[term] = out.get(term, 0) + mult
             continue
         parts = [(App(term.func, (unit,)), coeff) for coeff, unit in arg.items]
-        parts.append((_MINUS_OV, sum(coeff for coeff, _ in arg.items) - 1))
+        parts.append((_OV_H, 1 - sum(coeff for coeff, _ in arg.items)))
         steps.append(("expand", label, term, parts))
         for t, m in parts:
             out[t] = out.get(t, 0) + m * mult
+    if out.get(_OV_H) == 0:
+        del out[_OV_H]
     return out
 
 
@@ -222,17 +222,17 @@ def render_cost_term(term: CostTerm, mult: int = 1) -> str:
 
 
 def render_cost(e: CostExpr) -> str:
-    if not e.terms:
-        return "0"
+    return _render_terms(e.terms)
+
+
+def _render_terms(terms) -> str:
+    """(term, multiplicity) pairs as a signed sum, "0" when there are none."""
     pieces = []
-    for i, (term, mult) in enumerate(e.terms):
-        negative = isinstance(term, Overhead) and term.sign < 0
-        body = render_cost_term(term, mult)
-        if i == 0:
-            pieces.append(("-" if negative else "") + body)
-        else:
-            pieces.append((" - " if negative else " + ") + body)
-    return "".join(pieces)
+    for term, mult in terms:
+        pieces += [" - " if mult < 0 else " + ", render_cost_term(term, abs(mult))]
+    if pieces:  # a leading sign loses its spaces, and a leading "+" goes
+        pieces[0] = pieces[0].strip(" +")
+    return "".join(pieces) or "0"
 
 
 class Affine(Value):
@@ -337,7 +337,7 @@ def _eval_terms(terms, model: CostModel) -> float:
             elif func is CostFunc.F_P:
                 value = model.lambda_p
             elif func is None:
-                value = term.sign * model.ov_h
+                value = model.ov_h
             else:
                 f = model.funcs[func]
                 value = f.alpha + f.beta * eval_size(term.args[0], model.size_model)
@@ -365,17 +365,13 @@ def _render_step(step: tuple) -> str:
     """One trace line from a step `compare` recorded: a kind, then data."""
     kind = step[0]
     if kind == "cancel":
-        return f"cancel: {render_cost_term(step[1], step[2])}"
+        return f"cancel: {render_cost_term(step[1], abs(step[2]))}"
     if kind == "expand":
         _, label, term, parts = step
-        units = " + ".join(render_cost_term(t, m) for t, m in parts[:-1])
-        return (
-            f"expand {label}: {render_cost_term(term)} -> {units} - "
-            f"{render_cost_term(*parts[-1])}"
-        )
+        return f"expand {label}: {render_cost_term(term)} -> {_render_terms(parts)}"
     if kind == "drop overhead":
         _, label, term, mult = step
-        return f"drop overhead ({label}): {render_cost_term(term, mult)}"
+        return f"drop overhead ({label}): {render_cost_term(term, abs(mult))}"
     if kind == "residue":
         return "overhead residue cannot be discharged"
     if kind == "empty":
@@ -451,14 +447,17 @@ def _hand_out(flow: dict, lesser: tuple, greater: tuple) -> dict:
 
 
 def _cancel(left: dict, right: dict, steps: list):
+    """Cancel what both sides hold with one sign; a leftover stays on its side."""
     for term in list(left):
         if term in right:
-            mult = min(left[term], right[term])
-            steps.append(("cancel", term, mult))
-            for side in left, right:
-                side[term] -= mult
-                if not side[term]:
-                    del side[term]
+            m, n = left[term], right[term]
+            if m * n > 0:  # one sign on both sides: the smaller magnitude
+                mult = min(m, n) if m > 0 else max(m, n)
+                steps.append(("cancel", term, mult))
+                for side in left, right:
+                    side[term] -= mult
+                    if not side[term]:
+                        del side[term]
 
 
 def _saturating_match(small: dict, big: dict, closure) -> dict | None:
@@ -502,7 +501,7 @@ def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTION
     """Decide the order of two cost expressions, raw or simplified.
 
     Pipeline: canonicalize each side once, as `simplify` does; cancel
-    structurally equal terms, expand additivity on the residuals, cancel
+    equal terms of one sign, expand additivity on the residuals, cancel
     again, drop overhead when assumed insignificant, then discharge what
     remains through dominance between functions.  Returns Indeterminate
     rather than guessing.
@@ -524,8 +523,8 @@ def compare(a: CostExpr, b: CostExpr, assume: AssumptionSet = DEFAULT_ASSUMPTION
 
     if assume.ignore_overhead:
         for side, label in ((left, "left"), (right, "right")):
-            for term in [t for t in side if isinstance(t, Overhead)]:
-                steps.append(("drop overhead", label, term, side.pop(term)))
+            if _OV_H in side:
+                steps.append(("drop overhead", label, _OV_H, side.pop(_OV_H)))
 
     verdict, flow = _decide(left, right, assume.closure(), steps)
     return CompareResult(verdict, left, right, flow, steps)

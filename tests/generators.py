@@ -275,9 +275,10 @@ def denormal_cost_expr(rng: random.Random, e: CostExpr) -> CostExpr:
 
 
 def hashed_terms() -> list:
-    """Cost terms over size expressions, an overhead term, a cost
-    expression, an assumption set, a knowledge strand, a typed strand and a
-    strand space over them: hash-consed values built from other ones."""
+    """Cost terms over size expressions, the overhead term, a cost
+    expression with a negative overhead, an assumption set, a knowledge
+    strand, a typed strand and a strand space over them: hash-consed values
+    built from other ones."""
     sr, sn, sk = (TypeSize(b) for b in (BasicTT.R, BasicTT.N, BasicTT.K))
     a = Atom(AtomKind.PARTICIPANT, "A")
     na = Atom(AtomKind.NONCE, "N_a")
@@ -287,8 +288,8 @@ def hashed_terms() -> list:
         App(CostFunc.F_H, (ssum([sn, sn, sr]),)),
         App(CostFunc.F_C, (sn, sr)),
         App(CostFunc.F_PK, (AsymSize(ssum([sn, sk])),)),
-        Overhead(-1),
-        cost_expr([App(CostFunc.F_NG, (sn,)), (Overhead(1), 2)]),
+        Overhead(),
+        cost_expr([App(CostFunc.F_NG, (sn,)), (Overhead(), -2)]),
         AssumptionSet(dominance=((CostFunc.F_PK, CostFunc.F_H),), max_bytes=512.0),
         kstrand,
         tstrand,
@@ -299,7 +300,7 @@ def hashed_terms() -> list:
 def random_cost_expr(rng: random.Random) -> CostExpr:
     items = []
     for _ in range(rng.randint(1, 6)):
-        roll = rng.random()
+        roll, sign = rng.random(), 1
         if roll < 0.5:
             term = App(rng.choice(EXPANDABLE), (random_size_expr(rng),))
         elif roll < 0.6:
@@ -311,8 +312,8 @@ def random_cost_expr(rng: random.Random) -> CostExpr:
         elif roll < 0.9:
             term = LambdaP()
         else:
-            term = Overhead(1 if rng.random() < 0.5 else -1)
-        items.append((term, rng.randint(1, 3)))
+            term, sign = Overhead(), 1 if rng.random() < 0.5 else -1
+        items.append((term, sign * rng.randint(1, 3)))
     return cost_expr(items)
 
 

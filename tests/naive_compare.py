@@ -6,7 +6,9 @@ every application and sum it is given (normalizing through `ssum`), the
 canonical order is the old key with its generic argument scan, and the
 dominance closure is worked out again on every call.  It writes the
 additivity law out again too: an application over a sum of k units in all
-becomes one application per unit and k - 1 times -Ov_h.  It shares with
+becomes one application per unit and Ov_h with multiplicity 1 - k, and an
+Ov_h that merges to zero goes.  It cancels a term only where both sides
+hold it with one sign, by the smaller magnitude.  It shares with
 the library only merging (`cost_expr`), term rendering and the matching on
 per-function counts (`_saturating_match`), which it must share for the two
 traces' dominance pairs to be comparable.  It sums those counts itself,
@@ -54,7 +56,7 @@ def _term_key(term):
         return (1, -1)
     if isinstance(term, LambdaP):
         return (4, -1)
-    return (5, -term.sign)
+    return (5, 1)
 
 
 def _canonical(items) -> CostExpr:
@@ -83,22 +85,23 @@ def _expand_all(terms, trace: list, label: str) -> dict:
             out[term] = out.get(term, 0) + mult
             continue
         parts = [(App(term.func, (unit,)), coeff) for coeff, unit in arg.items]
-        overhead = (Overhead(-1), k - 1)
         units = " + ".join(render_cost_term(t, m) for t, m in parts)
         trace.append(
             f"expand {label}: {render_cost_term(term)} -> {units} - "
-            f"{render_cost_term(*overhead)}"
+            f"{render_cost_term(Overhead(), k - 1)}"
         )
-        for t, m in parts + [overhead]:
+        for t, m in parts + [(Overhead(), 1 - k)]:
             out[t] = out.get(t, 0) + m * mult
-    return out
+    return {t: m for t, m in out.items() if m != 0}
 
 
 def _cancel_equal(left: dict, right: dict, trace: list):
     for term in list(left):
-        if term in right:
-            mult = min(left[term], right[term])
+        if term in right and (left[term] < 0) == (right[term] < 0):
+            mult = min(abs(left[term]), abs(right[term]))
             trace.append(f"cancel: {render_cost_term(term, mult)}")
+            if left[term] < 0:
+                mult = -mult
             left[term] -= mult
             right[term] -= mult
             if left[term] == 0:
@@ -122,7 +125,7 @@ def naive_compare(a: CostExpr, b: CostExpr, assume):
         for side, label in ((left, "left"), (right, "right")):
             for term in [t for t in side if isinstance(t, Overhead)]:
                 trace.append(
-                    f"drop overhead ({label}): {render_cost_term(term, side[term])}"
+                    f"drop overhead ({label}): {render_cost_term(term, abs(side[term]))}"
                 )
                 del side[term]
 

@@ -39,7 +39,7 @@ def naive_eval_terms(terms, model) -> float:
         elif func is CostFunc.F_P:
             value = model.lambda_p
         elif func is None:
-            value = term.sign * model.ov_h
+            value = model.ov_h
         else:
             f = model.funcs[func]
             value = f.alpha + f.beta * naive_eval_size(term.args[0], model.size_model)

@@ -45,6 +45,7 @@ from spa.costs import (
     Overhead,
     Verdict,
     _expand,
+    _render_step,
     _saturating_match,
     _transitive_closure,
     cost_expr,
@@ -127,6 +128,24 @@ def test_cost_expr_validated():
         App(CostFunc.F_H, (SN, SR))
 
 
+def test_only_overhead_takes_a_negative_multiplicity():
+    # dominance reads multiplicities as counts: were negative applications
+    # accepted, compare of -f_pk(|n|) against -f_h(|n|) would answer
+    # Greater, though every model that prices f_pk above f_h orders them Less
+    for term in (app(CostFunc.F_H, SN), LambdaC(), LambdaP()):
+        with pytest.raises(ValueError, match="^multiplicities must be nonzero, and negative "
+                                             "only on Ov_h$"):
+            CostExpr(((term, -1),))
+        with pytest.raises(ValueError, match="negative only on Ov_h"):
+            cost_expr([(term, -2)])
+        with pytest.raises(ValueError, match="negative only on Ov_h"):
+            cost_expr([(term, 1), (term, -2)])
+    for term in (app(CostFunc.F_H, SN), LambdaC(), LambdaP(), Overhead()):
+        with pytest.raises(ValueError, match="^multiplicities must be nonzero"):
+            CostExpr(((term, 0),))
+    assert render_cost(CostExpr(((LambdaC(), 1), (Overhead(), -2)))) == "L_C - 2*Ov_h"
+
+
 def test_raw_cost_key_wrap():
     cost = cost_of_space(extract(strand_of(KEY_WRAP, "B")).space())
     assert render_cost(cost) == (
@@ -153,7 +172,7 @@ def test_simplified_cost_x509():
 
 def test_canonical_order_classes():
     scrambled = cost_expr([
-        (Overhead(-1), 1),
+        (Overhead(), -1),
         (LambdaP(), 2),
         app(CostFunc.F_H, HashSize(), SN),
         (LambdaC(), 1),
@@ -394,6 +413,14 @@ def test_simplify_folds_constants():
     assert render_cost(simplify(e)) == "L_C + 2*L_P"
 
 
+def test_overheads_of_either_sign_cancel():
+    # the sign is the multiplicity's, so +Ov_h and -Ov_h are one term
+    lc = cost_expr([LambdaC()])
+    assert simplify(cost_expr([LambdaC(), (Overhead(), 1), (Overhead(), -1)])) is simplify(lc)
+    assert cost_expr([(Overhead(), 2), LambdaC(), (Overhead(), -2)]) is lc
+    assert cost_expr([(Overhead(), 2), (Overhead(), -3)]).terms == ((Overhead(), -1),)
+
+
 def test_equal_arguments_are_one_application():
     # a lone unit has one form, so two applications of a function to it are
     # one term before any simplification; the sum form of it is refused
@@ -427,7 +454,7 @@ def test_expand_splits_a_sum():
     assert (kind, label, expanded) == ("expand", "left", term)
     assert (App(CostFunc.F_H, (SN,)), 2) in parts
     assert (App(CostFunc.F_H, (SR,)), 1) in parts
-    assert (Overhead(-1), 2) in parts
+    assert (Overhead(), -2) in parts
     assert out == dict(parts)
     kept = [
         app(CostFunc.F_H, SN),  # single unit
@@ -441,27 +468,53 @@ def test_expand_splits_a_sum():
 
 
 def test_expansion_builds_no_overhead_term(monkeypatch):
-    # every expansion leaves the one live -Ov_h behind, not a fresh call to
-    # the checking constructor
+    # every expansion leaves the one live Ov_h behind, with a negative
+    # multiplicity, not a fresh call to the constructor
     built = []
     real = Overhead.__new__
 
-    def counted(cls, sign):
-        built.append(sign)
-        return real(cls, sign)
+    def counted(cls):
+        built.append(cls)
+        return real(cls)
 
     monkeypatch.setattr(Overhead, "__new__", staticmethod(counted))
     steps = []
     _expand([(app(func, SN, SN, SR, HashSize()), 1) for func in EXPANDABLE], steps, "left")
     assert built == []
     assert [step[2].func for step in steps] == list(EXPANDABLE)
-    assert all(step[3][-1] == (Overhead(-1), 3) for step in steps)
+    assert all(step[3][-1] == (Overhead(), -3) for step in steps)
 
 
 def test_expand_additivity_golden():
     e = cost_expr([(app(CostFunc.F_H, SN, SN, SR), 2), LambdaC()])
     got = render_cost(expand_additivity(e))
     assert got == "4*f_h(|n|) + 2*f_h(|r|) + L_C - 4*Ov_h"
+
+
+def test_every_step_kind_renders():
+    # one step of each kind compare records, as it records it; a kind it
+    # does not record is refused
+    fh_n, fh_r, fpk_n = app(CostFunc.F_H, SN), app(CostFunc.F_H, SR), app(CostFunc.F_PK, SN)
+    parts = [(fh_n, 2), (fh_r, 1), (Overhead(), -2)]
+    steps = [
+        (("cancel", fh_n, 3), "cancel: 3*f_h(|n|)"),
+        (("cancel", Overhead(), -1), "cancel: Ov_h"),
+        (("expand", "right", app(CostFunc.F_H, SN, SN, SR), parts),
+         "expand right: f_h(2|n| + |r|) -> 2*f_h(|n|) + f_h(|r|) - 2*Ov_h"),
+        (("drop overhead", "left", Overhead(), -4), "drop overhead (left): 4*Ov_h"),
+        (("drop overhead", "right", Overhead(), 1), "drop overhead (right): Ov_h"),
+        (("residue",), "overhead residue cannot be discharged"),
+        (("empty", "left"), "left residual empty; right residual is strictly positive"),
+        (("empty", "right"), "right residual empty; left residual is strictly positive"),
+        (("dominance", fh_n, "<", fpk_n), "dominance: f_h(|n|) < f_pk(|n|)"),
+        (("verdict", Verdict.INDETERMINATE), "verdict: Indeterminate"),
+    ]
+    for step, line in steps:
+        assert _render_step(step) == line
+    assert {step[0] for step, _ in steps} == {
+        "cancel", "expand", "drop overhead", "residue", "empty", "dominance", "verdict"}
+    with pytest.raises(ValueError, match="^unknown trace step 'bogus'$"):
+        _render_step(("bogus", fh_n))
 
 
 def test_render_cost_term_refuses_what_is_not_a_cost_term():
@@ -471,10 +524,12 @@ def test_render_cost_term_refuses_what_is_not_a_cost_term():
 
 def test_render_cost_zero_and_signs():
     assert render_cost(CostExpr(())) == "0"
-    e = cost_expr([(Overhead(-1), 2)])
+    e = cost_expr([(Overhead(), -2)])
     assert render_cost(e) == "-2*Ov_h"
-    e = cost_expr([LambdaC(), Overhead(1)])
+    e = cost_expr([LambdaC(), Overhead()])
     assert render_cost(e) == "L_C + Ov_h"
+    e = cost_expr([(Overhead(), -1), LambdaC()])
+    assert render_cost(e) == "-Ov_h + L_C"
 
 
 def model(ov=0.25, **overrides):
@@ -499,7 +554,7 @@ def test_eval_single_hash():
 
 def test_eval_constants_and_overhead():
     m = model()
-    e = cost_expr([LambdaC(), (LambdaP(), 2), (Overhead(-1), 3)])
+    e = cost_expr([LambdaC(), (LambdaP(), 2), (Overhead(), -3)])
     assert math.isclose(eval_cost(e, m), 0.1 + 0.1 - 0.75)
     # unfolded concatenation and processing cost the constants too
     e = cost_expr([App(CostFunc.F_C, (SN, SR)), App(CostFunc.F_P, (SN,))])
@@ -543,7 +598,7 @@ def test_model_constructors_refuse_non_finite_numbers(bad):
     # zero stays accepted where the bound is nonnegative
     zero = CostModel(funcs={f: Affine(0, 0) for f in EXPANDABLE}, lambda_c=0, lambda_p=0,
                      ov_h=0, size_model=model().size_model)
-    assert eval_cost(cost_expr([app(CostFunc.F_H, SN), LambdaC(), Overhead(1)]), zero) == 0
+    assert eval_cost(cost_expr([app(CostFunc.F_H, SN), LambdaC(), Overhead()]), zero) == 0
 
 
 @pytest.mark.parametrize(
@@ -581,9 +636,9 @@ def test_cost_expr_refuses_non_int_multiplicities(mult):
     # cost_expr sums multiplicities before it builds, and True + 0 is the
     # int 1, so it checks each one itself; the live int expression, held
     # here, is not what it answers
-    live = ((LambdaC(), 1), (Overhead(-1), int(mult)))
+    live = ((LambdaC(), 1), (Overhead(), int(mult)))
     held = CostExpr(live)
-    bad = ((LambdaC(), 1), (Overhead(-1), mult))
+    bad = ((LambdaC(), 1), (Overhead(), mult))
     with pytest.raises(TypeError, match=f"^cost_expr multiplicities must be int, not "
                                         f"{type(mult).__name__}$"):
         cost_expr(bad)
@@ -603,7 +658,7 @@ def test_models_are_read_only():
     sm = SizeModel(sizes=sizes_in, s_hash=20, blk_in=117, blk_out=128, pad=11)
     m = CostModel(funcs=funcs, lambda_c=0.1, lambda_p=0.05, ov_h=0.25, size_model=sm)
     e = cost_expr([app(CostFunc.F_H, SN, SR), App(CostFunc.F_PK, (AsymSize(SN),)),
-                   LambdaC(), LambdaP(), Overhead(-1)])
+                   LambdaC(), LambdaP(), (Overhead(), -1)])
     before = eval_cost(e, m)
     for obj in (m, sm, funcs[CostFunc.F_H]):
         for name in [*type(obj).__slots__, "_values", "bogus"]:
@@ -1075,7 +1130,7 @@ def _order_from_scratch(term) -> tuple:
     if isinstance(term, LambdaP):
         return (4, -1)
     assert isinstance(term, Overhead)
-    return (5, -term.sign)
+    return (5, -1)
 
 
 def _cost_terms(values) -> list:
@@ -1181,6 +1236,41 @@ def test_wider_argument_is_greater_by_expansion():
     res = compare(cost_expr([wide]), cost_expr([narrow]), AssumptionSet(ignore_overhead=False))
     assert res.verdict is Verdict.INDETERMINATE
     assert res.residual_line() == "f_h(|r|) - Ov_h ? 0"
+
+
+def test_additivity_with_the_overhead_kept_is_equal():
+    # f_h(|n| + |r|) + Ov_h is f_h(|n|) + f_h(|r|) under every model: the
+    # overhead the expansion leaves cancels the one the left side holds
+    a = cost_expr([app(CostFunc.F_H, SN, SR), Overhead()])
+    b = cost_expr([app(CostFunc.F_H, SN), app(CostFunc.F_H, SR)])
+    for left, right in ((a, b), (b, a)):
+        res = compare(left, right, AssumptionSet(ignore_overhead=False))
+        assert res.verdict is Verdict.EQUAL
+        assert res.residual_line() == "0 = 0"
+    res = compare(a, b, AssumptionSet(ignore_overhead=False))
+    assert res.trace == (
+        "expand left: f_h(|n| + |r|) -> f_h(|n|) + f_h(|r|) - Ov_h",
+        "cancel: f_h(|n|)",
+        "cancel: f_h(|r|)",
+        "verdict: Equal",
+    )
+
+
+def test_overhead_cancels_only_against_its_own_sign():
+    # what is left of a cancelled term stays on the side it came from
+    narrow = cost_expr([(app(CostFunc.F_H, SN), 2), (Overhead(), -1)])
+    wide = cost_expr([app(CostFunc.F_H, SN, SN, SR)])
+    res = compare(wide, narrow, AssumptionSet(ignore_overhead=False))
+    assert res.trace[1:] == ("cancel: 2*f_h(|n|)", "cancel: Ov_h",
+                             "overhead residue cannot be discharged", "verdict: Indeterminate")
+    assert res.residual_line() == "f_h(|r|) - Ov_h ? 0"
+    # of opposite signs, nothing cancels: both stay, and are dropped apart
+    plus = cost_expr([app(CostFunc.F_H, SR), Overhead()])
+    res = compare(wide, plus)
+    assert res.trace[1:] == ("cancel: f_h(|r|)", "drop overhead (left): 2*Ov_h",
+                             "drop overhead (right): Ov_h",
+                             "right residual empty; left residual is strictly positive",
+                             "verdict: Greater")
 
 
 def test_application_to_zero_is_not_dominated():
@@ -1314,7 +1404,7 @@ def test_equal_models_are_one_object():
     # read-only views another model exposes, a model is the live one and
     # shares its table of values
     m = model()
-    e = cost_expr([app(CostFunc.F_H, SN, SR), LambdaC(), Overhead(-1)])
+    e = cost_expr([app(CostFunc.F_H, SN, SR), LambdaC(), (Overhead(), -1)])
     want = eval_cost(e, m)
     again = CostModel(funcs=m.funcs, lambda_c=0.1, lambda_p=0.05, ov_h=0.25,
                       size_model=SizeModel(sizes=m.size_model.sizes, s_hash=20, blk_in=117,
@@ -1335,7 +1425,7 @@ def test_models_round_trip_through_their_constructors(how):
     sm = SizeModel(sizes=_sizes(), s_hash=20, blk_in=117, blk_out=128, pad=11)
     m = CostModel(funcs=funcs, lambda_c=0.1, lambda_p=0.05, ov_h=0.25, size_model=sm)
     e = cost_expr([app(CostFunc.F_H, SN, SR), App(CostFunc.F_PK, (AsymSize(SN),)),
-                   LambdaC(), LambdaP(), Overhead(-1)])
+                   LambdaC(), LambdaP(), (Overhead(), -1)])
     want = eval_cost(e, m)
     table = dict(m._values)
     back = {

@@ -301,7 +301,7 @@ def rebuild_size(e):
 def rebuild_cost_term(term):
     if isinstance(term, App):
         return App(term.func, tuple(map(rebuild_size, term.args)))
-    return Overhead(term.sign) if isinstance(term, Overhead) else type(term)()
+    return type(term)()
 
 
 @given(terms(), st.randoms(use_true_random=False))
@@ -319,7 +319,7 @@ def test_equal_terms_are_one_object(t, rnd):
     assert ssum(list(map(rebuild_size, shuffled))) is ssum(shuffled)
     assert set(sum_items(ssum(shuffled))) == set(sum_items(total))
     cost = cost_expr(
-        [App(CostFunc.F_C, (size, total)), LambdaC(), LambdaP(), Overhead(-1)]
+        [App(CostFunc.F_C, (size, total)), LambdaC(), LambdaP(), (Overhead(), -1)]
         + [App(CostFunc.F_SK, (p,)) for p in shuffled]
     )
     rebuilt = CostExpr(tuple((rebuild_cost_term(term), m) for term, m in cost.terms))
@@ -361,14 +361,14 @@ _CTOR_FIELDS = {
     App: (CostFunc.F_SK, (TypeSize(BasicTT.N),)),
     LambdaC: (),
     LambdaP: (),
-    Overhead: (-1,),
+    Overhead: (),
     SignedTerm: (-1, Pair(A, NA)),
     KStrand: ((A, NA), A, (SignedTerm(1, NA),), frozenset({NA})),
     TStrand: (Classifier.C_N, A, (SignedTerm(1, Basic(BasicTT.N)),)),
     StrandSpace: ((_KSTRAND, _TSTRAND), (((0, 1), (1, 1)),)),
     Op: ((1,), CostFunc.F_NG, (1,), BasicTT.N, ("",), "a nonce type"),
     Message: (A, _B, Pair(A, NA)),
-    CostExpr: (((LambdaC(), 2), (Overhead(-1), 1)),),
+    CostExpr: (((LambdaC(), 2), (Overhead(), -1)),),
     AssumptionSet: (False, ((CostFunc.F_PK, CostFunc.F_H),), 512.0),
     Affine: (1.0, 0),
     SizeModel: (_SIZES, 1.0, 117, 1, 11),
@@ -378,7 +378,6 @@ _REFUSED = {
     Atom: (AtomKind.NONCE, "2ctor"),
     Enc: (NA, FuncName.H, K),
     App: (CostFunc.F_C, (TypeSize(BasicTT.N),)),
-    Overhead: (0,),
     SignedTerm: (0, NA),
     KStrand: ((NA,), A, (SignedTerm(1, NA),), frozenset()),
     TStrand: (Classifier.C_N, A, ()),
@@ -635,7 +634,7 @@ def test_every_number_field_is_aliased():
                if any(not _meets(a, contract) for a in _aliases(value))}
     assert fields == aliased
     assert {(cls.__name__, name) for cls, name in fields} == {
-        ("SignedTerm", "sign"), ("Overhead", "sign"), ("Sum", "items"), ("CostExpr", "terms"),
+        ("SignedTerm", "sign"), ("Sum", "items"), ("CostExpr", "terms"),
         ("Op", "signs"), ("Op", "sized"), ("StrandSpace", "comm"),
         ("AssumptionSet", "ignore_overhead"), ("AssumptionSet", "max_bytes"),
         ("Affine", "alpha"), ("Affine", "beta"), ("SizeModel", "sizes"), ("SizeModel", "s_hash"),
@@ -713,7 +712,7 @@ def _sample_terms() -> list:
         t, t.body, Empty(), e, e.body, Basic(BasicTT.K),
         n, HashSize(), AsymSize(wide), wide,
         App(CostFunc.F_PK, (AsymSize(wide),)), App(CostFunc.F_C, (n, r)),
-        LambdaC(), LambdaP(), Overhead(-1),
+        LambdaC(), LambdaP(), Overhead(),
     ]
 
 
