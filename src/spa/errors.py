@@ -43,9 +43,10 @@ class KindMismatch(ParseError):
 
 
 class Ungeneratable(SpaError):
-    """A role sends a participant or user-data atom that it holds nowhere.
-    The parser refuses that, so extraction raises it only for a strand
-    built by hand."""
+    """A role sends an atom that it holds nowhere and may not create: a
+    participant or user-data atom, or a nonce or key its strand does not
+    mark fresh.  The parser refuses the first and marks the second, so
+    extraction raises it only for a strand built by hand."""
 
     code = 2
 

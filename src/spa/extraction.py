@@ -4,12 +4,12 @@ Walking the event sequence in order: a receive stores the term whole and
 costs nothing; a send triggers construction of its term.  Construction
 resolves each subterm by the first applicable rule: already known, recover
 from known material (splitting pairs, decrypting under held symmetric
-keys), generate (a nonce or key that occurs nowhere in knowledge),
-otherwise fail.  An atom that occurs in knowledge only where the role
-cannot reach it is `Unrecoverable`, whatever its kind.  An unheld
-participant or user-data atom that occurs nowhere is `Ungeneratable`; the
-parser refuses that protocol first, so only a strand built by hand gets
-that far.  Every term built, received, or recovered joins the knowledge
+keys), generate (an atom the parser marked in `KStrand.fresh`, whose tag
+some row builds), otherwise fail.  Only a failure scans the knowledge: an
+atom that occurs there only where the role cannot reach it is
+`Unrecoverable`, whatever its kind, and one that occurs nowhere is
+`Ungeneratable`, which the parser leaves only a hand-built strand to
+reach.  Every term built, received, or recovered joins the knowledge
 set, so nothing is ever built twice.
 
 No operation is written here.  Each is the `strands.OPS` row that builds
@@ -43,12 +43,10 @@ waits under that key and is opened, at its original positions, when the
 key atom is learned.  Only terms that arrive from outside (initial
 knowledge, receptions, generated atoms) are walked: split halves,
 decrypted bodies and constructed terms are reachable, at a lower rank,
-from entries already walked.  The same walk collects the atoms it meets;
-the ciphers it does not enter (sealed `sk` ciphers, asymmetric ciphers and
-hashes) get a walk of their own below them, which stops at every known or
-exposed term: its atoms are collected already.  This descent is not read
-off the rows: it is the recovery policy (which containers a role opens,
-leftmost first) and the hottest loop, so a test checks it against them.
+from entries already walked.  The walk enters no asymmetric cipher or
+hash.  Its descent is not read off the rows: it is the recovery policy
+(which containers a role opens, leftmost first) and the hottest loop, so
+a test checks it against them.
 """
 
 from __future__ import annotations
@@ -101,11 +99,10 @@ class _State:
 
     def __init__(self, strand: KStrand):
         self.participant = strand.participant
+        self.fresh = strand.fresh  # the atoms the role creates
         # known term -> index of the op that made it, None from outside;
         # insertion order is recovery's entry order
         self.knowledge: dict[Term, int | None] = {}
-        # every atom occurring in knowledge, key positions included
-        self.atoms: set[Atom] = set()
         # exposed term -> (lowest rank, container there or None for an entry)
         self.exposed: dict[Term, tuple[int, Term | None]] = {}
         # key atom -> [(sk cipher exposed but for that key, rank of its body)]
@@ -135,10 +132,9 @@ class _State:
                 self._expose(cipher.body, cipher, rank)
 
     def _expose(self, root: Term, container: Term | None, rank: int) -> int:
-        """Index the occurrences under root, root ranked `rank`, and add
-        every atom in root to `atoms`; return the rank that follows root's
-        subtree."""
-        atoms, knowledge, exposed = self.atoms, self.knowledge, self.exposed
+        """Index the occurrences under root, root ranked `rank`; return the
+        rank that follows root's subtree."""
+        knowledge, exposed = self.knowledge, self.exposed
         stack = [(root, container)]
         while stack:
             t, container = stack.pop()
@@ -149,28 +145,12 @@ class _State:
             if isinstance(t, Pair):
                 stack.append((t.right, t))
                 stack.append((t.left, t))
-            elif isinstance(t, Atom):
-                atoms.add(t)
-            elif isinstance(t, Enc):
-                if t.func is FuncName.SK and t.key in knowledge:
-                    # a held key is in `atoms` already
+            elif isinstance(t, Enc) and t.func is FuncName.SK:
+                if t.key in knowledge:
                     stack.append((t.body, t))
                 else:
-                    # t is exposed now, and so are the terms left on `stack`
-                    parts = [t.key, t.body]
-                    while parts:
-                        u = parts.pop()
-                        if u in knowledge or u in exposed:
-                            continue
-                        if isinstance(u, Atom):
-                            atoms.add(u)
-                        elif isinstance(u, Pair):
-                            parts += (u.left, u.right)
-                        elif isinstance(u, Enc):
-                            parts += (u.key, u.body)
-                    if t.func is FuncName.SK:
-                        self.sealed.setdefault(t.key, []).append((t, rank))
-                        rank += _span(t.body)
+                    self.sealed.setdefault(t.key, []).append((t, rank))
+                    rank += _span(t.body)
         return rank
 
     def emit(self, classifier: Classifier, subject: Term) -> int:
@@ -220,17 +200,9 @@ def _construct(t: Term, state: _State) -> None:
         _recover(t, state)
         return
     if isinstance(t, Atom):
-        role = state.participant.label
-        if t in state.atoms:
-            raise Unrecoverable(
-                f"{role} holds {t.label} only sealed inside terms it cannot open", role
-            )
         built = BUILDS.get(_tag(t._typed))
-        if built is None:
-            raise Ungeneratable(
-                f"{role} does not hold {t.label} and "
-                f"{t.kind.value} atoms cannot be generated", role
-            )
+        if built is None or t not in state.fresh:
+            raise _unreachable(t, built is not None, state)
         state.learn(t, state.emit(built[0], t))
         return
     knowledge = state.knowledge
@@ -242,6 +214,28 @@ def _construct(t: Term, state: _State) -> None:
             _construct(u, state)
     # not walked: built from known parts; if t was recovered meanwhile, it stays so
     knowledge.setdefault(t, state.emit(classifier, t))
+
+
+def _unreachable(atom: Atom, buildable: bool, state: _State) -> Exception:
+    """The error for an atom the role can neither reach nor create.  One scan
+    of the entries from outside, key positions included, tells whether it
+    holds the atom sealed: every term it made or recovered is made of those
+    and of atoms it knows."""
+    role = state.participant.label
+    stack = [t for t, by in state.knowledge.items() if by is None]
+    while stack:
+        t = stack.pop()
+        if t is atom:
+            return Unrecoverable(
+                f"{role} holds {atom.label} only sealed inside terms it cannot open", role
+            )
+        if isinstance(t, Pair):
+            stack += (t.left, t.right)
+        elif isinstance(t, Enc):
+            stack += (t.body, t.key)
+    why = ("its strand does not mark it fresh" if buildable
+           else f"{atom.kind.value} atoms cannot be generated")
+    return Ungeneratable(f"{role} does not hold {atom.label} and {why}", role)
 
 
 def _recover(target: Term, state: _State) -> None:

@@ -5,7 +5,8 @@ knowledge simulation and no strand emission.  Implements the same
 resolution policy as the extractor without sharing code with it: known
 first, then recovery along the first exposing knowledge entry (leftmost
 descent, fixed at scan time), then generation for nonces and keys that
-occur nowhere in knowledge, else failure.
+occur nowhere in knowledge, else failure.  Extraction generates the
+atoms in `KStrand.fresh` instead, so agreement also checks the parser's.
 
 It names each operation's classifier itself and must not read
 `strands.OPS` and every map `strands._index` derives from it, which

@@ -4,7 +4,8 @@ A knowledge strand holds a participant's knowledge plus its signed event
 sequence; a typed strand holds a classifier plus signed typed events.  The
 `fresh` field on KStrand marks atoms the participant will create during the
 run: they are displayed as part of the knowledge set but are absent from the
-working knowledge when operations are derived.
+working knowledge when operations are derived, and extraction generates
+exactly these atoms, each at its first send.
 
 A strand space holds its strands and the communication edges recorded
 when it was built; none is matched on payloads.  A node is its position,

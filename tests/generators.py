@@ -134,7 +134,8 @@ def random_spec(rng: random.Random, max_atoms: int = 4, depth: int = 3) -> Proto
 def random_strand(rng: random.Random) -> KStrand:
     """One role's strand that leans on recovery: compound knowledge entries,
     often sealed under keys the role holds only once a reception delivers
-    them, and sends drawn from the same atoms."""
+    them, and sends drawn from the same atoms.  Its fresh atoms are the
+    nonces and keys it first meets in a send, held nowhere before."""
     role = Atom(AtomKind.PARTICIPANT, "A")
     keys = [Atom(AtomKind.KEY, f"K{i}") for i in range(rng.randint(1, 3))]
     nonces = [Atom(AtomKind.NONCE, f"N{i}") for i in range(rng.randint(1, 4))]
@@ -161,7 +162,20 @@ def random_strand(rng: random.Random) -> KStrand:
         SignedTerm(rng.choice((1, -1, -1)), draw(rng.randint(0, 3)))
         for _ in range(rng.randint(1, 6))
     )
-    return KStrand(tuple(knowledge), role, seq)
+    met, fresh = set(), set()
+    for sends, t in [(False, t) for t in knowledge] + [(e.sign > 0, e.payload) for e in seq]:
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            if isinstance(u, Pair):
+                stack += (u.left, u.right)
+            elif isinstance(u, Enc):
+                stack += (u.body, u.key)
+            elif isinstance(u, Atom) and u not in met:
+                met.add(u)
+                if sends and u.kind in (AtomKind.NONCE, AtomKind.KEY):
+                    fresh.add(u)
+    return KStrand(tuple(knowledge), role, seq, frozenset(fresh))
 
 
 def chain_spec(n: int, w: int) -> ProtocolSpec:

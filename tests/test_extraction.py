@@ -177,10 +177,25 @@ def test_asymmetric_ciphertexts_opaque():
 
 
 def test_generation_only_for_unseen_atoms():
-    s = KStrand((B,), B, (SignedTerm(1, NA),))
+    s = KStrand((B,), B, (SignedTerm(1, NA),), frozenset({NA}))
     assert extract(s).op_counts() == Counter({Classifier.C_N: 1})
-    s = KStrand((B,), B, (SignedTerm(1, K),))
+    s = KStrand((B,), B, (SignedTerm(1, K),), frozenset({K}))
     assert extract(s).op_counts() == Counter({Classifier.C_K: 1})
+
+
+def test_unmarked_nonce_is_ungeneratable():
+    # a role creates exactly the atoms its strand marks fresh: a nonce it
+    # holds nowhere and does not mark is refused, not generated
+    s = KStrand((B,), B, (SignedTerm(1, NA),))
+    with pytest.raises(Ungeneratable) as exc:
+        extract(s)
+    assert str(exc.value) == "B does not hold N_a and its strand does not mark it fresh"
+    assert exc.value.role == "B"
+
+
+def test_fresh_nonce_generated_once():
+    s = KStrand((B,), B, (SignedTerm(1, NA), SignedTerm(1, Pair(NA, NA))), frozenset({NA}))
+    assert extract(s).op_counts() == Counter({Classifier.C_N: 1, Classifier.C_C: 1})
 
 
 def test_sealed_nonce_not_regenerated():
@@ -193,9 +208,8 @@ def test_sealed_nonce_not_regenerated():
 
 @pytest.mark.parametrize("func", [FuncName.H, FuncName.PK])
 def test_sealed_nonce_beside_exposed_sibling_not_regenerated(func):
-    # the walk for a sealed cipher's atoms starts below the cipher and stops
-    # only at known or exposed terms: D is exposed, the pair (D, N_a) under
-    # the cipher is not, so N_a is found sealed
+    # N_a is not fresh, and the scan that classifies the failure looks
+    # below the cipher, past the exposed D, and finds it sealed
     sealed = Enc(Pair(D, NA), func, Empty() if func is FuncName.H else K)
     s = KStrand((B, Pair(D, sealed)), B, (SignedTerm(1, NA),))
     with pytest.raises(Unrecoverable, match="^B holds N_a only sealed"):
@@ -218,10 +232,10 @@ def _classified(monkeypatch, s: KStrand) -> int:
 
 
 def test_extract_walks_no_cipher_whole(monkeypatch):
-    """The walk that collects a sealed cipher's atoms stops at every known
-    or exposed term: each more hash over a large term the role holds in a
-    pair (exposed, not known), or built from held atoms (known, not
-    exposed), costs the same few steps whatever that term's size."""
+    """Extraction does not walk into a hash it receives: each more hash over
+    a large term the role holds in a pair (exposed, not known), or built
+    from held atoms (known, not exposed), costs the same few steps whatever
+    that term's size."""
     atoms = [Atom(AtomKind.NONCE, f"N_{i}") for i in range(400)]
     big = pair_of(atoms)
 
@@ -236,14 +250,14 @@ def test_extract_walks_no_cipher_whole(monkeypatch):
         assert many - one < 16 * 30, (one, many)
 
 
-@pytest.mark.parametrize("payload, atom", [
-    (D, D), (A, A), (Pair(NA, A), A), (Enc(D, FuncName.SK, K), D),
+@pytest.mark.parametrize("payload, atom, fresh", [
+    (D, D, ()), (A, A, ()), (Pair(NA, A), A, (NA,)), (Enc(D, FuncName.SK, K), D, (K,)),
 ], ids=["userdata", "participant", "in-pair", "in-cipher"])
-def test_data_and_roles_ungeneratable(payload, atom):
+def test_data_and_roles_ungeneratable(payload, atom, fresh):
     # a participant or user-data atom held nowhere cannot be generated; the
     # parser refuses such a protocol first, so only a strand built by hand
     # gets here, and the oracle and the reference refuse it alike
-    s = KStrand((B,), B, (SignedTerm(1, payload),))
+    s = KStrand((B,), B, (SignedTerm(1, payload),), frozenset(fresh))
     message = f"B does not hold {atom.label} and {atom.kind.value} atoms cannot be generated"
     for fn in (op_count_oracle, naive_extract, extract):
         with pytest.raises(Ungeneratable) as exc:
@@ -264,6 +278,14 @@ def test_sealed_atom_unrecoverable_whatever_its_kind(atom):
     assert exc.value.role == "B"  # extract's error names its role for the CLI
 
 
+def test_atom_held_only_as_a_key_is_sealed():
+    # the scan that classifies a failure looks at key positions too
+    s = KStrand((B, Enc(D, FuncName.PK, K2)), B, (SignedTerm(1, K2),))
+    for fn in (op_count_oracle, naive_extract, extract):
+        with pytest.raises(Unrecoverable, match="^B holds K2 only sealed"):
+            fn(s)
+
+
 def test_parsed_specs_never_reach_ungeneratable():
     # the parser refuses a role that sends a participant or user-data atom
     # occurring nowhere in what it holds or receives, so extracting a parsed
@@ -281,7 +303,7 @@ def test_parsed_specs_never_reach_ungeneratable():
 
 def test_key_built_before_body():
     # {D}sk(K) with D held, K fresh: C_K precedes C_E
-    s = KStrand((A, D), A, (SignedTerm(1, Enc(D, FuncName.SK, K)),))
+    s = KStrand((A, D), A, (SignedTerm(1, Enc(D, FuncName.SK, K)),), frozenset({K}))
     assert [op.classifier for op in extract(s).ops] == [
         Classifier.C_K, Classifier.C_E,
     ]
@@ -414,7 +436,7 @@ def test_extraction_follows_permuted_rows(monkeypatch):
         assert all(op.seq[0].payload is op.seq[2].payload.right
                    for op in ext.ops if op.classifier is Classifier.C_C)
     # construction makes a pair's inputs in the order its row reads them
-    ext = extract(KStrand((A,), A, (SignedTerm(1, Pair(NA, K2)),)))
+    ext = extract(KStrand((A,), A, (SignedTerm(1, Pair(NA, K2)),), frozenset({NA, K2})))
     assert [op.classifier for op in ext.ops] == [Classifier.C_K, Classifier.C_N, Classifier.C_C]
     assert priced() == before
 
