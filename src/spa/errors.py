@@ -59,7 +59,7 @@ class UnknownRole(SpaError):
 
 class Unrecoverable(SpaError):
     """A role sends an atom, of any kind, that it holds only inside terms it
-    cannot open."""
+    cannot open, or only as the key of ciphers it did not make."""
 
     code = 3
 

@@ -218,21 +218,25 @@ def _construct(t: Term, state: _State) -> None:
 
 def _unreachable(atom: Atom, buildable: bool, state: _State) -> Exception:
     """The error for an atom the role can neither reach nor create.  One scan
-    of the entries from outside, key positions included, tells whether it
-    holds the atom sealed: every term it made or recovered is made of those
-    and of atoms it knows."""
+    of the entries from outside tells whether it holds the atom sealed, or
+    else only as the key of ciphers: every term it made or recovered is
+    made of those and of atoms it knows."""
     role = state.participant.label
     stack = [t for t, by in state.knowledge.items() if by is None]
+    how = None
     while stack:
         t = stack.pop()
         if t is atom:
-            return Unrecoverable(
-                f"{role} holds {atom.label} only sealed inside terms it cannot open", role
-            )
+            how = "sealed inside terms it cannot open"
+            break
         if isinstance(t, Pair):
             stack += (t.left, t.right)
         elif isinstance(t, Enc):
-            stack += (t.body, t.key)
+            stack.append(t.body)
+            if t.key is atom:
+                how = "as the key of ciphers it did not make"
+    if how is not None:
+        return Unrecoverable(f"{role} holds {atom.label} only {how}", role)
     why = ("its strand does not mark it fresh" if buildable
            else f"{atom.kind.value} atoms cannot be generated")
     return Ungeneratable(f"{role} does not hold {atom.label} and {why}", role)

@@ -70,11 +70,10 @@ def op_count_oracle(s: KStrand) -> Counter:
                     hold(steps[i].body)
             return
         if isinstance(goal, Atom):
-            if any(_occurs(goal, entry) for entry in known):
-                raise Unrecoverable(
-                    f"{s.participant.label} holds {goal.label} only sealed "
-                    "inside terms it cannot open"
-                )
+            for keys, how in ((False, "sealed inside terms it cannot open"),
+                              (True, "as the key of ciphers it did not make")):
+                if any(_occurs(goal, entry, keys) for entry in known):
+                    raise Unrecoverable(f"{s.participant.label} holds {goal.label} only {how}")
             if goal.kind is not AtomKind.NONCE and goal.kind is not AtomKind.KEY:
                 raise Ungeneratable(
                     f"{s.participant.label} does not hold {goal.label} and "
@@ -109,11 +108,12 @@ def op_count_oracle(s: KStrand) -> Counter:
     return counts
 
 
-def _occurs(needle: Term, hay: Term) -> bool:
+def _occurs(needle: Term, hay: Term, keys: bool) -> bool:
+    """Whether needle is hay or occurs in it, key positions counted only if `keys`."""
     if needle == hay:
         return True
     if isinstance(hay, Pair):
-        return _occurs(needle, hay.left) or _occurs(needle, hay.right)
+        return _occurs(needle, hay.left, keys) or _occurs(needle, hay.right, keys)
     if isinstance(hay, Enc):
-        return _occurs(needle, hay.body) or _occurs(needle, hay.key)
+        return _occurs(needle, hay.body, keys) or keys and _occurs(needle, hay.key, keys)
     return False

@@ -21,15 +21,16 @@ assumption sets, prices and cost models (`costs`).
 Deriving from `Value` with a dict `__slots__` that maps each field to its
 contract, `{}` for a class without fields, is what makes a class
 hash-consed; a tuple `__slots__` makes a plain base.  `Value` passes each
-such class to `_hash_consed`, which generates its constructor, `__new__`,
-whose parameters are those fields, so Python binds positional,
-keyword and mixed calls and refuses bad ones, and whose checks refuse a
-field that does not meet its contract (see `_hash_consed`).  Defaults of
-its last fields, if any, are its `_defaults` tuple.  A hit is one table
-lookup in one Python frame; a miss fills the new term through its slot
-descriptors, then enters it, after `_check` where a class checks
-structural invariants.  Parsing fresh input builds mostly new terms, so it
-pays for the miss.
+such class to `_hash_consed`, which makes its table at once and, on the
+class's first construction, generates its constructor, `__new__`, so a
+process compiles only the shapes of the classes it builds.  Its
+parameters are those fields, so Python binds positional, keyword and mixed
+calls and refuses bad ones, and its checks refuse a field that does not
+meet its contract (see `_hash_consed`).  Defaults of its last fields, if
+any, are its `_defaults` tuple.  A hit is one table lookup in one Python
+frame; a miss fills the new term through its slot descriptors, then
+enters it, after `_check` where a class checks structural invariants.
+Parsing fresh input builds mostly new terms, so it pays for the miss.
 """
 
 from __future__ import annotations
@@ -203,7 +204,30 @@ def _hash_consed(cls):
     mapping's items build the key, and any other on a miss, before
     `_check`, as no value of another type equals a live one.  A mapping
     field is keyed by the frozenset of its items and stored as a read-only
-    copy.  A term whose check raised never enters its table."""
+    copy.  A term whose check raised never enters its table.
+
+    The table is made here, and the constructor on the class's first
+    construction, so a process compiles only the shapes of the classes it
+    builds.  Until then `__new__` is a stub that generates the constructor,
+    enters it by `setdefault`, one step, so racing first constructions all
+    run the one that entered first, installs it in its own place unless
+    another `__new__` has replaced it since, and forwards the call."""
+    table = _TABLES[cls] = {}
+    made = {}  # cls -> its constructor, once generated
+
+    def __new__(_cls, /, *args, **kwargs):
+        if (new := made.get(cls)) is None:
+            new = made.setdefault(cls, _constructor(cls, table))
+        if cls.__dict__["__new__"] is stub:
+            cls.__new__ = staticmethod(new)
+        return new(_cls, *args, **kwargs)
+
+    stub = cls.__new__ = staticmethod(__new__)
+
+
+def _constructor(cls, table):
+    """Generate cls's constructor, whose table is `table` (see
+    `_hash_consed`)."""
     contracts = cls.__slots__
     names = tuple(contracts)
     mappings = [type(c) is GenericAlias and c.__origin__ is dict for c in contracts.values()]
@@ -216,7 +240,6 @@ def _hash_consed(cls):
         numbers = any({int, float, bool}.intersection(k if type(k) is tuple else (k,))
                       for k in kinds[start:])
         (early if numbers or mappings[i] else late).extend(lines)
-    table = _TABLES[cls] = {}
     scope = {"_new": object.__new__, "_get": table.get, "_refused": _refused,
              "_proxy": MappingProxyType, "_enter": _enterer(table, cls.__dict__.get("_check")),
              **{f"_k{i}": kind for i, kind in enumerate(kinds)},
@@ -236,18 +259,19 @@ def _hash_consed(cls):
     )
     __new__.__qualname__ = f"{cls.__qualname__}.__new__"
     __new__.__defaults__ = cls.__dict__.get("_defaults")
-    cls.__new__ = staticmethod(__new__)
+    return __new__
 
 
 class Value:
     """Base class of every hash-consed class: its table holds terms weakly.
 
     Deriving from `Value` with a dict `__slots__`, `{}` for a class without
-    fields, is what makes a class hash-consed (see `_hash_consed`); one with
-    a tuple `__slots__` is a plain base of such classes.  Terms are
-    read-only, show their fields in `repr`, and pickle and copy as the
-    canonical term.  A subclass of a hash-consed class would share its
-    table, so none may be made."""
+    fields, is what makes a class hash-consed (see `_hash_consed`): its
+    table is made when the class is, and its constructor is compiled on its
+    first construction.  One with a tuple `__slots__` is a plain base of
+    such classes.  Terms are read-only, show their fields in `repr`, and
+    pickle and copy as the canonical term.  A subclass of a hash-consed
+    class would share its table, so none may be made."""
 
     __slots__ = ("__weakref__",)
 

@@ -77,14 +77,15 @@ def naive_extract(s: KStrand) -> tuple[Extraction, tuple]:
     return Extraction(process, tuple(state.ops), (), {}), tuple(state.comm)
 
 
-def contains(t: Term, sub: Term) -> bool:
-    """True when sub occurs in t (t itself and key positions included)."""
+def contains(t: Term, sub: Term, keys: bool = True) -> bool:
+    """True when sub occurs in t (t itself included, and key positions
+    unless `keys` is false)."""
     if t == sub:
         return True
     if isinstance(t, Pair):
-        return contains(t.left, sub) or contains(t.right, sub)
+        return contains(t.left, sub, keys) or contains(t.right, sub, keys)
     if isinstance(t, Enc):
-        return contains(t.body, sub) or contains(t.key, sub)
+        return contains(t.body, sub, keys) or keys and contains(t.key, sub)
     return False
 
 
@@ -94,10 +95,15 @@ def _construct(t: Term, state: _State) -> None:
     if _recover(t, state):
         return
     if isinstance(t, Atom):
-        if any(contains(k, t) for k in state.knowledge):
+        if any(contains(k, t, keys=False) for k in state.knowledge):
             raise Unrecoverable(
                 f"{state.participant.label} holds {t.label} only sealed "
                 "inside terms it cannot open"
+            )
+        if any(contains(k, t) for k in state.knowledge):
+            raise Unrecoverable(
+                f"{state.participant.label} holds {t.label} only as the key "
+                "of ciphers it did not make"
             )
         if t.kind not in _GEN_CLASSIFIER:
             raise Ungeneratable(

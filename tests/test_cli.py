@@ -465,28 +465,56 @@ def test_import_leaves_out_dataclasses_inspect_and_typing():
     assert out == "[]\n"
 
 
-def test_import_compiles_one_constructor_per_contract_shape():
-    # hash-consed classes whose fields have contracts of one shape share one
-    # compiled constructor, whatever their field names and classes
-    probe = (
-        "import builtins, sys\n"
-        "compile = builtins.compile; names = []\n"
-        "def counted(source, filename, *args, **kwargs):\n"
-        "    names.append(filename)\n"
-        "    return compile(source, filename, *args, **kwargs)\n"
-        "builtins.compile = counted\n"
-        "import spa, spa.cli; spa.load_config(sys.argv[1])\n"
-        "from spa.terms import _TABLES\n"
-        "codes = [c.__new__.__code__ for c in _TABLES]\n"
-        "print(names.count('<hash-consed>'), len({(k.co_code, k.co_consts) for k in codes}),"
-        " len(_TABLES))"
-    )
+_COUNT_COMPILES = """\
+import builtins, contextlib, io, sys
+compile = builtins.compile; names = []
+def counted(source, filename, *args, **kwargs):
+    names.append(filename)
+    return compile(source, filename, *args, **kwargs)
+builtins.compile = counted
+import spa, spa.cli
+from spa.terms import _TABLES
+def compiled():
+    # compiles so far, the classes whose constructor is compiled, and their
+    # shapes: one code per shape, whatever the field names and classes
+    codes = [c.__new__.__code__ for c in _TABLES]
+    built = [k for k in codes if k.co_filename == "<hash-consed>"]
+    return names.count("<hash-consed>"), len(built), len({(k.co_code, k.co_consts) for k in built})
+"""
+
+
+def _compiles(then: str, *argv: str) -> list:
+    """What `compiled()` returns after each `print(*compiled())` in `then`,
+    run in a fresh interpreter after `import spa, spa.cli`."""
+    src = str(ROOT / "src")
     out = subprocess.run(
-        [sys.executable, "-S", "-c", probe, DEFAULT_CONFIG], cwd=ROOT / "src",
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-c", _COUNT_COMPILES + then, *argv], cwd=ROOT,
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     ).stdout
-    compiled, shapes, classes = map(int, out.split())
-    assert compiled == shapes < classes
+    return [tuple(map(int, line.split())) for line in out.splitlines()]
+
+
+def test_import_compiles_one_constructor_per_contract_shape():
+    # a class's constructor is compiled on its first construction, and
+    # classes whose fields have contracts of one shape share one compile
+    setup, every = _compiles(
+        "spa.load_config(sys.argv[1]); print(*compiled())\n"
+        "from tests.test_terms import _CTOR_FIELDS\n"
+        "assert set(_CTOR_FIELDS) == set(_TABLES)\n"
+        "for cls, fields in _CTOR_FIELDS.items(): cls(*fields)\n"
+        "print(*compiled(), len(_TABLES))\n",
+        DEFAULT_CONFIG,
+    )
+    (compiles, _, shapes), (compiles_all, built_all, shapes_all, classes) = setup, every
+    assert compiles == shapes < shapes_all  # import and the config build some
+    assert compiles_all == shapes_all < built_all == classes
+    [(compiles, _, shapes)] = _compiles(
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert spa.cli.main(['check', sys.argv[1]]) == 0\n"
+        "print(*compiled())\n",
+        ANDREW,
+    )
+    assert compiles == shapes < shapes_all
 
 
 def test_unencodable_output_is_one_io_error_line():

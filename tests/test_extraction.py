@@ -278,12 +278,20 @@ def test_sealed_atom_unrecoverable_whatever_its_kind(atom):
     assert exc.value.role == "B"  # extract's error names its role for the CLI
 
 
-def test_atom_held_only_as_a_key_is_sealed():
-    # the scan that classifies a failure looks at key positions too
-    s = KStrand((B, Enc(D, FuncName.PK, K2)), B, (SignedTerm(1, K2),))
+@pytest.mark.parametrize("held, how", [
+    ((Enc(D, FuncName.PK, K2),), "only as the key of ciphers it did not make"),
+    ((Enc(K2, FuncName.H, Empty()), Enc(D, FuncName.PK, K2)),
+     "only sealed inside terms it cannot open"),
+], ids=["key-only", "also-in-a-body"])
+def test_atom_held_as_a_key_is_named_so(held, how):
+    # the scan that classifies a failure looks at key positions too: an
+    # atom found only there is named a key, one also inside a body sealed,
+    # whichever the scan meets first
+    s = KStrand((B, *held), B, (SignedTerm(1, K2),))
     for fn in (op_count_oracle, naive_extract, extract):
-        with pytest.raises(Unrecoverable, match="^B holds K2 only sealed"):
+        with pytest.raises(Unrecoverable) as exc:
             fn(s)
+        assert str(exc.value) == f"B holds K2 {how}"
 
 
 def test_parsed_specs_never_reach_ungeneratable():

@@ -471,15 +471,62 @@ class Leaf(Base):
     __slots__ = {}
 
 assert Base not in _TABLES and Leaf in _TABLES and Leaf() is Leaf()
+
+def compiled(cls):
+    return cls.__new__.__code__.co_filename == "<hash-consed>"
+
+# the table is made with the class, the constructor on its first construction
+class Late(Value):
+    __slots__ = {"x": int, "y": str}
+
+assert _TABLES[Late] == {} and not compiled(Late)
+
+# a failed first call, binding or contract, raises what a compiled
+# constructor raises, and the class works afterwards
+for call, message in (
+    (lambda cls: cls(1), "^{}.__new__\\(\\) missing 1 required positional argument: 'y'$"),
+    (lambda cls: cls(1, "a", 2), "^{}.__new__\\(\\) takes 3 positional arguments but 4 were given$"),
+    (lambda cls: cls(y="a", z=1), "^{}.__new__\\(\\) got an unexpected keyword argument 'z'$"),
+    (lambda cls: cls(_cls=1, x=1, y="a"), "^{}.__new__\\(\\) got multiple values for argument '_cls'$"),
+    (lambda cls: cls(True, "a"), "^{}.x must be int, not bool$"),
+    (lambda cls: cls(1, None), "^{}.y must be str, not NoneType$"),
+):
+    cls = type("Once", (Value,), {"__slots__": {"x": int, "y": str}})
+    with pytest.raises(TypeError, match=message.format("Once")):
+        call(cls)
+    t = cls(1, "a")
+    assert compiled(cls) and cls(x=1, y="a") is t and len(_TABLES[cls]) == 1
+    with pytest.raises(TypeError, match=message.format("Once")):
+        call(cls)
+
+# a `__new__` patched before the first construction stays installed; the
+# stub it wraps installs the constructor once it is back in its place
+stub, first = Late.__dict__["__new__"], Late.__new__
+seen = []
+
+def counted(cls, *fields):
+    seen.append(fields)
+    return first(cls, *fields)
+
+Late.__new__ = staticmethod(counted)
+assert Late(1, "a") is Late(1, "a") and seen == [(1, "a")] * 2
+assert Late.__new__ is counted
+Late.__new__ = stub
+t = Late(1, "a")
+assert compiled(Late) and Late(1, "a") is t and seen == [(1, "a")] * 2
 """
 
 
-def test_a_dict_slots_value_subclass_is_hash_consed():
-    # in its own interpreter: `_TABLES` keeps every class made in this one,
-    # and `test_every_hash_consed_class_has_constructor_cases` reads it
+def _in_fresh_interpreter(source: str) -> None:
+    # `_TABLES` keeps every class made in an interpreter, and
+    # `test_every_hash_consed_class_has_constructor_cases` reads this one's
     src = str(os.path.dirname(os.path.dirname(spa.__file__)))
-    subprocess.run([sys.executable, "-c", _DECLARE_VALUES], check=True,
+    subprocess.run([sys.executable, "-c", source], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+def test_a_dict_slots_value_subclass_is_hash_consed():
+    _in_fresh_interpreter(_DECLARE_VALUES)
 
 
 def _is_contract(contract) -> bool:
@@ -701,6 +748,42 @@ def test_racing_threads_build_one_term():
     assert all(len(terms) == 3999 for terms in built)
     for terms in built[1:]:
         assert all(t is u for t, u in zip(terms, built[0]))
+
+
+_RACE_FIRST_CONSTRUCTION = """\
+import sys, threading
+from spa.terms import Value, _TABLES
+
+# classes of new shapes, so each first construction compiles its source
+classes = [type(f"Race{n}", (Value,), {"__slots__": {f"f{i}": str for i in range(n)}})
+           for n in range(1, 13)]
+workers, start = 8, threading.Barrier(8)
+seen = [None] * workers
+
+def build(w):
+    start.wait(timeout=30)
+    seen[w] = [(cls(*"x" * len(cls.__slots__)), cls.__new__) for cls in classes]
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=build, args=(w,)) for w in range(workers)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+assert not any(thread.is_alive() for thread in threads)
+for i, cls in enumerate(classes):
+    new = cls.__dict__["__new__"].__func__
+    assert new.__code__.co_filename == "<hash-consed>"
+    assert all(s[i][1] is new and s[i][0] is seen[0][i][0] for s in seen)
+    assert len(_TABLES[cls]) == 1
+"""
+
+
+def test_racing_first_construction_installs_one_constructor():
+    # eight threads build the first value of each of a dozen new classes at
+    # once, several of them generating a constructor for one class: every
+    # thread gets the one value and sees the one constructor installed
+    _in_fresh_interpreter(_RACE_FIRST_CONSTRUCTION)
 
 
 def _sample_terms() -> list:
