@@ -33,20 +33,21 @@ Recovery takes the path from the first knowledge entry (in insertion
 order) that exposes the target, descending leftmost through pairs and
 symmetric ciphers whose key is held, and fixes that path when it starts.
 Rather than scan the knowledge for every target, the extractor keeps an
-exposure index up to date as it learns.  Each exposed occurrence gets a
-rank: entries are numbered in insertion order and their positions in
-preorder over pairs and `sk` bodies (held key or not), and ranks compare
-by entry first, then by position.  The index keeps, for each exposed term,
-its lowest rank and the container it sits in there, which is exactly the
-occurrence the scan would find first.  A cipher whose key is not held
-waits under that key and is opened, at its original positions, when the
-key atom is learned.  Only terms that arrive from outside (initial
-knowledge, receptions, generated atoms) are walked: split halves,
-decrypted bodies and constructed terms are reachable, at a lower rank,
-from entries already walked.  The walk enters no asymmetric cipher or
-hash.  Its descent is not read off the rows: it is the recovery policy
-(which containers a role opens, leftmost first) and the hottest loop, so
-a test checks it against them.
+exposure index up to date as it learns.  It ranks the occurrences inside
+compound entries; an atom the role holds is never a target and contains
+nothing, so it needs no place there.  Compound entries are numbered in
+insertion order and their positions in preorder over pairs and `sk`
+bodies (held key or not), and ranks compare by entry first, then by
+position.  The index keeps, for each exposed term, its lowest rank and the
+container it sits in there, which is exactly the occurrence the scan
+would find first.  A cipher whose key is not held waits under that key
+and is opened, at its original positions, when the key atom is learned.
+Only compound terms that arrive from outside (initial knowledge and
+receptions) are walked: split halves, decrypted bodies and constructed
+terms are reachable, at a lower rank, from entries already walked.  The
+walk enters no asymmetric cipher or hash.  Its descent is not read off
+the rows: it is the recovery policy (which containers a role opens,
+leftmost first) and the hottest loop, so a test checks it against them.
 """
 
 from __future__ import annotations
@@ -118,18 +119,18 @@ class _State:
         for t in strand.working_knowledge():
             self.learn(t)
 
-    def learn(self, t: Term, by: int | None = None, walk: bool = True) -> None:
-        """Add t to knowledge, made by op `by` (None: from outside).
-        `walk=False` is for split halves and decrypted bodies, which are
-        reachable from entries already walked."""
+    def learn(self, t: Term, by: int | None = None) -> None:
+        """Add t to knowledge, made by op `by` (None: from outside).  An atom
+        is not indexed but opens the ciphers sealed under it; of the rest,
+        only terms from outside are walked (see the module docstring)."""
         if t in self.knowledge:
             return
         self.knowledge[t] = by
-        if walk:
-            self.next_rank = self._expose(t, None, self.next_rank)
         if isinstance(t, Atom):
             for cipher, rank in self.sealed.pop(t, ()):
                 self._expose(cipher.body, cipher, rank)
+        elif by is None:
+            self.next_rank = self._expose(t, None, self.next_rank)
 
     def _expose(self, root: Term, container: Term | None, rank: int) -> int:
         """Index the occurrences under root, root ranked `rank`; return the
@@ -262,4 +263,4 @@ def _recover(target: Term, state: _State) -> None:
         classifier, outputs = OPENS[_tag(step._typed)]
         by = state.emit(classifier, step)
         for name in outputs:
-            state.learn(getattr(step, name), by, walk=False)
+            state.learn(getattr(step, name), by)

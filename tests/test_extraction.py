@@ -479,6 +479,45 @@ def test_exposure_walk_opens_what_the_rows_open():
     check({entry, held, Pair(B, sealed), Pair(hashed, NB), sealed})
 
 
+def test_index_holds_only_what_recovery_reads(monkeypatch):
+    """The exposure index is walked from compound terms learned from
+    outside, and from the body of a sealed cipher when its key is learned,
+    and from nothing else: what an op made or recovered is reachable from an
+    entry already walked, and a held atom is no target and contains
+    nothing, so no atom is an entry of the index."""
+    states, roots = [], Counter()
+    init, expose = spa.extraction._State.__init__, spa.extraction._State._expose
+
+    def tracked(state, strand):
+        states.append(state)
+        init(state, strand)
+
+    def checked(state, root, container, rank):
+        if container is None:
+            roots["entry"] += 1
+            assert not isinstance(root, Atom), root
+            assert root in state.knowledge and state.knowledge[root] is None, root
+        else:
+            roots["opened"] += 1
+            assert root is container.body and container.func is FuncName.SK, container
+            assert next(reversed(state.knowledge)) is container.key, container
+        return expose(state, root, container, rank)
+
+    monkeypatch.setattr(spa.extraction._State, "__init__", tracked)
+    monkeypatch.setattr(spa.extraction._State, "_expose", checked)
+    specs = [chain_spec(n, w) for n, w in ((1, 1), (5, 4), (13, 8))]
+    specs += [parse(read(path)) for path in CORPUS]
+    strands = [s for spec in specs for s in project(spec).strands]
+    # a key learned late opens a cipher sealed in an earlier entry
+    entry = Enc(Pair(B, Enc(NA, FuncName.SK, K2)), FuncName.SK, K)
+    strands.append(KStrand((A, K, entry), A, (SignedTerm(-1, K2), SignedTerm(1, NA))))
+    for s in strands:
+        extract(s)
+        assert not [t for t, (_, container) in states[-1].exposed.items()
+                    if container is None and isinstance(t, Atom)], render_kstrand(s)
+    assert roots["entry"] and roots["opened"], roots
+
+
 def test_equal_typed_payloads_are_one_object():
     specs = [chain_spec(6, 4)] + [parse(read(path)) for path in CORPUS]
     rng = random.Random(0x1D)
