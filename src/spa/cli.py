@@ -10,7 +10,13 @@ Exit codes: 0 success (verdicts included), 1 I/O, 2 validation,
 own, and `main` reports every one as a single stderr line.
 
 The argument parser is built on the first `main` call and reused by every
-later call in the process; importing this module does not build it.
+later call in the process; importing this module does not build it.  When
+the first argument names a subcommand, the rest are parsed by that
+subcommand's parser alone, which is what the full parser would hand them
+to.  The full parser runs only when that parse leaves arguments it does
+not know, and on any other argv (an empty one, or one that starts with an
+option or an unknown word), so argparse itself prints every help text,
+usage line and error.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 import sys
 from functools import cache
 
-from .config import load_config
+from .config import _read_text, load_config
 from .costs import (
     DEFAULT_ASSUMPTIONS,
     CostExpr,
@@ -50,8 +56,7 @@ from .terms import render_signed, render_term
 
 def _load_spec(path: str) -> ProtocolSpec:
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read().removeprefix("\ufeff")  # a byte-order mark
+        text = _read_text(path)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     return parse(text)
@@ -234,6 +239,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Protocol strand models and symbolic operation costs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser
 
     p = sub.add_parser("check", help="validate a protocol file")
     p.add_argument("file")
@@ -271,7 +277,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+    if command is None or rest:
+        args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except SpaError as exc:

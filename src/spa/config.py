@@ -32,12 +32,12 @@ def _section(value, where: str, keys, required=None) -> dict:
     `required` (all of `keys` by default) present."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be an object")
-    unknown = sorted(set(value) - set(keys))
+    unknown = value.keys() - keys
     if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
-    missing = sorted(set(keys if required is None else required) - set(value))
+        raise ConfigError(f"unknown key {min(unknown)!r} in {where}")
+    missing = set(keys if required is None else required) - value.keys()
     if missing:
-        raise ConfigError(f"missing key {missing[0]!r} in {where}")
+        raise ConfigError(f"missing key {min(missing)!r} in {where}")
     return value
 
 
@@ -132,22 +132,33 @@ def _parse_assumptions(raw) -> AssumptionSet:
 
 
 def _unique_keys(pairs: list) -> dict:
-    data = {}
-    for key, value in pairs:
-        if key in data:
-            raise ValueError(f"duplicate key {key!r}")
-        data[key] = value
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
     return data
+
+
+def _read_text(path) -> str:
+    """A UTF-8 file's text as text mode would read it: a leading byte-order
+    mark dropped, and CRLF and lone CR line endings read as LF.  A byte that
+    is not UTF-8 raises UnicodeDecodeError at its offset in the file."""
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8").removeprefix("\ufeff")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def load_config(path) -> tuple[CostModel, AssumptionSet]:
     """Read and validate a JSON config file."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            text = handle.read().removeprefix("\ufeff")  # a byte-order mark
-            data = json.loads(text, object_pairs_hook=_unique_keys)
-        except (ValueError, RecursionError) as exc:
-            # malformed or too deeply nested JSON, a key repeated in one
-            # object, or text that is not UTF-8
-            raise ConfigError(f"{path}: {exc}") from exc
+    try:
+        data = json.loads(_read_text(path), object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
+        # malformed or too deeply nested JSON, a key repeated in one
+        # object, or text that is not UTF-8
+        raise ConfigError(f"{path}: {exc}") from exc
     return parse_config(data)

@@ -80,7 +80,7 @@ def _token_texts(text: str) -> list[str]:
     tokens = _TOKEN_RE.findall(text)
     if "//" in text:
         tokens = [t for t in tokens if t[:2] != "//"]
-    if any(len(t) == 1 and t not in _ONE_CHAR for t in set(tokens)):
+    if min(map(len, set(tokens).difference(_ONE_CHAR)), default=2) < 2:
         _offsets(text)  # raises, located at the first such character
     tokens.append("")
     return tokens
@@ -385,11 +385,13 @@ def _role_strands(spec: ProtocolSpec, roles) -> Iterator[KStrand | None]:
     """Each of `roles`' knowledge strands (see `project`), None for one with
     no events.  One walk over the messages and one declaration rank serve
     them all: a message is its sender's positive event and its recipient's
-    negative one."""
-    events: dict[Atom, list[SignedTerm]] = {role: [] for role in spec.roles}
+    negative one, built only for the roles asked for."""
+    events: dict[Atom, list[SignedTerm]] = {role: [] for role in roles}
     for msg in spec.messages:
-        events[msg.sender].append(SignedTerm(1, msg.payload))
-        events[msg.recipient].append(SignedTerm(-1, msg.payload))
+        if msg.sender in events:
+            events[msg.sender].append(SignedTerm(1, msg.payload))
+        if msg.recipient in events:
+            events[msg.recipient].append(SignedTerm(-1, msg.payload))
     rank = {label: i for i, label in enumerate(spec.decls)}
     for role in roles:
         if not events[role]:

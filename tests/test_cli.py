@@ -610,10 +610,12 @@ def test_non_utf8_config_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: Path(p).stem)
 def test_byte_order_mark_is_read_past(tmp_path, path):
-    # a UTF-8 file may start with a byte-order mark; it is not text
-    spec, cfg = tmp_path / "bom.spa", tmp_path / "bom.json"
-    spec.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
-    cfg.write_bytes(b"\xef\xbb\xbf" + Path(DEFAULT_CONFIG).read_bytes())
+    # a UTF-8 file may start with a byte-order mark, which is not text, and
+    # end its lines with CRLF or a lone CR, which read as LF; every corpus
+    # file opens with `//` comments, so its lone-CR copy holds comments that
+    # a CR ends
+    spec_lf, cfg_lf = Path(path).read_bytes(), Path(DEFAULT_CONFIG).read_bytes()
+    assert spec_lf.startswith(b"//") and b"\r" not in spec_lf + cfg_lf
     role = parse(read(path)).roles[0].label
 
     def calls(spec_path, cfg_path):
@@ -623,8 +625,35 @@ def test_byte_order_mark_is_read_past(tmp_path, path):
 
     want = calls(path, DEFAULT_CONFIG)
     assert [code for code, _, _ in want] == [0, 0, 0]
-    for spec_path, cfg_path in ((spec, DEFAULT_CONFIG), (path, cfg), (spec, cfg)):
-        assert calls(spec_path, cfg_path) == want
+    for mark in (b"", b"\xef\xbb\xbf"):
+        for ending in (b"\n", b"\r\n", b"\r"):
+            if (mark, ending) == (b"", b"\n"):
+                continue
+            spec, cfg = tmp_path / "copy.spa", tmp_path / "copy.json"
+            spec.write_bytes(mark + spec_lf.replace(b"\n", ending))
+            cfg.write_bytes(mark + cfg_lf.replace(b"\n", ending))
+            for spec_path, cfg_path in ((spec, DEFAULT_CONFIG), (path, cfg), (spec, cfg)):
+                assert calls(spec_path, cfg_path) == want, (mark, ending)
+
+
+def test_line_endings_keep_error_locations(tmp_path):
+    # an error in a CRLF or lone-CR file is reported where it stands in the
+    # LF file: a parse error's line and column, a JSON error's too, with its
+    # offset in the text read
+    spec_lf = b"protocol p {\n  roles A, B;  // two roles\n  nonce N;\n  A -> B: N N;\n}\n"
+    cfg_lf = Path(DEFAULT_CONFIG).read_bytes().replace(b'"lambda_c": 0.1,', b'"lambda_c": 0.1,,')
+    results = []
+    for name, ending in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+        spec, cfg = tmp_path / f"{name}.spa", tmp_path / f"{name}.json"
+        spec.write_bytes(spec_lf.replace(b"\n", ending))
+        cfg.write_bytes(cfg_lf.replace(b"\n", ending))
+        check = run_cli("check", str(spec))
+        code, out, err = run_cli("eval", X509_ORIGINAL, "--role", "A", "--config", str(cfg))
+        results.append((check, (code, out, err.replace(str(cfg), "CONFIG"))))
+    assert results[0][0] == (2, "", "ParseError: expected ';', found 'N' (line 4, column 13)\n")
+    code, out, err = results[0][1]
+    assert (code, out) == (4, "") and err.startswith("ConfigError: CONFIG: Expecting")
+    assert results[1:] == [results[0]] * 2
 
 
 def test_byte_order_mark_keeps_byte_offsets(tmp_path):

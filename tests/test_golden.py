@@ -15,9 +15,12 @@ and the diff of `tests/golden_cli.json` then shows exactly what moved.
 
 from __future__ import annotations
 
+import argparse
+import io
 import json
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from itertools import product
 from pathlib import Path
@@ -123,6 +126,64 @@ def test_calls_in_one_process_share_no_state():
     for argv, recorded in calls:
         assert _run(argv) == dict(_golden()[tuple(recorded)], argv=argv)
     assert cli._parser.cache_info().misses == 1
+
+
+def _edge_cases() -> list[list[str]]:
+    """Arguments that a parse at the subcommand could read otherwise than
+    the full parser: leftovers, unknown and abbreviated options, options
+    before the file, `--`, help first, and a missing file."""
+    andrew = _rel(ANDREW)
+    return [
+        ["check", andrew, "extra"],
+        ["check", "--bogus", andrew],
+        ["cost", andrew, "--ro", "A"],
+        ["cost", andrew, "--role=A"],
+        ["cost", "--role", "A", andrew],
+        ["check", "--", andrew],
+        ["model", andrew, "--h"],
+        ["--help", "check"],
+        ["check"],
+    ]
+
+
+def _parsed(parse, argv: list[str]) -> tuple:
+    """(parsed values or exit code, stdout, stderr) of one argument parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    if isinstance(result, argparse.Namespace):
+        result = vars(result)
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def returned_args(monkeypatch):
+    """A parser built afresh whose handlers return the parsed arguments, so
+    `main` returns what it parsed; the real one is built again later."""
+    for name in COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: args)
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "argv", invocations() + _edge_cases(), ids=lambda argv: " ".join(argv) or "(none)"
+)
+def test_main_parses_as_the_full_parser(returned_args, argv):
+    """`main` parses a call that names its subcommand with that subcommand's
+    parser alone, and must read every argv as the full parser does: the same
+    help, usage errors and exit codes, and the same values but `command`,
+    which the full parser alone sets and no handler reads."""
+    got = _parsed(cli.main, argv)
+    want = _parsed(cli._parser().parse_args, argv)
+    if isinstance(got[0], dict):
+        assert "command" not in got[0]  # parsed at the subcommand
+        assert want[0].pop("command") == argv[0]
+    assert got == want
 
 
 if __name__ == "__main__":
