@@ -27,7 +27,9 @@ and a pair of sides that share terms cost one valuation per term.  Equal
 models are one object and share one table, which lives and dies with the
 model; nothing is kept at module level.  It keeps the terms it holds
 alive, at most `_TABLE_LIMIT` of them: a full table is emptied and fills
-again.
+again.  A term valued for the first time reads its argument's units from
+its `SizeModel`, which keeps the value of each of its ten units (see
+`sizes`), so no unit is valued twice under one model.
 """
 
 from __future__ import annotations
@@ -189,19 +191,25 @@ def _expand(terms, steps: list, label: str) -> dict:
     term: an application of an `EXPANDABLE` function to a sum of k units
     in all becomes one application per unit, with the unit's coefficient,
     and 1 - k times Ov_h.  A lone unit, the empty sum and every other term
-    pass through.  Results merge in first-occurrence order, and a zero Ov_h
-    goes; each rewrite is recorded in `steps` as ("expand", label, term, parts)."""
+    pass through.  Results merge in first-occurrence order, each part as it
+    is built, and a zero Ov_h goes; each rewrite is recorded in `steps` as
+    ("expand", label, term, parts)."""
     out: dict = {}
     for term, mult in terms:
         arg = term.args[0] if term.func in _EXPANDABLE else None
         if not isinstance(arg, Sum) or not arg.items:
             out[term] = out.get(term, 0) + mult
             continue
-        parts = [(App(term.func, (unit,)), coeff) for coeff, unit in arg.items]
-        parts.append((_OV_H, 1 - sum(coeff for coeff, _ in arg.items)))
+        parts = []
+        over = 1  # Ov_h's multiplicity in the parts, 1 - k
+        for coeff, unit in arg.items:
+            part = App(term.func, (unit,))
+            parts.append((part, coeff))
+            out[part] = out.get(part, 0) + coeff * mult
+            over -= coeff
+        parts.append((_OV_H, over))
+        out[_OV_H] = out.get(_OV_H, 0) + over * mult
         steps.append(("expand", label, term, parts))
-        for t, m in parts:
-            out[t] = out.get(t, 0) + m * mult
     if out.get(_OV_H) == 0:
         del out[_OV_H]
     return out

@@ -19,9 +19,12 @@ in the distinct subterms of a space rather than quadratic in nesting
 depth.  A size lives as long as its typed term.
 
 A `SizeModel` is hash-consed too, and keeps a read-only copy of the type
-sizes it is given.  `eval_size` keeps no values: it runs when a cost model
-values an application for the first time, and the cost model keeps that
-value.
+sizes it is given.  It also keeps the value of each of its ten units, |r|,
+|n|, |k|, |m|, S_hash and S_asym of each of those, filled by `eval_size`
+the first time it values that unit and never at construction; S_asym of
+a sum or of another S_asym is computed each time.  `eval_size` runs when a
+cost model values an application for the first time, and the cost model
+keeps that value.
 """
 
 from __future__ import annotations
@@ -146,7 +149,21 @@ def render_size(e: SizeExpr) -> str:
     raise TypeError(f"not a size expression: {e!r}")
 
 
-class SizeModel(Value):
+class _Valued(Value):
+    # a size model's table of unit values, set empty when the model is first
+    # built: not a field, as `costs._Priced._values`
+    __slots__ = ("_units",)
+
+
+_set_units = _Valued._units.__set__
+
+
+class SizeModel(_Valued):
+    """The type sizes, the hash size and the asymmetric block layout that
+    size expressions are valued under.  It keeps the value of each of its
+    ten units that `eval_size` has met, at most ten entries, which live and
+    die with the model: equal models, copies and pickles share them."""
+
     __slots__ = {"sizes": dict[BasicTT, (int, float)], "s_hash": (int, float),
                  "blk_in": (int, float), "blk_out": (int, float), "pad": (int, float)}
 
@@ -158,19 +175,40 @@ class SizeModel(Value):
             raise ValueError("size-model values must be finite and positive")
         if self.blk_in <= self.pad:
             raise ValueError("blk_in must exceed pad")
+        _set_units(self, {})  # unit -> value, filled by `eval_size`
 
 
 def eval_size(e: SizeExpr, model: SizeModel) -> float:
+    """The value of a size expression under `model`.  A sum is valued in one
+    pass over its items, each unit read from the model's table, or valued
+    and kept there when first met; anything that is not a size expression
+    is refused, as `render_size` refuses it."""
+    values = model._units
+    if isinstance(e, Sum):
+        parts = []
+        for coeff, unit in e.items:
+            value = values.get(unit)
+            parts.append(coeff * (eval_size(unit, model) if value is None else value))
+        # `sum`, not a loop of +=: from Python 3.12 it compensates float
+        # rounding, and every value must stay the one it was
+        return float(sum(parts))
+    # a unit valued before; what is not a size expression is never looked
+    # up, so a list or a dict is refused below, not found unhashable
+    if isinstance(e, SizeExpr) and (value := values.get(e)) is not None:
+        return value
     if isinstance(e, TypeSize):
-        return float(model.sizes[e.tt])
-    if isinstance(e, HashSize):
-        return float(model.s_hash)
-    if isinstance(e, AsymSize):
+        value = float(model.sizes[e.tt])
+    elif isinstance(e, HashSize):
+        value = float(model.s_hash)
+    elif isinstance(e, AsymSize):
         blocks = (eval_size(e.arg, model) + model.pad) / model.blk_in
         # math.ceil raises on an infinite block count (a huge argument or a
         # tiny blk_in); the size is then infinite, as a sum of sizes that
         # overflows a float is, so `eval_cost` returns inf for both
-        return (blocks if math.isinf(blocks) else float(math.ceil(blocks))) * model.blk_out
-    if isinstance(e, Sum):
-        return float(sum(coeff * eval_size(unit, model) for coeff, unit in e.items))
-    raise TypeError(f"not a size expression: {e!r}")
+        value = (blocks if math.isinf(blocks) else float(math.ceil(blocks))) * model.blk_out
+        if isinstance(e.arg, (Sum, AsymSize)):  # not a unit: the table stays at ten
+            return value
+    else:
+        raise TypeError(f"not a size expression: {e!r}")
+    values[e] = value
+    return value

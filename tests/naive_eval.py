@@ -3,9 +3,11 @@
 `naive_eval_terms` is a copy of `_eval_terms` before cost models kept a
 table of values, with the affine step `Affine.__call__` did written out:
 every call walks every term's size expression again.  `naive_eval_size`
-is a copy of `eval_size`, so that the reference does not change when the
-library does.  They are kept only so that tests can require the library's
-evaluation to return exactly the same floats.
+is a copy of `eval_size` from before size models kept their unit values,
+so that the reference does not change when the library does: it values
+every unit again, recursively, and sums a sum's items with `sum`.  They
+are kept only so that tests can require the library's evaluation to
+return exactly the same floats.
 """
 
 from __future__ import annotations

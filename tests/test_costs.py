@@ -89,7 +89,7 @@ from .helpers import (
     stack_depth,
 )
 from .naive_compare import naive_compare
-from .naive_eval import naive_eval_cost, naive_eval_terms
+from .naive_eval import naive_eval_cost, naive_eval_size, naive_eval_terms
 from .naive_sizes import naive_cost_of_space
 
 SR, SN, SK_, SM = (TypeSize(tt) for tt in BasicTT)
@@ -1397,6 +1397,79 @@ def test_a_model_keeps_at_most_a_full_table_of_terms():
     gc.collect()
     kept = [ref() for ref in dead if ref() is not None]
     assert kept == list(m._values) == [ref() for ref in dead[limit:]]
+
+
+# the ten units a size model keeps values of: the basic units and S_asym of each
+_BASIC_UNITS = (*(TypeSize(tt) for tt in BasicTT), HashSize())
+_TEN_UNITS = _BASIC_UNITS + tuple(AsymSize(u) for u in _BASIC_UNITS)
+
+_LOADED_UNITS = (
+    "import pickle, sys, spa; from spa.sizes import AsymSize, HashSize, TypeSize; "
+    "from spa.terms import _TABLES; "
+    f"m, _ = spa.load_config({DEFAULT_CONFIG!r}); "
+    "sys.stdout.buffer.write(pickle.dumps((len(m.size_model._units), "
+    "sum(len(_TABLES[c]) for c in (TypeSize, HashSize, AsymSize)))))"
+)
+
+
+def test_a_loaded_size_model_values_no_unit():
+    # units are valued on first use, never when a model is built: in a
+    # fresh interpreter, load_config leaves the table empty and builds no
+    # size unit (an equal model alive here may have filled its table)
+    assert _pickled_elsewhere(_LOADED_UNITS) == (0, 0)
+
+
+def test_a_size_model_keeps_only_its_units_as_the_reference_values_them():
+    # sizes whose S_asym argument is S_hash, a sum or another S_asym: only
+    # the ten units enter the table, each with the reference's value bit
+    # for bit, and every price is the reference's on first valuation and
+    # read back
+    rng = random.Random(0x0A5E)
+    for _ in range(50):
+        m = random_eval_model(rng)
+        sizes = [AsymSize(HashSize()), AsymSize(AsymSize(SN)),
+                 AsymSize(ssum([rng.choice(_BASIC_UNITS), rng.choice(_BASIC_UNITS), SN]))]
+        units = [*_TEN_UNITS, *sizes]
+        for _ in range(8):
+            sizes.append(ssum(rng.choices(units, k=rng.randint(1, 6))))
+        e = cost_expr([App(rng.choice(EXPANDABLE), (size,)) for size in sizes])
+        for _ in range(2):
+            assert eval_cost(e, m).hex() == naive_eval_cost(e, m).hex()
+        table = m.size_model._units
+        assert table and set(table) <= set(_TEN_UNITS)
+        for unit, value in table.items():
+            assert value.hex() == naive_eval_size(unit, m.size_model).hex()
+
+
+def test_a_size_model_keeps_at_most_ten_units():
+    # S_asym of a sum is valued each time, so pricing ever new sums under
+    # one model keeps no more than its ten units; a model of its own, so no
+    # other test's units are in its table
+    m = random_eval_model(random.Random(0x7E4))
+    for i in range(5000):
+        size = ssum([SN] * (i + 1) + [AsymSize(ssum([SM] * (i % 7 + 1) + [SK_] * (i + 1))),
+                                     AsymSize(AsymSize(SR)), AsymSize(HashSize()), HashSize()])
+        e = cost_expr([App(CostFunc.F_H, (size,))])
+        assert eval_cost(e, m) == naive_eval_cost(e, m)
+    table = m.size_model._units
+    assert len(table) <= 10
+    assert set(table) == {SN, SM, SK_, SR, AsymSize(SR), HashSize(), AsymSize(HashSize())}
+
+
+def test_an_overflowing_unit_is_kept_infinite():
+    # a block count too large for a float keeps S_asym(|m|) infinite in the
+    # table: read back, it prices inf again, and nan where a zero slope
+    # meets it, as README says
+    sm = SizeModel(sizes={**_sizes(), BasicTT.M: 1e10}, s_hash=20, blk_in=2e-300,
+                   blk_out=128, pad=1e-300)
+    m = CostModel(funcs={**{f: Affine(1.0, 0.1) for f in EXPANDABLE},
+                         CostFunc.F_H: Affine(1.0, 0.0)},
+                  lambda_c=0.1, lambda_p=0.05, ov_h=0.25, size_model=sm)
+    unit = AsymSize(SM)
+    for _ in range(2):
+        assert eval_cost(cost_expr([App(CostFunc.F_PK, (unit,))]), m) == math.inf
+        assert math.isnan(eval_cost(cost_expr([App(CostFunc.F_H, (ssum([unit, SN]),))]), m))
+        assert sm._units[unit] == math.inf
 
 
 def test_equal_models_are_one_object():

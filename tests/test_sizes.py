@@ -141,9 +141,11 @@ def test_render_size():
 def test_what_is_not_sized_is_refused():
     with pytest.raises(TypeError, match="^not a typed term: "):
         delta(Atom(AtomKind.NONCE, "N"))
+    # a list or a dict is refused as such, not as unhashable
     for size_of in (render_size, lambda e: eval_size(e, MODEL)):
-        with pytest.raises(TypeError, match="^not a size expression: "):
-            size_of(BasicTT.N)
+        for e in (BasicTT.N, [SN], {SN: 1}):
+            with pytest.raises(TypeError, match="^not a size expression: "):
+                size_of(e)
 
 
 def test_size_model_validated():
